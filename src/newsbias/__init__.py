@@ -52,6 +52,7 @@ from .learn import (
     cross_validate,
     majority_baseline,
     predict,
+    predict_batch,
     stratified_folds,
     train_nb,
     train_svm,

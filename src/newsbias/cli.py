@@ -14,6 +14,7 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import datetime
 import hashlib
@@ -88,7 +89,8 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc.msg}") from None
     if not isinstance(user, dict):
         raise ConfigError("config must be a JSON object")
-    return _deep_merge(DEFAULT_CONFIG, user)
+    # a copy: overrides are written into the result, never into the defaults
+    return _deep_merge(copy.deepcopy(DEFAULT_CONFIG), user)
 
 
 def validate_config(config: dict) -> None:
@@ -482,10 +484,9 @@ def cmd_stats(config: dict, terms: list[str], groups: list[str], portfolio: str 
         stoplist=opts["stoplist"],
         apply_stem=opts["apply_stem"],
     )
-    if opts["date_from"] and opts["date_to"]:
-        window = (opts["date_from"], opts["date_to"])
-    else:
-        window = corpus.registry_window(registry)
+    # years in office cover the counted dates: an unset side takes the registry's bound
+    registry_from, registry_to = corpus.registry_window(registry)
+    window = (opts["date_from"] or registry_from, opts["date_to"] or registry_to)
     stats = []
     for term in terms:
         for group in groups:

@@ -20,7 +20,9 @@ to "female", the lexicographically smaller label.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -42,13 +44,65 @@ CLASSIFIERS = ("svm", "nb-bernoulli", "nb-multinomial", "tree")
 _GAIN_EPS = 1e-12
 
 
+@dataclass(frozen=True, eq=False)
+class CSR:
+    """Sparse rows: row r has ids indices[indptr[r]:indptr[r + 1]], values the same slice of data.
+
+    For boolean vectors, data is a read-only broadcast of 1.0 that takes no memory.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @classmethod
+    def from_vectors(cls, vectors: Sequence[FeatureVector]) -> "CSR":
+        indptr = np.concatenate(([0], np.cumsum([len(v.ids) for v in vectors], dtype=np.int64)))
+        nnz = int(indptr[-1])
+        indices = np.fromiter(chain.from_iterable(v.ids for v in vectors), np.int32, nnz)
+        if all(v.representation == "boolean" for v in vectors):
+            return cls(indptr, indices, np.broadcast_to(1.0, nnz))
+        data = np.fromiter(chain.from_iterable(v.values for v in vectors), np.float64, nnz)
+        return cls(indptr, indices, data)
+
+    def row_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-row sums of one value per entry."""
+        sums = np.zeros(len(self.indptr) - 1)
+        # an empty row has no segment: reduceat would hand it its successor's first value
+        nonempty = np.flatnonzero(np.diff(self.indptr))
+        if len(nonempty):
+            sums[nonempty] = np.add.reduceat(values, self.indptr[nonempty])
+        return sums
+
+    def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of the given rows' entries, row after row, and the rows' lengths."""
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        ends = np.cumsum(lengths)
+        entries = np.repeat(starts - (ends - lengths), lengths)
+        entries += np.arange(len(entries))
+        return entries, lengths
+
+
+def _check_range(indices: np.ndarray, n_features: int) -> None:
+    bad = indices[(indices < 0) | (indices >= n_features)]
+    if len(bad):
+        raise ValueError(f"vector id {bad.max()} out of range for {n_features} features")
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """Parallel vectors/labels over one feature space."""
+    """Parallel vectors/labels over one feature space.
+
+    Learners read `layout`: a root dataset packs its vectors into one CSR
+    on first use; a subset holds row ids into its root's, copying no entries.
+    """
 
     vectors: tuple[FeatureVector, ...]
     labels: tuple[str, ...]
     space: FeatureSpace
+    # a subset's root dataset and its row ids into the root; None for a root
+    _base: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.vectors) != len(self.labels):
@@ -63,11 +117,27 @@ class Dataset:
         return len(self.vectors)
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
-        return Dataset(
+        """The given rows, sharing this dataset's vector objects."""
+        sub = Dataset(
             vectors=tuple(self.vectors[i] for i in indices),
             labels=tuple(self.labels[i] for i in indices),
             space=self.space,
         )
+        root, rows = self._base or (self, np.arange(len(self)))
+        object.__setattr__(sub, "_base", (root, rows[np.asarray(indices, dtype=np.intp)]))
+        return sub
+
+    @property
+    def layout(self) -> tuple[CSR, np.ndarray, np.ndarray]:
+        """The root's CSR and int8 labels (0 female, 1 male), and this dataset's row ids into them."""
+        root, rows = self._base or (self, np.arange(len(self)))
+        return (*root._packed, rows)
+
+    @cached_property
+    def _packed(self) -> tuple[CSR, np.ndarray]:
+        csr = CSR.from_vectors(self.vectors)
+        _check_range(csr.indices, len(self.space))
+        return csr, np.array([lab != FEMALE for lab in self.labels], dtype=np.int8)
 
     def class_counts(self) -> dict[str, int]:
         counts = {FEMALE: 0, MALE: 0}
@@ -141,20 +211,6 @@ class CVReport:
         }
 
 
-def _as_arrays(vector: FeatureVector) -> tuple[np.ndarray, np.ndarray]:
-    return (
-        np.asarray(vector.ids, dtype=np.int64),
-        np.asarray(vector.values, dtype=np.float64),
-    )
-
-
-def _check_dimensions(vector: FeatureVector, n_features: int) -> None:
-    if vector.ids and vector.ids[-1] >= n_features:
-        raise ValueError(
-            f"vector id {vector.ids[-1]} out of range for {n_features} features"
-        )
-
-
 def undersample(dataset: Dataset, seed: int) -> Dataset:
     """Balance classes by uniform down-sampling of the majority class.
 
@@ -200,13 +256,12 @@ def svm_objective(
     weights: np.ndarray, bias: float, dataset: Dataset, lam: float
 ) -> float:
     """Regularized hinge objective: lam/2 ||w||^2 + mean hinge loss."""
-    total = 0.0
-    for vector, label in zip(dataset.vectors, dataset.labels):
-        ids, values = _as_arrays(vector)
-        margin = float(weights[ids] @ values) + bias if len(ids) else bias
-        y = 1.0 if label == FEMALE else -1.0
-        total += max(0.0, 1.0 - y * margin)
-    return 0.5 * lam * float(weights @ weights) + total / len(dataset)
+    csr, labels, rows = dataset.layout
+    products = weights[csr.indices]
+    products *= csr.data
+    margins = csr.row_sums(products)[rows] + bias
+    hinge = np.maximum(0.0, 1.0 - np.where(labels[rows] == 0, 1.0, -1.0) * margins)
+    return 0.5 * lam * float(weights @ weights) + float(hinge.sum()) / len(dataset)
 
 
 def train_svm(
@@ -229,10 +284,13 @@ def train_svm(
         raise ConfigError("svm needs lam > 0 and epochs >= 1")
     n = len(dataset)
     dim = len(dataset.space)
-    xs = [_as_arrays(v) for v in dataset.vectors]
-    for v in dataset.vectors:
-        _check_dimensions(v, dim)
-    ys = np.array([1.0 if lab == FEMALE else -1.0 for lab in dataset.labels])
+    csr, labels, rows = dataset.layout
+    bounds = zip(csr.indptr[rows].tolist(), csr.indptr[rows + 1].tolist())
+    # intp ids keep the per-step indexing fast; contiguous values keep the
+    # dot products on BLAS, summing as they always have
+    indices, data = csr.indices.astype(np.intp), np.ascontiguousarray(csr.data)
+    xs = [(indices[a:b], data[a:b]) for a, b in bounds]
+    ys = np.where(labels[rows] == 0, 1.0, -1.0)
 
     v = np.zeros(dim)
     scale = 1.0
@@ -302,57 +360,44 @@ def train_nb(
     n = len(dataset)
     prior = np.array([counts[g] / n for g in GENDERS])
 
-    accum = np.zeros((2, dim))
-    for vector, label in zip(dataset.vectors, dataset.labels):
-        _check_dimensions(vector, dim)
-        row = 0 if label == FEMALE else 1
-        ids, values = _as_arrays(vector)
-        if variant == "bernoulli":
-            accum[row][ids] += 1.0
-        else:
-            accum[row][ids] += values
+    # one bincount over (class, feature) cells; summed in entry order
+    csr, labels, rows = dataset.layout
+    entries, lengths = csr.gather(rows)
+    cells = np.repeat(labels[rows].astype(np.intp) * dim, lengths) + csr.indices[entries]
+    weights = None if variant == "bernoulli" else csr.data[entries]
+    del entries
+    accum = np.bincount(cells, weights=weights, minlength=2 * dim).reshape(2, dim)
 
     if variant == "bernoulli":
         class_n = np.array([[counts[FEMALE]], [counts[MALE]]], dtype=float)
         theta = (accum + alpha) / (class_n + 2.0 * alpha)
-        return BayesModel(
-            variant=variant,
-            class_log_prior=np.log(prior),
-            feature_log_prob=np.log(theta),
-            absent_log_prob=np.log1p(-theta),
-            alpha=alpha,
-            n_features=dim,
-        )
-    totals = accum.sum(axis=1, keepdims=True)
-    theta = (accum + alpha) / (totals + alpha * dim)
+    else:
+        theta = (accum + alpha) / (accum.sum(axis=1, keepdims=True) + alpha * dim)
     return BayesModel(
         variant=variant,
         class_log_prior=np.log(prior),
         feature_log_prob=np.log(theta),
-        absent_log_prob=None,
+        absent_log_prob=np.log1p(-theta) if variant == "bernoulli" else None,
         alpha=alpha,
         n_features=dim,
     )
 
 
-def nb_log_joint(model: BayesModel, vector: FeatureVector) -> np.ndarray:
-    _check_dimensions(vector, model.n_features)
-    ids, values = _as_arrays(vector)
+def _nb_joint(model: BayesModel, rows: CSR) -> np.ndarray:
+    """(rows, 2) log joint probabilities, columns aligned with GENDERS."""
+    _check_range(rows.indices, model.n_features)
     if model.variant == "bernoulli":
-        joint = model.class_log_prior + model.absent_log_prob.sum(axis=1)
-        if len(ids):
-            delta = model.feature_log_prob[:, ids] - model.absent_log_prob[:, ids]
-            joint = joint + delta.sum(axis=1)
-        return joint
-    joint = model.class_log_prior.copy()
-    if len(ids):
-        joint = joint + model.feature_log_prob[:, ids] @ values
-    return joint
+        base = model.class_log_prior + model.absent_log_prob.sum(axis=1)
+        per_entry = (model.feature_log_prob - model.absent_log_prob)[:, rows.indices]
+    else:
+        base = model.class_log_prior
+        per_entry = model.feature_log_prob[:, rows.indices] * rows.data
+    return base + np.column_stack([rows.row_sums(v) for v in per_entry])
 
 
 def nb_log_posterior(model: BayesModel, vector: FeatureVector) -> dict[str, float]:
     """Normalized log P(class | vector) for both classes."""
-    joint = nb_log_joint(model, vector)
+    joint = _nb_joint(model, CSR.from_vectors([vector]))[0]
     m = float(joint.max())
     norm = m + math.log(float(np.exp(joint - m).sum()))
     return {g: float(joint[i] - norm) for i, g in enumerate(GENDERS)}
@@ -370,30 +415,21 @@ def _entropy(counts_a: np.ndarray, counts_b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grow_tree(
-    member_ids: list[np.ndarray],
-    labels: np.ndarray,
-    indices: np.ndarray,
-    depth: int,
-    max_depth: int,
-    min_leaf: int,
-    dim: int,
-) -> TreeNode:
-    nf = int((labels[indices] == 0).sum())
-    nm = len(indices) - nf
-    if nf == 0 or nm == 0 or depth >= max_depth or len(indices) < 2 * min_leaf:
-        return TreeNode(nf, nm)
+def _best_split(
+    csr: CSR, labels: np.ndarray, rows: np.ndarray, nf: int, nm: int, dim: int
+) -> int | None:
+    """The feature whose presence split of rows has the best gain ratio, if any gains.
 
-    f_counts = np.zeros(dim)
-    m_counts = np.zeros(dim)
-    for i in indices:
-        target = f_counts if labels[i] == 0 else m_counts
-        ids = member_ids[i]
-        if len(ids):
-            target[ids] += 1.0
+    Apart from the tree's growth so that its temporaries are freed before the recursion.
+    """
+    entries, lengths = csr.gather(rows)
+    ids = csr.indices[entries]
+    del entries
+    pm = np.bincount(ids[np.repeat(labels[rows], lengths) == 1], minlength=dim)
+    pf = np.bincount(ids, minlength=dim) - pm
+    del ids
 
-    n = float(len(indices))
-    pf, pm = f_counts, m_counts
+    n = float(len(rows))
     af, am = nf - pf, nm - pm
     n_present = pf + pm
     n_absent = af + am
@@ -405,27 +441,18 @@ def _grow_tree(
     split_info = _entropy(n_present, n_absent)
     valid = (n_present > 0) & (n_absent > 0) & (gain > _GAIN_EPS) & (split_info > 0)
     if not valid.any():
-        return TreeNode(nf, nm)
+        return None
     ratio = np.where(valid, gain / np.where(split_info > 0, split_info, 1.0), -np.inf)
-    feature = int(np.argmax(ratio))  # argmax takes the lowest id on ties
-
-    present_mask = np.array(
-        [bool(len(member_ids[i])) and _contains(member_ids[i], feature) for i in indices]
-    )
-    present_idx = indices[present_mask]
-    absent_idx = indices[~present_mask]
-    return TreeNode(
-        n_female=nf,
-        n_male=nm,
-        feature=feature,
-        present=_grow_tree(member_ids, labels, present_idx, depth + 1, max_depth, min_leaf, dim),
-        absent=_grow_tree(member_ids, labels, absent_idx, depth + 1, max_depth, min_leaf, dim),
-    )
+    return int(np.argmax(ratio))  # argmax takes the lowest id on ties
 
 
-def _contains(sorted_ids: np.ndarray, feature: int) -> bool:
-    pos = np.searchsorted(sorted_ids, feature)
-    return pos < len(sorted_ids) and sorted_ids[pos] == feature
+def _has_feature(csr: CSR, rows: np.ndarray, feature: int) -> np.ndarray:
+    """Mask over rows: whether each holds the feature."""
+    entries, lengths = csr.gather(rows)
+    hits = np.flatnonzero(csr.indices[entries] == feature)
+    present = np.zeros(len(rows), dtype=bool)
+    present[np.searchsorted(np.cumsum(lengths), hits, side="right")] = True
+    return present
 
 
 def train_tree(
@@ -446,34 +473,53 @@ def train_tree(
     if reps != {"boolean"}:
         raise ConfigError("decision tree requires boolean vectors")
     dim = len(dataset.space)
-    for v in dataset.vectors:
-        _check_dimensions(v, dim)
-    member_ids = [np.asarray(v.ids, dtype=np.int64) for v in dataset.vectors]
-    labels = np.array([0 if lab == FEMALE else 1 for lab in dataset.labels])
-    root = _grow_tree(
-        member_ids, labels, np.arange(len(dataset)), 0, max_depth, min_leaf, dim
-    )
-    return TreeModel(root=root, max_depth=max_depth, min_leaf=min_leaf, n_features=dim)
+    csr, labels, rows = dataset.layout
+
+    def grow(rows: np.ndarray, depth: int) -> TreeNode:
+        nm = int(labels[rows].sum())
+        nf = len(rows) - nm
+        if nf == 0 or nm == 0 or depth >= max_depth or len(rows) < 2 * min_leaf:
+            return TreeNode(nf, nm)
+        feature = _best_split(csr, labels, rows, nf, nm, dim)
+        if feature is None:
+            return TreeNode(nf, nm)
+        present = _has_feature(csr, rows, feature)
+        return TreeNode(nf, nm, feature, grow(rows[present], depth + 1), grow(rows[~present], depth + 1))
+
+    return TreeModel(root=grow(rows, 0), max_depth=max_depth, min_leaf=min_leaf, n_features=dim)
+
+
+def predict_batch(model, vectors: Sequence[FeatureVector]) -> list[str]:
+    """Predicted label for every vector; all ties resolve to female."""
+    rows = CSR.from_vectors(vectors)
+    if isinstance(model, LinearModel):
+        _check_range(rows.indices, len(model.weights))
+        female = rows.row_sums(model.weights[rows.indices] * rows.data) + model.bias >= 0
+    elif isinstance(model, BayesModel):
+        joint = _nb_joint(model, rows)
+        female = joint[:, 0] >= joint[:, 1]
+    elif isinstance(model, TreeModel):
+        _check_range(rows.indices, model.n_features)
+        female = np.zeros(len(vectors), dtype=bool)
+        _route(model.root, rows, np.arange(len(vectors)), female)
+    else:
+        raise TypeError(f"unknown model type {type(model).__name__}")
+    return [FEMALE if f else MALE for f in female.tolist()]
+
+
+def _route(node: TreeNode, csr: CSR, rows: np.ndarray, female: np.ndarray) -> None:
+    """Send rows down the tree, marking those whose leaf predicts female."""
+    if node.feature is None:
+        female[rows] = node.label == FEMALE
+    elif len(rows):
+        present = _has_feature(csr, rows, node.feature)
+        _route(node.present, csr, rows[present], female)
+        _route(node.absent, csr, rows[~present], female)
 
 
 def predict(model, vector: FeatureVector) -> str:
     """Predicted label for one vector; all ties resolve to female."""
-    if isinstance(model, LinearModel):
-        _check_dimensions(vector, len(model.weights))
-        ids, values = _as_arrays(vector)
-        score = float(model.weights[ids] @ values) + model.bias if len(ids) else model.bias
-        return FEMALE if score >= 0 else MALE
-    if isinstance(model, BayesModel):
-        joint = nb_log_joint(model, vector)
-        return FEMALE if joint[0] >= joint[1] else MALE
-    if isinstance(model, TreeModel):
-        _check_dimensions(vector, model.n_features)
-        ids = np.asarray(vector.ids, dtype=np.int64)
-        node = model.root
-        while node.feature is not None:
-            node = node.present if _contains(ids, node.feature) else node.absent
-        return node.label
-    raise TypeError(f"unknown model type {type(model).__name__}")
+    return predict_batch(model, [vector])[0]
 
 
 def _train_for(classifier: str, dataset: Dataset, params: dict, seed: int):
@@ -499,10 +545,6 @@ def _train_for(classifier: str, dataset: Dataset, params: dict, seed: int):
     raise ConfigError(f"unknown classifier {classifier!r}")
 
 
-def train_classifier(classifier: str, dataset: Dataset, params: dict | None = None, seed: int = 0):
-    return _train_for(classifier, dataset, params or {}, seed)
-
-
 def cross_validate(
     dataset: Dataset,
     classifier: str,
@@ -520,15 +562,12 @@ def cross_validate(
     confusion = {a: {p: 0 for p in GENDERS} for a in GENDERS}
     per_fold: list[float] = []
     for fold_no, test_idx in enumerate(folds):
-        test_set = set(test_idx)
-        train_idx = [i for i in range(len(dataset)) if i not in test_set]
-        train_ds = dataset.subset(train_idx)
+        train_ds = dataset.subset(np.setdiff1d(np.arange(len(dataset)), test_idx))
         if undersample_train:
             train_ds = undersample(train_ds, sub_seeds[1 + 2 * fold_no])
         model = _train_for(classifier, train_ds, params, sub_seeds[2 + 2 * fold_no])
         correct = 0
-        for i in test_idx:
-            got = predict(model, dataset.vectors[i])
+        for i, got in zip(test_idx, predict_batch(model, [dataset.vectors[i] for i in test_idx])):
             actual = dataset.labels[i]
             confusion[actual][got] += 1
             if got == actual:

@@ -83,9 +83,17 @@ class Rng:
         return (n * self.next_u64()) >> 64
 
     def shuffle(self, xs: list) -> None:
+        # randbelow(i + 1), with next_u64 inlined on local copies of the
+        # state; its six updates are folded into one simultaneous assignment
+        mask = _MASK64
+        s0, s1, s2, s3 = self._s
         for i in range(len(xs) - 1, 0, -1):
-            j = self.randbelow(i + 1)
+            x = (s1 * 5) & mask
+            j = ((i + 1) * ((((x << 7) | (x >> 57)) * 9) & mask)) >> 64
+            t = s3 ^ s1
+            s0, s1, s2, s3 = s0 ^ t, s1 ^ s2 ^ s0, s2 ^ s0 ^ ((s1 << 17) & mask), ((t << 45) | (t >> 19)) & mask
             xs[i], xs[j] = xs[j], xs[i]
+        self._s[:] = (s0, s1, s2, s3)
 
     def sample_indices(self, n: int, k: int) -> list[int]:
         """k distinct indices from range(n), uniform without replacement, ascending."""

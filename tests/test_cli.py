@@ -290,5 +290,48 @@ def test_stats_portfolio_filter_changes_years(spouse_fixture, tmp_path):
     assert years_health < years_all
 
 
+def test_stats_half_open_window_counts_years_from_date_from(tmp_path):
+    # only date_from is set: years in office run from it to the registry's end
+    registry_path = tmp_path / "registry.json"
+    write_registry(
+        registry_path,
+        [
+            politician("f1", "female", "Mary", "Keane", terms=[("health", "1994-01-01", "2006-03-01")]),
+            politician("m1", "male", "Brian", "Dunne", terms=[("finance", "1994-01-01", "2006-03-01")]),
+        ],
+    )
+    articles_path = tmp_path / "articles.jsonl"
+    write_articles(articles_path, [
+        article_row("f2003", "Mary Keane spoke. husband husband.", date="2003-05-01"),
+        article_row("f2005", "Mary Keane spoke. husband.", date="2005-05-01"),
+        article_row("m2005", "Brian Dunne spoke. husband.", date="2005-05-01"),
+    ])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "paths": {"articles": str(articles_path), "registry": str(registry_path)},
+        "pipeline": {"date_from": "2004-01-01"},
+    }))
+    out = tmp_path / "stats"
+    assert run("stats", "--config", str(config), "--out", str(out), "--term", "husband") == 0
+    rows = {r["group"]: r for r in read_csv_rows(out / "stats.csv")}
+    assert int(rows["female"]["count"]) == 1  # the 2003 article is outside the window
+    for group in ("female", "male"):
+        assert float(rows[group]["years"]) == pytest.approx(2.16, abs=0.005)
+
+
+def test_flag_overrides_do_not_leak_into_later_runs(spouse_fixture, tmp_path):
+    # the config has no interpret section, so it comes from the defaults
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run(
+        "kwic", "husband", "--masked", "--group", "female",
+        "--config", str(spouse_fixture), "--out", str(first),
+    ) == 0
+    assert run("kwic", "husband", "--config", str(spouse_fixture), "--out", str(second)) == 0
+    manifest = json.loads((second / "manifest.json").read_text())
+    assert manifest["config"]["interpret"]["masked"] is False
+    assert "group" not in manifest["config"]["interpret"]
+    assert "group" not in cli.DEFAULT_CONFIG["interpret"]
+
+
 def test_version_flag():
     assert run("--version") == 0
