@@ -309,12 +309,15 @@ def cmd_sweep(config: dict) -> int:
     rows = []
     reports = []
     spaces: dict[tuple[str, str], features.FeatureSpace] = {}
-    datasets: dict[tuple[str, str, str], learn.Dataset] = {}
+    # combinations come grouped by dataset key: keep only the current key's
+    # dataset, dropped before the next is built (a key that comes back is rebuilt)
+    dataset_key, dataset = None, None
     for scheme, window, representation, classifier in _sweep_combinations(config):
         descriptor = f"{scheme}/{window}/{representation}/{classifier}"
         try:
             key = (scheme, window, representation)
-            if key not in datasets:
+            if key != dataset_key:
+                dataset = None
                 dataset, space = pipeline.build_dataset(
                     instances,
                     scheme=scheme,
@@ -326,8 +329,7 @@ def cmd_sweep(config: dict) -> int:
                     space=spaces.get((scheme, window)),
                 )
                 spaces[(scheme, window)] = space
-                datasets[key] = dataset
-            dataset = datasets[key]
+                dataset_key = key
             report = learn.cross_validate(
                 dataset,
                 classifier,

@@ -111,6 +111,9 @@ def _article_from_record(obj: dict, record_no: int) -> Article:
     for name in ("id", "date", "body"):
         if name not in obj:
             raise DataError(f"missing field {name} {where}")
+    for name in ("id", "source", "date", "section", "headline", "body"):
+        if obj.get(name, "") is None:
+            raise DataError(f"null field {name} {where}")
     art = Article(
         id=str(obj["id"]),
         source=str(obj.get("source", "")),
@@ -288,6 +291,8 @@ class _VariantTable:
                 self.max_len = max(self.max_len, len(tt))
         for owners in self.entries.values():
             owners.sort()
+        # a mention can only start at a token that starts some variant
+        self.first_tokens = frozenset(tt[0] for tt in self.entries)
 
     def scan(self, surfaces: Sequence[str]):
         """Leftmost-longest resolution of mentions over a token surface list.
@@ -296,19 +301,18 @@ class _VariantTable:
         (politician_id, form); spans never overlap.
         """
         n = len(surfaces)
-        i = 0
-        while i < n:
-            hit = None
+        first = self.first_tokens
+        entries = self.entries
+        end = 0
+        for i in [i for i, s in enumerate(surfaces) if s in first]:
+            if i < end:
+                continue
             for length in range(min(self.max_len, n - i), 0, -1):
-                owners = self.entries.get(tuple(surfaces[i : i + length]))
+                owners = entries.get(tuple(surfaces[i : i + length]))
                 if owners:
-                    hit = (i, i + length, owners)
+                    end = i + length
+                    yield i, end, owners
                     break
-            if hit:
-                yield hit
-                i = hit[1]
-            else:
-                i += 1
 
 
 @dataclass(frozen=True)

@@ -113,13 +113,6 @@ def normalize_query(term: str) -> str:
     return stream.tokens[0].surface
 
 
-def _sentence_of(spans: Sequence[tuple[int, int]], position: int) -> int | None:
-    for idx, (start, end) in enumerate(spans):
-        if start <= position < end:
-            return idx
-    return None
-
-
 def kwic(
     docs: Sequence[DocView],
     term: str,
@@ -143,19 +136,17 @@ def kwic(
         if group is not None and group not in doc.groups:
             continue
         tokens = doc.stream.tokens
-        for i, tok in enumerate(tokens):
-            if tok.surface != surface:
-                continue
-            if require_cooccurrence:
-                sent = _sentence_of(doc.stream.sentence_spans, i)
-                if sent is None or sent not in doc.mention_sentences:
-                    continue
+        hits = [i for i, tok in enumerate(tokens) if tok.surface == surface]
+        if require_cooccurrence:
+            sentences = preprocess.sentence_ids(doc.stream.sentence_spans, hits)
+            hits = [i for i, sent in zip(hits, sentences) if sent in doc.mention_sentences]
+        for i in hits:
             lines.append(
                 ConcordanceLine(
                     article_id=doc.article_id,
                     position=i,
                     left=tuple(t.surface for t in tokens[max(0, i - window) : i]),
-                    keyword=tok.surface,
+                    keyword=tokens[i].surface,
                     right=tuple(t.surface for t in tokens[i + 1 : i + 1 + window]),
                 )
             )

@@ -92,17 +92,6 @@ def build_dataset(
     return Dataset(vectors=vectors, labels=labels, space=space), space
 
 
-def _mention_sentence_ids(stream, positions) -> frozenset[int]:
-    spans = stream.sentence_spans
-    out = set()
-    for pos in positions:
-        for idx, (start, end) in enumerate(spans):
-            if start <= pos < end:
-                out.add(idx)
-                break
-    return frozenset(out)
-
-
 def build_doc_views(
     articles: Sequence[Article],
     registry: Sequence[PoliticianRecord],
@@ -137,7 +126,9 @@ def build_doc_views(
                 article_id=scan.article.id,
                 stream=stream,
                 groups=groups,
-                mention_sentences=_mention_sentence_ids(stream, positions),
+                mention_sentences=frozenset(
+                    preprocess.sentence_ids(stream.sentence_spans, positions)
+                ) - {None},
             )
         )
     return views

@@ -335,3 +335,40 @@ def test_flag_overrides_do_not_leak_into_later_runs(spouse_fixture, tmp_path):
 
 def test_version_flag():
     assert run("--version") == 0
+
+
+def test_sweep_drops_each_dataset_once_its_key_is_done(synth_corpus, monkeypatch, tmp_path):
+    # the fixture's sweep runs two classifiers on the boolean dataset, then
+    # two on the count dataset; the boolean one must be gone by then
+    import gc
+    import weakref
+
+    from newsbias import learn
+
+    cross_validate = learn.cross_validate
+    first = []  # a weak reference to the first dataset cross-validated
+    alive_at_second = []  # whether it was still alive when the next one started
+
+    def watched(dataset, classifier, **kwargs):
+        if not first:
+            first.append(weakref.ref(dataset))
+        elif dataset is not first[0]() and not alive_at_second:
+            gc.collect()
+            alive_at_second.append(first[0]() is not None)
+        return cross_validate(dataset, classifier, **kwargs)
+
+    monkeypatch.setattr(learn, "cross_validate", watched)
+    assert run("sweep", "--config", str(synth_corpus), "--out", str(tmp_path / "s")) == 0
+    assert alive_at_second == [False]
+
+
+def test_null_article_field_is_data_error(tmp_path):
+    row = article_row("a1", "Mary Keane spoke.")
+    row["headline"] = None
+    articles = tmp_path / "a.jsonl"
+    write_articles(articles, [row])
+    registry = tmp_path / "r.json"
+    write_registry(registry, [politician("p1", "female", "Mary", "Keane")])
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"paths": {"articles": str(articles), "registry": str(registry)}}))
+    assert run("ingest", "--config", str(config), "--out", str(tmp_path / "o")) == 2

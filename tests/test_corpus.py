@@ -6,6 +6,8 @@ import datetime
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newsbias import corpus
 from newsbias.errors import DataError
@@ -53,6 +55,17 @@ def test_load_articles_missing_body_names_record(tmp_path):
     del row["body"]
     write_articles(path, [article_row("a1", "fine"), row])
     with pytest.raises(DataError, match="missing field body at record 2"):
+        corpus.load_articles(path)
+
+
+@pytest.mark.parametrize("field", ["body", "headline", "section", "source", "id", "date"])
+def test_load_articles_null_field_names_field_and_record(field, tmp_path):
+    # a null must not be ingested as the text "None"
+    path = tmp_path / "a.jsonl"
+    row = article_row("a2", "x", headline="h")
+    row[field] = None
+    write_articles(path, [article_row("a1", "fine"), row])
+    with pytest.raises(DataError, match=f"null field {field} at record 2"):
         corpus.load_articles(path)
 
 
@@ -386,3 +399,59 @@ def test_years_bad_window():
     rec = record_with_terms([("health", "2000-01-01", "2001-01-01")])
     with pytest.raises(ValueError):
         corpus.years_in_office(rec, window("2002-01-01", "2001-01-01"))
+
+
+# --- the first-token gate on the variant scan ---
+
+NAME_POOL = ["Ann", "Lee", "May", "Rose", "Kay"]
+
+
+def ref_scan(registry, surfaces):
+    # leftmost-longest over every position, as the scan ran before the gate
+    entries = {}
+    for record in registry:
+        for tt, form in corpus.name_variants(record):
+            entries.setdefault(tt, []).append((record.id, form))
+    for owners in entries.values():
+        owners.sort()
+    max_len = max(map(len, entries))
+    out, i, n = [], 0, len(surfaces)
+    while i < n:
+        for length in range(min(max_len, n - i), 0, -1):
+            owners = entries.get(tuple(surfaces[i : i + length]))
+            if owners:
+                out.append((i, i + length, owners))
+                i += length
+                break
+        else:
+            i += 1
+    return out
+
+
+@st.composite
+def registries_and_surfaces(draw):
+    # names from one small pool, so a given name is often another's surname
+    # and extra variants overlap the generated ones
+    names = st.sampled_from(NAME_POOL)
+    registry = [
+        corpus.PoliticianRecord(
+            id=f"p{i}",
+            gender=draw(st.sampled_from(corpus.GENDERS)),
+            given_name=draw(names),
+            surname=draw(names),
+            extra_variants=tuple(
+                " ".join(draw(st.lists(names, min_size=1, max_size=3)))
+                for _ in range(draw(st.integers(0, 2)))
+            ),
+        )
+        for i in range(draw(st.integers(1, 4)))
+    ]
+    words = st.sampled_from([n.lower() for n in NAME_POOL] + ["the", "said", "."])
+    return registry, draw(st.lists(words, max_size=30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(registries_and_surfaces())
+def test_gated_scan_equals_ungated_reference(case):
+    registry, surfaces = case
+    assert list(corpus._VariantTable(registry).scan(surfaces)) == ref_scan(registry, surfaces)

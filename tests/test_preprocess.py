@@ -5,8 +5,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from newsbias import porter
+from newsbias import porter, preprocess
 from newsbias.errors import InvariantError
 from newsbias.preprocess import (
     DEFAULT_GENDERED_SIGNALS,
@@ -20,6 +22,7 @@ from newsbias.preprocess import (
     concat_streams,
     mask_gender_signals,
     remove_stopwords,
+    sentence_ids,
     split_sentences,
     stem,
     tokenize,
@@ -281,3 +284,109 @@ def test_stream_rejects_bad_spans():
 def test_stream_rejects_unknown_marker():
     with pytest.raises(InvariantError):
         TokenStream((Token("NAMEFORM_NICKNAME", MARKER),))
+
+
+# --- shared tokens and memoised stems, against per-occurrence references ---
+
+# whitespace the tokenizer must split on like the regex does, letters whose
+# lowercase is longer or combining, non-ASCII digits, and the joiners
+SPECIAL_CHARS = list("aAbZé09.,!?'’-_ \t\n") + [" ", " ", "\x1c", "İ", "ß", "̇", "٣"]
+TEXTS = st.text(st.one_of(st.sampled_from(SPECIAL_CHARS), st.characters()), max_size=40)
+WORDY_TEXTS = st.text(st.sampled_from(list("abcdeilmnorstuy   .,")), max_size=80)
+
+
+def ref_tokenize(text):
+    # the tokenizer as a plain scan of the pattern, one new Token per match
+    tokens = []
+    for m in preprocess._TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        tokens.append(Token(m.group() if kind == PUNCT else m.group().lower(), kind))
+    return tuple(tokens)
+
+
+@pytest.fixture
+def fresh_memos():
+    """Start from empty memos, so no memo empties itself in the middle of the test."""
+    for memo in (preprocess._TOKENS, preprocess._CHUNKS, preprocess._STEMS):
+        memo.clear()
+
+
+@settings(max_examples=300, deadline=None)
+@given(TEXTS)
+def test_tokenize_equals_pattern_scan(text):
+    assert tokenize(text).tokens == ref_tokenize(text)
+    # a second call, served from the memo, gives the same
+    assert tokenize(text).tokens == ref_tokenize(text)
+
+
+def test_tokenize_shares_one_token_per_surface_and_kind(fresh_memos):
+    tokens = tokenize("Husband husband, HUSBAND. 3 3").tokens
+    words = [t for t in tokens if t.kind == WORD]
+    assert len(words) == 3 and all(t is words[0] for t in words)
+    assert tokens[-1] is tokens[-2]
+    assert stem(TokenStream(tokens)).tokens[0] is words[0]  # "husband" is its own stem
+
+
+@settings(max_examples=100, deadline=None)
+@given(WORDY_TEXTS)
+def test_stem_equals_porter_per_token(text):
+    stream = split_sentences(tokenize(text))
+    got = stem(stream)
+    assert [(t.surface, t.kind) for t in got.tokens] == [
+        (porter.stem(t.surface) if t.kind == WORD else t.surface, t.kind) for t in stream.tokens
+    ]
+    assert got.sentence_spans == stream.sentence_spans
+
+
+def test_memos_stay_within_their_bound(fresh_memos, monkeypatch):
+    monkeypatch.setattr(preprocess, "_CACHE_LIMIT", 50)
+    memos = (preprocess._TOKENS, preprocess._CHUNKS, preprocess._STEMS)
+    rng = random.Random(3)
+    words = sorted({
+        "".join(rng.choice("bdfgklmnprstv") + rng.choice("aeiou") for _ in range(4))
+        for _ in range(400)
+    })
+    largest = [0, 0, 0]
+    for i, word in enumerate(words):
+        text = f"{word}, {word}" if i % 3 else word
+        stream = tokenize(text)
+        stemmed = stem(stream)
+        assert stream.tokens == ref_tokenize(text)
+        assert [t.surface for t in stemmed.tokens] == [
+            porter.stem(t.surface) if t.kind == WORD else t.surface for t in stream.tokens
+        ]
+        largest = [max(size, len(memo)) for size, memo in zip(largest, memos)]
+    assert largest == [50, 50, 50]
+
+
+# --- sentence lookup, against a linear scan ---
+
+def ref_sentence_ids(spans, positions):
+    out = []
+    for pos in positions:
+        for idx, (start, end) in enumerate(spans):
+            if start <= pos < end:
+                out.append(idx)
+                break
+        else:
+            out.append(None)
+    return out
+
+
+@st.composite
+def spans_and_positions(draw):
+    # sorted, disjoint, non-empty spans with optional gaps between them
+    spans, pos = [], draw(st.integers(0, 3))
+    for _ in range(draw(st.integers(0, 8))):
+        length = draw(st.integers(1, 5))
+        spans.append((pos, pos + length))
+        pos += length + draw(st.sampled_from([0, 0, 0, 2]))
+    positions = draw(st.lists(st.integers(-2, pos + 2), max_size=20))
+    return spans, positions
+
+
+@settings(max_examples=300, deadline=None)
+@given(spans_and_positions())
+def test_sentence_ids_equal_linear_scan(case):
+    spans, positions = case
+    assert sentence_ids(spans, positions) == ref_sentence_ids(spans, positions)
