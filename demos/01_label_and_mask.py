@@ -5,11 +5,11 @@ Run with: python demos/01_label_and_mask.py
 
 import datetime
 
+from newsbias import pipeline
 from newsbias.corpus import (
     Article,
     OfficeTerm,
     PoliticianRecord,
-    label_instances,
     match_politicians,
     years_in_office,
 )
@@ -60,7 +60,7 @@ for article in articles:
     print(f"{article.id}: {[(m.politician_id, [s.form for s in m.spans], m.headline_mention) for m in matches]}")
 
 print("\n=== labeled instances ===")
-for inst in label_instances(articles, registry):
+for inst in pipeline.build_instances(articles, registry):
     print(f"{inst.article_id} -> {inst.label} (headline mention: {inst.headline_mention})")
     print("   masked:", " ".join(t.surface for t in inst.stream.tokens))
 

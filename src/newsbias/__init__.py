@@ -13,7 +13,6 @@ from .corpus import (
     LabeledInstance,
     OfficeTerm,
     PoliticianRecord,
-    label_instances,
     load_articles,
     load_registry,
     match_politicians,

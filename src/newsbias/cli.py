@@ -430,19 +430,23 @@ def cmd_rank(config: dict) -> int:
     return 0
 
 
-def cmd_kwic(config: dict, term: str, tag: str) -> int:
-    run = _Run("kwic", config)
+def _build_views(config: dict):
+    """Registry, the configured date window, and query views of the articles inside it."""
     articles, registry = _load_corpus(config)
     opts = _pipeline_options(config)
-    articles = pipeline.filter_by_date(articles, opts["date_from"], opts["date_to"])
+    window = (opts.pop("date_from"), opts.pop("date_to"))
     views = pipeline.build_doc_views(
-        articles,
+        pipeline.filter_by_date(articles, *window),
         registry,
         masked=bool(config["interpret"]["masked"]),
-        signals=opts["signals"],
-        stoplist=opts["stoplist"],
-        apply_stem=opts["apply_stem"],
+        **opts,
     )
+    return registry, window, views
+
+
+def cmd_kwic(config: dict, term: str, tag: str) -> int:
+    run = _Run("kwic", config)
+    _, _, views = _build_views(config)
     try:
         lines = interpret.kwic(
             views,
@@ -475,20 +479,10 @@ def cmd_stats(config: dict, terms: list[str], groups: list[str], portfolio: str 
     for group in groups:
         if group not in corpus.GENDERS:
             raise ConfigError(f"unknown group {group!r}")
-    articles, registry = _load_corpus(config)
-    opts = _pipeline_options(config)
-    articles = pipeline.filter_by_date(articles, opts["date_from"], opts["date_to"])
-    views = pipeline.build_doc_views(
-        articles,
-        registry,
-        masked=bool(config["interpret"]["masked"]),
-        signals=opts["signals"],
-        stoplist=opts["stoplist"],
-        apply_stem=opts["apply_stem"],
-    )
+    registry, (date_from, date_to), views = _build_views(config)
     # years in office cover the counted dates: an unset side takes the registry's bound
     registry_from, registry_to = corpus.registry_window(registry)
-    window = (opts["date_from"] or registry_from, opts["date_to"] or registry_to)
+    window = (date_from or registry_from, date_to or registry_to)
     stats = []
     for term in terms:
         for group in groups:

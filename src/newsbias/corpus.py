@@ -1,4 +1,4 @@
-"""Article ingestion, politician registry, and instance labeling.
+"""Article ingestion, politician registry, and name matching.
 
 Articles arrive as JSON Lines (one object per line with fields id,
 source, date, section, headline, body); the registry is a single JSON
@@ -6,7 +6,8 @@ document listing politicians with their name parts, gender, and dated
 office terms. An article "features" a politician when any name variant
 (full "Given Surname", surname only, given only, or a registered extra
 variant) occurs token-bounded and case-insensitively in the headline or
-body. Each article yields at most one labeled instance per gender.
+body. Labeling and masking live in `pipeline`, which builds at most
+one labeled instance per article and gender.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import Iterable, Sequence
 from . import preprocess
 from .errors import DataError
 from .preprocess import (
-    DEFAULT_GENDERED_SIGNALS,
     FORM_FULL,
     FORM_GIVEN,
     FORM_SURNAME,
@@ -33,8 +33,6 @@ MALE = "male"
 GENDERS = (FEMALE, MALE)
 
 DAYS_PER_YEAR = 365.25
-
-ARTICLE_FORMATS = ("jsonl",)
 
 # when one text span is claimed under several forms, the more specific
 # naming wins for the marker choice
@@ -88,14 +86,6 @@ class LabeledInstance:
     stream: TokenStream
     section: str = ""
 
-    @property
-    def masked_tokens(self) -> tuple:
-        return self.stream.tokens
-
-    @property
-    def masked_sentences(self) -> tuple[tuple[int, int], ...]:
-        return self.stream.sentence_spans
-
 
 def _parse_date(value, where: str) -> datetime.date:
     if not isinstance(value, str):
@@ -106,14 +96,18 @@ def _parse_date(value, where: str) -> datetime.date:
         raise DataError(f"invalid date {value!r} {where}") from None
 
 
+def _reject_nulls(obj: dict, names: Sequence[str], where: str) -> None:
+    for name in names:
+        if obj.get(name, "") is None:
+            raise DataError(f"null field {name} {where}")
+
+
 def _article_from_record(obj: dict, record_no: int) -> Article:
     where = f"at record {record_no}"
     for name in ("id", "date", "body"):
         if name not in obj:
             raise DataError(f"missing field {name} {where}")
-    for name in ("id", "source", "date", "section", "headline", "body"):
-        if obj.get(name, "") is None:
-            raise DataError(f"null field {name} {where}")
+    _reject_nulls(obj, ("id", "source", "date", "section", "headline", "body"), where)
     art = Article(
         id=str(obj["id"]),
         source=str(obj.get("source", "")),
@@ -129,10 +123,8 @@ def _article_from_record(obj: dict, record_no: int) -> Article:
     return art
 
 
-def load_articles(path: str | Path, format: str = "jsonl") -> list[Article]:
+def load_articles(path: str | Path) -> list[Article]:
     """Load articles in input order, rejecting duplicates and bad records."""
-    if format not in ARTICLE_FORMATS:
-        raise DataError(f"unknown article format {format!r}")
     path = Path(path)
     if not path.exists():
         raise DataError(f"article file not found: {path}")
@@ -192,7 +184,10 @@ def load_registry(path: str | Path) -> list[PoliticianRecord]:
 
     records: list[PoliticianRecord] = []
     seen: set[str] = set()
-    for entry in doc["politicians"]:
+    for entry_no, entry in enumerate(doc["politicians"], start=1):
+        if not isinstance(entry, dict):
+            raise DataError(f"politician entry {entry_no} is not an object")
+        _reject_nulls(entry, ("id",), f"in politician entry {entry_no}")
         rid = str(entry.get("id", ""))
         where = f"for politician {rid!r}"
         if not rid:
@@ -203,12 +198,16 @@ def load_registry(path: str | Path) -> list[PoliticianRecord]:
         gender = entry.get("gender")
         if gender not in GENDERS:
             raise DataError(f"gender must be 'female' or 'male' {where}")
+        _reject_nulls(entry, ("given_name", "surname", "extra_variants", "terms"), where)
         given = str(entry.get("given_name", ""))
         surname = str(entry.get("surname", ""))
         if not given or not surname:
             raise DataError(f"given_name and surname required {where}")
         terms = []
         for t in entry.get("terms", []):
+            if not isinstance(t, dict):
+                raise DataError(f"term {t!r} is not an object {where}")
+            _reject_nulls(t, ("portfolio",), where)
             start = _parse_date(t.get("start"), where)
             end = _parse_date(t.get("end"), where)
             if start >= end:
@@ -367,53 +366,6 @@ def match_politicians(article: Article, registry: Sequence[PoliticianRecord]) ->
     registry ordering.
     """
     return list(_scan_article(article, _VariantTable(registry)).matches)
-
-
-def label_instances(
-    articles: Sequence[Article],
-    registry: Sequence[PoliticianRecord],
-    *,
-    signals: frozenset[str] = DEFAULT_GENDERED_SIGNALS,
-    stoplist: frozenset[str] | None = None,
-    apply_stem: bool = False,
-) -> list[LabeledInstance]:
-    """One instance per (article, gender with >=1 matched politician).
-
-    An article featuring both genders yields two instances sharing the
-    same masked stream; an article featuring none yields nothing. All
-    matched mentions are masked regardless of gender, so the text never
-    reveals the label through names, and the stream is identical across
-    a pair of instances.
-    """
-    gender_of = {r.id: r.gender for r in registry}
-    instances: list[LabeledInstance] = []
-    for scan in scan_corpus(articles, registry):
-        article, matches = scan.article, scan.matches
-        if not matches:
-            continue
-        masked = preprocess.mask_gender_signals(scan.stream, scan.mention_spans, signals)
-        if stoplist:
-            masked = preprocess.remove_stopwords(masked, stoplist)
-        if apply_stem:
-            masked = preprocess.stem(masked)
-        for gender in GENDERS:
-            ids = tuple(m.politician_id for m in matches if gender_of[m.politician_id] == gender)
-            if not ids:
-                continue
-            headline = any(
-                m.headline_mention for m in matches if gender_of[m.politician_id] == gender
-            )
-            instances.append(
-                LabeledInstance(
-                    article_id=article.id,
-                    label=gender,
-                    politician_ids=ids,
-                    headline_mention=headline,
-                    stream=masked,
-                    section=article.section,
-                )
-            )
-    return instances
 
 
 def years_in_office(

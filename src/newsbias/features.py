@@ -51,7 +51,6 @@ class PosLexicon:
     """Word -> part-of-speech lookup with one primary tag per word."""
 
     primary: Mapping[str, str]
-    allowed: Mapping[str, frozenset[str]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,12 +117,11 @@ def load_lexicon(path: str | Path, name: str | None = None) -> LexiconSet:
 
 
 def load_pos_lexicon(path: str | Path) -> PosLexicon:
-    """Parse `word<TAB>PRIMARYTAG<TAB>alt1,alt2` lines (alt tags optional)."""
+    """Parse `word<TAB>PRIMARYTAG<TAB>alt1,alt2` lines (alt tags optional, only validated)."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"POS lexicon file not found: {path}")
     primary: dict[str, str] = {}
-    allowed: dict[str, set[str]] = {}
     for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         entry = line.split("#", 1)[0].rstrip()
         if not entry.strip():
@@ -140,8 +138,7 @@ def load_pos_lexicon(path: str | Path) -> PosLexicon:
         if word in primary and primary[word] != tag:
             raise DataError(f"{path.name}:{line_no}: conflicting primary tag for {word!r}")
         primary[word] = tag
-        allowed.setdefault(word, set()).update([tag, *alts])
-    return PosLexicon(primary=primary, allowed={w: frozenset(ts) for w, ts in allowed.items()})
+    return PosLexicon(primary=primary)
 
 
 def _window_token_indices(stream: TokenStream, window: str) -> Iterable[int]:

@@ -2,6 +2,8 @@
 
 These helpers chain the lower modules in the canonical order so that
 the CLI, the demos, and tests all agree on how a corpus is prepared.
+The masking chain (mask, drop stopwords, stem) lives in one place here,
+so labeled instances and masked query views hold the same stream.
 """
 
 from __future__ import annotations
@@ -11,11 +13,11 @@ from collections import Counter
 from typing import Sequence
 
 from . import corpus, features, preprocess
-from .corpus import Article, LabeledInstance, PoliticianRecord
+from .corpus import GENDERS, Article, LabeledInstance, PoliticianRecord
 from .features import FeatureSpace, LexiconSet, PosLexicon
 from .interpret import DocView
 from .learn import Dataset
-from .preprocess import DEFAULT_GENDERED_SIGNALS, MARKER
+from .preprocess import DEFAULT_GENDERED_SIGNALS, MARKER, TokenStream
 
 
 def filter_by_date(
@@ -34,6 +36,22 @@ def filter_by_date(
     return out
 
 
+def _masked_stream(
+    scan: corpus.ArticleScan,
+    signals: frozenset[str],
+    stoplist: frozenset[str] | None,
+    apply_stem: bool,
+) -> TokenStream:
+    """The text the classifiers see: mentions and gender signals masked,
+    then stopwords dropped and words stemmed when asked."""
+    stream = preprocess.mask_gender_signals(scan.stream, scan.mention_spans, signals)
+    if stoplist:
+        stream = preprocess.remove_stopwords(stream, stoplist)
+    if apply_stem:
+        stream = preprocess.stem(stream)
+    return stream
+
+
 def build_instances(
     articles: Sequence[Article],
     registry: Sequence[PoliticianRecord],
@@ -44,10 +62,34 @@ def build_instances(
     date_from: datetime.date | None = None,
     date_to: datetime.date | None = None,
 ) -> list[LabeledInstance]:
-    articles = filter_by_date(articles, date_from, date_to)
-    return corpus.label_instances(
-        articles, registry, signals=signals, stoplist=stoplist, apply_stem=apply_stem
-    )
+    """One instance per (article in the date window, gender with >=1 matched politician).
+
+    An article featuring both genders yields two instances sharing the
+    same masked stream; an article featuring none yields nothing. All
+    matched mentions are masked regardless of gender, so the text never
+    reveals the label through names, and the stream is identical across
+    a pair of instances.
+    """
+    gender_of = {r.id: r.gender for r in registry}
+    instances: list[LabeledInstance] = []
+    for scan in corpus.scan_corpus(filter_by_date(articles, date_from, date_to), registry):
+        if not scan.matches:
+            continue
+        stream = _masked_stream(scan, signals, stoplist, apply_stem)
+        for gender in GENDERS:
+            matches = [m for m in scan.matches if gender_of[m.politician_id] == gender]
+            if matches:
+                instances.append(
+                    LabeledInstance(
+                        article_id=scan.article.id,
+                        label=gender,
+                        politician_ids=tuple(m.politician_id for m in matches),
+                        headline_mention=any(m.headline_mention for m in matches),
+                        stream=stream,
+                        section=scan.article.section,
+                    )
+                )
+    return instances
 
 
 def instance_terms(
@@ -104,7 +146,8 @@ def build_doc_views(
     """Per-article query views over masked or raw token streams.
 
     Masked views show exactly what the classifiers saw; raw views keep
-    the original tokens (names, pronouns and all) for corpus analyses.
+    the original tokens (names, pronouns and all) for corpus analyses,
+    so they ignore the stoplist and stemming settings.
     Group membership is the set of genders the article features.
     """
     gender_of = {r.id: r.gender for r in registry}
@@ -112,11 +155,7 @@ def build_doc_views(
     for scan in corpus.scan_corpus(articles, registry):
         groups = frozenset(gender_of[m.politician_id] for m in scan.matches)
         if masked:
-            stream = preprocess.mask_gender_signals(scan.stream, scan.mention_spans, signals)
-            if stoplist:
-                stream = preprocess.remove_stopwords(stream, stoplist)
-            if apply_stem:
-                stream = preprocess.stem(stream)
+            stream = _masked_stream(scan, signals, stoplist, apply_stem)
             positions = [i for i, t in enumerate(stream.tokens) if t.kind == MARKER]
         else:
             stream = scan.stream

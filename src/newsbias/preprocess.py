@@ -111,9 +111,6 @@ class TokenStream:
             if tok.kind == MARKER and tok.surface not in MARKER_SURFACES:
                 raise InvariantError(f"unknown marker token {tok.surface!r}")
 
-    def surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens]
-
     def __len__(self) -> int:
         return len(self.tokens)
 

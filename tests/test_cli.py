@@ -372,3 +372,14 @@ def test_null_article_field_is_data_error(tmp_path):
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"paths": {"articles": str(articles), "registry": str(registry)}}))
     assert run("ingest", "--config", str(config), "--out", str(tmp_path / "o")) == 2
+
+
+def test_null_registry_name_is_data_error(tmp_path):
+    # a null given name must not become the name "None" and match "Mary None spoke."
+    articles = tmp_path / "a.jsonl"
+    write_articles(articles, [article_row("a1", "Mary None spoke.")])
+    registry = tmp_path / "r.json"
+    write_registry(registry, [{**politician("p1", "female", "Mary", "Keane"), "surname": None}])
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"paths": {"articles": str(articles), "registry": str(registry)}}))
+    assert run("label", "--config", str(config), "--out", str(tmp_path / "o")) == 2

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import datetime
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newsbias import corpus
+from newsbias import corpus, pipeline
 from newsbias.errors import DataError
 from newsbias.preprocess import MARKER
 
@@ -90,11 +91,6 @@ def test_load_articles_bad_date(tmp_path):
         corpus.load_articles(path)
 
 
-def test_load_articles_unknown_format(tmp_path):
-    with pytest.raises(DataError, match="format"):
-        corpus.load_articles(tmp_path / "a.jsonl", format="xml")
-
-
 def test_articles_round_trip(tmp_path):
     path = tmp_path / "a.jsonl"
     write_articles(
@@ -154,6 +150,35 @@ def test_registry_bad_gender(tmp_path):
     path = tmp_path / "r.json"
     write_registry(path, [{"id": "p1", "gender": "other", "given_name": "A", "surname": "B", "terms": []}])
     with pytest.raises(DataError, match="gender"):
+        corpus.load_registry(path)
+
+
+def harney(**changes):
+    return {**politician("p1", "female", "Mary", "Harney"), **changes}
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (harney(given_name=None), "null field given_name for politician 'p1'"),
+        (harney(surname=None), "null field surname for politician 'p1'"),
+        (harney(extra_variants=None), "null field extra_variants for politician 'p1'"),
+        (harney(terms=None), "null field terms for politician 'p1'"),
+        (harney(terms=["x"]), "term 'x' is not an object for politician 'p1'"),
+        (
+            harney(terms=[{"portfolio": None, "start": "2000-01-01", "end": "2001-01-01"}]),
+            "null field portfolio for politician 'p1'",
+        ),
+        (harney(id=None), "null field id in politician entry 2"),
+        ("Mary Harney", "politician entry 2 is not an object"),
+    ],
+    ids=["null-given", "null-surname", "null-extras", "null-terms", "term-not-object",
+         "null-portfolio", "null-id", "entry-not-object"],
+)
+def test_registry_rejects_malformed_entry(tmp_path, entry, message):
+    path = tmp_path / "r.json"
+    write_registry(path, [politician("p0", "male", "Brian", "Cowen"), entry])
+    with pytest.raises(DataError, match=re.escape(message)):
         corpus.load_registry(path)
 
 
@@ -239,11 +264,11 @@ def test_no_match_empty_result(registry_file):
     assert corpus.match_politicians(make_article("nothing to see"), registry) == []
 
 
-# --- label_instances ---
+# --- labeling (pipeline.build_instances) ---
 
 def test_label_single_female(registry_file):
     registry = load_registry(registry_file)
-    got = corpus.label_instances([make_article("Mary Harney said it")], registry)
+    got = pipeline.build_instances([make_article("Mary Harney said it")], registry)
     assert len(got) == 1
     assert got[0].label == "female"
     assert got[0].politician_ids == ("p1",)
@@ -252,7 +277,7 @@ def test_label_single_female(registry_file):
 def test_label_both_genders_two_instances(registry_file):
     registry = load_registry(registry_file)
     art = make_article("Mary Harney met Brian Cowen and Noel Dempsey")
-    got = corpus.label_instances([art], registry)
+    got = pipeline.build_instances([art], registry)
     assert [i.label for i in got] == ["female", "male"]
     assert got[0].politician_ids == ("p1",)
     assert got[1].politician_ids == ("p2", "p3")
@@ -262,7 +287,7 @@ def test_label_both_genders_two_instances(registry_file):
 
 def test_label_no_politicians_no_instances(registry_file):
     registry = load_registry(registry_file)
-    assert corpus.label_instances([make_article("made no mention")], registry) == []
+    assert pipeline.build_instances([make_article("made no mention")], registry) == []
 
 
 def test_label_instance_count_bounded(registry_file):
@@ -273,7 +298,7 @@ def test_label_instance_count_bounded(registry_file):
         make_article("Mary Harney and Brian Cowen", id="a3"),
         make_article("no names", id="a4"),
     ]
-    got = corpus.label_instances(arts, registry)
+    got = pipeline.build_instances(arts, registry)
     per_article = {}
     for inst in got:
         per_article[inst.article_id] = per_article.get(inst.article_id, 0) + 1
@@ -282,7 +307,7 @@ def test_label_instance_count_bounded(registry_file):
 
 def test_label_masks_names_and_pronouns(registry_file):
     registry = load_registry(registry_file)
-    got = corpus.label_instances([make_article("Mary Harney said she would resign")], registry)
+    got = pipeline.build_instances([make_article("Mary Harney said she would resign")], registry)
     words = [t.surface for t in got[0].stream.tokens]
     assert words == ["NAMEFORM_FULL", "said", "would", "resign"]
     assert got[0].stream.tokens[0].kind == MARKER
@@ -291,7 +316,7 @@ def test_label_masks_names_and_pronouns(registry_file):
 def test_label_headline_mention_per_gender(registry_file):
     registry = load_registry(registry_file)
     art = make_article("Brian Cowen responded", headline="Harney wins vote")
-    got = corpus.label_instances([art], registry)
+    got = pipeline.build_instances([art], registry)
     flags = {i.label: i.headline_mention for i in got}
     assert flags == {"female": True, "male": False}
 
@@ -302,7 +327,7 @@ def test_label_keeps_section(registry_file):
         id="a1", source="s", date=datetime.date(2005, 1, 1),
         section="opinion", headline="", body="Mary Harney wrote this",
     )
-    assert corpus.label_instances([art], registry)[0].section == "opinion"
+    assert pipeline.build_instances([art], registry)[0].section == "opinion"
 
 
 # --- years_in_office ---

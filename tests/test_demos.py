@@ -1,4 +1,4 @@
-"""Smoke test: every demo script runs to completion."""
+"""Smoke tests: every demo script runs to completion, and the benchmark's tracer installs."""
 
 from __future__ import annotations
 
@@ -25,3 +25,13 @@ def test_demo_exits_zero(demo, tmp_path):
 
 def test_demos_are_found():
     assert DEMOS, "no demo scripts under demos/"
+
+
+def test_benchmark_tracer_installs():
+    # perfbench/child.py wraps public functions by module attribute; a rename must fail here
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])}
+    result = subprocess.run(
+        [sys.executable, "-c", "import child; child.Tracer().install(); child.FitLog().install()"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

@@ -78,7 +78,6 @@ def test_load_pos_lexicon(tmp_path):
     pos = load_pos_lexicon(path)
     assert pos.primary["formidable"] == "ADJ"
     assert pos.primary["run"] == "VERB"
-    assert pos.allowed["run"] == {"VERB", "NOUN"}
 
 
 def test_load_pos_lexicon_conflicting_primary(tmp_path):

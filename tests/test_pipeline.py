@@ -6,7 +6,7 @@ import datetime
 
 import pytest
 
-from newsbias import pipeline, synth
+from newsbias import corpus, pipeline, synth
 from newsbias.errors import DataError
 from newsbias.preprocess import MARKER
 
@@ -90,3 +90,19 @@ def test_build_dataset_min_df_too_high(small_corpus):
     instances = pipeline.build_instances(articles, registry)
     with pytest.raises(DataError):
         pipeline.build_dataset(instances, scheme="unigram", min_df=10_000)
+
+
+@pytest.mark.parametrize("stoplist", [None, frozenset({"the", "a", "of", "and", "to", "in", "said"})])
+@pytest.mark.parametrize("apply_stem", [False, True])
+def test_instances_and_views_share_one_prepared_stream(small_corpus, stoplist, apply_stem):
+    articles, registry = small_corpus
+    opts = {"stoplist": stoplist, "apply_stem": apply_stem}
+    instances = pipeline.build_instances(articles, registry, **opts)
+    masked = {v.article_id: v for v in pipeline.build_doc_views(articles, registry, masked=True, **opts)}
+    raw = pipeline.build_doc_views(articles, registry, masked=False, **opts)
+    scans = corpus.scan_corpus(articles, registry)
+    assert {i.article_id for i in instances} == {s.article.id for s in scans if s.matches}
+    for inst in instances:
+        assert masked[inst.article_id].stream == inst.stream
+    # raw views are the scanned text, whatever the stoplist and stemming settings
+    assert [v.stream for v in raw] == [s.stream for s in scans]
