@@ -18,85 +18,126 @@ import copy
 import csv
 import datetime
 import hashlib
+import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import __version__, corpus, features, interpret, learn, pipeline, preprocess, synth
 from .errors import ConfigError, DataError, NewsbiasError
 
-DEFAULT_CONFIG = {
-    "seed": 0,
-    "out": "out",
-    "paths": {
-        "articles": None,
-        "registry": None,
-        "stoplist": None,
-        "signals": None,
-        "lexicons": [],
-        "pos_lexicon": None,
-    },
-    "pipeline": {
-        "remove_stopwords": False,
-        "stem": False,
-        "date_from": None,
-        "date_to": None,
-    },
-    "features": {
-        "scheme": "unigram",
-        "window": "article",
-        "representation": "boolean",
-        "min_df": features.DEFAULT_MIN_DF,
-    },
-    "classifier": {
-        "name": "svm",
-        "lam": learn.DEFAULT_SVM_LAMBDA,
-        "epochs": learn.DEFAULT_SVM_EPOCHS,
-        "alpha": learn.DEFAULT_NB_ALPHA,
-        "max_depth": learn.DEFAULT_TREE_MAX_DEPTH,
-        "min_leaf": learn.DEFAULT_TREE_MIN_LEAF,
-    },
-    "evaluate": {"k": 10, "undersample": False},
-    "sweep": {
-        "schemes": ["unigram/article"],
-        "representations": ["boolean"],
-        "classifiers": ["svm"],
-    },
-    "interpret": {"k": 20, "kwic_window": interpret.DEFAULT_KWIC_WINDOW, "masked": False},
-    "synth": {"n": 200, "balance": 0.5, "planted": [], "per_gender": 3},
+
+def _parse_planted(raw) -> synth.PlantedTerm:
+    """A planted term from "TERM:P_FEMALE:P_MALE" or {"term": ..., "p_female": ..., "p_male": ...}."""
+    if type(raw) is str and raw.count(":") == 2:
+        term, p_female, p_male = raw.split(":")
+        raw = {"term": term, "p_female": float(p_female), "p_male": float(p_male)}
+    if not (type(raw) is dict and raw.keys() == {"term", "p_female", "p_male"} and type(raw["term"]) is str
+            and type(raw["p_female"]) in (int, float) and type(raw["p_male"]) in (int, float)):
+        raise ConfigError(f"{raw!r} is neither TERM:P_FEMALE:P_MALE nor an object of those three")
+    return synth.PlantedTerm(**raw)
+
+
+_UNSET = object()  # no default: the key is in a config only when it is set
+_SCHEME_ENTRIES = (*features.SCHEMES, *(f"{s}/{w}" for s in features.SCHEMES for w in features.WINDOWS))
+
+# Every config key: (default, type, allowed values). A float key takes an int
+# too, and only a bool key takes true or false; [T] is a list whose items are
+# each checked. A key may be null when its type says so. The allowed values are
+# a tuple of choices, or a function that returns false or raises on a bad value.
+SCHEMA = {
+    "seed": (0, int, lambda v: 0 <= v < 2**64),
+    "out": ("out", str, None),
+    "paths.articles": (None, str | None, None),
+    "paths.registry": (None, str | None, None),
+    "paths.stoplist": (None, str | None, None),
+    "paths.signals": (None, str | None, None),
+    "paths.lexicons": ([], [str], None),
+    "paths.pos_lexicon": (None, str | None, None),
+    "pipeline.remove_stopwords": (False, bool, None),
+    "pipeline.stem": (False, bool, None),
+    "pipeline.date_from": (None, str | None, datetime.date.fromisoformat),
+    "pipeline.date_to": (None, str | None, datetime.date.fromisoformat),
+    "features.scheme": ("unigram", str, features.SCHEMES),
+    "features.window": ("article", str, features.WINDOWS),
+    "features.representation": ("boolean", str, features.REPRESENTATIONS),
+    "features.min_df": (features.DEFAULT_MIN_DF, int, lambda v: v >= 1),
+    "classifier.name": ("svm", str, ("svm",)),
+    "classifier.lam": (learn.DEFAULT_SVM_LAMBDA, float, lambda v: 0 < v < math.inf),
+    "classifier.epochs": (learn.DEFAULT_SVM_EPOCHS, int, lambda v: v >= 1),
+    "classifier.alpha": (learn.DEFAULT_NB_ALPHA, float, lambda v: 0 < v < math.inf),
+    "classifier.max_depth": (learn.DEFAULT_TREE_MAX_DEPTH, int, lambda v: v >= 1),
+    "classifier.min_leaf": (learn.DEFAULT_TREE_MIN_LEAF, int, lambda v: v >= 1),
+    "evaluate.k": (10, int, lambda v: v >= 2),
+    "evaluate.undersample": (False, bool, None),
+    "sweep.schemes": (["unigram/article"], [str], _SCHEME_ENTRIES),
+    "sweep.representations": (["boolean"], [str], features.REPRESENTATIONS),
+    "sweep.classifiers": (["svm"], [str], learn.CLASSIFIERS),
+    "interpret.k": (20, int, lambda v: v >= 1),
+    "interpret.kwic_window": (interpret.DEFAULT_KWIC_WINDOW, int, lambda v: v >= 1),
+    "interpret.masked": (False, bool, None),
+    "interpret.group": (_UNSET, str, corpus.GENDERS),
+    "interpret.cooccur": (_UNSET, bool, None),
+    "synth.n": (200, int, lambda v: v >= 2),
+    "synth.balance": (0.5, float, lambda v: 0 <= v <= 1),
+    "synth.planted": ([], [str | dict], _parse_planted),
+    "synth.per_gender": (3, int, lambda v: 1 <= v <= synth.MAX_PER_GENDER),
 }
+_SECTIONS = {key.partition(".")[0] for key in SCHEMA if "." in key}
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    merged = dict(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = _deep_merge(merged[key], value)
+def _set(config: dict, key: str, value) -> None:
+    """Store value under the dotted key, after checking it against the table."""
+    if key not in SCHEMA:
+        raise ConfigError(f"unknown config key {key!r}")
+    _, kind, allowed = SCHEMA[key]
+    kind, items = (kind[0], value) if isinstance(kind, list) else (kind, [value])
+    if type(items) is not list:
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    for item in items:
+        if not isinstance(item, int | float if kind is float else kind) or (
+                isinstance(item, bool) and kind is not bool):
+            raise ConfigError(f"{key} must be of type {getattr(kind, '__name__', kind)}, got {item!r}")
+        try:
+            ok = allowed is None or item is None or (item in allowed if isinstance(allowed, tuple) else allowed(item))
+        except (ConfigError, ValueError) as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+        if not ok:
+            raise ConfigError(f"{key} does not take the value {item!r}")
+    section, _, name = key.rpartition(".")
+    (config.setdefault(section, {}) if section else config)[name] = value
+
+
+def load_config(path: str | None, overrides: dict | None = None) -> dict:
+    """The table's defaults overlaid with the config file, then with the
+    overrides (keyed like the table); every key is checked against the table."""
+    user = {}
+    if path is not None:
+        if not Path(path).exists():
+            raise ConfigError(f"config file not found: {path}")
+        try:
+            user = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc.msg}") from None
+        if not isinstance(user, dict):
+            raise ConfigError("config must be a JSON object")
+    given = {key: copy.deepcopy(default) for key, (default, _, _) in SCHEMA.items() if default is not _UNSET}
+    for key, value in user.items():
+        if key in _SECTIONS and type(value) is dict:
+            given.update((f"{key}.{name}", item) for name, item in value.items())
+        elif key in _SECTIONS or "." in key:
+            raise ConfigError(f"config section {key!r} must be an object, got {value!r}" if key in _SECTIONS
+                              else f"unknown config key {key!r}")
         else:
-            merged[key] = value
-    return merged
+            given[key] = value
+    config: dict = {}
+    for key, value in [*given.items(), *(overrides or {}).items()]:
+        _set(config, key, value)
+    return config
 
 
-def load_config(path: str | None) -> dict:
-    if path is None:
-        return json.loads(json.dumps(DEFAULT_CONFIG))
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
-    try:
-        user = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc.msg}") from None
-    if not isinstance(user, dict):
-        raise ConfigError("config must be a JSON object")
-    # a copy: overrides are written into the result, never into the defaults
-    return _deep_merge(copy.deepcopy(DEFAULT_CONFIG), user)
-
-
-def validate_config(config: dict) -> None:
-    seed = config.get("seed")
-    if not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+DEFAULT_CONFIG = load_config(None)
 
 
 def config_hash(config: dict) -> str:
@@ -106,17 +147,8 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _parse_config_date(value, key: str) -> datetime.date | None:
-    if value is None:
-        return None
-    try:
-        return datetime.date.fromisoformat(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be an ISO date, got {value!r}") from None
-
-
 def _require_path(config: dict, key: str) -> Path:
-    value = config["paths"].get(key)
+    value = config["paths"][key]
     if not value:
         raise ConfigError(f"config paths.{key} is required for this command")
     p = Path(value)
@@ -175,25 +207,24 @@ def _load_corpus(config: dict):
 def _pipeline_options(config: dict) -> dict:
     pconf = config["pipeline"]
     signals = preprocess.DEFAULT_GENDERED_SIGNALS
-    if config["paths"].get("signals"):
+    if config["paths"]["signals"]:
         signals = preprocess.load_wordlist(_require_path(config, "signals"))
     stoplist = None
-    if pconf.get("remove_stopwords"):
+    if pconf["remove_stopwords"]:
         stoplist = preprocess.load_wordlist(_require_path(config, "stoplist"))
     return {
         "signals": signals,
         "stoplist": stoplist,
-        "apply_stem": bool(pconf.get("stem")),
-        "date_from": _parse_config_date(pconf.get("date_from"), "pipeline.date_from"),
-        "date_to": _parse_config_date(pconf.get("date_to"), "pipeline.date_to"),
+        "apply_stem": pconf["stem"],
+        "date_from": pconf["date_from"] and datetime.date.fromisoformat(pconf["date_from"]),
+        "date_to": pconf["date_to"] and datetime.date.fromisoformat(pconf["date_to"]),
     }
 
 
 def _load_resources(config: dict):
     lexicon = None
-    paths = config["paths"].get("lexicons") or []
     merged: dict[str, set[str]] = {}
-    for path in paths:
+    for path in config["paths"]["lexicons"]:
         p = Path(path)
         if not p.exists():
             raise ConfigError(f"lexicon file does not exist: {p}")
@@ -205,7 +236,7 @@ def _load_resources(config: dict):
             name="config", categories={c: frozenset(w) for c, w in merged.items()}
         )
     pos_lexicon = None
-    if config["paths"].get("pos_lexicon"):
+    if config["paths"]["pos_lexicon"]:
         pos_lexicon = features.load_pos_lexicon(_require_path(config, "pos_lexicon"))
     return lexicon, pos_lexicon
 
@@ -277,31 +308,43 @@ def cmd_label(config: dict) -> int:
     return 0
 
 
-def _sweep_combinations(config: dict):
-    sweep = config["sweep"]
-    for scheme_entry in sweep["schemes"]:
-        scheme, _, window = str(scheme_entry).partition("/")
-        window = window or "article"
-        for representation in sweep["representations"]:
-            for classifier in sweep["classifiers"]:
-                yield scheme, window, representation, classifier
+def _check_scheme(config: dict, scheme: str) -> None:
+    """Reject a scheme whose resource the config does not name."""
+    path = {features.ADJECTIVE: "pos_lexicon", features.VERB: "pos_lexicon",
+            features.LEXICON_CATEGORY: "lexicons"}.get(scheme)
+    if path and not config["paths"][path]:
+        raise ConfigError(f"scheme {scheme} needs paths.{path}")
+
+
+def _sweep_combinations(config: dict) -> list[tuple[str, str, str, str]]:
+    """Every (scheme, window, representation, classifier) of the sweep, all checked before any runs."""
+    combinations = []
+    for entry, representation, classifier in itertools.product(
+            *(config["sweep"][key] for key in ("schemes", "representations", "classifiers"))):
+        scheme, _, window = entry.partition("/")
+        combination = (scheme, window or "article", representation, classifier)
+        _check_scheme(config, scheme)
+        if representation not in learn.ACCEPTS[classifier]:
+            raise ConfigError(f"sweep combination {'/'.join(combination)}: {classifier} "
+                              f"takes only {' or '.join(learn.ACCEPTS[classifier])} vectors")
+        combinations.append(combination)
+    return combinations
 
 
 def _classifier_params(config: dict, classifier: str) -> dict:
     conf = config["classifier"]
     if classifier == "svm":
         return {"lam": conf["lam"], "epochs": conf["epochs"]}
-    if classifier.startswith("nb-"):
-        return {"alpha": conf["alpha"]}
     if classifier == "tree":
         return {"max_depth": conf["max_depth"], "min_leaf": conf["min_leaf"]}
-    raise ConfigError(f"unknown classifier {classifier!r}")
+    return {"alpha": conf["alpha"]}
 
 
 def cmd_sweep(config: dict) -> int:
+    combinations = _sweep_combinations(config)
     run = _Run("sweep", config)
-    _, _, instances = _build_instances(config)
     lexicon, pos_lexicon = _load_resources(config)
+    _, _, instances = _build_instances(config)
     seed = config["seed"]
     k = config["evaluate"]["k"]
     min_df = config["features"]["min_df"]
@@ -312,7 +355,7 @@ def cmd_sweep(config: dict) -> int:
     # combinations come grouped by dataset key: keep only the current key's
     # dataset, dropped before the next is built (a key that comes back is rebuilt)
     dataset_key, dataset = None, None
-    for scheme, window, representation, classifier in _sweep_combinations(config):
+    for scheme, window, representation, classifier in combinations:
         descriptor = f"{scheme}/{window}/{representation}/{classifier}"
         try:
             key = (scheme, window, representation)
@@ -336,7 +379,7 @@ def cmd_sweep(config: dict) -> int:
                 params=_classifier_params(config, classifier),
                 k=k,
                 seed=seed,
-                undersample_train=bool(config["evaluate"]["undersample"]),
+                undersample_train=config["evaluate"]["undersample"],
                 descriptor=descriptor,
             )
         except NewsbiasError as exc:
@@ -388,10 +431,11 @@ def cmd_sweep(config: dict) -> int:
 
 
 def cmd_rank(config: dict) -> int:
-    run = _Run("rank", config)
-    _, _, instances = _build_instances(config)
-    lexicon, pos_lexicon = _load_resources(config)
     fconf = config["features"]
+    _check_scheme(config, fconf["scheme"])
+    run = _Run("rank", config)
+    lexicon, pos_lexicon = _load_resources(config)
+    _, _, instances = _build_instances(config)
     dataset, space = pipeline.build_dataset(
         instances,
         scheme=fconf["scheme"],
@@ -438,7 +482,7 @@ def _build_views(config: dict):
     views = pipeline.build_doc_views(
         pipeline.filter_by_date(articles, *window),
         registry,
-        masked=bool(config["interpret"]["masked"]),
+        masked=config["interpret"]["masked"],
         **opts,
     )
     return registry, window, views
@@ -453,7 +497,7 @@ def cmd_kwic(config: dict, term: str, tag: str) -> int:
             term,
             window=config["interpret"]["kwic_window"],
             group=config["interpret"].get("group"),
-            require_cooccurrence=bool(config["interpret"].get("cooccur")),
+            require_cooccurrence=config["interpret"].get("cooccur", False),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -474,8 +518,6 @@ def cmd_kwic(config: dict, term: str, tag: str) -> int:
 
 def cmd_stats(config: dict, terms: list[str], groups: list[str], portfolio: str | None) -> int:
     run = _Run("stats", config)
-    if not terms:
-        raise ConfigError("stats needs at least one --term")
     for group in groups:
         if group not in corpus.GENDERS:
             raise ConfigError(f"unknown group {group!r}")
@@ -505,35 +547,15 @@ def cmd_stats(config: dict, terms: list[str], groups: list[str], portfolio: str 
     return 0
 
 
-def _parse_planted(raw) -> synth.PlantedTerm:
-    if isinstance(raw, dict):
-        try:
-            return synth.PlantedTerm(
-                term=str(raw["term"]),
-                p_female=float(raw["p_female"]),
-                p_male=float(raw["p_male"]),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"planted term missing key {exc}") from None
-    parts = str(raw).split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"planted term must be TERM:P_FEMALE:P_MALE, got {raw!r}")
-    try:
-        return synth.PlantedTerm(term=parts[0], p_female=float(parts[1]), p_male=float(parts[2]))
-    except ValueError:
-        raise ConfigError(f"bad planted probabilities in {raw!r}") from None
-
-
 def cmd_gen_synth(config: dict) -> int:
     run = _Run("gen-synth", config)
     sconf = config["synth"]
-    planted = tuple(_parse_planted(p) for p in sconf.get("planted", []))
     articles, registry = synth.generate_corpus(
-        int(sconf["n"]),
-        balance=float(sconf["balance"]),
-        planted=planted,
+        sconf["n"],
+        balance=sconf["balance"],
+        planted=tuple(_parse_planted(p) for p in sconf["planted"]),
         seed=config["seed"],
-        per_gender=int(sconf.get("per_gender", 3)),
+        per_gender=sconf["per_gender"],
     )
     corpus.save_articles(articles, run.path("articles.jsonl"))
     corpus.save_registry(registry, run.path("registry.json"))
@@ -561,60 +583,33 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("sweep", help="cross-validated accuracy over scheme/representation/classifier grid"))
 
     rank = common(sub.add_parser("rank", help="rank discriminative features of the linear model"))
-    rank.add_argument("--k", type=int, help="features per class (default from config)")
+    rank.add_argument("--k", dest="interpret.k", type=int, help="features per class (default from config)")
 
     kwic = common(sub.add_parser("kwic", help="keyword-in-context concordance"))
     kwic.add_argument("term", help="single-token query")
-    kwic.add_argument("--window", type=int, help="context tokens per side")
-    kwic.add_argument("--group", choices=list(corpus.GENDERS), help="restrict to one instance group")
-    kwic.add_argument("--cooccur", action="store_true", help="only sentences mentioning a politician")
-    kwic.add_argument("--masked", action="store_true", help="query the masked stream instead of raw text")
+    kwic.add_argument("--window", dest="interpret.kwic_window", type=int, help="context tokens per side")
+    kwic.add_argument("--group", dest="interpret.group", choices=list(corpus.GENDERS),
+                      help="restrict to one instance group")
+    kwic.add_argument("--cooccur", dest="interpret.cooccur", action="store_true", default=None,
+                      help="only sentences mentioning a politician")
+    kwic.add_argument("--masked", dest="interpret.masked", action="store_true", default=None,
+                      help="query the masked stream instead of raw text")
     kwic.add_argument("--tag", default="", help="pass-through tag column for qualitative grouping")
 
     stats = common(sub.add_parser("stats", help="mention counts and per-year rates"))
-    stats.add_argument("--term", action="append", default=[], help="query term (repeatable)")
+    stats.add_argument("--term", action="append", required=True, help="query term (repeatable)")
     stats.add_argument("--groups", default="female,male", help="comma-separated groups")
     stats.add_argument("--portfolio", help="restrict years in office to one portfolio")
-    stats.add_argument("--masked", action="store_true", help="count over masked streams")
+    stats.add_argument("--masked", dest="interpret.masked", action="store_true", default=None,
+                       help="count over masked streams")
 
     gen = common(sub.add_parser("gen-synth", help="generate a synthetic labeled corpus"))
-    gen.add_argument("--n", type=int, help="number of articles")
-    gen.add_argument("--balance", type=float, help="fraction of female-featuring articles")
-    gen.add_argument("--planted", action="append", default=[], help="TERM:P_FEMALE:P_MALE (repeatable)")
-    gen.add_argument("--per-gender", type=int, help="politicians per gender")
+    gen.add_argument("--n", dest="synth.n", type=int, help="number of articles")
+    gen.add_argument("--balance", dest="synth.balance", type=float, help="fraction of female-featuring articles")
+    gen.add_argument("--planted", dest="synth.planted", action="append", help="TERM:P_FEMALE:P_MALE (repeatable)")
+    gen.add_argument("--per-gender", dest="synth.per_gender", type=int, help="politicians per gender")
 
     return parser
-
-
-def _apply_overrides(config: dict, args: argparse.Namespace) -> dict:
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.out is not None:
-        config["out"] = args.out
-    command = args.command
-    if command == "rank" and args.k is not None:
-        config["interpret"]["k"] = args.k
-    if command == "kwic":
-        if args.window is not None:
-            config["interpret"]["kwic_window"] = args.window
-        if args.group:
-            config["interpret"]["group"] = args.group
-        if args.cooccur:
-            config["interpret"]["cooccur"] = True
-        if args.masked:
-            config["interpret"]["masked"] = True
-    if command == "stats" and args.masked:
-        config["interpret"]["masked"] = True
-    if command == "gen-synth":
-        if args.n is not None:
-            config["synth"]["n"] = args.n
-        if args.balance is not None:
-            config["synth"]["balance"] = args.balance
-        if args.planted:
-            config["synth"]["planted"] = list(args.planted)
-        if args.per_gender is not None:
-            config["synth"]["per_gender"] = args.per_gender
-    return config
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -625,9 +620,9 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors; usage problems are exit code 1 here
         return 0 if exc.code == 0 else 1
     try:
-        config = load_config(args.config)
-        config = _apply_overrides(config, args)
-        validate_config(config)
+        # each flag's dest is the config key it overrides; an absent flag is None
+        overrides = {key: value for key, value in vars(args).items() if key in SCHEMA and value is not None}
+        config = load_config(args.config, overrides)
         if args.command == "ingest":
             return cmd_ingest(config)
         if args.command == "label":
@@ -641,9 +636,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "stats":
             groups = [g.strip() for g in args.groups.split(",") if g.strip()]
             return cmd_stats(config, args.term, groups, args.portfolio)
-        if args.command == "gen-synth":
-            return cmd_gen_synth(config)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_gen_synth(config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

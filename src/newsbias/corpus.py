@@ -203,6 +203,9 @@ def load_registry(path: str | Path) -> list[PoliticianRecord]:
         surname = str(entry.get("surname", ""))
         if not given or not surname:
             raise DataError(f"given_name and surname required {where}")
+        extras = entry.get("extra_variants", [])
+        if type(extras) is not list or not all(type(v) is str for v in extras):
+            raise DataError(f"extra_variants must be a list of strings {where}")
         terms = []
         for t in entry.get("terms", []):
             if not isinstance(t, dict):
@@ -226,7 +229,7 @@ def load_registry(path: str | Path) -> list[PoliticianRecord]:
                 gender=gender,
                 given_name=given,
                 surname=surname,
-                extra_variants=tuple(str(v) for v in entry.get("extra_variants", [])),
+                extra_variants=tuple(extras),
                 terms=tuple(terms),
             )
         )

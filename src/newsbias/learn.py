@@ -29,7 +29,7 @@ import numpy as np
 
 from .corpus import FEMALE, GENDERS, MALE
 from .errors import ConfigError, DataError
-from .features import FeatureSpace, FeatureVector
+from .features import REPRESENTATIONS, FeatureSpace, FeatureVector
 from .rng import Rng, derive_seeds
 
 DEFAULT_SVM_LAMBDA = 1e-4
@@ -38,7 +38,10 @@ DEFAULT_NB_ALPHA = 1.0
 DEFAULT_TREE_MAX_DEPTH = 10
 DEFAULT_TREE_MIN_LEAF = 2
 
-CLASSIFIERS = ("svm", "nb-bernoulli", "nb-multinomial", "tree")
+# the vector representations each classifier accepts
+ACCEPTS = {"svm": REPRESENTATIONS, "nb-bernoulli": ("boolean",),
+           "nb-multinomial": ("boolean", "count"), "tree": ("boolean",)}
+CLASSIFIERS = tuple(ACCEPTS)
 
 # guards against float noise masquerading as information gain
 _GAIN_EPS = 1e-12
@@ -339,6 +342,12 @@ def train_svm(
     )
 
 
+def _check_representation(dataset: Dataset, classifier: str) -> None:
+    accepted = ACCEPTS[classifier]
+    if any(v.representation not in accepted for v in dataset.vectors):
+        raise ConfigError(f"{classifier} requires {' or '.join(accepted)} vectors")
+
+
 def train_nb(
     dataset: Dataset, variant: str = "bernoulli", alpha: float = DEFAULT_NB_ALPHA
 ) -> BayesModel:
@@ -347,11 +356,7 @@ def train_nb(
         raise ConfigError(f"unknown naive bayes variant {variant!r}")
     if alpha <= 0:
         raise ConfigError("alpha must be positive")
-    reps = {v.representation for v in dataset.vectors}
-    if variant == "bernoulli" and reps != {"boolean"}:
-        raise ConfigError("bernoulli naive bayes requires boolean vectors")
-    if variant == "multinomial" and not reps <= {"boolean", "count"}:
-        raise ConfigError("multinomial naive bayes requires count (or boolean) vectors")
+    _check_representation(dataset, f"nb-{variant}")
 
     dim = len(dataset.space)
     counts = dataset.class_counts()
@@ -469,9 +474,7 @@ def train_tree(
     """
     if max_depth < 1 or min_leaf < 1:
         raise ConfigError("tree needs max_depth >= 1 and min_leaf >= 1")
-    reps = {v.representation for v in dataset.vectors}
-    if reps != {"boolean"}:
-        raise ConfigError("decision tree requires boolean vectors")
+    _check_representation(dataset, "tree")
     dim = len(dataset.space)
     csr, labels, rows = dataset.layout
 

@@ -29,6 +29,7 @@ _SURNAMES = [
     "Keane", "Brophy", "Dunne", "Nolan", "Whelan", "Burke",
     "Quinn", "Healy", "Brady", "Dillon", "Farrell", "Hogan",
 ]
+MAX_PER_GENDER = len(_SURNAMES) // 2
 _PORTFOLIOS = ["health", "finance", "education", "justice", "enterprise", "arts"]
 _SECTIONS = ["news", "politics", "business", "sport", "opinion", "lifestyle"]
 _SOURCES = ["The Daily Ledger", "The Morning Chronicle"]
@@ -78,8 +79,8 @@ def _filler_vocabulary(rng: Rng, size: int, reserved: set[str]) -> list[str]:
 
 def make_registry(rng: Rng, per_gender: int = 3) -> list[PoliticianRecord]:
     """Politicians with unique surnames and non-overlapping office terms."""
-    if per_gender < 1 or 2 * per_gender > len(_SURNAMES):
-        raise ConfigError(f"politicians per gender must be in 1..{len(_SURNAMES) // 2}")
+    if not 1 <= per_gender <= MAX_PER_GENDER:
+        raise ConfigError(f"politicians per gender must be in 1..{MAX_PER_GENDER}")
     records = []
     surnames = list(_SURNAMES)
     rng.shuffle(surnames)

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import csv
+import datetime
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from newsbias import cli
+from newsbias import cli, corpus
 
 from util import article_row, days_after, politician, write_articles, write_registry
 
@@ -383,3 +386,213 @@ def test_null_registry_name_is_data_error(tmp_path):
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"paths": {"articles": str(articles), "registry": str(registry)}}))
     assert run("label", "--config", str(config), "--out", str(tmp_path / "o")) == 2
+
+
+def test_string_extra_variants_is_data_error(tmp_path):
+    # a string of extra variants must not become one name variant per letter
+    articles = tmp_path / "a.jsonl"
+    write_articles(articles, [article_row("a1", "The letter t was read.")])
+    registry = tmp_path / "r.json"
+    write_registry(registry, [{**politician("p1", "female", "Mary", "Keane"), "extra_variants": "Bert"}])
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"paths": {"articles": str(articles), "registry": str(registry)}}))
+    assert run("label", "--config", str(config), "--out", str(tmp_path / "o")) == 2
+
+
+# --- the config table ---
+
+def test_rank_k_zero_is_config_error(synth_corpus, tmp_path):
+    assert run("rank", "--config", str(synth_corpus), "--out", str(tmp_path / "flag"), "--k", "0") == 1
+    config = json.loads(synth_corpus.read_text())
+    config["interpret"] = {"k": 0}
+    bad = synth_corpus.with_name("k0.json")
+    bad.write_text(json.dumps(config))
+    assert run("rank", "--config", str(bad), "--out", str(tmp_path / "file")) == 1
+    assert not (tmp_path / "flag").exists() and not (tmp_path / "file").exists()
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        # every combination but the last is valid
+        {"schemes": ["unigram"], "representations": ["boolean", "tfidf"], "classifiers": ["svm", "tree"]},
+        {"schemes": ["unigram", "lexicon_category"], "representations": ["boolean"], "classifiers": ["svm"]},
+        {"schemes": ["unigram", "adjective/sentence"], "representations": ["boolean"], "classifiers": ["svm"]},
+    ],
+    ids=["tree-tfidf", "lexicon-without-lexicons", "adjective-without-pos-lexicon"],
+)
+def test_sweep_combinations_checked_before_any_work(synth_corpus, monkeypatch, tmp_path, sweep):
+    from newsbias import pipeline
+
+    calls = []
+    build_instances = pipeline.build_instances
+    monkeypatch.setattr(pipeline, "build_instances", lambda *a, **kw: calls.append(1) or build_instances(*a, **kw))
+    config = {**json.loads(synth_corpus.read_text()), "sweep": sweep}
+    bad = synth_corpus.with_name("bad.json")
+    bad.write_text(json.dumps(config))
+    assert run("sweep", "--config", str(bad), "--out", str(tmp_path / "o")) == 1
+    assert calls == []
+
+
+def _flatten(config: dict) -> dict:
+    flat = {}
+    for key, value in config.items():
+        if key in cli._SECTIONS:
+            flat.update((f"{key}.{name}", item) for name, item in value.items())
+        else:
+            flat[key] = value
+    return flat
+
+
+def _nest(flat: dict) -> dict:
+    config: dict = {}
+    for key, value in flat.items():
+        section, _, name = key.rpartition(".")
+        (config.setdefault(section, {}) if section else config)[name] = value
+    return config
+
+
+TABLE_DEFAULTS = {key: default for key, (default, _, _) in cli.SCHEMA.items() if default is not cli._UNSET}
+
+
+def test_default_config_is_the_table_and_the_readme():
+    assert _flatten(cli.DEFAULT_CONFIG) == TABLE_DEFAULTS
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("A full config with defaults:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    documented = _flatten(json.loads(block))
+    assert documented.keys() == TABLE_DEFAULTS.keys()
+    # the README shows example file names for the two corpus paths
+    for key in ("paths.articles", "paths.registry"):
+        documented[key] = TABLE_DEFAULTS[key]
+    assert documented == TABLE_DEFAULTS
+
+
+# JSON values by type; a key's type accepts some of these and rejects the rest
+JSON_VALUES = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(-2**70, 2**70),
+    "float": st.floats(allow_nan=True, allow_infinity=True).filter(lambda f: not f.is_integer()),
+    "str": st.text(max_size=8),
+    "list": st.lists(st.integers(), max_size=2),
+    "dict": st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+}
+ACCEPTED = {int: {"int"}, float: {"int", "float"}, bool: {"bool"}, str: {"str"}, str | None: {"str", "null"}}
+
+
+def _valid_value(key: str):
+    """A value the table takes for the key, drawn from its type and allowed values."""
+    _, kind, allowed = cli.SCHEMA[key]
+    if key.startswith("pipeline.date_"):
+        return st.one_of(st.none(), st.dates().map(datetime.date.isoformat))
+    if key == "synth.planted":
+        probability = st.floats(0, 1) | st.integers(0, 1)
+        term = st.text(min_size=1, max_size=6).filter(lambda t: ":" not in t)
+        spelt = st.builds(lambda t, f, m: f"{t}:{float(f)!r}:{float(m)!r}", term, probability, probability)
+        mapping = st.fixed_dictionaries({"term": term, "p_female": probability, "p_male": probability})
+        return st.lists(spelt | mapping, max_size=3)
+    item_kind = kind[0] if isinstance(kind, list) else kind
+    if isinstance(allowed, tuple):
+        items = st.sampled_from(allowed)
+    elif item_kind is bool:
+        items = st.booleans()
+    elif item_kind in (int, float):
+        numbers = st.integers(0, 2**64 - 1) if item_kind is int else st.floats(0, 10) | st.integers(0, 10)
+        items = st.one_of(st.integers(0, 12), numbers).filter(allowed)
+    else:
+        items = st.text(max_size=8) if item_kind is str else st.none() | st.text(max_size=8)
+    return st.lists(items, max_size=3) if isinstance(kind, list) else items
+
+
+@st.composite
+def well_formed(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(cli.SCHEMA)), unique=True, max_size=12))
+    values = {key: draw(_valid_value(key)) for key in keys}
+    flags = set(draw(st.lists(st.sampled_from(keys), unique=True))) if keys else set()
+    return {k: v for k, v in values.items() if k not in flags}, {k: v for k, v in values.items() if k in flags}
+
+
+@settings(max_examples=200, deadline=None)
+@given(well_formed())
+def test_well_formed_config_loads_as_defaults_overlaid_with_its_values(tmp_path_factory, drawn):
+    in_file, overrides = drawn
+    path = tmp_path_factory.mktemp("config") / "c.json"
+    path.write_text(json.dumps(_nest(in_file)))
+    assert _flatten(cli.load_config(str(path), overrides)) == {**TABLE_DEFAULTS, **in_file, **overrides}
+
+
+@st.composite
+def malformed(draw):
+    """A config with exactly one fault: a wrong type, an out-of-range value, or an unknown key."""
+    fault = draw(st.sampled_from(["type", "range", "unknown", "section"]))
+    key = draw(st.sampled_from(sorted(cli.SCHEMA)))
+    _, kind, allowed = cli.SCHEMA[key]
+    if fault == "type":
+        accepted = {"list"} if isinstance(kind, list) else ACCEPTED.get(kind, set())
+        wrong = draw(st.sampled_from(sorted(JSON_VALUES.keys() - accepted)))
+        return _nest({key: draw(JSON_VALUES[wrong])})
+    if fault == "range":
+        if key.startswith("pipeline.date_"):
+            bad = draw(st.sampled_from(["", "2004-13-01", "2004-02-30", "yesterday"]))
+        elif key == "synth.planted":
+            bad = [draw(st.sampled_from(["x:1.5:0", "x:0.1", ":0.1:0.1", "x:a:b", "x:nan:0"]))]
+        elif isinstance(allowed, tuple):
+            bad = draw(st.text(max_size=12).filter(lambda t: t not in allowed))
+            bad = [bad] if isinstance(kind, list) else bad
+        elif callable(allowed):
+            numbers = st.integers(-2**70, 2**70) if kind is int else st.floats() | st.integers(-10, 10)
+            bad = draw(numbers.filter(lambda v: not allowed(v)))
+        else:
+            bad = [5] if isinstance(kind, list) else draw(JSON_VALUES["dict"])
+        return _nest({key: bad})
+    name = draw(st.text(min_size=1, max_size=8))
+    if fault == "unknown":
+        # a top-level key, a key inside a section, or a section's key spelt at the top level
+        depth = draw(st.sampled_from(["top", "section", "dotted"]))
+        if depth == "dotted":
+            assume("." in key)
+            return {key: draw(_valid_value(key))}
+        section = key.partition(".")[0] if "." in key else "interpret"
+        unknown = name if depth == "top" else f"{section}.{name}"
+        assume(unknown not in cli.SCHEMA and unknown not in cli._SECTIONS)
+        return _nest({unknown: 1})
+    section = draw(st.sampled_from(sorted(cli._SECTIONS)))
+    return {section: draw(st.one_of(*(JSON_VALUES[t] for t in JSON_VALUES if t != "dict")))}
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed())
+def test_malformed_config_exits_one_before_any_work(tmp_path_factory, config):
+    root = tmp_path_factory.mktemp("malformed")
+    (root / "c.json").write_text(json.dumps(config))
+    for command in (["ingest"], ["sweep"], ["kwic", "husband"]):
+        assert run(*command, "--config", str(root / "c.json"), "--out", str(root / "out")) == 1
+        assert not (root / "out").exists()
+
+
+registries = st.lists(
+    st.builds(
+        lambda gender, names, extras, spans: (gender, names, extras, spans),
+        st.sampled_from(["female", "male"]),
+        st.tuples(st.text(min_size=1, max_size=6), st.text(min_size=1, max_size=6)),
+        st.lists(st.text(max_size=6), max_size=2),
+        st.lists(st.tuples(st.integers(0, 500), st.integers(1, 500)), max_size=3),
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(registries, st.text(max_size=6))
+def test_save_then_load_registry_is_the_identity(tmp_path_factory, drawn, portfolio):
+    records = []
+    for i, (gender, (given_name, surname), extras, spans) in enumerate(drawn):
+        day, terms = datetime.date(1990, 1, 1), []
+        for gap, length in spans:  # ordered, non-overlapping terms
+            start = day + datetime.timedelta(days=gap)
+            day = start + datetime.timedelta(days=length)
+            terms.append(corpus.OfficeTerm(portfolio, start, day))
+        records.append(corpus.PoliticianRecord(f"p{i}", gender, given_name, surname, tuple(extras), tuple(terms)))
+    path = tmp_path_factory.mktemp("registry") / "r.json"
+    corpus.save_registry(records, path)
+    assert corpus.load_registry(path) == records

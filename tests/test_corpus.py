@@ -171,9 +171,11 @@ def harney(**changes):
         ),
         (harney(id=None), "null field id in politician entry 2"),
         ("Mary Harney", "politician entry 2 is not an object"),
+        (harney(extra_variants="Bert"), "extra_variants must be a list of strings for politician 'p1'"),
+        (harney(extra_variants=[5]), "extra_variants must be a list of strings for politician 'p1'"),
     ],
     ids=["null-given", "null-surname", "null-extras", "null-terms", "term-not-object",
-         "null-portfolio", "null-id", "entry-not-object"],
+         "null-portfolio", "null-id", "entry-not-object", "string-extras", "non-string-extra"],
 )
 def test_registry_rejects_malformed_entry(tmp_path, entry, message):
     path = tmp_path / "r.json"

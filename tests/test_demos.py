@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -35,3 +36,26 @@ def test_benchmark_tracer_installs():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("workload", ["sweep-grid", "audit-ground", "wide-vocab"])
+def test_benchmark_commands_load_through_the_config_table(workload, monkeypatch, tmp_path):
+    # the benchmark checks that each manifest records the file's config plus the flags
+    from newsbias import cli
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    paths = {"articles": "articles.jsonl", "registry": "registry.json", "stoplist": "stoplist.txt"}
+    loaded = []
+    for name in ("ingest", "label", "sweep", "rank", "kwic", "stats", "gen_synth"):
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda config, *rest: loaded.append(config) or 0)
+    for cmd in workloads.WORKLOADS[workload].commands(paths, 7):
+        config_path = tmp_path / f"{cmd.name}.json"
+        config_path.write_text(json.dumps(cmd.config), encoding="utf-8")
+        assert cli.main([*cmd.argv, "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
+        config = loaded.pop()
+        if cmd.argv[0] == "sweep":
+            cli._sweep_combinations(config)
+        recorded = {key: value for key, value in config.items() if key != "out"}
+        assert json.dumps(recorded, sort_keys=True) == json.dumps(cmd.manifest_config, sort_keys=True)
