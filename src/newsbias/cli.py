@@ -134,6 +134,9 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
     config: dict = {}
     for key, value in [*given.items(), *(overrides or {}).items()]:
         _set(config, key, value)
+    start, end = (config["pipeline"][key] for key in ("date_from", "date_to"))
+    if start and end and datetime.date.fromisoformat(start) >= datetime.date.fromisoformat(end):
+        raise ConfigError(f"pipeline.date_from {start} must precede pipeline.date_to {end}")
     return config
 
 
@@ -491,16 +494,13 @@ def _build_views(config: dict):
 def cmd_kwic(config: dict, term: str, tag: str) -> int:
     run = _Run("kwic", config)
     _, _, views = _build_views(config)
-    try:
-        lines = interpret.kwic(
-            views,
-            term,
-            window=config["interpret"]["kwic_window"],
-            group=config["interpret"].get("group"),
-            require_cooccurrence=config["interpret"].get("cooccur", False),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    lines = interpret.kwic(
+        views,
+        term,
+        window=config["interpret"]["kwic_window"],
+        group=config["interpret"].get("group"),
+        require_cooccurrence=config["interpret"].get("cooccur", False),
+    )
     fh, writer = _open_csv(run.path("kwic.csv"))
     with fh:
         writer.writerow(["article_id", "position", "left", "keyword", "right", "tag"])
@@ -517,10 +517,10 @@ def cmd_kwic(config: dict, term: str, tag: str) -> int:
 
 
 def cmd_stats(config: dict, terms: list[str], groups: list[str], portfolio: str | None) -> int:
+    unknown = [group for group in groups if group not in corpus.GENDERS]
+    if unknown or not groups:
+        raise ConfigError(f"unknown group {unknown[0]!r}" if unknown else "--groups names no group")
     run = _Run("stats", config)
-    for group in groups:
-        if group not in corpus.GENDERS:
-            raise ConfigError(f"unknown group {group!r}")
     registry, (date_from, date_to), views = _build_views(config)
     # years in office cover the counted dates: an unset side takes the registry's bound
     registry_from, registry_to = corpus.registry_window(registry)
@@ -528,10 +528,7 @@ def cmd_stats(config: dict, terms: list[str], groups: list[str], portfolio: str 
     stats = []
     for term in terms:
         for group in groups:
-            try:
-                count = interpret.term_count(views, term, group)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+            count = interpret.term_count(views, term, group)
             years = corpus.total_years(registry, group, window, portfolio)
             if years <= 0:
                 raise DataError(f"group {group!r} has zero years in office in the window")
@@ -564,6 +561,15 @@ def cmd_gen_synth(config: dict) -> int:
     return 0
 
 
+def _query(term: str) -> str:
+    """A query term, checked before any work: one token or a marker surface."""
+    try:
+        interpret.normalize_query(term)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return term
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="newsbias",
@@ -586,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     rank.add_argument("--k", dest="interpret.k", type=int, help="features per class (default from config)")
 
     kwic = common(sub.add_parser("kwic", help="keyword-in-context concordance"))
-    kwic.add_argument("term", help="single-token query")
+    kwic.add_argument("term", type=_query, help="single-token query")
     kwic.add_argument("--window", dest="interpret.kwic_window", type=int, help="context tokens per side")
     kwic.add_argument("--group", dest="interpret.group", choices=list(corpus.GENDERS),
                       help="restrict to one instance group")
@@ -597,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     kwic.add_argument("--tag", default="", help="pass-through tag column for qualitative grouping")
 
     stats = common(sub.add_parser("stats", help="mention counts and per-year rates"))
-    stats.add_argument("--term", action="append", required=True, help="query term (repeatable)")
+    stats.add_argument("--term", type=_query, action="append", required=True, help="query term (repeatable)")
     stats.add_argument("--groups", default="female,male", help="comma-separated groups")
     stats.add_argument("--portfolio", help="restrict years in office to one portfolio")
     stats.add_argument("--masked", dest="interpret.masked", action="store_true", default=None,

@@ -20,7 +20,7 @@ to "female", the lexicographically smaller label.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Sequence
@@ -57,25 +57,29 @@ class CSR:
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
+    representation: str
 
     @classmethod
     def from_vectors(cls, vectors: Sequence[FeatureVector]) -> "CSR":
+        """Pack vectors; boolean only when every vector is (or there are none)."""
+        representation = next((v.representation for v in vectors if v.representation != "boolean"), "boolean")
         indptr = np.concatenate(([0], np.cumsum([len(v.ids) for v in vectors], dtype=np.int64)))
         nnz = int(indptr[-1])
         indices = np.fromiter(chain.from_iterable(v.ids for v in vectors), np.int32, nnz)
-        if all(v.representation == "boolean" for v in vectors):
-            return cls(indptr, indices, np.broadcast_to(1.0, nnz))
+        if representation == "boolean":
+            return cls(indptr, indices, np.broadcast_to(1.0, nnz), representation)
         data = np.fromiter(chain.from_iterable(v.values for v in vectors), np.float64, nnz)
-        return cls(indptr, indices, data)
+        return cls(indptr, indices, data, representation)
 
-    def row_sums(self, values: np.ndarray) -> np.ndarray:
-        """Per-row sums of one value per entry."""
-        sums = np.zeros(len(self.indptr) - 1)
-        # an empty row has no segment: reduceat would hand it its successor's first value
-        nonempty = np.flatnonzero(np.diff(self.indptr))
-        if len(nonempty):
-            sums[nonempty] = np.add.reduceat(values, self.indptr[nonempty])
-        return sums
+    @cached_property
+    def vectors(self) -> tuple[FeatureVector, ...]:
+        """One FeatureVector per row, made on first read; like vectorize's rows,
+        they share one int object per feature id and the one 1.0."""
+        ids = np.arange(self.indices.max(initial=-1) + 1).astype(object)[self.indices].tolist()
+        values = [1.0] * len(ids) if self.representation == "boolean" else self.data.tolist()
+        bounds = self.indptr.tolist()
+        return tuple(FeatureVector(tuple(ids[a:b]), tuple(values[a:b]), self.representation)
+                     for a, b in zip(bounds, bounds[1:]))
 
     def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Positions of the given rows' entries, row after row, and the rows' lengths."""
@@ -87,66 +91,68 @@ class CSR:
         return entries, lengths
 
 
+def _row_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Sums of consecutive runs of values, one run per row of the given length."""
+    sums = np.zeros(len(lengths))
+    # an empty row has no run: reduceat would hand it its successor's first value
+    nonempty = np.flatnonzero(lengths)
+    if len(nonempty):
+        sums[nonempty] = np.add.reduceat(values, (np.cumsum(lengths) - lengths)[nonempty])
+    return sums
+
+
 def _check_range(indices: np.ndarray, n_features: int) -> None:
     bad = indices[(indices < 0) | (indices >= n_features)]
     if len(bad):
         raise ValueError(f"vector id {bad.max()} out of range for {n_features} features")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Parallel vectors/labels over one feature space.
+    """Rows of one CSR over one feature space, labelled 0 (female) or 1 (male) in y.
 
-    Learners read `layout`: a root dataset packs its vectors into one CSR
-    on first use; a subset holds row ids into its root's, copying no entries.
+    A subset shares its parent's csr and y and holds other row ids.
     """
 
-    vectors: tuple[FeatureVector, ...]
-    labels: tuple[str, ...]
+    csr: CSR
+    y: np.ndarray
     space: FeatureSpace
-    # a subset's root dataset and its row ids into the root; None for a root
-    _base: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    rows: np.ndarray
 
     def __post_init__(self):
-        if len(self.vectors) != len(self.labels):
-            raise ValueError("vectors and labels must be parallel")
-        if len(self.vectors) < 2:
+        if len(self.rows) < 2:
             raise ValueError("a dataset needs at least two instances")
-        for label in self.labels:
-            if label not in GENDERS:
-                raise ValueError(f"unknown label {label!r}")
+
+    @classmethod
+    def pack(cls, vectors: Sequence[FeatureVector], labels: Sequence[str], space: FeatureSpace) -> "Dataset":
+        """One row per vector, its ids checked against the space here, once."""
+        if len(vectors) != len(labels) or not set(labels) <= set(GENDERS):
+            raise ValueError(f"vectors need one label each, of {GENDERS}")
+        csr = CSR.from_vectors(vectors)
+        _check_range(csr.indices, len(space))
+        y = np.array([label == MALE for label in labels], dtype=np.int8)
+        return cls(csr, y, space, np.arange(len(y)))
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.rows)
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
-        """The given rows, sharing this dataset's vector objects."""
-        sub = Dataset(
-            vectors=tuple(self.vectors[i] for i in indices),
-            labels=tuple(self.labels[i] for i in indices),
-            space=self.space,
-        )
-        root, rows = self._base or (self, np.arange(len(self)))
-        object.__setattr__(sub, "_base", (root, rows[np.asarray(indices, dtype=np.intp)]))
-        return sub
+        """The given rows of this dataset, over the same CSR."""
+        return Dataset(self.csr, self.y, self.space, self.rows[np.asarray(indices, dtype=np.intp)])
 
     @property
-    def layout(self) -> tuple[CSR, np.ndarray, np.ndarray]:
-        """The root's CSR and int8 labels (0 female, 1 male), and this dataset's row ids into them."""
-        root, rows = self._base or (self, np.arange(len(self)))
-        return (*root._packed, rows)
+    def labels(self) -> tuple[str, ...]:
+        return tuple(GENDERS[label] for label in self.y[self.rows].tolist())
 
-    @cached_property
-    def _packed(self) -> tuple[CSR, np.ndarray]:
-        csr = CSR.from_vectors(self.vectors)
-        _check_range(csr.indices, len(self.space))
-        return csr, np.array([lab != FEMALE for lab in self.labels], dtype=np.int8)
+    @property
+    def vectors(self) -> tuple[FeatureVector, ...]:
+        """This dataset's rows of the CSR's one per-row view, shared by every subset."""
+        view = self.csr.vectors
+        return tuple(view[row] for row in self.rows.tolist())
 
     def class_counts(self) -> dict[str, int]:
-        counts = {FEMALE: 0, MALE: 0}
-        for label in self.labels:
-            counts[label] += 1
-        return counts
+        n_male = int(self.y[self.rows].sum())
+        return {FEMALE: len(self) - n_male, MALE: n_male}
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,14 +210,7 @@ class CVReport:
     n_instances: int
 
     def to_dict(self) -> dict:
-        return {
-            "descriptor": self.descriptor,
-            "seed": self.seed,
-            "n_instances": self.n_instances,
-            "per_fold_accuracy": list(self.per_fold_accuracy),
-            "mean_accuracy": self.mean_accuracy,
-            "confusion": self.confusion,
-        }
+        return {**asdict(self), "per_fold_accuracy": list(self.per_fold_accuracy)}
 
 
 def undersample(dataset: Dataset, seed: int) -> Dataset:
@@ -221,18 +220,17 @@ def undersample(dataset: Dataset, seed: int) -> Dataset:
     dataset order, so the result is a sub-multiset of the input and is
     identical for identical seeds.
     """
-    counts = dataset.class_counts()
-    if counts[FEMALE] == 0 or counts[MALE] == 0:
+    labels = dataset.y[dataset.rows]
+    n_male = int(labels.sum())
+    if n_male in (0, len(labels)):
         raise DataError("undersample needs both classes present")
-    if counts[FEMALE] == counts[MALE]:
+    if 2 * n_male == len(labels):
         return dataset
-    minority = FEMALE if counts[FEMALE] < counts[MALE] else MALE
-    majority_idx = [i for i, lab in enumerate(dataset.labels) if lab != minority]
-    keep = set(i for i, lab in enumerate(dataset.labels) if lab == minority)
-    rng = Rng(seed)
-    chosen = rng.sample_indices(len(majority_idx), counts[minority])
-    keep.update(majority_idx[p] for p in chosen)
-    return dataset.subset(sorted(keep))
+    minority = int(2 * n_male < len(labels))
+    keep = labels == minority
+    majority_idx = np.flatnonzero(~keep)
+    keep[majority_idx[Rng(seed).sample_indices(len(majority_idx), int(keep.sum()))]] = True
+    return dataset.subset(np.flatnonzero(keep))
 
 
 def stratified_folds(dataset: Dataset, k: int, seed: int) -> list[list[int]]:
@@ -244,9 +242,10 @@ def stratified_folds(dataset: Dataset, k: int, seed: int) -> list[list[int]]:
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     rng = Rng(seed)
+    labels = dataset.y[dataset.rows]
     folds: list[list[int]] = [[] for _ in range(k)]
-    for label in GENDERS:
-        idx = [i for i, lab in enumerate(dataset.labels) if lab == label]
+    for code, label in enumerate(GENDERS):
+        idx = np.flatnonzero(labels == code).tolist()
         if len(idx) < k:
             raise DataError(f"class {label!r} has {len(idx)} members, fewer than k={k}")
         rng.shuffle(idx)
@@ -259,10 +258,10 @@ def svm_objective(
     weights: np.ndarray, bias: float, dataset: Dataset, lam: float
 ) -> float:
     """Regularized hinge objective: lam/2 ||w||^2 + mean hinge loss."""
-    csr, labels, rows = dataset.layout
+    csr, labels, rows = dataset.csr, dataset.y, dataset.rows
     products = weights[csr.indices]
     products *= csr.data
-    margins = csr.row_sums(products)[rows] + bias
+    margins = _row_sums(products, np.diff(csr.indptr))[rows] + bias
     hinge = np.maximum(0.0, 1.0 - np.where(labels[rows] == 0, 1.0, -1.0) * margins)
     return 0.5 * lam * float(weights @ weights) + float(hinge.sum()) / len(dataset)
 
@@ -287,7 +286,7 @@ def train_svm(
         raise ConfigError("svm needs lam > 0 and epochs >= 1")
     n = len(dataset)
     dim = len(dataset.space)
-    csr, labels, rows = dataset.layout
+    csr, labels, rows = dataset.csr, dataset.y, dataset.rows
     bounds = zip(csr.indptr[rows].tolist(), csr.indptr[rows + 1].tolist())
     # intp ids keep the per-step indexing fast; contiguous values keep the
     # dot products on BLAS, summing as they always have
@@ -344,7 +343,7 @@ def train_svm(
 
 def _check_representation(dataset: Dataset, classifier: str) -> None:
     accepted = ACCEPTS[classifier]
-    if any(v.representation not in accepted for v in dataset.vectors):
+    if dataset.csr.representation not in accepted:
         raise ConfigError(f"{classifier} requires {' or '.join(accepted)} vectors")
 
 
@@ -359,14 +358,12 @@ def train_nb(
     _check_representation(dataset, f"nb-{variant}")
 
     dim = len(dataset.space)
-    counts = dataset.class_counts()
-    if counts[FEMALE] == 0 or counts[MALE] == 0:
+    class_n = np.array([[n] for n in dataset.class_counts().values()], dtype=float)  # female, male
+    if not class_n.all():
         raise DataError("training needs both classes present")
-    n = len(dataset)
-    prior = np.array([counts[g] / n for g in GENDERS])
 
     # one bincount over (class, feature) cells; summed in entry order
-    csr, labels, rows = dataset.layout
+    csr, labels, rows = dataset.csr, dataset.y, dataset.rows
     entries, lengths = csr.gather(rows)
     cells = np.repeat(labels[rows].astype(np.intp) * dim, lengths) + csr.indices[entries]
     weights = None if variant == "bernoulli" else csr.data[entries]
@@ -374,13 +371,12 @@ def train_nb(
     accum = np.bincount(cells, weights=weights, minlength=2 * dim).reshape(2, dim)
 
     if variant == "bernoulli":
-        class_n = np.array([[counts[FEMALE]], [counts[MALE]]], dtype=float)
         theta = (accum + alpha) / (class_n + 2.0 * alpha)
     else:
         theta = (accum + alpha) / (accum.sum(axis=1, keepdims=True) + alpha * dim)
     return BayesModel(
         variant=variant,
-        class_log_prior=np.log(prior),
+        class_log_prior=np.log(class_n[:, 0] / len(dataset)),
         feature_log_prob=np.log(theta),
         absent_log_prob=np.log1p(-theta) if variant == "bernoulli" else None,
         alpha=alpha,
@@ -388,21 +384,22 @@ def train_nb(
     )
 
 
-def _nb_joint(model: BayesModel, rows: CSR) -> np.ndarray:
-    """(rows, 2) log joint probabilities, columns aligned with GENDERS."""
-    _check_range(rows.indices, model.n_features)
+def _nb_joint(model: BayesModel, ids: np.ndarray, values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """(rows, 2) log joint probabilities, columns aligned with GENDERS, for rows of the given lengths."""
+    _check_range(ids, model.n_features)
     if model.variant == "bernoulli":
         base = model.class_log_prior + model.absent_log_prob.sum(axis=1)
-        per_entry = (model.feature_log_prob - model.absent_log_prob)[:, rows.indices]
+        per_entry = (model.feature_log_prob - model.absent_log_prob)[:, ids]
     else:
         base = model.class_log_prior
-        per_entry = model.feature_log_prob[:, rows.indices] * rows.data
-    return base + np.column_stack([rows.row_sums(v) for v in per_entry])
+        per_entry = model.feature_log_prob[:, ids] * values
+    return base + np.column_stack([_row_sums(v, lengths) for v in per_entry])
 
 
 def nb_log_posterior(model: BayesModel, vector: FeatureVector) -> dict[str, float]:
     """Normalized log P(class | vector) for both classes."""
-    joint = _nb_joint(model, CSR.from_vectors([vector]))[0]
+    ids, values = np.array(vector.ids, dtype=np.intp), np.array(vector.values)
+    joint = _nb_joint(model, ids, values, np.array([len(ids)]))[0]
     m = float(joint.max())
     norm = m + math.log(float(np.exp(joint - m).sum()))
     return {g: float(joint[i] - norm) for i, g in enumerate(GENDERS)}
@@ -476,7 +473,7 @@ def train_tree(
         raise ConfigError("tree needs max_depth >= 1 and min_leaf >= 1")
     _check_representation(dataset, "tree")
     dim = len(dataset.space)
-    csr, labels, rows = dataset.layout
+    csr, labels, rows = dataset.csr, dataset.y, dataset.rows
 
     def grow(rows: np.ndarray, depth: int) -> TreeNode:
         nm = int(labels[rows].sum())
@@ -492,22 +489,22 @@ def train_tree(
     return TreeModel(root=grow(rows, 0), max_depth=max_depth, min_leaf=min_leaf, n_features=dim)
 
 
-def predict_batch(model, vectors: Sequence[FeatureVector]) -> list[str]:
-    """Predicted label for every vector; all ties resolve to female."""
-    rows = CSR.from_vectors(vectors)
+def _female(model, csr: CSR, rows: np.ndarray) -> np.ndarray:
+    """Whether the model predicts female for each of the given rows; all ties do."""
+    entries, lengths = csr.gather(rows)
+    ids, values = csr.indices[entries], csr.data[entries]
     if isinstance(model, LinearModel):
-        _check_range(rows.indices, len(model.weights))
-        female = rows.row_sums(model.weights[rows.indices] * rows.data) + model.bias >= 0
-    elif isinstance(model, BayesModel):
-        joint = _nb_joint(model, rows)
-        female = joint[:, 0] >= joint[:, 1]
-    elif isinstance(model, TreeModel):
-        _check_range(rows.indices, model.n_features)
-        female = np.zeros(len(vectors), dtype=bool)
-        _route(model.root, rows, np.arange(len(vectors)), female)
-    else:
-        raise TypeError(f"unknown model type {type(model).__name__}")
-    return [FEMALE if f else MALE for f in female.tolist()]
+        _check_range(ids, len(model.weights))
+        return _row_sums(model.weights[ids] * values, lengths) + model.bias >= 0
+    if isinstance(model, BayesModel):
+        joint = _nb_joint(model, ids, values, lengths)
+        return joint[:, 0] >= joint[:, 1]
+    if isinstance(model, TreeModel):
+        _check_range(ids, model.n_features)
+        female = np.zeros(len(csr.indptr) - 1, dtype=bool)
+        _route(model.root, csr, rows, female)
+        return female[rows]
+    raise TypeError(f"unknown model type {type(model).__name__}")
 
 
 def _route(node: TreeNode, csr: CSR, rows: np.ndarray, female: np.ndarray) -> None:
@@ -520,6 +517,12 @@ def _route(node: TreeNode, csr: CSR, rows: np.ndarray, female: np.ndarray) -> No
         _route(node.absent, csr, rows[~present], female)
 
 
+def predict_batch(model, vectors: Sequence[FeatureVector]) -> list[str]:
+    """Predicted label for every vector; all ties resolve to female."""
+    female = _female(model, CSR.from_vectors(vectors), np.arange(len(vectors)))
+    return [FEMALE if f else MALE for f in female.tolist()]
+
+
 def predict(model, vector: FeatureVector) -> str:
     """Predicted label for one vector; all ties resolve to female."""
     return predict_batch(model, [vector])[0]
@@ -527,24 +530,13 @@ def predict(model, vector: FeatureVector) -> str:
 
 def _train_for(classifier: str, dataset: Dataset, params: dict, seed: int):
     if classifier == "svm":
-        return train_svm(
-            dataset,
-            lam=params.get("lam", DEFAULT_SVM_LAMBDA),
-            epochs=params.get("epochs", DEFAULT_SVM_EPOCHS),
-            seed=seed,
-        )
+        return train_svm(dataset, lam=params.get("lam", DEFAULT_SVM_LAMBDA),
+                         epochs=params.get("epochs", DEFAULT_SVM_EPOCHS), seed=seed)
     if classifier in ("nb-bernoulli", "nb-multinomial"):
-        return train_nb(
-            dataset,
-            variant=classifier.split("-", 1)[1],
-            alpha=params.get("alpha", DEFAULT_NB_ALPHA),
-        )
+        return train_nb(dataset, variant=classifier[3:], alpha=params.get("alpha", DEFAULT_NB_ALPHA))
     if classifier == "tree":
-        return train_tree(
-            dataset,
-            max_depth=params.get("max_depth", DEFAULT_TREE_MAX_DEPTH),
-            min_leaf=params.get("min_leaf", DEFAULT_TREE_MIN_LEAF),
-        )
+        return train_tree(dataset, max_depth=params.get("max_depth", DEFAULT_TREE_MAX_DEPTH),
+                          min_leaf=params.get("min_leaf", DEFAULT_TREE_MIN_LEAF))
     raise ConfigError(f"unknown classifier {classifier!r}")
 
 
@@ -562,20 +554,19 @@ def cross_validate(
     params = params or {}
     sub_seeds = derive_seeds(seed, 1 + 2 * k)
     folds = stratified_folds(dataset, k, sub_seeds[0])
-    confusion = {a: {p: 0 for p in GENDERS} for a in GENDERS}
+    labels = dataset.y[dataset.rows]
+    cells = np.zeros(4, dtype=np.int64)  # (actual, predicted) counts, 0 female and 1 male
     per_fold: list[float] = []
     for fold_no, test_idx in enumerate(folds):
         train_ds = dataset.subset(np.setdiff1d(np.arange(len(dataset)), test_idx))
         if undersample_train:
             train_ds = undersample(train_ds, sub_seeds[1 + 2 * fold_no])
         model = _train_for(classifier, train_ds, params, sub_seeds[2 + 2 * fold_no])
-        correct = 0
-        for i, got in zip(test_idx, predict_batch(model, [dataset.vectors[i] for i in test_idx])):
-            actual = dataset.labels[i]
-            confusion[actual][got] += 1
-            if got == actual:
-                correct += 1
-        per_fold.append(correct / len(test_idx))
+        got = ~_female(model, dataset.csr, dataset.rows[test_idx])
+        actual = labels[test_idx]
+        cells += np.bincount(2 * actual + got, minlength=4)
+        per_fold.append(int((got == actual).sum()) / len(test_idx))
+    confusion = {a: {p: int(cells[2 * i + j]) for j, p in enumerate(GENDERS)} for i, a in enumerate(GENDERS)}
     return CVReport(
         per_fold_accuracy=tuple(per_fold),
         mean_accuracy=sum(per_fold) / len(per_fold),

@@ -122,16 +122,17 @@ def build_dataset(
     """Vectorize instances under one scheme/window/representation.
 
     Pass an existing space to vectorize a new batch against a fixed
-    vocabulary; otherwise the space is built from these instances.
+    vocabulary; otherwise the space is built from these instances. The
+    vectors are packed into the dataset's CSR here and then dropped.
     """
     terms = instance_terms(
         instances, scheme, window, pos_lexicon=pos_lexicon, lexicon=lexicon
     )
     if space is None:
         space = features.build_space(terms, min_df)
-    vectors = tuple(features.vectorize(t, space, representation) for t in terms)
-    labels = tuple(inst.label for inst in instances)
-    return Dataset(vectors=vectors, labels=labels, space=space), space
+    vectors = [features.vectorize(t, space, representation) for t in terms]
+    del terms  # the term counts outweigh the CSR: free them before it is packed
+    return Dataset.pack(vectors, [inst.label for inst in instances], space), space
 
 
 def build_doc_views(

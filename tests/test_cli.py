@@ -434,6 +434,39 @@ def test_sweep_combinations_checked_before_any_work(synth_corpus, monkeypatch, t
     assert calls == []
 
 
+
+@pytest.mark.parametrize("window", [("2009-01-01", "2001-01-01"), ("2005-06-15", "2005-06-15")],
+                         ids=["reversed", "empty"])
+@pytest.mark.parametrize("command", [["label"], ["stats", "--term", "husband"]], ids=["label", "stats"])
+def test_date_window_must_run_forwards(synth_corpus, monkeypatch, tmp_path, capsys, window, command):
+    from newsbias import pipeline
+
+    calls = []
+    monkeypatch.setattr(pipeline, "build_instances", lambda *a, **kw: calls.append(1))
+    monkeypatch.setattr(pipeline, "build_doc_views", lambda *a, **kw: calls.append(1))
+    config = {**json.loads(synth_corpus.read_text()), "pipeline": dict(zip(("date_from", "date_to"), window))}
+    bad = synth_corpus.with_name("bad.json")
+    bad.write_text(json.dumps(config))
+    assert run(*command, "--config", str(bad), "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert "pipeline.date_from" in err and "pipeline.date_to" in err
+    assert calls == [] and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "--term", "husband", "--groups", "female,nobody"],
+    ["stats", "--term", "husband", "--groups", ","],
+    ["stats", "--term", "mary keane"],
+    ["kwic", "mary keane"],
+], ids=["unknown-group", "no-group", "stats-phrase", "kwic-phrase"])
+def test_query_usage_checked_before_any_work(synth_corpus, monkeypatch, tmp_path, argv):
+    from newsbias import pipeline
+
+    calls = []
+    monkeypatch.setattr(pipeline, "build_doc_views", lambda *a, **kw: calls.append(1))
+    assert run(*argv, "--config", str(synth_corpus), "--out", str(tmp_path / "o")) == 1
+    assert calls == [] and not (tmp_path / "o").exists()
+
 def _flatten(config: dict) -> dict:
     flat = {}
     for key, value in config.items():
@@ -508,6 +541,9 @@ def _valid_value(key: str):
 def well_formed(draw):
     keys = draw(st.lists(st.sampled_from(sorted(cli.SCHEMA)), unique=True, max_size=12))
     values = {key: draw(_valid_value(key)) for key in keys}
+    # a window whose two dates are both set must run forwards
+    start, end = values.get("pipeline.date_from"), values.get("pipeline.date_to")
+    assume(not (start and end) or start < end)
     flags = set(draw(st.lists(st.sampled_from(keys), unique=True))) if keys else set()
     return {k: v for k, v in values.items() if k not in flags}, {k: v for k, v in values.items() if k in flags}
 

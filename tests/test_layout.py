@@ -3,7 +3,9 @@
 The references below are the per-vector algorithms the learners used
 before the layout: one row at a time, straight from each FeatureVector.
 Table entries and tree structure must match exactly; objectives and
-scores, whose sums now run in another order, within rounding.
+scores, whose sums now run in another order, within rounding. A dataset's
+CSR is checked against vectorize row by row, and the rows its subsets
+pick against string-label references.
 """
 
 from __future__ import annotations
@@ -13,17 +15,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newsbias import learn
+from newsbias import features, learn, pipeline
+from newsbias.corpus import LabeledInstance
 from newsbias.learn import (
     TreeNode,
     cross_validate,
     predict,
     predict_batch,
+    stratified_folds,
     svm_objective,
     train_nb,
     train_svm,
     train_tree,
+    undersample,
 )
+from newsbias.preprocess import tokenize
 from newsbias.rng import Rng
 
 from util import make_dataset
@@ -112,6 +118,30 @@ def ref_tree_predict(model, vector):
     return node.label
 
 
+def ref_undersample(labels, seed):
+    """Row positions undersample keeps, computed over string labels."""
+    n_female, n_male = labels.count(F), labels.count(M)
+    if n_female == n_male:
+        return list(range(len(labels)))
+    minority = F if n_female < n_male else M
+    majority_idx = [i for i, lab in enumerate(labels) if lab != minority]
+    keep = {i for i, lab in enumerate(labels) if lab == minority}
+    keep.update(majority_idx[p] for p in Rng(seed).sample_indices(len(majority_idx), labels.count(minority)))
+    return sorted(keep)
+
+
+def ref_folds(labels, k, seed):
+    """stratified_folds over string labels."""
+    rng = Rng(seed)
+    folds = [[] for _ in range(k)]
+    for label in (F, M):
+        idx = [i for i, lab in enumerate(labels) if lab == label]
+        rng.shuffle(idx)
+        for pos, i in enumerate(idx):
+            folds[pos % k].append(i)
+    return [sorted(f) for f in folds]
+
+
 # --- strategies ---
 
 @st.composite
@@ -148,11 +178,10 @@ def both_classes(ds):
 def test_subsets_share_vectors_and_address_the_root(sets):
     root, sub, subsub = sets
     for ds in (sub, subsub):
-        csr, labels, rows = ds.layout
-        assert csr is root.layout[0]
-        for vector, label, row in zip(ds.vectors, ds.labels, rows.tolist()):
+        assert ds.csr is root.csr and ds.y is root.y
+        for vector, label, row in zip(ds.vectors, ds.labels, ds.rows.tolist()):
             assert vector is root.vectors[row]
-            assert labels[row] == (label != F)
+            assert root.y[row] == (label != F)
 
 
 @SETTINGS
@@ -214,6 +243,71 @@ def test_predict_batch_matches_per_vector_reference(sets):
                 assert predict(model, vector) == label
 
 
+WORDS = ["budget", "health", "school", "road", "tax", "farm"]
+
+
+@st.composite
+def instance_lists(draw):
+    """Labeled instances over a few words, so that words repeat across rows."""
+    n = draw(st.integers(2, 12))
+    return [
+        LabeledInstance(
+            article_id=f"a{i}",
+            label=F if i == 0 else M if i == 1 else draw(st.sampled_from([F, M])),
+            politician_ids=("p",),
+            headline_mention=False,
+            stream=tokenize(" ".join(draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=10)))),
+        )
+        for i in range(n)
+    ]
+
+
+@SETTINGS
+@given(instance_lists(), st.sampled_from(["boolean", "count", "tfidf"]))
+def test_build_dataset_packs_what_vectorize_gives_row_by_row(instances, representation):
+    ds, space = pipeline.build_dataset(instances, scheme="unigram", representation=representation, min_df=1)
+    want = [features.vectorize(t, space, representation) for t in pipeline.instance_terms(instances, "unigram")]
+    assert ds.csr.representation == representation
+    assert ds.csr.indptr.tolist() == [0, *np.cumsum([len(v) for v in want]).tolist()]
+    assert ds.csr.indices.tolist() == [i for v in want for i in v.ids]
+    assert ds.csr.data.tolist() == [x for v in want for x in v.values]
+    assert ds.rows.tolist() == list(range(len(instances)))
+    assert ds.labels == tuple(inst.label for inst in instances)
+    # the per-row view holds the same vectors; boolean rows share the one 1.0
+    assert ds.vectors == tuple(want)
+    if representation == "boolean":
+        assert len({id(x) for v in ds.vectors for x in v.values}) <= 1
+
+
+@SETTINGS
+@given(st.lists(st.sampled_from([F, M]), min_size=2, max_size=40), st.integers(0, 2**64 - 1), st.data())
+def test_int8_labels_pick_the_same_rows_as_string_labels(labels, seed, data):
+    # ids above 256, which the interpreter does not cache, show whether the view shares one int per id
+    root = make_dataset([([300 + i % 3], lab) for i, lab in enumerate(labels)], n_features=303)
+    shared = {}
+    assert all(shared.setdefault(i, i) is i for v in root.vectors for i in v.ids)
+    idx = data.draw(st.lists(st.integers(0, len(labels) - 1), min_size=2, max_size=60))
+    sub = root.subset(idx)
+    for ds, labs in ((root, labels), (sub, [labels[i] for i in idx])):
+        assert ds.labels == tuple(labs)
+        assert ds.class_counts() == {F: labs.count(F), M: labs.count(M)}
+        derived = [ds]
+        if F in labs and M in labs:
+            kept = undersample(ds, seed)
+            assert kept.rows.tolist() == ds.rows[ref_undersample(labs, seed)].tolist()
+            derived.append(kept)
+        k = data.draw(st.integers(2, 5))
+        if min(labs.count(F), labs.count(M)) >= k:
+            folds = stratified_folds(ds, k, seed)
+            assert folds == ref_folds(labs, k, seed)
+            derived.extend(ds.subset(fold) for fold in folds if len(fold) >= 2)
+        # every subset reads the root's one per-row view
+        view = root.vectors
+        for d in derived:
+            assert d.csr is root.csr
+            assert all(v is view[row] for v, row in zip(d.vectors, d.rows.tolist()))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**64 - 1), st.integers(0, 50))
 def test_shuffle_equals_randbelow_spec_and_leaves_same_state(seed, n):
@@ -251,8 +345,7 @@ def test_cross_validate_fits_through_module_attributes(monkeypatch, classifier, 
 
 
 def test_out_of_range_id_is_rejected_once_per_layout():
-    ds = make_dataset([([0], F), ([5], M)], n_features=2)
-    for train in (train_nb, train_tree, lambda d: train_svm(d, epochs=1)):
-        with pytest.raises(ValueError, match="vector id 5 out of range for 2 features"):
-            train(ds.subset([0, 1]))
+    # checked once, when the CSR is packed, before any learner sees it
+    with pytest.raises(ValueError, match="vector id 5 out of range for 2 features"):
+        make_dataset([([0], F), ([5], M)], n_features=2)
 

@@ -36,9 +36,7 @@ def make_dataset(rows, n_features: int, representation: str = "boolean") -> Data
         pairs = [(i, 1.0) if isinstance(i, int) else i for i in ids]
         vectors.append(make_vec(pairs, representation))
         labels.append(label)
-    return Dataset(
-        vectors=tuple(vectors), labels=tuple(labels), space=make_space(n_features)
-    )
+    return Dataset.pack(vectors, labels, make_space(n_features))
 
 
 def write_articles(path, rows) -> None:
