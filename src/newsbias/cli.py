@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, corpus, features, interpret, learn, pipeline, preprocess, synth
-from .errors import ConfigError, DataError, NewsbiasError
+from .errors import ConfigError, DataError, NewsbiasError, read_text
 
 
 def _parse_planted(raw) -> synth.PlantedTerm:
@@ -114,10 +114,8 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
     overrides (keyed like the table); every key is checked against the table."""
     user = {}
     if path is not None:
-        if not Path(path).exists():
-            raise ConfigError(f"config file not found: {path}")
         try:
-            user = json.loads(Path(path).read_text(encoding="utf-8"))
+            user = json.loads(read_text(path, "config file", ConfigError))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc.msg}") from None
         if not isinstance(user, dict):
@@ -520,6 +518,8 @@ def cmd_stats(config: dict, terms: list[str], groups: list[str], portfolio: str 
     unknown = [group for group in groups if group not in corpus.GENDERS]
     if unknown or not groups:
         raise ConfigError(f"unknown group {unknown[0]!r}" if unknown else "--groups names no group")
+    if len(set(groups)) < len(groups):
+        raise ConfigError(f"--groups names a group twice: {','.join(groups)}")
     run = _Run("stats", config)
     registry, (date_from, date_to), views = _build_views(config)
     # years in office cover the counted dates: an unset side takes the registry's bound

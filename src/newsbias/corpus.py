@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import preprocess
-from .errors import DataError
+from .errors import DataError, read_text
 from .preprocess import (
     FORM_FULL,
     FORM_GIVEN,
@@ -125,28 +125,25 @@ def _article_from_record(obj: dict, record_no: int) -> Article:
 
 def load_articles(path: str | Path) -> list[Article]:
     """Load articles in input order, rejecting duplicates and bad records."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"article file not found: {path}")
     articles: list[Article] = []
     seen: set[str] = set()
     record_no = 0
-    with path.open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            record_no += 1
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"malformed record at line {line_no}: {exc.msg}") from None
-            if not isinstance(obj, dict):
-                raise DataError(f"malformed record at line {line_no}: not an object")
-            art = _article_from_record(obj, record_no)
-            if art.id in seen:
-                raise DataError(f"duplicate article id {art.id!r}")
-            seen.add(art.id)
-            articles.append(art)
+    # lines end at "\n" only: str.splitlines would also break at a U+2028 inside a JSON string
+    for line_no, line in enumerate(read_text(path, "article file").split("\n"), start=1):
+        if not line.strip():
+            continue
+        record_no += 1
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"malformed record at line {line_no}: {exc.msg}") from None
+        if not isinstance(obj, dict):
+            raise DataError(f"malformed record at line {line_no}: not an object")
+        art = _article_from_record(obj, record_no)
+        if art.id in seen:
+            raise DataError(f"duplicate article id {art.id!r}")
+        seen.add(art.id)
+        articles.append(art)
     return articles
 
 
@@ -172,11 +169,8 @@ def save_articles(articles: Iterable[Article], path: str | Path) -> None:
 
 def load_registry(path: str | Path) -> list[PoliticianRecord]:
     """Load and validate the politician registry (single JSON document)."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"registry file not found: {path}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(read_text(path, "registry file"))
     except json.JSONDecodeError as exc:
         raise DataError(f"malformed registry: {exc.msg}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("politicians"), list):

@@ -3,8 +3,12 @@
 Kept deliberately small: loaders and validators raise DataError (bad
 input files, broken invariants in user data), configuration handling
 raises ConfigError, and InvariantError flags bugs in our own pipeline
-state. The CLI maps these onto distinct exit codes.
+state. The CLI maps these onto distinct exit codes. Every input file is
+read through read_text, so a file that cannot be read is a DataError
+(a ConfigError for the config file) like any other bad input.
 """
+
+from pathlib import Path
 
 
 class NewsbiasError(Exception):
@@ -21,3 +25,13 @@ class DataError(NewsbiasError):
 
 class InvariantError(NewsbiasError):
     """An internal pipeline invariant was violated."""
+
+
+def read_text(path: str | Path, what: str, error: type[NewsbiasError] = DataError) -> str:
+    """The file's UTF-8 text; a file that is missing, a directory, unreadable
+    or not UTF-8 raises error, naming what the file is and its path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = "not valid UTF-8" if isinstance(exc, UnicodeDecodeError) else exc.strerror or exc
+        raise error(f"cannot read {what} {path}: {reason}") from None

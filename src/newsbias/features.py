@@ -18,8 +18,8 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import LabeledInstance
-from .errors import ConfigError, DataError
-from .preprocess import MARKER, WORD, TokenStream
+from .errors import ConfigError, DataError, read_text
+from .preprocess import MARKER, WORD, TokenStream, marker_sentences
 
 # feature kinds
 UNIGRAM = "unigram"
@@ -94,10 +94,8 @@ class FeatureSpace:
 def load_lexicon(path: str | Path, name: str | None = None) -> LexiconSet:
     """Parse `WORD<TAB>CAT1,CAT2,...` lines into category word sets."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"lexicon file not found: {path}")
     categories: dict[str, set[str]] = {}
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, line in enumerate(read_text(path, "lexicon file").splitlines(), start=1):
         entry = line.split("#", 1)[0].rstrip()
         if not entry.strip():
             continue
@@ -119,10 +117,8 @@ def load_lexicon(path: str | Path, name: str | None = None) -> LexiconSet:
 def load_pos_lexicon(path: str | Path) -> PosLexicon:
     """Parse `word<TAB>PRIMARYTAG<TAB>alt1,alt2` lines (alt tags optional, only validated)."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"POS lexicon file not found: {path}")
     primary: dict[str, str] = {}
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, line in enumerate(read_text(path, "POS lexicon file").splitlines(), start=1):
         entry = line.split("#", 1)[0].rstrip()
         if not entry.strip():
             continue
@@ -144,11 +140,8 @@ def load_pos_lexicon(path: str | Path) -> PosLexicon:
 def _window_token_indices(stream: TokenStream, window: str) -> Iterable[int]:
     if window == "article" or not stream.sentence_spans:
         return range(len(stream.tokens))
-    indices: list[int] = []
-    for start, end in stream.sentence_spans:
-        if any(stream.tokens[i].kind == MARKER for i in range(start, end)):
-            indices.extend(range(start, end))
-    return indices
+    spans = stream.sentence_spans
+    return [i for s in sorted(marker_sentences(stream)) for i in range(*spans[s])]
 
 
 def extract_terms(

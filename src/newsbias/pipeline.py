@@ -2,8 +2,9 @@
 
 These helpers chain the lower modules in the canonical order so that
 the CLI, the demos, and tests all agree on how a corpus is prepared.
-The masking chain (mask, drop stopwords, stem) lives in one place here,
-so labeled instances and masked query views hold the same stream.
+The masking chain (mask and drop stopwords in one pass, then stem)
+lives in one place here, so labeled instances and masked query views
+hold the same stream.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .corpus import GENDERS, Article, LabeledInstance, PoliticianRecord
 from .features import FeatureSpace, LexiconSet, PosLexicon
 from .interpret import DocView
 from .learn import Dataset
-from .preprocess import DEFAULT_GENDERED_SIGNALS, MARKER, TokenStream
+from .preprocess import DEFAULT_GENDERED_SIGNALS, TokenStream
 
 
 def filter_by_date(
@@ -36,20 +37,11 @@ def filter_by_date(
     return out
 
 
-def _masked_stream(
-    scan: corpus.ArticleScan,
-    signals: frozenset[str],
-    stoplist: frozenset[str] | None,
-    apply_stem: bool,
-) -> TokenStream:
-    """The text the classifiers see: mentions and gender signals masked,
-    then stopwords dropped and words stemmed when asked."""
-    stream = preprocess.mask_gender_signals(scan.stream, scan.mention_spans, signals)
-    if stoplist:
-        stream = preprocess.remove_stopwords(stream, stoplist)
-    if apply_stem:
-        stream = preprocess.stem(stream)
-    return stream
+def _masked_stream(scan: corpus.ArticleScan, dropped: frozenset[str], apply_stem: bool) -> TokenStream:
+    """The text the classifiers see: mentions masked and the dropped words
+    deleted in one pass, then words stemmed when asked."""
+    stream = preprocess.mask_gender_signals(scan.stream, scan.mention_spans, dropped)
+    return preprocess.stem(stream) if apply_stem else stream
 
 
 def build_instances(
@@ -71,11 +63,12 @@ def build_instances(
     a pair of instances.
     """
     gender_of = {r.id: r.gender for r in registry}
+    dropped = signals | stoplist if stoplist else signals
     instances: list[LabeledInstance] = []
     for scan in corpus.scan_corpus(filter_by_date(articles, date_from, date_to), registry):
         if not scan.matches:
             continue
-        stream = _masked_stream(scan, signals, stoplist, apply_stem)
+        stream = _masked_stream(scan, dropped, apply_stem)
         for gender in GENDERS:
             matches = [m for m in scan.matches if gender_of[m.politician_id] == gender]
             if matches:
@@ -152,23 +145,16 @@ def build_doc_views(
     Group membership is the set of genders the article features.
     """
     gender_of = {r.id: r.gender for r in registry}
+    dropped = signals | stoplist if stoplist else signals
     views: list[DocView] = []
     for scan in corpus.scan_corpus(articles, registry):
         groups = frozenset(gender_of[m.politician_id] for m in scan.matches)
         if masked:
-            stream = _masked_stream(scan, signals, stoplist, apply_stem)
-            positions = [i for i, t in enumerate(stream.tokens) if t.kind == MARKER]
+            stream = _masked_stream(scan, dropped, apply_stem)
+            mention_sentences = preprocess.marker_sentences(stream)
         else:
             stream = scan.stream
-            positions = [span.start for span in scan.mention_spans]
-        views.append(
-            DocView(
-                article_id=scan.article.id,
-                stream=stream,
-                groups=groups,
-                mention_sentences=frozenset(
-                    preprocess.sentence_ids(stream.sentence_spans, positions)
-                ) - {None},
-            )
-        )
+            starts = [span.start for span in scan.mention_spans]
+            mention_sentences = frozenset(preprocess.sentence_ids(stream.sentence_spans, starts))
+        views.append(DocView(scan.article.id, stream, groups, mention_sentences))
     return views

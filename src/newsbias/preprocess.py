@@ -1,16 +1,18 @@
 """Tokenization, sentence splitting, and gender-signal masking.
 
 The pipeline order is: tokenize -> split_sentences -> mask_gender_signals
--> (optionally) remove_stopwords -> (optionally) stem. All operations are
-pure and return new TokenStream values, so they are safe to run
-data-parallel per article.
+(which drops the gender signals and, when configured, the stopwords in
+one pass) -> (optionally) stem. All operations are pure and return new
+TokenStream values, so they are safe to run data-parallel per article.
 
 Tokens are frozen and shared: tokenize and stem hand out one Token per
 (surface, kind) pair, and memoise their per-string work (the tokens of
 each whitespace-delimited chunk, the Porter stem of each word), so it
 runs once per distinct string rather than once per occurrence. Each
 memo empties itself once it holds _CACHE_LIMIT entries; the memos change
-no output.
+no output. A Token of kind MARKER must carry one of MARKER_SURFACES;
+Token checks this when made, and masking takes its markers from the
+shared tokens too, so the check runs once per distinct token.
 
 Masking deletes grammatical gender signals (pronouns and titles, see
 DEFAULT_GENDERED_SIGNALS) and replaces each politician mention with a
@@ -30,7 +32,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from . import porter
-from .errors import DataError, InvariantError
+from .errors import InvariantError, read_text
 
 # token kinds
 WORD = "word"
@@ -75,6 +77,10 @@ class Token:
     surface: str
     kind: str
 
+    def __post_init__(self):
+        if self.kind == MARKER and self.surface not in MARKER_SURFACES:
+            raise InvariantError(f"unknown marker token {self.surface!r}")
+
 
 @dataclass(frozen=True, slots=True)
 class MentionSpan:
@@ -107,9 +113,6 @@ class TokenStream:
                 expected = end
             if expected != len(self.tokens):
                 raise InvariantError("sentence spans must cover all tokens")
-        for tok in self.tokens:
-            if tok.kind == MARKER and tok.surface not in MARKER_SURFACES:
-                raise InvariantError(f"unknown marker token {tok.surface!r}")
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -223,26 +226,15 @@ def sentence_ids(
     return out
 
 
-def _reindex_spans(
-    spans: Sequence[tuple[int, int]], new_pos: Sequence[int]
-) -> tuple[tuple[int, int], ...]:
-    # new_pos[i] = number of output tokens emitted for input tokens < i;
-    # sentences that end up empty are dropped
-    out = []
-    for start, end in spans:
-        a, b = new_pos[start], new_pos[end]
-        if b > a:
-            out.append((a, b))
-    return tuple(out)
-
-
 def mask_gender_signals(
     stream: TokenStream,
     mentions: Sequence[MentionSpan],
     signals: frozenset[str] = DEFAULT_GENDERED_SIGNALS,
 ) -> TokenStream:
-    """Delete gender-signal words and collapse each mention span to one marker.
+    """Delete the words in signals and collapse each mention span to one marker.
 
+    This is the one loop that deletes tokens and reindexes sentence
+    spans: pass signals | stoplist to drop stopwords in the same pass.
     Mention spans must be disjoint and within bounds (they come from the
     matcher, which guarantees both); overlap is an upstream contract
     violation and raises. All other tokens pass through unchanged,
@@ -266,7 +258,7 @@ def mask_gender_signals(
         new_pos[i] = len(out)
         span = marker_at.get(i)
         if span is not None:
-            out.append(Token(MARKER_FOR_FORM[span.form], MARKER))
+            out.append(_TOKENS[(MARKER_FOR_FORM[span.form], MARKER)])
             for j in range(i + 1, span.end):
                 new_pos[j] = len(out) - 1
             i = span.end
@@ -276,19 +268,22 @@ def mask_gender_signals(
             out.append(tok)
         i += 1
     new_pos[n] = len(out)
-    return TokenStream(tuple(out), _reindex_spans(stream.sentence_spans, new_pos))
+    # new_pos[i] = number of output tokens emitted for input tokens < i;
+    # sentences that end up empty are dropped
+    spans = tuple((new_pos[s], new_pos[e]) for s, e in stream.sentence_spans if new_pos[e] > new_pos[s])
+    return TokenStream(tuple(out), spans)
 
 
 def remove_stopwords(stream: TokenStream, stoplist: frozenset[str]) -> TokenStream:
     """Drop word tokens found in the stoplist; markers are never removed."""
-    out: list[Token] = []
-    new_pos = [0] * (len(stream.tokens) + 1)
-    for i, tok in enumerate(stream.tokens):
-        new_pos[i] = len(out)
-        if not (tok.kind == WORD and tok.surface in stoplist):
-            out.append(tok)
-    new_pos[len(stream.tokens)] = len(out)
-    return TokenStream(tuple(out), _reindex_spans(stream.sentence_spans, new_pos))
+    return mask_gender_signals(stream, (), stoplist)
+
+
+def marker_sentences(stream: TokenStream) -> frozenset[int]:
+    """Indices of the sentence spans that hold a name marker: the sentences
+    of masked text that mention a politician."""
+    positions = [i for i, tok in enumerate(stream.tokens) if tok.kind == MARKER]
+    return frozenset(sentence_ids(stream.sentence_spans, positions)) - {None}
 
 
 def stem(stream: TokenStream) -> TokenStream:
@@ -300,11 +295,8 @@ def stem(stream: TokenStream) -> TokenStream:
 
 def load_wordlist(path: str | Path) -> frozenset[str]:
     """One lowercase token per line; blank lines and '#' comments ignored."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"word list not found: {path}")
     words = set()
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in read_text(path, "word list").splitlines():
         entry = line.split("#", 1)[0].strip()
         if entry:
             words.add(entry.lower())

@@ -458,7 +458,8 @@ def test_date_window_must_run_forwards(synth_corpus, monkeypatch, tmp_path, caps
     ["stats", "--term", "husband", "--groups", ","],
     ["stats", "--term", "mary keane"],
     ["kwic", "mary keane"],
-], ids=["unknown-group", "no-group", "stats-phrase", "kwic-phrase"])
+    ["stats", "--term", "husband", "--groups", "female,male,female"],
+], ids=["unknown-group", "no-group", "stats-phrase", "kwic-phrase", "repeated-group"])
 def test_query_usage_checked_before_any_work(synth_corpus, monkeypatch, tmp_path, argv):
     from newsbias import pipeline
 
@@ -466,6 +467,30 @@ def test_query_usage_checked_before_any_work(synth_corpus, monkeypatch, tmp_path
     monkeypatch.setattr(pipeline, "build_doc_views", lambda *a, **kw: calls.append(1))
     assert run(*argv, "--config", str(synth_corpus), "--out", str(tmp_path / "o")) == 1
     assert calls == [] and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("bad", ["directory", "not-utf8"])
+@pytest.mark.parametrize("key", ["config", "articles", "registry", "stoplist", "signals",
+                                 "lexicons", "pos_lexicon"])
+def test_unreadable_input_file_is_a_config_or_data_error(synth_corpus, tmp_path, capsys, key, bad):
+    path = tmp_path / "bad"
+    if bad == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xffthe\n")
+    config = json.loads(synth_corpus.read_text())
+    stoplist = tmp_path / "stoplist.txt"
+    stoplist.write_text("the\n")
+    config["paths"]["stoplist"] = str(stoplist)
+    config["pipeline"] = {"remove_stopwords": True}
+    if key != "config":
+        config["paths"][key] = [str(path)] if key == "lexicons" else str(path)
+    config_path = tmp_path / "probe.json"
+    config_path.write_text(json.dumps(config))
+    given = path if key == "config" else config_path
+    assert run("rank", "--config", str(given), "--out", str(tmp_path / "o")) == (1 if key == "config" else 2)
+    assert str(path) in capsys.readouterr().err
+
 
 def _flatten(config: dict) -> dict:
     flat = {}

@@ -6,7 +6,7 @@ import datetime
 
 import pytest
 
-from newsbias import corpus, pipeline, synth
+from newsbias import corpus, features, pipeline, synth
 from newsbias.errors import DataError
 from newsbias.preprocess import MARKER
 
@@ -103,6 +103,12 @@ def test_instances_and_views_share_one_prepared_stream(small_corpus, stoplist, a
     scans = corpus.scan_corpus(articles, registry)
     assert {i.article_id for i in instances} == {s.article.id for s in scans if s.matches}
     for inst in instances:
-        assert masked[inst.article_id].stream == inst.stream
+        view = masked[inst.article_id]
+        assert view.stream == inst.stream
+        # the sentence window reads exactly the sentences the view marks as mentions
+        spans = view.stream.sentence_spans
+        assert [inst.stream.tokens[i] for i in features._window_token_indices(inst.stream, "sentence")] == [
+            tok for s in sorted(view.mention_sentences) for tok in view.stream.tokens[slice(*spans[s])]
+        ]
     # raw views are the scanned text, whatever the stoplist and stemming settings
     assert [v.stream for v in raw] == [s.stream for s in scans]

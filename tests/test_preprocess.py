@@ -20,6 +20,7 @@ from newsbias.preprocess import (
     Token,
     TokenStream,
     concat_streams,
+    marker_sentences,
     mask_gender_signals,
     remove_stopwords,
     sentence_ids,
@@ -282,8 +283,10 @@ def test_stream_rejects_bad_spans():
 
 
 def test_stream_rejects_unknown_marker():
+    # the check runs where a marker token is made, once per distinct token
     with pytest.raises(InvariantError):
         TokenStream((Token("NAMEFORM_NICKNAME", MARKER),))
+    assert Token("NAMEFORM_NICKNAME", WORD).kind == WORD
 
 
 # --- shared tokens and memoised stems, against per-occurrence references ---
@@ -390,3 +393,80 @@ def spans_and_positions(draw):
 def test_sentence_ids_equal_linear_scan(case):
     spans, positions = case
     assert sentence_ids(spans, positions) == ref_sentence_ids(spans, positions)
+
+
+# --- the one masking pass, against the chain of separate passes ---
+
+def ref_remove_stopwords(stream, stoplist):
+    # the separate stopword pass that masking now folds in
+    out = []
+    new_pos = [0] * (len(stream.tokens) + 1)
+    for i, tok in enumerate(stream.tokens):
+        new_pos[i] = len(out)
+        if not (tok.kind == WORD and tok.surface in stoplist):
+            out.append(tok)
+    new_pos[len(stream.tokens)] = len(out)
+    spans = tuple((new_pos[s], new_pos[e]) for s, e in stream.sentence_spans if new_pos[e] > new_pos[s])
+    return TokenStream(tuple(out), spans)
+
+
+def ref_marker_sentences(stream):
+    return frozenset(
+        idx for idx, (start, end) in enumerate(stream.sentence_spans)
+        if any(tok.kind == MARKER for tok in stream.tokens[start:end])
+    )
+
+
+# signals, stopwords, words that look like markers, and the words between
+MASK_WORDS = ["she", "his", "mr", "the", "a", "of", "said", "plan", "ministers",
+              "nameform_full", "NAMEFORM_SURNAME", "marker"]
+MASK_TOKENS = (
+    [Token(w, WORD) for w in MASK_WORDS]
+    + [Token(".", PUNCT), Token("3", NUMBER), Token("NAMEFORM_GIVEN", MARKER)]
+)
+STOPLISTS = st.frozensets(st.sampled_from(MASK_WORDS + ["he", "nameform_given", "NAMEFORM_GIVEN"]))
+
+
+@st.composite
+def masking_cases(draw):
+    """A stream with or without sentence spans (short sentences, so some end up
+    empty), disjoint mention spans over it, a signal list and a stoplist."""
+    tokens = tuple(draw(st.lists(st.sampled_from(MASK_TOKENS), max_size=30)))
+    n = len(tokens)
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n // 2))) if n > 1 else []
+    bounds = [0, *cuts, n]
+    spans = tuple(zip(bounds, bounds[1:])) if n and draw(st.booleans()) else ()
+    mentions, pos = [], 0
+    while pos < n and draw(st.booleans()):
+        start = draw(st.integers(pos, n - 1))
+        end = draw(st.integers(start + 1, min(n, start + 3)))
+        mentions.append(MentionSpan(start, end, draw(st.sampled_from(["full", "surname", "given"]))))
+        pos = end
+    signals = draw(st.sampled_from([DEFAULT_GENDERED_SIGNALS, frozenset({"said", "the"}), frozenset()]))
+    return TokenStream(tokens, spans), mentions, signals, draw(STOPLISTS)
+
+
+@settings(max_examples=400, deadline=None)
+@given(masking_cases(), st.booleans())
+def test_one_masking_pass_equals_mask_then_stopwords_then_stem(case, apply_stem):
+    stream, mentions, signals, stoplist = case
+    three = ref_remove_stopwords(mask_gender_signals(stream, mentions, signals), stoplist)
+    one = mask_gender_signals(stream, mentions, signals | stoplist)
+    if apply_stem:
+        three, one = stem(three), stem(one)
+    assert one.tokens == three.tokens
+    assert one.sentence_spans == three.sentence_spans
+    assert remove_stopwords(stream, stoplist) == ref_remove_stopwords(stream, stoplist)
+
+
+@settings(max_examples=300, deadline=None)
+@given(masking_cases())
+def test_marker_sentences_equal_a_scan_of_each_sentence(case):
+    stream, mentions, signals, stoplist = case
+    for s in (stream, mask_gender_signals(stream, mentions, signals | stoplist)):
+        assert marker_sentences(s) == ref_marker_sentences(s)
+
+
+def test_masking_hands_out_the_shared_marker_token():
+    got = mask_gender_signals(tokenize("mary harney spoke"), [MentionSpan(0, 2, "full")])
+    assert got.tokens[0] is preprocess._TOKENS[("NAMEFORM_FULL", MARKER)]
