@@ -40,7 +40,7 @@ for classifier, dataset in [
     print(f"{classifier:15s} mean accuracy {report.mean_accuracy:.3f}")
 
 print("\n=== discriminative features (linear weights) ===")
-model = train_svm(dataset_bool, seed=1)
+model = train_svm(dataset_bool)
 ranked = rank_features(model, space, k=8)
 print("female-associated:", ", ".join(f"{s} ({w:+.2f})" for s, _, w in ranked.female))
 print("male-associated:  ", ", ".join(f"{s} ({w:+.2f})" for s, _, w in ranked.male))

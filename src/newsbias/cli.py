@@ -446,15 +446,9 @@ def cmd_rank(config: dict) -> int:
         pos_lexicon=pos_lexicon,
         lexicon=lexicon,
     )
-    seed = config["seed"]
     if config["evaluate"]["undersample"]:
-        dataset = learn.undersample(dataset, seed)
-    model = learn.train_svm(
-        dataset,
-        lam=config["classifier"]["lam"],
-        epochs=config["classifier"]["epochs"],
-        seed=seed,
-    )
+        dataset = learn.undersample(dataset, config["seed"])
+    model = learn.train_svm(dataset, lam=config["classifier"]["lam"], epochs=config["classifier"]["epochs"])
     k = config["interpret"]["k"]
     ranked = interpret.rank_features(model, space, k)
     payload = {
@@ -462,6 +456,7 @@ def cmd_rank(config: dict) -> int:
         "descriptor": f"{fconf['scheme']}/{fconf['window']}/{fconf['representation']}/svm",
         "female": [{"surface": s, "kind": kd, "weight": w} for s, kd, w in ranked.female],
         "male": [{"surface": s, "kind": kd, "weight": w} for s, kd, w in ranked.male],
+        "fit": {"iterations": model.iterations, "gap": model.gap},
     }
     run.write_json("ranked_features.json", payload)
     fh, writer = _open_csv(run.path("ranked_features.csv"))

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import preprocess
-from .errors import DataError, read_text
+from .errors import DataError, read_lines, read_text
 from .preprocess import (
     FORM_FULL,
     FORM_GIVEN,
@@ -129,7 +129,7 @@ def load_articles(path: str | Path) -> list[Article]:
     seen: set[str] = set()
     record_no = 0
     # lines end at "\n" only: str.splitlines would also break at a U+2028 inside a JSON string
-    for line_no, line in enumerate(read_text(path, "article file").split("\n"), start=1):
+    for line_no, line in enumerate(read_lines(path, "article file"), start=1):
         if not line.strip():
             continue
         record_no += 1

@@ -1,17 +1,19 @@
 """Classifier training and stratified cross-validated evaluation.
 
 Three model families are implemented from first principles so that
-every quantity is inspectable: a linear SVM fit by Pegasos-style
-stochastic sub-gradient descent on the hinge loss, Naive Bayes in
-Bernoulli and multinomial variants, and a C4.5-flavoured decision tree
-over presence/absence splits. Evaluation is stratified k-fold
-cross-validation with optional under-sampling of the training portion.
+every quantity is inspectable: a linear SVM on the hinge loss fit by
+cutting planes (OCAS), Naive Bayes in Bernoulli and multinomial
+variants, and a C4.5-flavoured decision tree over presence/absence
+splits. Evaluation is stratified k-fold cross-validation with optional
+under-sampling of the training portion.
 
-Determinism: every randomized step keys off an explicit 64-bit seed via
+Determinism: no learner draws random numbers; the randomized steps
+(fold shuffles and under-sampling) key off an explicit 64-bit seed via
 the generators in newsbias.rng. cross_validate derives its sub-seeds
-from the master seed with SplitMix64, consuming them in a fixed order
-(fold shuffle first, then one under-sampling seed and one training seed
-per fold), so a report is byte-for-byte reproducible.
+from the master seed with SplitMix64 in a fixed layout (fold shuffle
+first, then two per fold: the under-sampling seed and one no learner
+reads, kept so the under-sampling seeds stay where they have always
+been), so a report is byte-for-byte reproducible.
 
 Ties (zero scores, equal posteriors, equal leaf counts) always resolve
 to "female", the lexicographically smaller label.
@@ -23,7 +25,7 @@ import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +39,11 @@ DEFAULT_SVM_EPOCHS = 20
 DEFAULT_NB_ALPHA = 1.0
 DEFAULT_TREE_MAX_DEPTH = 10
 DEFAULT_TREE_MIN_LEAF = 2
+
+# an svm fit stops once its certified relative gap is this small
+SVM_GAP_TOLERANCE = 1e-3
+# how far on from the best point, towards the model's minimiser, each new cut is placed
+_CUT_STEP = 0.1
 
 # the vector representations each classifier accepts
 ACCEPTS = {"svm": REPRESENTATIONS, "nb-bernoulli": ("boolean",),
@@ -157,12 +164,18 @@ class Dataset:
 
 @dataclass(frozen=True, eq=False)
 class LinearModel:
-    """Dense linear separator; scores > 0 (and exact ties) mean female."""
+    """Dense linear separator; scores > 0 (and exact ties) mean female.
+
+    A fit records its objective after each iteration, how many iterations
+    it ran and the certified relative gap it stopped at.
+    """
 
     weights: np.ndarray
     bias: float
     positive_class: str = FEMALE
     epoch_objectives: tuple[float, ...] = ()
+    iterations: int = 0
+    gap: float = math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,7 +213,8 @@ class TreeModel:
 
 @dataclass(frozen=True)
 class CVReport:
-    """Per-fold accuracies plus an aggregate confusion matrix."""
+    """Per-fold accuracies plus an aggregate confusion matrix; for the svm,
+    also each fold's iteration count and certified gap."""
 
     per_fold_accuracy: tuple[float, ...]
     mean_accuracy: float
@@ -208,9 +222,14 @@ class CVReport:
     seed: int
     descriptor: str
     n_instances: int
+    per_fold_fit: tuple[dict, ...] = ()
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "per_fold_accuracy": list(self.per_fold_accuracy)}
+        report = {**asdict(self), "per_fold_accuracy": list(self.per_fold_accuracy),
+                  "per_fold_fit": list(self.per_fold_fit)}
+        if not self.per_fold_fit:
+            del report["per_fold_fit"]
+        return report
 
 
 def undersample(dataset: Dataset, seed: int) -> Dataset:
@@ -266,78 +285,184 @@ def svm_objective(
     return 0.5 * lam * float(weights @ weights) + float(hinge.sum()) / len(dataset)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of a * b by numpy's own summation, whose order, unlike BLAS's, does
+    not depend on how many threads BLAS runs."""
+    return float(np.multiply(a, b).sum())
+
+
+def _simplex_qp(gram: np.ndarray, offsets: np.ndarray, lam: float, alpha: np.ndarray) -> np.ndarray:
+    """argmax over the simplex of offsets @ a - a @ gram @ a / (2 lam), by a
+    primal active-set method started from the feasible alpha.
+
+    A ridge of 1e-10 of gram's largest diagonal keeps every working-set
+    system solvable when cuts are linearly dependent; the answer is always
+    on the simplex, so the dual value it gives is a valid lower bound.
+    """
+    q = gram + np.eye(len(gram)) * max(1e-10 * float(gram.diagonal().max()), 1e-300)
+    r = lam * offsets
+    tol = 1e-12 * max(float(q.diagonal().max()), float(np.abs(r).max()))
+    alpha, free = alpha.copy(), alpha > 0
+    # capped against cycling on degenerate cuts: every alpha on the way is feasible
+    for _ in range(4 * len(alpha) + 20):
+        on = np.flatnonzero(free)
+        kkt = np.zeros((len(on) + 1, len(on) + 1))
+        kkt[:-1, :-1] = q[np.ix_(on, on)]
+        kkt[:-1, -1] = -1.0
+        kkt[-1, :-1] = 1.0
+        solution = np.linalg.solve(kkt, np.append(r[on], 1.0))
+        target, level = solution[:-1], solution[-1]
+        if (target >= 0).all():
+            alpha = np.zeros(len(alpha))
+            alpha[on] = target
+            # a zero coordinate may enter when its multiplier is negative
+            multipliers = (q * alpha).sum(axis=1) - r - level
+            multipliers[on] = np.inf
+            enter = int(np.argmin(multipliers))
+            if multipliers[enter] >= -tol:
+                break
+            free[enter] = True
+        else:
+            # step towards the target until the first coordinate reaches zero, and fix it there
+            step = target - alpha[on]
+            shrinking = np.flatnonzero(step < 0)
+            ratios = alpha[on][shrinking] / -step[shrinking]
+            leave = int(np.argmin(ratios))
+            alpha[on] += ratios[leave] * step
+            alpha[on[shrinking[leave]]] = 0.0
+            free[on[shrinking[leave]]] = False
+    alpha = np.maximum(alpha, 0.0)
+    return alpha / alpha.sum()
+
+
+def _line_search(lam: float, w: np.ndarray, direction: np.ndarray,
+                 margins: np.ndarray, towards: np.ndarray) -> float:
+    """The k in [0, 1] minimising lam/2 ||w + k direction||^2 + mean(max(0, 1 - m - k (t - m))),
+    m the margins at w and t those at w + direction (towards).
+
+    The slope in k is non-decreasing and jumps at each hinge's breakpoint,
+    so its root is found with one sort of the breakpoints. Stopping at 1,
+    the model's minimiser, bounds how far rounding in the step can grow.
+    """
+    n = len(margins)
+    change = towards - margins
+    curvature = lam * _dot(direction, direction)
+    active = (margins < 1) | ((margins == 1) & (change < 0))
+    start = lam * _dot(w, direction) - float(change[active].sum()) / n  # the slope just right of 0
+    if start >= 0:
+        return 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        breaks = (1.0 - margins) / change
+    at = np.flatnonzero((change != 0) & (breaks > 0) & (breaks < 1))
+    order = np.argsort(breaks[at], kind="stable")
+    points, jumps = breaks[at][order], np.abs(change[at][order]) / n
+    # the slope less curvature * k, between each breakpoint and the one before it
+    before = start + np.concatenate(([0.0], np.cumsum(jumps)))
+    after = before[1:] + curvature * points  # the slope just right of each breakpoint
+    j = int(np.argmax(after >= 0)) if len(points) and after[-1] >= 0 else len(points)
+    if j < len(points) and before[j] + curvature * points[j] <= 0:
+        return float(points[j])
+    if before[j] + curvature >= 0:
+        return -float(before[j]) / curvature
+    return 1.0
+
+
+def _cutting_planes(dataset: Dataset, lam: float) -> Iterator[tuple[np.ndarray, float, float]]:
+    """OCAS (Franc & Sonnenburg, JMLR 2009) on lam/2 (||w||^2 + b^2) + mean hinge loss.
+
+    The bias is the weight of a constant feature 1 appended to every row.
+    Each iteration minimises the cutting-plane model of the hinge loss
+    (a small QP over the cuts so far, warm-started), searches the line
+    from the best point towards that minimiser exactly, and adds the cut
+    at a point a tenth of the way on from the new best point. That costs
+    one sparse X @ w and one X.T @ v (a bincount) per iteration. Yields,
+    per iteration, the best point so far (weights with the bias last),
+    its objective, and the QP's dual value: a lower bound on the minimum.
+    """
+    csr, rows = dataset.csr, dataset.rows
+    n, dim = len(rows), len(dataset.space)
+    entries, lengths = csr.gather(rows)
+    ids = csr.indices[entries]
+    values = None if csr.representation == "boolean" else csr.data[entries]
+    del entries
+    ys = np.where(dataset.y[rows] == 0, 1.0, -1.0)
+
+    def margins(w: np.ndarray) -> np.ndarray:
+        products = w[ids]
+        if values is not None:
+            products *= values
+        return ys * (_row_sums(products, lengths) + w[-1])
+
+    def cut(violated: np.ndarray) -> tuple[np.ndarray, float]:
+        """The mean hinge loss's linear minorant, exact wherever just these rows violate their margins."""
+        coef = np.where(violated, -ys / n, 0.0)
+        per_entry = np.repeat(coef, lengths)
+        if values is not None:
+            per_entry *= values
+        return np.append(np.bincount(ids, per_entry, dim), coef.sum()), int(violated.sum()) / n
+
+    best, at_best = np.zeros(dim + 1), np.zeros(n)
+    first, offset = cut(at_best < 1)
+    # cut 0 is the loss's floor, zero, which no vector stands for in cuts:
+    # it keeps the model's minimiser near the data from the first iteration
+    cuts, offsets = [first], np.array([0.0, offset])
+    gram, alpha = np.array([[0.0, 0.0], [0.0, _dot(first, first)]]), np.array([0.0, 1.0])
+    while True:
+        alpha = _simplex_qp(gram, offsets, lam, alpha)
+        model = sum((alpha[t] * cuts[t - 1] for t in np.flatnonzero(alpha) if t), np.zeros(dim + 1))
+        model *= -1.0 / lam
+        lower = _dot(alpha, offsets) - 0.5 * _dot(np.outer(alpha, alpha), gram) / lam
+        at_model = margins(model)
+        k = _line_search(lam, best, model - best, at_best, at_model)
+        best = best + k * (model - best)
+        at_best = at_best + k * (at_model - at_best)
+        objective = 0.5 * lam * _dot(best, best) + float(np.maximum(0.0, 1.0 - at_best).sum()) / n
+        yield best, objective, lower
+        new, offset = cut((1 - _CUT_STEP) * at_best + _CUT_STEP * at_model < 1)
+        row = np.array([0.0] + [_dot(c, new) for c in cuts])
+        cuts.append(new)
+        offsets = np.append(offsets, offset)
+        gram = np.block([[gram, row[:, None]], [row[None, :], np.array([[_dot(new, new)]])]])
+        alpha = np.append(alpha, 0.0)
+
+
 def train_svm(
     dataset: Dataset,
     *,
     lam: float = DEFAULT_SVM_LAMBDA,
     epochs: int = DEFAULT_SVM_EPOCHS,
-    seed: int = 0,
 ) -> LinearModel:
-    """Pegasos-style SGD on the hinge loss with learning rate 1/(lam*t).
+    """Linear SVM on the hinge loss by cutting planes (OCAS), deterministic.
 
-    One pass per epoch in seeded-shuffled order; weights are kept in
-    scaled form so per-step decay is O(nnz). Iterates are projected onto
-    the ball of radius 1/sqrt(lam) (the bias is unregularized and not
-    projected). The returned model is the epoch-end snapshot with the
-    lowest objective; the raw epoch-end objective values are recorded on
-    the model for inspection.
+    The solver minimises svm_objective plus lam/2 b^2, the bias being the
+    weight of a constant feature. It runs at most `epochs` iterations and
+    stops early once the certified relative gap (best objective less lower
+    bound, over the best objective) is at most SVM_GAP_TOLERANCE. Each
+    iteration's best point is scored by svm_objective's formula; the
+    returned model is the one scoring lowest, and records those scores,
+    the iteration count and the last gap.
     """
     if lam <= 0 or epochs < 1:
         raise ConfigError("svm needs lam > 0 and epochs >= 1")
-    n = len(dataset)
-    dim = len(dataset.space)
-    csr, labels, rows = dataset.csr, dataset.y, dataset.rows
-    bounds = zip(csr.indptr[rows].tolist(), csr.indptr[rows + 1].tolist())
-    # intp ids keep the per-step indexing fast; contiguous values keep the
-    # dot products on BLAS, summing as they always have
-    indices, data = csr.indices.astype(np.intp), np.ascontiguousarray(csr.data)
-    xs = [(indices[a:b], data[a:b]) for a, b in bounds]
-    ys = np.where(labels[rows] == 0, 1.0, -1.0)
-
-    v = np.zeros(dim)
-    scale = 1.0
-    vnorm2 = 0.0  # ||v||^2, maintained incrementally
-    bias = 0.0
-    radius2 = 1.0 / lam
-
-    rng = Rng(seed)
-    order = list(range(n))
-    t = 1
     best: tuple[float, np.ndarray, float] | None = None
     history: list[float] = []
-    for _ in range(epochs):
-        rng.shuffle(order)
-        for i in order:
-            t += 1
-            eta = 1.0 / (lam * t)
-            ids, values = xs[i]
-            y = ys[i]
-            margin = scale * float(v[ids] @ values) + bias if len(ids) else bias
-            scale *= 1.0 - 1.0 / t  # (1 - eta*lam) decay
-            if y * margin < 1.0:
-                old = v[ids]
-                new = old + (eta * y / scale) * values
-                vnorm2 += float(new @ new) - float(old @ old)
-                v[ids] = new
-                bias += eta * y
-            wnorm2 = scale * scale * vnorm2
-            if wnorm2 > radius2:
-                scale *= math.sqrt(radius2 / wnorm2)
-            if scale < 1e-60:  # renormalize to avoid underflow
-                v *= scale
-                vnorm2 *= scale * scale
-                scale = 1.0
-        weights = scale * v
-        objective = svm_objective(weights, bias, dataset, lam)
-        history.append(objective)
-        if best is None or objective < best[0]:
-            best = (objective, weights.copy(), bias)
+    for point, objective, lower in _cutting_planes(dataset, lam):
+        bias = float(point[-1])
+        # the documented objective leaves the bias unregularised
+        history.append(objective - 0.5 * lam * bias * bias)
+        if best is None or history[-1] < best[0]:
+            best = (history[-1], point[:-1], bias)
+        gap = (objective - lower) / objective
+        if gap <= SVM_GAP_TOLERANCE or len(history) == epochs:
+            break
     assert best is not None
     return LinearModel(
         weights=best[1],
         bias=best[2],
         positive_class=FEMALE,
         epoch_objectives=tuple(history),
+        iterations=len(history),
+        gap=gap,
     )
 
 
@@ -528,10 +653,10 @@ def predict(model, vector: FeatureVector) -> str:
     return predict_batch(model, [vector])[0]
 
 
-def _train_for(classifier: str, dataset: Dataset, params: dict, seed: int):
+def _train_for(classifier: str, dataset: Dataset, params: dict):
     if classifier == "svm":
         return train_svm(dataset, lam=params.get("lam", DEFAULT_SVM_LAMBDA),
-                         epochs=params.get("epochs", DEFAULT_SVM_EPOCHS), seed=seed)
+                         epochs=params.get("epochs", DEFAULT_SVM_EPOCHS))
     if classifier in ("nb-bernoulli", "nb-multinomial"):
         return train_nb(dataset, variant=classifier[3:], alpha=params.get("alpha", DEFAULT_NB_ALPHA))
     if classifier == "tree":
@@ -557,11 +682,14 @@ def cross_validate(
     labels = dataset.y[dataset.rows]
     cells = np.zeros(4, dtype=np.int64)  # (actual, predicted) counts, 0 female and 1 male
     per_fold: list[float] = []
+    per_fold_fit: list[dict] = []
     for fold_no, test_idx in enumerate(folds):
         train_ds = dataset.subset(np.setdiff1d(np.arange(len(dataset)), test_idx))
         if undersample_train:
             train_ds = undersample(train_ds, sub_seeds[1 + 2 * fold_no])
-        model = _train_for(classifier, train_ds, params, sub_seeds[2 + 2 * fold_no])
+        model = _train_for(classifier, train_ds, params)
+        if isinstance(model, LinearModel):
+            per_fold_fit.append({"iterations": model.iterations, "gap": model.gap})
         got = ~_female(model, dataset.csr, dataset.rows[test_idx])
         actual = labels[test_idx]
         cells += np.bincount(2 * actual + got, minlength=4)
@@ -574,6 +702,7 @@ def cross_validate(
         seed=seed,
         descriptor=descriptor,
         n_instances=len(dataset),
+        per_fold_fit=tuple(per_fold_fit),
     )
 
 

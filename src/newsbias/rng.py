@@ -1,8 +1,8 @@
 """Deterministic random streams for reproducible experiments.
 
 Every randomized step in this package (fold shuffles, under-sampling,
-SGD epoch order, synthetic corpora) draws from the generator defined
-here, so a run is fully determined by its 64-bit seed. The algorithms
+synthetic corpora) draws from the generator defined here, so a run is
+fully determined by its 64-bit seed. The algorithms
 are specified bit-exactly so that results can be reproduced outside
 this package:
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import json
 import math
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -15,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from newsbias import cli, corpus, features, interpret, pipeline, preprocess, synth
+from newsbias import cli, corpus, features, interpret, learn, pipeline, preprocess, synth
 from newsbias.learn import (
     cross_validate,
     majority_baseline,
@@ -34,6 +36,7 @@ from newsbias.rng import Rng
 from util import make_dataset, make_vec
 
 F, M = "female", "male"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def report(num: int, name: str, ok: bool, detail: str = ""):
@@ -116,7 +119,7 @@ def test_criterion_03_svm_optimization_sanity():
         + [([(1, 1.0)], M)] * 3 + [([(0, 0.5), (1, 1.0)], M)]
     ds = make_dataset(rows, n_features=2, representation="count")
     lam = 0.01
-    model = train_svm(ds, lam=lam, epochs=300, seed=5)
+    model = train_svm(ds, lam=lam, epochs=300)
     accuracy = sum(predict(model, v) == l for v, l in zip(ds.vectors, ds.labels)) / len(ds)
     ours = svm_objective(model.weights, model.bias, ds, lam)
     rng = Rng(12345)
@@ -146,12 +149,58 @@ def test_criterion_04_planted_bias_recovery(tmp_path):
         instances, scheme="unigram", representation="boolean", min_df=3
     )
     cv = cross_validate(dataset, "svm", k=10, seed=7, descriptor="unigram/article/boolean/svm")
-    model = train_svm(dataset, seed=7)
+    model = train_svm(dataset)
     ranked = interpret.rank_features(model, space, k=10)
     female_surfaces = [s for s, _, _ in ranked.female]
     ok = cv.mean_accuracy >= 0.65 and "husband" in female_surfaces
     report(4, "planted bias recovered", ok,
            f"cv mean {cv.mean_accuracy:.3f}, female top-10 {female_surfaces[:3]}...")
+
+
+# ----------------------------------------------------------------------
+# 4b. At its defaults the SVM beats the zero model (objective 1.0) on
+#     criterion 4's corpus, in every cross-validation fold and on all the data
+
+@pytest.mark.parametrize("seed", [42, 43, 44])
+def test_svm_defaults_beat_the_zero_model_on_the_criterion_04_corpus(tmp_path, monkeypatch, seed):
+    out = tmp_path / "synth"
+    assert cli.main(["gen-synth", "--out", str(out), "--seed", str(seed), "--n", "2000",
+                     "--balance", "0.5", "--planted", "husband:0.10:0.01"]) == 0
+    instances = pipeline.build_instances(corpus.load_articles(out / "articles.jsonl"),
+                                         corpus.load_registry(out / "registry.json"))
+    dataset, _ = pipeline.build_dataset(instances, scheme="unigram", representation="boolean", min_df=3)
+    fits = []
+
+    def recorded(ds, **kwargs):
+        fits.append(train_svm(ds, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(learn, "train_svm", recorded)
+    cross_validate(dataset, "svm", k=10, seed=7)
+    fits.append(train_svm(dataset))
+    best = [min(model.epoch_objectives) for model in fits]
+    assert len(fits) == 11
+    assert max(best) < 1.0, best
+    model = fits[-1]
+    objective = svm_objective(model.weights, model.bias, dataset, learn.DEFAULT_SVM_LAMBDA)
+    assert objective == pytest.approx(best[-1], abs=1e-12)
+
+
+# ----------------------------------------------------------------------
+# 4c. rank (tf-idf, otherwise the default config) puts the planted term
+#     first for the female class on the benchmark's wide-vocabulary corpus
+
+@pytest.mark.parametrize("seed", [1, 201])
+def test_rank_puts_the_planted_term_first_on_the_wide_vocab_corpus(tmp_path, seed):
+    inputs = tmp_path / "inputs"
+    subprocess.run([sys.executable, str(ROOT / "perfbench" / "gen.py"), "--workload", "wide-vocab",
+                    "--seed", str(seed), "--out", str(inputs)], check=True, capture_output=True, timeout=120)
+    config = {"seed": seed, "features": {"representation": "tfidf"},
+              "paths": {"articles": str(inputs / "articles.jsonl"), "registry": str(inputs / "registry.json")}}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert cli.main(["rank", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]) == 0
+    ranked = json.loads((tmp_path / "out" / "ranked_features.json").read_text())
+    assert ranked["female"][0]["surface"] == "husband", ranked["female"][:3]
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from newsbias import cli, corpus
+from newsbias import cli, corpus, learn
 
 from util import article_row, days_after, politician, write_articles, write_registry
 
@@ -192,6 +192,17 @@ def test_sweep_rows_and_determinism(synth_corpus, tmp_path):
     assert read_tree(out1) == read_tree(out2)
     report_names = {p.name for p in (out1 / "reports").iterdir()}
     assert "unigram_article_boolean_svm.json" in report_names
+    # svm reports record each fold's fit: iterations up to the cap, and a
+    # certified gap within the tolerance whenever a fit stopped early
+    for name in report_names:
+        report = json.loads((out1 / "reports" / name).read_text())
+        if not name.endswith("_svm.json"):
+            assert "per_fold_fit" not in report
+            continue
+        assert len(report["per_fold_fit"]) == 4
+        for fit in report["per_fold_fit"]:
+            assert 1 <= fit["iterations"] <= 100 and fit["gap"] >= 0
+            assert fit["iterations"] == 100 or fit["gap"] <= learn.SVM_GAP_TOLERANCE
 
 
 def test_sweep_planted_signal_beats_baseline(synth_corpus, tmp_path):
@@ -224,6 +235,7 @@ def test_rank_lists_bounded_by_k(synth_corpus, tmp_path):
     assert payload["female"], "planted corpus must produce female-associated features"
     top_surfaces = [e["surface"] for e in payload["female"][:3]]
     assert "husband" in top_surfaces
+    assert payload["fit"].keys() == {"iterations", "gap"} and 1 <= payload["fit"]["iterations"] <= 100
 
 
 # --- kwic ---
@@ -469,16 +481,21 @@ def test_query_usage_checked_before_any_work(synth_corpus, monkeypatch, tmp_path
     assert calls == [] and not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("bad", ["directory", "not-utf8"])
+@pytest.mark.parametrize("bad", ["directory", "not-utf8", "not-utf8-late"])
 @pytest.mark.parametrize("key", ["config", "articles", "registry", "stoplist", "signals",
                                  "lexicons", "pos_lexicon"])
 def test_unreadable_input_file_is_a_config_or_data_error(synth_corpus, tmp_path, capsys, key, bad):
+    config = json.loads(synth_corpus.read_text())
     path = tmp_path / "bad"
     if bad == "directory":
         path.mkdir()
-    else:
+    elif bad == "not-utf8":
         path.write_bytes(b"\xffthe\n")
-    config = json.loads(synth_corpus.read_text())
+    else:
+        # valid article records, many read buffers long, before the bad byte
+        articles = Path(config["paths"]["articles"]).read_bytes()
+        assert len(articles) > 64 * 1024
+        path.write_bytes(articles + b"\xffthe\n")
     stoplist = tmp_path / "stoplist.txt"
     stoplist.write_text("the\n")
     config["paths"]["stoplist"] = str(stoplist)

@@ -229,7 +229,7 @@ def test_predict_batch_matches_per_vector_reference(sets):
     for ds in (sub, subsub):
         if not both_classes(ds):
             continue
-        models = [train_svm(ds, lam=0.1, epochs=3, seed=1), train_nb(ds, variant="multinomial")]
+        models = [train_svm(ds, lam=0.1, epochs=3), train_nb(ds, variant="multinomial")]
         if ds.vectors[0].representation == "boolean":
             models.append(train_nb(ds, variant="bernoulli"))
             tree = train_tree(ds, max_depth=3, min_leaf=1)

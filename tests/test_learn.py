@@ -8,9 +8,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newsbias.errors import ConfigError, DataError
 from newsbias.learn import (
+    SVM_GAP_TOLERANCE,
+    _cutting_planes,
     cross_validate,
     majority_baseline,
     nb_log_posterior,
@@ -137,14 +141,14 @@ def train_accuracy(model, ds):
 
 def test_svm_single_predictive_feature():
     ds = make_dataset([([0], F)] * 4 + [([], M)] * 4, n_features=1)
-    model = train_svm(ds, lam=0.01, epochs=100, seed=3)
+    model = train_svm(ds, lam=0.01, epochs=100)
     assert model.weights[0] > 0
     assert train_accuracy(model, ds) == 1.0
 
 
 def test_svm_all_zero_vectors():
     ds = make_dataset([([], F)] * 3 + [([], M)] * 3, n_features=2)
-    model = train_svm(ds, lam=0.01, epochs=5, seed=0)
+    model = train_svm(ds, lam=0.01, epochs=5)
     assert list(model.weights) == [0.0, 0.0]
     # prediction falls to the bias/tie rule
     assert predict(model, make_vec([])) in (F, M)
@@ -155,7 +159,7 @@ def test_svm_objective_vs_random_search_oracle():
     # samples of (w, b) in [-10, 10]^3; training must land within 5%.
     ds = separable_dataset()
     lam = 0.01
-    model = train_svm(ds, lam=lam, epochs=300, seed=5)
+    model = train_svm(ds, lam=lam, epochs=300)
     assert train_accuracy(model, ds) == 1.0
     ours = svm_objective(model.weights, model.bias, ds, lam)
     rng = Rng(12345)
@@ -169,25 +173,119 @@ def test_svm_objective_vs_random_search_oracle():
 
 def test_svm_scaled_inputs_still_separate():
     ds = separable_dataset(scale=10.0)
-    model = train_svm(ds, lam=0.01, epochs=300, seed=5)
+    model = train_svm(ds, lam=0.01, epochs=300)
     assert train_accuracy(model, ds) == 1.0
 
 
 def test_svm_epoch_objectives_recorded():
-    ds = separable_dataset()
-    lam = 0.01
-    model = train_svm(ds, lam=lam, epochs=50, seed=2)
-    assert len(model.epoch_objectives) == 50
-    final = svm_objective(model.weights, model.bias, ds, lam)
-    # returned snapshot is the best epoch end: the tracked minimum
-    assert final == pytest.approx(min(model.epoch_objectives), abs=1e-12)
+    # the separable fixture stops early; the first noisy one runs to its cap;
+    # the second stops early, its recorded objective lowest before the last iteration
+    for ds, lam, epochs, early in ((separable_dataset(), 0.01, 50, True),
+                                   (random_dataset(120, 25, seed=4), 1e-4, 5, False),
+                                   (random_dataset(60, 10, seed=12), 0.01, 500, True)):
+        model = train_svm(ds, lam=lam, epochs=epochs)
+        assert 1 <= len(model.epoch_objectives) == model.iterations <= epochs
+        assert (model.iterations < epochs) == early
+        if early:
+            assert model.gap <= SVM_GAP_TOLERANCE
+        final = svm_objective(model.weights, model.bias, ds, lam)
+        # the returned model is the iterate scoring lowest: the recorded minimum
+        assert final == pytest.approx(min(model.epoch_objectives), abs=1e-12)
 
 
 def test_svm_deterministic():
     ds = separable_dataset()
-    a = train_svm(ds, lam=0.01, epochs=30, seed=9)
-    b = train_svm(ds, lam=0.01, epochs=30, seed=9)
+    a = train_svm(ds, lam=0.01, epochs=30)
+    b = train_svm(ds, lam=0.01, epochs=30)
     assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
+
+
+def solver_objective(weights, bias, ds, lam):
+    """The objective the solver minimises: svm_objective with the bias regularised too."""
+    return svm_objective(weights, bias, ds, lam) + 0.5 * lam * bias * bias
+
+
+def dual_coordinate_descent(ds, lam, passes):
+    """Reference fit: dual coordinate descent (Hsieh et al., ICML 2008) on
+    1/2 ||v||^2 + C sum of hinges, C = 1 / (lam n), whose minimiser is the
+    solver's; v is (w, b), each row carrying a constant 1 for the bias. Rows
+    are visited in order, one at a time. Returns (w, b, dual value scaled to
+    the solver's objective), the dual value a lower bound on its minimum."""
+    n, dim = len(ds), len(ds.space)
+    x = np.zeros((n, dim + 1))
+    for r, vector in enumerate(ds.vectors):
+        x[r, list(vector.ids)] = vector.values
+    x[:, dim] = 1.0
+    y = np.array([1.0 if label == F else -1.0 for label in ds.labels])
+    c = 1.0 / (lam * n)
+    alpha, v = np.zeros(n), np.zeros(dim + 1)
+    norms = (x * x).sum(axis=1)
+    for _ in range(passes):
+        for i in range(n):
+            new = min(max(alpha[i] - (y[i] * (v @ x[i]) - 1.0) / norms[i], 0.0), c)
+            v += (new - alpha[i]) * y[i] * x[i]
+            alpha[i] = new
+    return v[:dim], float(v[dim]), lam * (float(alpha.sum()) - 0.5 * float(v @ v))
+
+
+def count_dataset(n, n_features, seed):
+    """Counts 1-5 on up to four features; feature 0 makes female likelier, not certain."""
+    rng = Rng(seed)
+    rows = []
+    for _ in range(n):
+        ids = sorted({rng.randbelow(n_features) for _ in range(4)})
+        label = F if rng.random() < (0.7 if 0 in ids else 0.3) else M
+        rows.append(([(j, 1.0 + rng.randbelow(5)) for j in ids], label))
+    return make_dataset(rows, n_features=n_features, representation="count")
+
+
+@pytest.mark.parametrize("ds, lam", [(lambda: random_dataset(60, 10, seed=12), 0.01),
+                                     (lambda: count_dataset(50, 6, seed=3), 0.01)], ids=["boolean", "count"])
+def test_svm_agrees_with_a_long_run_dual_coordinate_descent(ds, lam):
+    ds = ds()
+    w, b, lower = dual_coordinate_descent(ds, lam, passes=3000)
+    reference = solver_objective(w, b, ds, lam)
+    assert reference - lower <= 1e-6 * reference  # the reference is converged
+    # the solver's best point when its gap is certified, as train_svm stops it
+    for iterations, (point, objective, lower) in zip(range(1, 501), _cutting_planes(ds, lam)):
+        if objective - lower <= SVM_GAP_TOLERANCE * objective:
+            break
+    assert lower <= reference <= objective + 1e-9
+    assert objective - reference <= 1e-3 * reference
+    # train_svm stops there too and returns a model no worse on the documented objective
+    model = train_svm(ds, lam=lam, epochs=500)
+    assert model.iterations == iterations < 500
+    assert model.gap == pytest.approx((objective - lower) / objective, abs=1e-15)
+    assert svm_objective(model.weights, model.bias, ds, lam) <= svm_objective(point[:-1], point[-1], ds, lam)
+
+
+@st.composite
+def small_problems(draw):
+    """A small dataset, count-valued or boolean, a lam, and points (w, b) to test at."""
+    n_features = draw(st.integers(1, 4))
+    count = draw(st.booleans())
+    value = st.floats(0.1, 10.0) if count else st.just(1.0)
+    rows = draw(st.lists(st.tuples(st.dictionaries(st.integers(0, n_features - 1), value, max_size=n_features),
+                                   st.sampled_from([F, M])), min_size=2, max_size=12))
+    ds = make_dataset([(sorted(ids.items()), label) for ids, label in rows], n_features=n_features,
+                      representation="count" if count else "boolean")
+    coordinate = st.floats(-10.0, 10.0)
+    points = draw(st.lists(st.tuples(st.lists(coordinate, min_size=n_features, max_size=n_features), coordinate),
+                           min_size=1, max_size=5))
+    return ds, draw(st.sampled_from([1e-4, 1e-2, 1.0])), points
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_problems())
+def test_svm_lower_bound_never_exceeds_the_objective(problem):
+    ds, lam, points = problem
+    lowers = []
+    for _, (point, objective, lower) in zip(range(8), _cutting_planes(ds, lam)):
+        assert lower <= objective + 1e-9 * objective
+        lowers.append(lower)
+    for w, b in points:
+        value = solver_objective(np.array(w), b, ds, lam)
+        assert max(lowers) <= value + 1e-9 * max(1.0, value)
 
 
 def test_svm_rejects_bad_params():
@@ -395,7 +493,7 @@ def test_tree_rejects_non_boolean():
 
 def test_predict_zero_model_ties_female():
     ds = make_dataset([([], F)] * 2 + [([], M)] * 2, n_features=2)
-    model = train_svm(ds, lam=0.01, epochs=2, seed=0)
+    model = train_svm(ds, lam=0.01, epochs=2)
     assert predict(model, make_vec([(0, 1.0)], "count")) == F
 
 
@@ -410,7 +508,7 @@ def test_predict_nb_equal_posteriors_female():
 def test_predict_dimension_mismatch():
     ds = make_dataset([([0], F)] * 2 + [([1], M)] * 2, n_features=2)
     for model in (
-        train_svm(ds, lam=0.01, epochs=2, seed=0),
+        train_svm(ds, lam=0.01, epochs=2),
         train_nb(ds, variant="bernoulli"),
         train_tree(ds),
     ):
@@ -484,7 +582,7 @@ def test_cv_all_three_classifiers_learn_perfect_feature():
     ds = random_dataset(60, 10, seed=8, predictive=True)
     for clf in ("svm", "nb-bernoulli", "tree"):
         model = {
-            "svm": lambda: train_svm(ds, lam=0.01, epochs=50, seed=1),
+            "svm": lambda: train_svm(ds, lam=0.01, epochs=50),
             "nb-bernoulli": lambda: train_nb(ds, variant="bernoulli"),
             "tree": lambda: train_tree(ds),
         }[clf]()
