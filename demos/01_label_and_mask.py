@@ -62,7 +62,7 @@ for article in articles:
 print("\n=== labeled instances ===")
 for inst in pipeline.build_instances(articles, registry):
     print(f"{inst.article_id} -> {inst.label} (headline mention: {inst.headline_mention})")
-    print("   masked:", " ".join(t.surface for t in inst.stream.tokens))
+    print("   masked:", " ".join(inst.stream.tokens))
 
 print("\n=== years in office (2000-2011 window) ===")
 window = (datetime.date(2000, 1, 1), datetime.date(2011, 12, 31))

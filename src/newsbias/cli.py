@@ -328,17 +328,10 @@ def _sweep_combinations(config: dict) -> list[tuple[str, str, str, str]]:
         if representation not in learn.ACCEPTS[classifier]:
             raise ConfigError(f"sweep combination {'/'.join(combination)}: {classifier} "
                               f"takes only {' or '.join(learn.ACCEPTS[classifier])} vectors")
+        if combination in combinations:
+            raise ConfigError(f"sweep combination {'/'.join(combination)} is named more than once")
         combinations.append(combination)
     return combinations
-
-
-def _classifier_params(config: dict, classifier: str) -> dict:
-    conf = config["classifier"]
-    if classifier == "svm":
-        return {"lam": conf["lam"], "epochs": conf["epochs"]}
-    if classifier == "tree":
-        return {"max_depth": conf["max_depth"], "min_leaf": conf["min_leaf"]}
-    return {"alpha": conf["alpha"]}
 
 
 def cmd_sweep(config: dict) -> int:
@@ -377,7 +370,7 @@ def cmd_sweep(config: dict) -> int:
             report = learn.cross_validate(
                 dataset,
                 classifier,
-                params=_classifier_params(config, classifier),
+                params=config["classifier"],
                 k=k,
                 seed=seed,
                 undersample_train=config["evaluate"]["undersample"],

@@ -257,7 +257,7 @@ def name_variants(record: PoliticianRecord) -> list[tuple[tuple[str, ...], str]]
     multi-token ones as full names.
     """
     def toks(text: str) -> tuple[str, ...]:
-        return tuple(t.surface for t in preprocess.tokenize(text).tokens)
+        return preprocess.tokenize(text).tokens
 
     variants: list[tuple[tuple[str, ...], str]] = []
     seen: set[tuple[str, ...]] = set()
@@ -291,7 +291,7 @@ class _VariantTable:
         self.first_tokens = frozenset(tt[0] for tt in self.entries)
 
     def scan(self, surfaces: Sequence[str]):
-        """Leftmost-longest resolution of mentions over a token surface list.
+        """Leftmost-longest resolution of mentions over a token sequence.
 
         Yields (span_start, span_end, owners) with owners a list of
         (politician_id, form); spans never overlap.
@@ -328,12 +328,11 @@ def _scan_article(article: Article, table: _VariantTable) -> ArticleScan:
     body = preprocess.split_sentences(preprocess.tokenize(article.body))
     stream = preprocess.concat_streams(headline, body)
     n_headline = len(headline.tokens)
-    surfaces = [t.surface for t in stream.tokens]
 
     per_politician: dict[str, list[MentionSpan]] = {}
     headline_hit: dict[str, bool] = {}
     resolved: list[MentionSpan] = []
-    for start, end, owners in table.scan(surfaces):
+    for start, end, owners in table.scan(stream.tokens):
         form = min((f for _, f in owners), key=_FORM_PRIORITY.__getitem__)
         resolved.append(MentionSpan(start, end, form))
         for rid, rid_form in owners:

@@ -44,10 +44,11 @@ def read_text(path: str | Path, what: str, error: type[NewsbiasError] = DataErro
 
 def read_lines(path: str | Path, what: str, error: type[NewsbiasError] = DataError) -> Iterator[str]:
     """The file's UTF-8 lines, read one at a time, each with its line end; a
-    file that cannot be read, or is not UTF-8 anywhere along it, raises error
-    as read_text does, when the read reaches it."""
+    line ends at a line feed only, so a lone carriage return stays inside its
+    line. A file that cannot be read, or is not UTF-8 anywhere along it,
+    raises error as read_text does, when the read reaches it."""
     try:
-        with Path(path).open(encoding="utf-8") as fh:
+        with Path(path).open(encoding="utf-8", newline="\n") as fh:
             yield from fh
     except (OSError, UnicodeDecodeError) as exc:
         raise _unreadable(path, what, error, exc) from None

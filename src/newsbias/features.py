@@ -15,11 +15,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .corpus import LabeledInstance
 from .errors import ConfigError, DataError, read_text
-from .preprocess import MARKER, WORD, TokenStream, marker_sentences
+from .preprocess import MARKER, MARKER_SURFACES, WORD, TokenStream, kind_of, marker_sentences
 
 # feature kinds
 UNIGRAM = "unigram"
@@ -137,11 +137,11 @@ def load_pos_lexicon(path: str | Path) -> PosLexicon:
     return PosLexicon(primary=primary)
 
 
-def _window_token_indices(stream: TokenStream, window: str) -> Iterable[int]:
+def _window_tokens(stream: TokenStream, window: str) -> Sequence[str]:
     if window == "article" or not stream.sentence_spans:
-        return range(len(stream.tokens))
+        return stream.tokens
     spans = stream.sentence_spans
-    return [i for s in sorted(marker_sentences(stream)) for i in range(*spans[s])]
+    return [tok for s in sorted(marker_sentences(stream)) for tok in stream.tokens[slice(*spans[s])]]
 
 
 def extract_terms(
@@ -166,37 +166,27 @@ def extract_terms(
         section = instance.section.strip()
         return Counter({(section, SECTION): 1}) if section else Counter()
 
-    stream = instance.stream
-    terms: Counter = Counter()
-    indices = _window_token_indices(stream, window)
+    # each distinct token of the window once, with its count there
+    counts = Counter(_window_tokens(instance.stream, window))
     if scheme == UNIGRAM:
-        for i in indices:
-            tok = stream.tokens[i]
-            if tok.kind in (WORD, MARKER):
-                terms[(tok.surface, UNIGRAM)] += 1
-    elif scheme in (ADJECTIVE, VERB):
+        return Counter({(tok, UNIGRAM): n for tok, n in counts.items() if kind_of(tok) in (WORD, MARKER)})
+    if scheme == NAMEFORM:
+        return Counter({(tok, NAMEFORM): n for tok, n in counts.items() if tok in MARKER_SURFACES})
+    if scheme in (ADJECTIVE, VERB):
         if pos_lexicon is None:
             raise ConfigError(f"scheme {scheme!r} requires a POS lexicon")
         wanted = "ADJ" if scheme == ADJECTIVE else "VERB"
-        for i in indices:
-            tok = stream.tokens[i]
-            if tok.kind == WORD and pos_lexicon.primary.get(tok.surface) == wanted:
-                terms[(tok.surface, scheme)] += 1
-    elif scheme == LEXICON_CATEGORY:
-        if lexicon is None:
-            raise ConfigError("scheme 'lexicon_category' requires a lexicon")
-        for i in indices:
-            tok = stream.tokens[i]
-            if tok.kind != WORD:
-                continue
-            for cat, words in lexicon.categories.items():
-                if tok.surface in words:
-                    terms[(cat, LEXICON_CATEGORY)] += 1
-    elif scheme == NAMEFORM:
-        for i in indices:
-            tok = stream.tokens[i]
-            if tok.kind == MARKER:
-                terms[(tok.surface, NAMEFORM)] += 1
+        return Counter({(tok, scheme): n for tok, n in counts.items()
+                        if pos_lexicon.primary.get(tok) == wanted and kind_of(tok) == WORD})
+    if lexicon is None:
+        raise ConfigError("scheme 'lexicon_category' requires a lexicon")
+    terms: Counter = Counter()
+    for tok, n in counts.items():
+        if kind_of(tok) != WORD:
+            continue
+        for cat, words in lexicon.categories.items():
+            if tok in words:
+                terms[(cat, LEXICON_CATEGORY)] += n
     return terms
 
 

@@ -110,7 +110,7 @@ def normalize_query(term: str) -> str:
         raise ValueError(
             f"query {term!r} is not a single token; phrase search is not supported"
         )
-    return stream.tokens[0].surface
+    return stream.tokens[0]
 
 
 def kwic(
@@ -136,7 +136,7 @@ def kwic(
         if group is not None and group not in doc.groups:
             continue
         tokens = doc.stream.tokens
-        hits = [i for i, tok in enumerate(tokens) if tok.surface == surface]
+        hits = [i for i, tok in enumerate(tokens) if tok == surface]
         if require_cooccurrence:
             sentences = preprocess.sentence_ids(doc.stream.sentence_spans, hits)
             hits = [i for i, sent in zip(hits, sentences) if sent in doc.mention_sentences]
@@ -145,9 +145,9 @@ def kwic(
                 ConcordanceLine(
                     article_id=doc.article_id,
                     position=i,
-                    left=tuple(t.surface for t in tokens[max(0, i - window) : i]),
-                    keyword=tokens[i].surface,
-                    right=tuple(t.surface for t in tokens[i + 1 : i + 1 + window]),
+                    left=tokens[max(0, i - window) : i],
+                    keyword=surface,
+                    right=tokens[i + 1 : i + 1 + window],
                 )
             )
     return lines
@@ -164,7 +164,7 @@ def term_count(docs: Sequence[DocView], term: str, group: str | None = None) -> 
     for doc in docs:
         if group is not None and group not in doc.groups:
             continue
-        total += sum(1 for t in doc.stream.tokens if t.surface == surface)
+        total += doc.stream.tokens.count(surface)
     return total
 
 

@@ -5,14 +5,17 @@ The pipeline order is: tokenize -> split_sentences -> mask_gender_signals
 one pass) -> (optionally) stem. All operations are pure and return new
 TokenStream values, so they are safe to run data-parallel per article.
 
-Tokens are frozen and shared: tokenize and stem hand out one Token per
-(surface, kind) pair, and memoise their per-string work (the tokens of
-each whitespace-delimited chunk, the Porter stem of each word), so it
+A token is its surface string. Its kind follows from the surface:
+kind_of gives MARKER for the three marker surfaces and otherwise the name
+of the tokenizer pattern's group that matches the surface, so the pattern
+stays the one definition of a kind. This is exact because lowercasing a
+word and Porter-stemming it keep its first character a letter, and
+masking is the only place markers are made. tokenize, stem and kind_of
+memoise their per-string work (the tokens of each whitespace-delimited
+chunk, the Porter stem of each word, the kind of each surface), so it
 runs once per distinct string rather than once per occurrence. Each
 memo empties itself once it holds _CACHE_LIMIT entries; the memos change
-no output. A Token of kind MARKER must carry one of MARKER_SURFACES;
-Token checks this when made, and masking takes its markers from the
-shared tokens too, so the check runs once per distinct token.
+no output.
 
 Masking deletes grammatical gender signals (pronouns and titles, see
 DEFAULT_GENDERED_SIGNALS) and replaces each politician mention with a
@@ -73,16 +76,6 @@ _TOKEN_RE = re.compile(
 
 
 @dataclass(frozen=True, slots=True)
-class Token:
-    surface: str
-    kind: str
-
-    def __post_init__(self):
-        if self.kind == MARKER and self.surface not in MARKER_SURFACES:
-            raise InvariantError(f"unknown marker token {self.surface!r}")
-
-
-@dataclass(frozen=True, slots=True)
 class MentionSpan:
     """Token index span [start, end) covering one politician mention."""
 
@@ -99,9 +92,9 @@ class MentionSpan:
 
 @dataclass(frozen=True, slots=True)
 class TokenStream:
-    """Immutable token sequence, optionally carrying sentence spans."""
+    """Immutable sequence of token surfaces, optionally carrying sentence spans."""
 
-    tokens: tuple[Token, ...]
+    tokens: tuple[str, ...]
     sentence_spans: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
@@ -118,13 +111,15 @@ class TokenStream:
         return len(self.tokens)
 
 
-# entries per memo; a distinct word costs about 350 bytes over the three
+# entries per memo; a distinct word costs about 320 bytes over the three
 # memos, and a 20,000-word vocabulary fills about 27,000 chunk entries
 _CACHE_LIMIT = 1 << 16
 
 
 class _Memo(dict):
-    """A dict that fills a missing key from fn and empties itself at _CACHE_LIMIT entries."""
+    """A dict that fills a missing key from fn and empties itself at _CACHE_LIMIT entries.
+
+    Calling it looks a key up, so a memo stands in for the function it memoises."""
 
     __slots__ = ("fn",)
 
@@ -138,18 +133,16 @@ class _Memo(dict):
         value = self[key] = self.fn(key)
         return value
 
-
-# (surface, kind) -> the one shared Token
-_TOKENS = _Memo(lambda key: Token(*key))
+    __call__ = dict.__getitem__
 
 
-def _tokenize_chunk(chunk: str) -> tuple[Token, ...]:
-    out = []
-    for m in _TOKEN_RE.finditer(chunk):  # the pattern's group names are the kinds
-        kind = m.lastgroup
-        surface = m.group()
-        out.append(_TOKENS[(surface if kind == PUNCT else surface.lower(), kind)])
-    return tuple(out)
+# surface -> its kind; only markers are surfaces the pattern does not make
+kind_of = _Memo(lambda surface: MARKER if surface in MARKER_SURFACES else _TOKEN_RE.match(surface).lastgroup)
+
+
+def _tokenize_chunk(chunk: str) -> tuple[str, ...]:
+    # the pattern's group names are the kinds: only words and numbers are lowercased
+    return tuple(m.group() if m.lastgroup == PUNCT else m.group().lower() for m in _TOKEN_RE.finditer(chunk))
 
 
 # whitespace-delimited chunk -> its tokens; str.split() splits on exactly
@@ -157,8 +150,8 @@ def _tokenize_chunk(chunk: str) -> tuple[Token, ...]:
 # tokens are its chunks' tokens in order
 _CHUNKS = _Memo(_tokenize_chunk)
 
-# word surface -> the Token of its Porter stem
-_STEMS = _Memo(lambda surface: _TOKENS[(porter.stem(surface), WORD)])
+# surface -> its Porter stem if it is a word, else the surface itself
+_STEMS = _Memo(lambda surface: porter.stem(surface) if kind_of(surface) == WORD else surface)
 
 
 def tokenize(text: str) -> TokenStream:
@@ -183,16 +176,16 @@ def split_sentences(
     n = len(tokens)
     while i < n:
         tok = tokens[i]
-        if tok.kind == PUNCT and tok.surface in _SENTENCE_FINAL:
+        if tok in _SENTENCE_FINAL:  # only punctuation can be ".", "!" or "?"
             run_start = i
-            while i + 1 < n and tokens[i + 1].kind == PUNCT and tokens[i + 1].surface in _SENTENCE_FINAL:
+            while i + 1 < n and tokens[i + 1] in _SENTENCE_FINAL:
                 i += 1
-            lone_period = i == run_start and tok.surface == "."
+            lone_period = i == run_start and tok == "."
             guarded = (
                 lone_period
                 and run_start > 0
-                and tokens[run_start - 1].kind == WORD
-                and tokens[run_start - 1].surface in abbreviations
+                and tokens[run_start - 1] in abbreviations
+                and kind_of(tokens[run_start - 1]) == WORD
             )
             if not guarded:
                 spans.append((start, i + 1))
@@ -251,20 +244,20 @@ def mask_gender_signals(
         prev_end = span.end
 
     marker_at = {s.start: s for s in ordered}
-    out: list[Token] = []
+    out: list[str] = []
     new_pos = [0] * (n + 1)
     i = 0
     while i < n:
         new_pos[i] = len(out)
         span = marker_at.get(i)
         if span is not None:
-            out.append(_TOKENS[(MARKER_FOR_FORM[span.form], MARKER)])
+            out.append(MARKER_FOR_FORM[span.form])
             for j in range(i + 1, span.end):
                 new_pos[j] = len(out) - 1
             i = span.end
             continue
         tok = stream.tokens[i]
-        if not (tok.kind == WORD and tok.surface in signals):
+        if not (tok in signals and kind_of(tok) == WORD):
             out.append(tok)
         i += 1
     new_pos[n] = len(out)
@@ -282,15 +275,13 @@ def remove_stopwords(stream: TokenStream, stoplist: frozenset[str]) -> TokenStre
 def marker_sentences(stream: TokenStream) -> frozenset[int]:
     """Indices of the sentence spans that hold a name marker: the sentences
     of masked text that mention a politician."""
-    positions = [i for i, tok in enumerate(stream.tokens) if tok.kind == MARKER]
+    positions = [i for i, tok in enumerate(stream.tokens) if tok in MARKER_SURFACES]
     return frozenset(sentence_ids(stream.sentence_spans, positions)) - {None}
 
 
 def stem(stream: TokenStream) -> TokenStream:
     """Replace each word token by its Porter stem; other kinds untouched."""
-    stems = _STEMS
-    tokens = tuple([stems[t.surface] if t.kind == WORD else t for t in stream.tokens])
-    return TokenStream(tokens, stream.sentence_spans)
+    return TokenStream(tuple(map(_STEMS.__getitem__, stream.tokens)), stream.sentence_spans)
 
 
 def load_wordlist(path: str | Path) -> frozenset[str]:

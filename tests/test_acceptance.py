@@ -30,7 +30,7 @@ from newsbias.learn import (
     train_tree,
     undersample,
 )
-from newsbias.preprocess import DEFAULT_GENDERED_SIGNALS, MARKER, WORD
+from newsbias.preprocess import DEFAULT_GENDERED_SIGNALS, MARKER, WORD, kind_of
 from newsbias.rng import Rng
 
 from util import make_dataset, make_vec
@@ -286,7 +286,7 @@ def test_criterion_09_kwic_brute_force():
     got = interpret.kwic(views, "budget", window=window)
     expected = []
     for doc in sorted(views, key=lambda d: d.article_id):
-        surfaces = [t.surface for t in doc.stream.tokens]
+        surfaces = doc.stream.tokens
         for i, s in enumerate(surfaces):
             if s == "budget":
                 expected.append((
@@ -313,16 +313,16 @@ def test_criterion_10_masking_completeness():
     for scan in scans:
         masked = preprocess.mask_gender_signals(scan.stream, scan.mention_spans)
         leaked += sum(
-            1 for t in masked.tokens if t.kind == WORD and t.surface in DEFAULT_GENDERED_SIGNALS
+            1 for t in masked.tokens if kind_of(t) == WORD and t in DEFAULT_GENDERED_SIGNALS
         )
-        markers = sum(1 for t in masked.tokens if t.kind == MARKER)
+        markers = sum(1 for t in masked.tokens if kind_of(t) == MARKER)
         if markers != len(scan.mention_spans):
             marker_mismatch += 1
         if preprocess.mask_gender_signals(masked, []) != masked:
             not_idempotent += 1
     # the generator plants pronouns and titles, so masking had real work to do
     had_signals = any(
-        t.surface in DEFAULT_GENDERED_SIGNALS for s in scans for t in s.stream.tokens
+        t in DEFAULT_GENDERED_SIGNALS for s in scans for t in s.stream.tokens
     )
     ok = leaked == 0 and marker_mismatch == 0 and not_idempotent == 0 and had_signals
     report(10, "masking completeness", ok,

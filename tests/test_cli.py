@@ -424,16 +424,23 @@ def test_rank_k_zero_is_config_error(synth_corpus, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "sweep",
+    "sweep,named",
     [
         # every combination but the last is valid
-        {"schemes": ["unigram"], "representations": ["boolean", "tfidf"], "classifiers": ["svm", "tree"]},
-        {"schemes": ["unigram", "lexicon_category"], "representations": ["boolean"], "classifiers": ["svm"]},
-        {"schemes": ["unigram", "adjective/sentence"], "representations": ["boolean"], "classifiers": ["svm"]},
+        ({"schemes": ["unigram"], "representations": ["boolean", "tfidf"], "classifiers": ["svm", "tree"]},
+         "unigram/article/tfidf/tree"),
+        ({"schemes": ["unigram", "lexicon_category"], "representations": ["boolean"], "classifiers": ["svm"]},
+         "lexicon_category"),
+        ({"schemes": ["unigram", "adjective/sentence"], "representations": ["boolean"], "classifiers": ["svm"]},
+         "adjective"),
+        # "unigram" is "unigram/article", and the classifier is named twice too
+        ({"schemes": ["unigram", "unigram/article"], "representations": ["boolean"],
+          "classifiers": ["nb-bernoulli", "nb-bernoulli"]},
+         "unigram/article/boolean/nb-bernoulli is named more than once"),
     ],
-    ids=["tree-tfidf", "lexicon-without-lexicons", "adjective-without-pos-lexicon"],
+    ids=["tree-tfidf", "lexicon-without-lexicons", "adjective-without-pos-lexicon", "repeated-combination"],
 )
-def test_sweep_combinations_checked_before_any_work(synth_corpus, monkeypatch, tmp_path, sweep):
+def test_sweep_combinations_checked_before_any_work(synth_corpus, monkeypatch, tmp_path, capsys, sweep, named):
     from newsbias import pipeline
 
     calls = []
@@ -443,7 +450,8 @@ def test_sweep_combinations_checked_before_any_work(synth_corpus, monkeypatch, t
     bad = synth_corpus.with_name("bad.json")
     bad.write_text(json.dumps(config))
     assert run("sweep", "--config", str(bad), "--out", str(tmp_path / "o")) == 1
-    assert calls == []
+    assert named in capsys.readouterr().err
+    assert calls == [] and not (tmp_path / "o").exists()
 
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from newsbias import corpus, pipeline
 from newsbias.errors import DataError
-from newsbias.preprocess import MARKER
+from newsbias.preprocess import MARKER, kind_of
 
 from util import article_row, days_after, politician, write_articles, write_registry
 
@@ -82,6 +82,23 @@ def test_load_articles_bad_json_names_line(tmp_path):
     path.write_text(json.dumps(article_row("a1", "x")) + "\n{broken\n")
     with pytest.raises(DataError, match="line 2"):
         corpus.load_articles(path)
+
+
+def test_load_articles_bare_carriage_return_between_tokens(tmp_path):
+    # a lone "\r" is JSON whitespace inside a record, not a line end
+    path = tmp_path / "a.jsonl"
+    record = json.dumps(article_row("a1", "x")).replace(", ", ",\r ")
+    path.write_bytes((record + "\n").encode("utf-8"))
+    assert [a.id for a in corpus.load_articles(path)] == ["a1"]
+
+
+def test_load_articles_crlf_equals_lf(tmp_path):
+    rows = [article_row(f"a{i}", f"body {i}\r\nsecond line", headline="h") for i in range(3)]
+    lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+    write_articles(lf, rows)
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    assert corpus.load_articles(crlf) == corpus.load_articles(lf)
+    assert len(corpus.load_articles(lf)) == 3
 
 
 def test_load_articles_bad_date(tmp_path):
@@ -310,9 +327,8 @@ def test_label_instance_count_bounded(registry_file):
 def test_label_masks_names_and_pronouns(registry_file):
     registry = load_registry(registry_file)
     got = pipeline.build_instances([make_article("Mary Harney said she would resign")], registry)
-    words = [t.surface for t in got[0].stream.tokens]
-    assert words == ["NAMEFORM_FULL", "said", "would", "resign"]
-    assert got[0].stream.tokens[0].kind == MARKER
+    assert got[0].stream.tokens == ("NAMEFORM_FULL", "said", "would", "resign")
+    assert kind_of(got[0].stream.tokens[0]) == MARKER
 
 
 def test_label_headline_mention_per_gender(registry_file):

@@ -1,8 +1,10 @@
 """Smoke tests: every demo script runs to completion, the benchmark's tracer
-installs, and the benchmark's fit log maps every fit back to its training rows."""
+installs and counts what a traced run did, and the benchmark's fit log maps
+every fit back to its training rows."""
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
@@ -73,8 +75,22 @@ def small_corpus(tmp_path_factory):
     return data
 
 
-def _under_child(tmp_path, corpus_dir, command, undersample):
+def _child(tmp_path, config, argv, trace):
     """Runs one command under perfbench/child.py; its result and the fit arrays it dumped."""
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])}
+    prefix = tmp_path / "result"
+    subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), str(prefix), "1" if trace else "0", *argv,
+         "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")],
+        env=env, check=True, capture_output=True, text=True, timeout=300,
+    )
+    with np.load(f"{prefix}.npz") as arrays:
+        return json.loads(Path(f"{prefix}.json").read_text(encoding="utf-8")), dict(arrays)
+
+
+def _under_child(tmp_path, corpus_dir, command, undersample):
+    """Runs a sweep or rank under perfbench/child.py, untraced; its result, fit arrays and config."""
     config = {
         "seed": 11,
         "paths": {"articles": str(corpus_dir / "articles.jsonl"), "registry": str(corpus_dir / "registry.json")},
@@ -84,16 +100,30 @@ def _under_child(tmp_path, corpus_dir, command, undersample):
         "sweep": {"schemes": ["unigram/article"], "representations": ["boolean"],
                   "classifiers": ["svm", "nb-bernoulli", "tree"]},
     }
-    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])}
-    prefix = tmp_path / "result"
-    subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "child.py"), str(prefix), "0", command,
-         "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")],
-        env=env, check=True, capture_output=True, text=True, timeout=300,
-    )
-    with np.load(f"{prefix}.npz") as arrays:
-        return json.loads(Path(f"{prefix}.json").read_text(encoding="utf-8")), dict(arrays), config
+    return *_child(tmp_path, config, [command], trace=False), config
+
+
+@pytest.mark.parametrize("argv", [
+    ["label"], ["kwic", "husband", "--masked", "--cooccur"], ["stats", "--term", "husband", "--masked"],
+], ids=["label", "kwic", "stats"])
+def test_benchmark_traced_run_counts_tokens_stems_and_lines(small_corpus, tmp_path, argv):
+    # with TRACE=1 the benchmark's per-layer counts come from the wrapped public
+    # functions' results, so a change to what they return must show here
+    (tmp_path / "stoplist.txt").write_text("the\na\nof\nand\n", encoding="utf-8")
+    config = {
+        "paths": {"articles": str(small_corpus / "articles.jsonl"), "registry": str(small_corpus / "registry.json"),
+                  "stoplist": str(tmp_path / "stoplist.txt")},
+        "pipeline": {"remove_stopwords": True, "stem": True},
+    }
+    result, _ = _child(tmp_path, config, argv, trace=True)
+    assert result["status"] == 0
+    trace = result["trace"]
+    assert trace["counts"]["preprocess.tokens"] > 0
+    assert trace["stemmed"]
+    if argv[0] == "kwic":
+        with open(tmp_path / "out" / "kwic.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert trace["counts"]["interpret.kwic_lines"] == len(rows) > 0
 
 
 @pytest.mark.parametrize("command", ["sweep", "rank"])

@@ -167,7 +167,7 @@ def test_kwic_matches_brute_force_scan():
     lines = kwic(views, "budget", window=window)
     expected = []
     for doc in sorted(views, key=lambda d: d.article_id):
-        surfaces = [t.surface for t in doc.stream.tokens]
+        surfaces = doc.stream.tokens
         for i, s in enumerate(surfaces):
             if s == "budget":
                 expected.append(
@@ -187,7 +187,7 @@ def test_kwic_line_reconstructs_contiguous_slice():
     views = pipeline.build_doc_views(arts, reg, masked=True)
     by_id = {v.article_id: v for v in views}
     for line in kwic(views, "NAMEFORM_SURNAME", window=4):
-        surfaces = [t.surface for t in by_id[line.article_id].stream.tokens]
+        surfaces = by_id[line.article_id].stream.tokens
         start = line.position - len(line.left)
         end = line.position + 1 + len(line.right)
         assert tuple(surfaces[start:end]) == line.left + (line.keyword,) + line.right

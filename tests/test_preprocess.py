@@ -13,13 +13,14 @@ from newsbias.errors import InvariantError
 from newsbias.preprocess import (
     DEFAULT_GENDERED_SIGNALS,
     MARKER,
+    MARKER_SURFACES,
     NUMBER,
     PUNCT,
     WORD,
     MentionSpan,
-    Token,
     TokenStream,
     concat_streams,
+    kind_of,
     marker_sentences,
     mask_gender_signals,
     remove_stopwords,
@@ -31,19 +32,19 @@ from newsbias.preprocess import (
 
 
 def surfaces(stream):
-    return [t.surface for t in stream.tokens]
+    return list(stream.tokens)
 
 
 def kinds(stream):
-    return [t.kind for t in stream.tokens]
+    """(surface, kind) of each token."""
+    return [(t, kind_of(t)) for t in stream.tokens]
 
 
 # --- tokenize ---
 
 def test_tokenize_keeps_internal_apostrophe_and_hyphen():
     got = tokenize("Harney's co-op plan.")
-    assert surfaces(got) == ["harney's", "co-op", "plan", "."]
-    assert kinds(got) == [WORD, WORD, WORD, PUNCT]
+    assert kinds(got) == [("harney's", WORD), ("co-op", WORD), ("plan", WORD), (".", PUNCT)]
 
 
 def test_tokenize_empty():
@@ -52,8 +53,7 @@ def test_tokenize_empty():
 
 def test_tokenize_numbers_and_currency():
     got = tokenize("€3.4bn in 2007")
-    assert surfaces(got) == ["€", "3.4bn", "in", "2007"]
-    assert kinds(got) == [PUNCT, NUMBER, WORD, NUMBER]
+    assert kinds(got) == [("€", PUNCT), ("3.4bn", NUMBER), ("in", WORD), ("2007", NUMBER)]
 
 
 def test_tokenize_lowercases():
@@ -72,7 +72,7 @@ def test_tokenize_trailing_apostrophe_is_punct():
 
 def test_tokenize_no_empty_tokens():
     got = tokenize("  a  -  b  ")
-    assert all(t.surface for t in got.tokens)
+    assert all(got.tokens)
     assert surfaces(got) == ["a", "-", "b"]
 
 
@@ -117,8 +117,7 @@ def test_spans_partition_tokens():
 def test_mask_replaces_span_and_deletes_pronoun():
     stream = split_sentences(tokenize("Mary Harney said she would"))
     got = mask_gender_signals(stream, [MentionSpan(0, 2, "full")])
-    assert surfaces(got) == ["NAMEFORM_FULL", "said", "would"]
-    assert kinds(got)[0] == MARKER
+    assert kinds(got) == [("NAMEFORM_FULL", MARKER), ("said", WORD), ("would", WORD)]
 
 
 def test_mask_no_matches_no_signals_is_identity():
@@ -156,7 +155,7 @@ def test_mask_token_count_law():
     spans = [MentionSpan(2, 4, "full")]
     got = mask_gender_signals(stream, spans)
     deleted = sum(
-        1 for t in stream.tokens if t.kind == WORD and t.surface in DEFAULT_GENDERED_SIGNALS
+        1 for t in stream.tokens if kind_of(t) == WORD and t in DEFAULT_GENDERED_SIGNALS
     )
     span_tokens = sum(s.end - s.start for s in spans)
     assert len(got.tokens) == len(stream.tokens) - deleted - (span_tokens - len(spans))
@@ -283,13 +282,15 @@ def test_stream_rejects_bad_spans():
 
 
 def test_stream_rejects_unknown_marker():
-    # the check runs where a marker token is made, once per distinct token
+    # a surface is a marker exactly when it is one of the three name forms;
+    # any other surface takes the kind the tokenizer's pattern gives it
+    assert kind_of("NAMEFORM_NICKNAME") == WORD
+    assert {kind_of(m) for m in MARKER_SURFACES} == {MARKER}
     with pytest.raises(InvariantError):
-        TokenStream((Token("NAMEFORM_NICKNAME", MARKER),))
-    assert Token("NAMEFORM_NICKNAME", WORD).kind == WORD
+        TokenStream(("NAMEFORM_FULL", "said"), ((0, 1),))
 
 
-# --- shared tokens and memoised stems, against per-occurrence references ---
+# --- derived kinds and memoised tokens and stems, against per-occurrence references ---
 
 # whitespace the tokenizer must split on like the regex does, letters whose
 # lowercase is longer or combining, non-ASCII digits, and the joiners
@@ -299,35 +300,45 @@ WORDY_TEXTS = st.text(st.sampled_from(list("abcdeilmnorstuy   .,")), max_size=80
 
 
 def ref_tokenize(text):
-    # the tokenizer as a plain scan of the pattern, one new Token per match
+    # the tokenizer as a plain scan of the pattern: (surface, kind) per match
     tokens = []
     for m in preprocess._TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        tokens.append(Token(m.group() if kind == PUNCT else m.group().lower(), kind))
-    return tuple(tokens)
+        tokens.append((m.group() if kind == PUNCT else m.group().lower(), kind))
+    return tokens
 
 
 @pytest.fixture
 def fresh_memos():
     """Start from empty memos, so no memo empties itself in the middle of the test."""
-    for memo in (preprocess._TOKENS, preprocess._CHUNKS, preprocess._STEMS):
+    for memo in (preprocess.kind_of, preprocess._CHUNKS, preprocess._STEMS):
         memo.clear()
 
 
 @settings(max_examples=300, deadline=None)
 @given(TEXTS)
 def test_tokenize_equals_pattern_scan(text):
-    assert tokenize(text).tokens == ref_tokenize(text)
-    # a second call, served from the memo, gives the same
-    assert tokenize(text).tokens == ref_tokenize(text)
+    assert kinds(tokenize(text)) == ref_tokenize(text)
+    # a second call, served from the memos, gives the same
+    assert kinds(tokenize(text)) == ref_tokenize(text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(st.characters(), max_size=60))
+def test_kind_follows_from_the_surface(text):
+    # over all of Unicode: the kind read back from a token's surface is the
+    # kind the pattern gave its match, and a word's Porter stem is a word
+    for surface, kind in ref_tokenize(text):
+        assert kind_of(surface) == kind
+        if kind == WORD:
+            assert kind_of(porter.stem(surface)) == WORD
 
 
 def test_tokenize_shares_one_token_per_surface_and_kind(fresh_memos):
     tokens = tokenize("Husband husband, HUSBAND. 3 3").tokens
-    words = [t for t in tokens if t.kind == WORD]
-    assert len(words) == 3 and all(t is words[0] for t in words)
-    assert tokens[-1] is tokens[-2]
-    assert stem(TokenStream(tokens)).tokens[0] is words[0]  # "husband" is its own stem
+    assert [t for t in tokens if kind_of(t) == WORD] == ["husband"] * 3
+    assert tokens[-1] is tokens[-2]  # one chunk, tokenized once
+    assert stem(TokenStream(tokens)).tokens[0] == "husband"  # "husband" is its own stem
 
 
 @settings(max_examples=100, deadline=None)
@@ -335,15 +346,13 @@ def test_tokenize_shares_one_token_per_surface_and_kind(fresh_memos):
 def test_stem_equals_porter_per_token(text):
     stream = split_sentences(tokenize(text))
     got = stem(stream)
-    assert [(t.surface, t.kind) for t in got.tokens] == [
-        (porter.stem(t.surface) if t.kind == WORD else t.surface, t.kind) for t in stream.tokens
-    ]
+    assert kinds(got) == [(porter.stem(t) if kind == WORD else t, kind) for t, kind in kinds(stream)]
     assert got.sentence_spans == stream.sentence_spans
 
 
 def test_memos_stay_within_their_bound(fresh_memos, monkeypatch):
     monkeypatch.setattr(preprocess, "_CACHE_LIMIT", 50)
-    memos = (preprocess._TOKENS, preprocess._CHUNKS, preprocess._STEMS)
+    memos = (preprocess.kind_of, preprocess._CHUNKS, preprocess._STEMS)
     rng = random.Random(3)
     words = sorted({
         "".join(rng.choice("bdfgklmnprstv") + rng.choice("aeiou") for _ in range(4))
@@ -354,10 +363,8 @@ def test_memos_stay_within_their_bound(fresh_memos, monkeypatch):
         text = f"{word}, {word}" if i % 3 else word
         stream = tokenize(text)
         stemmed = stem(stream)
-        assert stream.tokens == ref_tokenize(text)
-        assert [t.surface for t in stemmed.tokens] == [
-            porter.stem(t.surface) if t.kind == WORD else t.surface for t in stream.tokens
-        ]
+        assert kinds(stream) == ref_tokenize(text)
+        assert list(stemmed.tokens) == [porter.stem(t) if kind == WORD else t for t, kind in kinds(stream)]
         largest = [max(size, len(memo)) for size, memo in zip(largest, memos)]
     assert largest == [50, 50, 50]
 
@@ -403,7 +410,7 @@ def ref_remove_stopwords(stream, stoplist):
     new_pos = [0] * (len(stream.tokens) + 1)
     for i, tok in enumerate(stream.tokens):
         new_pos[i] = len(out)
-        if not (tok.kind == WORD and tok.surface in stoplist):
+        if not (REF_KINDS[tok] == WORD and tok in stoplist):
             out.append(tok)
     new_pos[len(stream.tokens)] = len(out)
     spans = tuple((new_pos[s], new_pos[e]) for s, e in stream.sentence_spans if new_pos[e] > new_pos[s])
@@ -413,25 +420,29 @@ def ref_remove_stopwords(stream, stoplist):
 def ref_marker_sentences(stream):
     return frozenset(
         idx for idx, (start, end) in enumerate(stream.sentence_spans)
-        if any(tok.kind == MARKER for tok in stream.tokens[start:end])
+        if any(REF_KINDS[tok] == MARKER for tok in stream.tokens[start:end])
     )
 
 
-# signals, stopwords, words that look like markers, and the words between
+# signals, stopwords, words that look like markers, and the words between,
+# with each token's kind written out for the references above
 MASK_WORDS = ["she", "his", "mr", "the", "a", "of", "said", "plan", "ministers",
-              "nameform_full", "NAMEFORM_SURNAME", "marker"]
+              "nameform_full", "marker"]
 MASK_TOKENS = (
-    [Token(w, WORD) for w in MASK_WORDS]
-    + [Token(".", PUNCT), Token("3", NUMBER), Token("NAMEFORM_GIVEN", MARKER)]
+    [(w, WORD) for w in MASK_WORDS]
+    + [(".", PUNCT), ("3", NUMBER), ("NAMEFORM_GIVEN", MARKER), ("NAMEFORM_SURNAME", MARKER)]
 )
-STOPLISTS = st.frozensets(st.sampled_from(MASK_WORDS + ["he", "nameform_given", "NAMEFORM_GIVEN"]))
+REF_KINDS = {**dict(MASK_TOKENS), **{m: MARKER for m in MARKER_SURFACES}}
+# stoplists may hold markers, punctuation and numbers too: only words are dropped
+STOPLISTS = st.frozensets(st.sampled_from(
+    MASK_WORDS + ["he", "nameform_given", "NAMEFORM_GIVEN", "NAMEFORM_SURNAME", ".", "3"]))
 
 
 @st.composite
 def masking_cases(draw):
     """A stream with or without sentence spans (short sentences, so some end up
     empty), disjoint mention spans over it, a signal list and a stoplist."""
-    tokens = tuple(draw(st.lists(st.sampled_from(MASK_TOKENS), max_size=30)))
+    tokens = tuple(draw(st.lists(st.sampled_from([tok for tok, _ in MASK_TOKENS]), max_size=30)))
     n = len(tokens)
     cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n // 2))) if n > 1 else []
     bounds = [0, *cuts, n]
@@ -469,4 +480,4 @@ def test_marker_sentences_equal_a_scan_of_each_sentence(case):
 
 def test_masking_hands_out_the_shared_marker_token():
     got = mask_gender_signals(tokenize("mary harney spoke"), [MentionSpan(0, 2, "full")])
-    assert got.tokens[0] is preprocess._TOKENS[("NAMEFORM_FULL", MARKER)]
+    assert kinds(got) == [("NAMEFORM_FULL", MARKER), ("spoke", WORD)]

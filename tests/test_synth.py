@@ -56,7 +56,7 @@ def test_planted_term_skews_by_label():
     instances = pipeline.build_instances(arts, reg)
     hits = {"female": 0, "male": 0}
     for inst in instances:
-        if any(t.surface == "husband" for t in inst.stream.tokens):
+        if "husband" in inst.stream.tokens:
             hits[inst.label] += 1
     assert hits["female"] > 3 * hits["male"]
 
