@@ -38,7 +38,6 @@ from .interpret import (
     RateStat,
     kwic,
     rank_features,
-    rate,
     rate_ratio,
     term_count,
 )

@@ -179,7 +179,7 @@ class _Run:
         p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         return p
 
-    def write_manifest(self) -> None:
+    def write_manifest(self, searched: dict[str, str] | None = None) -> None:
         # the embedded config (sans output directory) makes the manifest
         # sufficient to re-execute the run
         manifest = {
@@ -190,6 +190,8 @@ class _Run:
             "version": __version__,
             "outputs": sorted(self.outputs),
         }
+        if searched:
+            manifest["searched"] = searched
         path = self.out_dir / "manifest.json"
         path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -464,7 +466,8 @@ def cmd_rank(config: dict) -> int:
 
 
 def _build_views(config: dict):
-    """Registry, the configured date window, and query views of the articles inside it."""
+    """Registry, the configured date window, query views of the articles inside it, and
+    whether queries are stemmed: masked views under pipeline.stem hold stems."""
     articles, registry = _load_corpus(config)
     opts = _pipeline_options(config)
     window = (opts.pop("date_from"), opts.pop("date_to"))
@@ -474,18 +477,25 @@ def _build_views(config: dict):
         masked=config["interpret"]["masked"],
         **opts,
     )
-    return registry, window, views
+    return registry, window, views, config["interpret"]["masked"] and config["pipeline"]["stem"]
+
+
+def _stemmed(terms: list[str], stem: bool) -> dict[str, str]:
+    """Each query the stemmer changes, mapped to the stem searched in its place."""
+    forms = {term: interpret.normalize_query(term, stem=True) for term in terms if stem}
+    return {term: form for term, form in forms.items() if form != interpret.normalize_query(term)}
 
 
 def cmd_kwic(config: dict, term: str, tag: str) -> int:
     run = _Run("kwic", config)
-    _, _, views = _build_views(config)
+    _, _, views, stem = _build_views(config)
     lines = interpret.kwic(
         views,
         term,
         window=config["interpret"]["kwic_window"],
         group=config["interpret"].get("group"),
         require_cooccurrence=config["interpret"].get("cooccur", False),
+        stem=stem,
     )
     fh, writer = _open_csv(run.path("kwic.csv"))
     with fh:
@@ -497,7 +507,7 @@ def cmd_kwic(config: dict, term: str, tag: str) -> int:
                     " ".join(line.left), line.keyword, " ".join(line.right), tag,
                 ]
             )
-    run.write_manifest()
+    run.write_manifest(_stemmed([term], stem))
     print(f"{len(lines)} concordance lines for {term!r}")
     return 0
 
@@ -509,14 +519,14 @@ def cmd_stats(config: dict, terms: list[str], groups: list[str], portfolio: str 
     if len(set(groups)) < len(groups):
         raise ConfigError(f"--groups names a group twice: {','.join(groups)}")
     run = _Run("stats", config)
-    registry, (date_from, date_to), views = _build_views(config)
+    registry, (date_from, date_to), views, stem = _build_views(config)
     # years in office cover the counted dates: an unset side takes the registry's bound
     registry_from, registry_to = corpus.registry_window(registry)
     window = (date_from or registry_from, date_to or registry_to)
     stats = []
     for term in terms:
         for group in groups:
-            count = interpret.term_count(views, term, group)
+            count = interpret.term_count(views, term, group, stem=stem)
             years = corpus.total_years(registry, group, window, portfolio)
             if years <= 0:
                 raise DataError(f"group {group!r} has zero years in office in the window")
@@ -526,7 +536,7 @@ def cmd_stats(config: dict, terms: list[str], groups: list[str], portfolio: str 
         writer.writerow(["term", "group", "count", "years", "rate"])
         for st in stats:
             writer.writerow([st.term, st.group, st.count, f"{st.years:.6f}", f"{st.rate:.6f}"])
-    run.write_manifest()
+    run.write_manifest(_stemmed(terms, stem))
     for st in stats:
         print(f"{st.term}/{st.group}: {st.count} mentions over {st.years:.2f} years = {st.rate:.3f}/year")
     return 0

@@ -1,12 +1,13 @@
-"""Feature extraction: typed vocabularies and sparse vectors.
+"""Feature extraction: one scheme's vocabulary and sparse vectors over it.
 
 Five extraction schemes are supported (unigrams, adjectives, verbs,
 lexicon categories, newspaper section) plus the name-form markers, each
 over either the whole article or only the sentences that mention a
-politician. Vectors come in boolean, count, and tf-idf flavours; tf-idf
-is raw count times ln(n_docs / doc_freq) with no smoothing, which is
-well defined because every indexed feature occurs in at least one
-document.
+politician. A feature is its surface string (a token, lexicon category
+or section), and a space holds one scheme's features, its kind. Vectors
+come in boolean, count, and tf-idf flavours; tf-idf is raw count times
+ln(n_docs / doc_freq) with no smoothing, which is well defined because
+every indexed feature occurs in at least one document.
 """
 
 from __future__ import annotations
@@ -77,18 +78,16 @@ class FeatureVector:
 
 @dataclass(frozen=True)
 class FeatureSpace:
-    """Indexed vocabulary of (surface, kind) features with document frequencies."""
+    """The indexed vocabulary of one scheme, its kind: sorted surfaces with document frequencies."""
 
-    entries: tuple[tuple[str, str], ...]
-    index: Mapping[tuple[str, str], int]
+    kind: str
+    entries: tuple[str, ...]
+    index: Mapping[str, int]
     doc_freq: tuple[int, ...]
     n_docs: int
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def id_of(self, surface: str, kind: str) -> int | None:
-        return self.index.get((surface, kind))
 
 
 def load_lexicon(path: str | Path, name: str | None = None) -> LexiconSet:
@@ -151,8 +150,8 @@ def extract_terms(
     window: str = "article",
     pos_lexicon: PosLexicon | None = None,
     lexicon: LexiconSet | None = None,
-) -> Counter:
-    """Multiset of (surface, kind) terms for one instance under a scheme.
+) -> Counter[str]:
+    """Multiset of the surfaces of one instance's features under a scheme.
 
     With window="sentence" only tokens inside sentences that contain a
     name marker are considered (the section scheme ignores the window:
@@ -164,47 +163,45 @@ def extract_terms(
         raise ConfigError(f"unknown window {window!r}")
     if scheme == SECTION:
         section = instance.section.strip()
-        return Counter({(section, SECTION): 1}) if section else Counter()
+        return Counter({section: 1}) if section else Counter()
 
     # each distinct token of the window once, with its count there
     counts = Counter(_window_tokens(instance.stream, window))
     if scheme == UNIGRAM:
-        return Counter({(tok, UNIGRAM): n for tok, n in counts.items() if kind_of(tok) in (WORD, MARKER)})
+        return Counter({tok: n for tok, n in counts.items() if kind_of(tok) in (WORD, MARKER)})
     if scheme == NAMEFORM:
-        return Counter({(tok, NAMEFORM): n for tok, n in counts.items() if tok in MARKER_SURFACES})
+        return Counter({tok: n for tok, n in counts.items() if tok in MARKER_SURFACES})
     if scheme in (ADJECTIVE, VERB):
         if pos_lexicon is None:
             raise ConfigError(f"scheme {scheme!r} requires a POS lexicon")
         wanted = "ADJ" if scheme == ADJECTIVE else "VERB"
-        return Counter({(tok, scheme): n for tok, n in counts.items()
+        return Counter({tok: n for tok, n in counts.items()
                         if pos_lexicon.primary.get(tok) == wanted and kind_of(tok) == WORD})
     if lexicon is None:
         raise ConfigError("scheme 'lexicon_category' requires a lexicon")
-    terms: Counter = Counter()
+    terms: Counter[str] = Counter()
     for tok, n in counts.items():
         if kind_of(tok) != WORD:
             continue
         for cat, words in lexicon.categories.items():
             if tok in words:
-                terms[(cat, LEXICON_CATEGORY)] += n
+                terms[cat] += n
     return terms
 
 
-def build_space(term_multisets: Sequence[Counter], min_df: int = DEFAULT_MIN_DF) -> FeatureSpace:
-    """Index all terms with document frequency >= min_df, ordered by (kind, surface)."""
+def build_space(term_multisets: Sequence[Counter[str]], min_df: int = DEFAULT_MIN_DF, *, kind: str) -> FeatureSpace:
+    """Index the terms of one scheme with document frequency >= min_df, in surface order."""
     if min_df < 1:
         raise ConfigError(f"min_df must be >= 1, got {min_df}")
-    df: Counter = Counter()
+    df: Counter[str] = Counter()
     for terms in term_multisets:
-        df.update(set(terms))
-    kept = sorted(
-        (term for term, n in df.items() if n >= min_df),
-        key=lambda term: (term[1], term[0]),
-    )
+        df.update(terms.keys())
+    kept = sorted(term for term, n in df.items() if n >= min_df)
     if not kept:
         raise DataError("no features survive min_df")
     index = {term: i for i, term in enumerate(kept)}
     return FeatureSpace(
+        kind=kind,
         entries=tuple(kept),
         index=index,
         doc_freq=tuple(df[term] for term in kept),
@@ -212,7 +209,7 @@ def build_space(term_multisets: Sequence[Counter], min_df: int = DEFAULT_MIN_DF)
     )
 
 
-def vectorize(terms: Counter, space: FeatureSpace, representation: str) -> FeatureVector:
+def vectorize(terms: Counter[str], space: FeatureSpace, representation: str) -> FeatureVector:
     """Sparse vector over the space; terms outside the space are ignored."""
     if representation not in REPRESENTATIONS:
         raise ConfigError(f"unknown representation {representation!r}")

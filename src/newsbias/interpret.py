@@ -77,31 +77,31 @@ class RateRatio:
 
 
 def rank_features(model: LinearModel, space: FeatureSpace, k: int) -> RankedFeatures:
-    """Top-k features per class by linear weight; ties break on (kind, surface)."""
+    """Top-k (surface, the space's kind, weight) per class by linear weight; ties break on the surface."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if len(model.weights) != len(space):
         raise ValueError(
             f"model has {len(model.weights)} weights but space has {len(space)} features"
         )
+    kind = space.kind
     positives = []
     negatives = []
-    for fid, (surface, kind) in enumerate(space.entries):
-        w = float(model.weights[fid])
+    for surface, w in zip(space.entries, model.weights.tolist()):
         if w > 0:
             positives.append((surface, kind, w))
         elif w < 0:
             negatives.append((surface, kind, w))
-    positives.sort(key=lambda e: (-e[2], e[1], e[0]))
-    negatives.sort(key=lambda e: (e[2], e[1], e[0]))
+    positives.sort(key=lambda e: (-e[2], e[0]))
+    negatives.sort(key=lambda e: (e[2], e[0]))
     return RankedFeatures(female=tuple(positives[:k]), male=tuple(negatives[:k]), k=k)
 
 
-def normalize_query(term: str) -> str:
+def normalize_query(term: str, stem: bool = False) -> str:
     """Single-token surface for a query term, via the pipeline tokenizer.
 
     Marker surfaces (NAMEFORM_*) pass through verbatim so masked streams
-    can be queried for them.
+    can be queried for them. Pass stem when the views searched were stemmed.
     """
     if term in MARKER_SURFACES:
         return term
@@ -110,7 +110,7 @@ def normalize_query(term: str) -> str:
         raise ValueError(
             f"query {term!r} is not a single token; phrase search is not supported"
         )
-    return stream.tokens[0]
+    return (preprocess.stem(stream) if stem else stream).tokens[0]
 
 
 def kwic(
@@ -120,17 +120,18 @@ def kwic(
     *,
     group: str | None = None,
     require_cooccurrence: bool = False,
+    stem: bool = False,
 ) -> list[ConcordanceLine]:
     """Concordance lines for every occurrence of the term.
 
     Context never crosses article boundaries (it is truncated at the
     ends of the token stream). With require_cooccurrence, only hits in
     sentences that mention a politician are returned. Lines come back
-    ordered by (article id, token position).
+    ordered by (article id, token position). Pass stem when the views were stemmed.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    surface = normalize_query(term)
+    surface = normalize_query(term, stem)
     lines: list[ConcordanceLine] = []
     for doc in sorted(docs, key=lambda d: d.article_id):
         if group is not None and group not in doc.groups:
@@ -153,26 +154,19 @@ def kwic(
     return lines
 
 
-def term_count(docs: Sequence[DocView], term: str, group: str | None = None) -> int:
+def term_count(docs: Sequence[DocView], term: str, group: str | None = None, *, stem: bool = False) -> int:
     """Occurrences of the term in articles belonging to the group.
 
     An article in both groups counts toward both; group None counts all
-    articles.
+    articles. Pass stem when the views were stemmed.
     """
-    surface = normalize_query(term)
+    surface = normalize_query(term, stem)
     total = 0
     for doc in docs:
         if group is not None and group not in doc.groups:
             continue
         total += doc.stream.tokens.count(surface)
     return total
-
-
-def rate(count: int, years: float) -> float:
-    """Mentions per year in office."""
-    if years <= 0:
-        raise ValueError("years must be positive")
-    return count / years
 
 
 def rate_ratio(a: RateStat, b: RateStat) -> RateRatio:

@@ -15,6 +15,7 @@ from typing import Sequence
 
 from . import corpus, features, preprocess
 from .corpus import GENDERS, Article, LabeledInstance, PoliticianRecord
+from .errors import ConfigError
 from .features import FeatureSpace, LexiconSet, PosLexicon
 from .interpret import DocView
 from .learn import Dataset
@@ -92,7 +93,7 @@ def instance_terms(
     *,
     pos_lexicon: PosLexicon | None = None,
     lexicon: LexiconSet | None = None,
-) -> list[Counter]:
+) -> list[Counter[str]]:
     return [
         features.extract_terms(
             inst, scheme, window=window, pos_lexicon=pos_lexicon, lexicon=lexicon
@@ -114,15 +115,17 @@ def build_dataset(
 ) -> tuple[Dataset, FeatureSpace]:
     """Vectorize instances under one scheme/window/representation.
 
-    Pass an existing space to vectorize a new batch against a fixed
-    vocabulary; otherwise the space is built from these instances. The
-    vectors are packed into the dataset's CSR here and then dropped.
+    Pass an existing space of the scheme to vectorize a new batch against
+    a fixed vocabulary; otherwise the space is built from these instances.
+    The vectors are packed into the dataset's CSR here and then dropped.
     """
+    if space is not None and space.kind != scheme:
+        raise ConfigError(f"a {space.kind} feature space cannot vectorize scheme {scheme!r}")
     terms = instance_terms(
         instances, scheme, window, pos_lexicon=pos_lexicon, lexicon=lexicon
     )
     if space is None:
-        space = features.build_space(terms, min_df)
+        space = features.build_space(terms, min_df, kind=scheme)
     vectors = [features.vectorize(t, space, representation) for t in terms]
     del terms  # the term counts outweigh the CSR: free them before it is packed
     return Dataset.pack(vectors, [inst.label for inst in instances], space), space

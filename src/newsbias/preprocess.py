@@ -159,14 +159,11 @@ def tokenize(text: str) -> TokenStream:
     return TokenStream(tuple(chain.from_iterable(map(_CHUNKS.__getitem__, text.split()))))
 
 
-def split_sentences(
-    stream: TokenStream,
-    abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS,
-) -> TokenStream:
+def split_sentences(stream: TokenStream) -> TokenStream:
     """Close a sentence after each run of . ! ? unless guarded by an abbreviation.
 
-    The guard applies to a lone "." directly preceded by a registered
-    abbreviation word ("dr", "st", ...). A final unterminated sentence is
+    The guard applies to a lone "." directly preceded by a word in
+    DEFAULT_ABBREVIATIONS ("dr", "st", ...). A final unterminated sentence is
     closed at the end of the stream; an empty stream has no spans.
     """
     tokens = stream.tokens
@@ -184,7 +181,7 @@ def split_sentences(
             guarded = (
                 lone_period
                 and run_start > 0
-                and tokens[run_start - 1] in abbreviations
+                and tokens[run_start - 1] in DEFAULT_ABBREVIATIONS
                 and kind_of(tokens[run_start - 1]) == WORD
             )
             if not guarded:

@@ -373,20 +373,20 @@ def test_criterion_11_sweep_determinism(tmp_path):
 
 def test_criterion_12_representation_laws():
     docs = [
-        Counter({("everywhere", "unigram"): 1, ("twice", "unigram"): 2}),
-        Counter({("everywhere", "unigram"): 3}),
-        Counter({("everywhere", "unigram"): 1, ("other", "unigram"): 1}),
+        Counter({"everywhere": 1, "twice": 2}),
+        Counter({"everywhere": 3}),
+        Counter({"everywhere": 1, "other": 1}),
     ]
-    space = features.build_space(docs, min_df=1)
+    space = features.build_space(docs, min_df=1, kind="unigram")
     indicator_ok = True
     for doc in docs:
         boolean = features.vectorize(doc, space, "boolean")
         count = features.vectorize(doc, space, "count")
         indicator_ok &= boolean.ids == count.ids and all(v == 1.0 for v in boolean.values)
     tfidf0 = features.vectorize(docs[1], space, "tfidf")
-    everywhere_dropped = space.id_of("everywhere", "unigram") not in tfidf0.ids
+    everywhere_dropped = space.index["everywhere"] not in tfidf0.ids
     tfidf = features.vectorize(docs[0], space, "tfidf")
-    got = dict(zip(tfidf.ids, tfidf.values))[space.id_of("twice", "unigram")]
+    got = dict(zip(tfidf.ids, tfidf.values))[space.index["twice"]]
     hand = 2 * math.log(3 / 1)
     ok = indicator_ok and everywhere_dropped and abs(got - hand) <= 1e-9
     report(12, "representation laws", ok,

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from newsbias import cli, corpus, learn
+from newsbias import cli, corpus, features, learn
 
 from util import article_row, days_after, politician, write_articles, write_registry
 
@@ -238,6 +238,68 @@ def test_rank_lists_bounded_by_k(synth_corpus, tmp_path):
     assert payload["fit"].keys() == {"iterations", "gap"} and 1 <= payload["fit"]["iterations"] <= 100
 
 
+# --- every scheme, end to end ---
+
+@pytest.fixture
+def every_scheme_corpus(tmp_path):
+    """Generated corpus whose planted words a lexicon and a POS lexicon name, plus a config."""
+    data = tmp_path / "data"
+    planted = ["formidable:0.03:0.01", "shrill:0.02:0.02", "embrace:0.01:0.03", "insist:0.02:0.02",
+               "chief:0.02:0.02"]
+    assert run("gen-synth", "--out", str(data), "--seed", "99", "--n", "60",
+               *(arg for p in planted for arg in ("--planted", p))) == 0
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("chief\tPOWER\nformidable\tPOWER,WARM\nembrace\tWARM\n")
+    pos_lexicon = tmp_path / "pos.tsv"
+    pos_lexicon.write_text("formidable\tADJ\nshrill\tADJ\nembrace\tVERB\ninsist\tVERB\nchief\tNOUN\n")
+    config = {
+        "seed": 7,
+        "paths": {
+            "articles": str(data / "articles.jsonl"),
+            "registry": str(data / "registry.json"),
+            "lexicons": [str(lexicon)],
+            "pos_lexicon": str(pos_lexicon),
+        },
+        "features": {"min_df": 2},
+        "evaluate": {"k": 3},
+        "sweep": {
+            "schemes": [f"{s}/{w}" for s in features.SCHEMES for w in features.WINDOWS],
+            "representations": ["boolean"],
+            "classifiers": ["svm", "nb-bernoulli", "tree"],
+        },
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    return config_path
+
+
+def test_sweep_runs_every_scheme_and_window(every_scheme_corpus, tmp_path):
+    out = tmp_path / "sweep"
+    assert run("sweep", "--config", str(every_scheme_corpus), "--out", str(out)) == 0
+    rows = read_csv_rows(out / "sweep_summary.csv")
+    expected = {f"{s}/{w}/boolean/{c}" for s in features.SCHEMES for w in features.WINDOWS
+                for c in ("svm", "nb-bernoulli", "tree")}
+    assert len(rows) == len(expected) == 36
+    assert {r["descriptor"] for r in rows} == expected
+    assert all(int(r["n_features"]) >= 1 for r in rows)
+
+
+@pytest.mark.parametrize("scheme", features.SCHEMES)
+def test_rank_entries_carry_the_scheme_as_kind(every_scheme_corpus, tmp_path, scheme):
+    out = tmp_path / "rank"
+    config = json.loads(every_scheme_corpus.read_text())
+    config["features"]["scheme"] = scheme
+    config_path = tmp_path / f"{scheme}.json"
+    config_path.write_text(json.dumps(config))
+    assert run("rank", "--config", str(config_path), "--out", str(out)) == 0
+    payload = json.loads((out / "ranked_features.json").read_text())
+    entries = payload["female"] + payload["male"]
+    assert entries
+    assert {e["kind"] for e in entries} == {scheme}
+    rows = read_csv_rows(out / "ranked_features.csv")
+    assert [(r["surface"], r["kind"]) for r in rows] == [(e["surface"], e["kind"]) for e in entries]
+
+
 # --- kwic ---
 
 def test_kwic_absent_term_header_only(synth_corpus, tmp_path):
@@ -332,6 +394,56 @@ def test_stats_half_open_window_counts_years_from_date_from(tmp_path):
     assert int(rows["female"]["count"]) == 1  # the 2003 article is outside the window
     for group in ("female", "male"):
         assert float(rows[group]["years"]) == pytest.approx(2.16, abs=0.005)
+
+
+# --- queries against stemmed views ---
+
+@pytest.fixture
+def stemmed_corpus(tmp_path):
+    """Generated corpus with a planted word the stemmer changes ("bedite" -> "bedit"), stemming on."""
+    data = tmp_path / "data"
+    assert run("gen-synth", "--out", str(data), "--seed", "99", "--n", "40",
+               "--planted", "bedite:0.04:0.02") == 0
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "paths": {"articles": str(data / "articles.jsonl"), "registry": str(data / "registry.json")},
+        "pipeline": {"stem": True},
+    }))
+    return config_path
+
+
+@pytest.mark.parametrize("term", ["bedite", "Bedite"])
+def test_stats_masked_under_stemming_counts_what_raw_counts(stemmed_corpus, tmp_path, term):
+    counts = {}
+    for flags in ([], ["--masked"]):
+        out = tmp_path / ("masked" if flags else "raw")
+        assert run("stats", "--term", term, *flags, "--config", str(stemmed_corpus), "--out", str(out)) == 0
+        counts[bool(flags)] = {r["group"]: int(r["count"]) for r in read_csv_rows(out / "stats.csv")}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest.get("searched") == ({term: "bedit"} if flags else None)
+    assert counts[True] == counts[False]
+    assert all(counts[True].values())
+
+
+def test_kwic_masked_under_stemming_finds_what_raw_finds(stemmed_corpus, tmp_path):
+    found = {}
+    for flags in ([], ["--masked"]):
+        out = tmp_path / ("masked" if flags else "raw")
+        assert run("kwic", "bedite", *flags, "--config", str(stemmed_corpus), "--out", str(out)) == 0
+        rows = read_csv_rows(out / "kwic.csv")
+        assert {r["keyword"] for r in rows} == {"bedit" if flags else "bedite"}
+        found[bool(flags)] = sorted(r["article_id"] for r in rows)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest.get("searched") == ({"bedite": "bedit"} if flags else None)
+    assert found[True] == found[False] != []
+
+
+def test_query_that_is_its_own_stem_records_no_searched_form(stemmed_corpus, tmp_path):
+    out = tmp_path / "stats"
+    assert run("stats", "--term", "bedit", "--term", "NAMEFORM_FULL", "--masked",
+               "--config", str(stemmed_corpus), "--out", str(out)) == 0
+    assert "searched" not in json.loads((out / "manifest.json").read_text())
+    assert all(int(r["count"]) > 0 for r in read_csv_rows(out / "stats.csv"))
 
 
 def test_flag_overrides_do_not_leak_into_later_runs(spouse_fixture, tmp_path):

@@ -113,57 +113,49 @@ def lexicon(tmp_path):
 def test_extract_unigrams_include_markers():
     inst = make_instance("Mary Harney embraced the policy", spans=[MentionSpan(0, 2, "full")])
     got = extract_terms(inst, "unigram")
-    assert got == Counter({
-        ("NAMEFORM_FULL", "unigram"): 1,
-        ("embraced", "unigram"): 1,
-        ("the", "unigram"): 1,
-        ("policy", "unigram"): 1,
-    })
+    assert got == Counter({"NAMEFORM_FULL": 1, "embraced": 1, "the": 1, "policy": 1})
 
 
 def test_extract_unigrams_skip_numbers_and_punct():
     inst = make_instance("a budget of €3.4bn, agreed.")
     got = extract_terms(inst, "unigram")
-    assert set(got) == {("a", "unigram"), ("budget", "unigram"), ("of", "unigram"), ("agreed", "unigram")}
+    assert set(got) == {"a", "budget", "of", "agreed"}
 
 
 def test_extract_lexicon_category(lexicon):
     inst = make_instance("Mary Harney would embrace policy", spans=[MentionSpan(0, 2, "full")])
     got = extract_terms(inst, "lexicon_category", lexicon=lexicon)
-    assert got == Counter({("ACTIVE", "lexicon_category"): 1})
+    assert got == Counter({"ACTIVE": 1})
 
 
 def test_extract_lexicon_counts_occurrences(lexicon):
     inst = make_instance("jail the chief, then jail him again")
     got = extract_terms(inst, "lexicon_category", lexicon=lexicon)
-    assert got[("POWER", "lexicon_category")] == 3
+    assert got["POWER"] == 3
 
 
 def test_extract_adjectives(pos_lexicon):
     inst = make_instance("the formidable leader spoke")
     got = extract_terms(inst, "adjective", pos_lexicon=pos_lexicon)
-    assert got == Counter({("formidable", "adjective"): 1})
+    assert got == Counter({"formidable": 1})
 
 
 def test_extract_verbs_primary_tag_only(pos_lexicon):
     inst = make_instance("they embrace the formidable leader who spoke")
     got = extract_terms(inst, "verb", pos_lexicon=pos_lexicon)
-    assert got == Counter({("embrace", "verb"): 1, ("spoke", "verb"): 1})
+    assert got == Counter({"embrace": 1, "spoke": 1})
 
 
 def test_extract_section():
     inst = make_instance("body text", section="politics")
-    assert extract_terms(inst, "section") == Counter({("politics", "section"): 1})
+    assert extract_terms(inst, "section") == Counter({"politics": 1})
     assert extract_terms(make_instance("body", section=""), "section") == Counter()
 
 
 def test_extract_nameform():
     inst = make_instance("Mary Harney met Harney", spans=[MentionSpan(0, 2, "full"), MentionSpan(3, 4, "surname")])
     got = extract_terms(inst, "nameform")
-    assert got == Counter({
-        ("NAMEFORM_FULL", "nameform"): 1,
-        ("NAMEFORM_SURNAME", "nameform"): 1,
-    })
+    assert got == Counter({"NAMEFORM_FULL": 1, "NAMEFORM_SURNAME": 1})
 
 
 def test_sentence_window_restricts_to_mention_sentences():
@@ -172,8 +164,8 @@ def test_sentence_window_restricts_to_mention_sentences():
         spans=[MentionSpan(0, 2, "full")],
     )
     got = extract_terms(inst, "unigram", window="sentence")
-    assert ("backed", "unigram") in got
-    assert ("dissented", "unigram") not in got
+    assert "backed" in got
+    assert "dissented" not in got
 
 
 def test_sentence_window_subset_of_article_window(lexicon):
@@ -206,48 +198,44 @@ def test_extract_missing_resources_error():
 
 # --- build_space ---
 
-def term(surface, kind="unigram"):
-    return (surface, kind)
-
-
 def test_build_space_min_df_filters():
-    docs = [Counter({term("rare"): 1, term("common"): 2}),
-            Counter({term("common"): 1}),
-            Counter({term("common"): 5})]
-    space = build_space(docs, min_df=2)
-    assert space.entries == (term("common"),)
+    docs = [Counter({"rare": 1, "common": 2}),
+            Counter({"common": 1}),
+            Counter({"common": 5})]
+    space = build_space(docs, min_df=2, kind="unigram")
+    assert space.kind == "unigram"
+    assert space.entries == ("common",)
     assert space.doc_freq == (3,)
     assert space.n_docs == 3
 
 
 def test_build_space_min_df_one_keeps_everything():
-    docs = [Counter({term("a"): 1}), Counter({term("b"): 1})]
-    space = build_space(docs, min_df=1)
-    assert set(space.entries) == {term("a"), term("b")}
+    docs = [Counter({"a": 1}), Counter({"b": 1})]
+    space = build_space(docs, min_df=1, kind="unigram")
+    assert set(space.entries) == {"a", "b"}
 
 
 def test_build_space_ordering_independent_of_doc_order():
     docs = [
-        Counter({term("zeta"): 1, term("alpha"): 1, ("POWER", "lexicon_category"): 1}),
-        Counter({term("alpha"): 2, ("POWER", "lexicon_category"): 1}),
-        Counter({term("zeta"): 1}),
+        Counter({"zeta": 1, "alpha": 1, "NAMEFORM_FULL": 1}),
+        Counter({"alpha": 2, "NAMEFORM_FULL": 1}),
+        Counter({"zeta": 1}),
     ]
-    a = build_space(docs, min_df=1)
-    b = build_space(list(reversed(docs)), min_df=1)
-    assert a.entries == b.entries == (
-        ("POWER", "lexicon_category"), ("alpha", "unigram"), ("zeta", "unigram"),
-    )
-    assert a.doc_freq == b.doc_freq
+    a = build_space(docs, min_df=1, kind="unigram")
+    b = build_space(list(reversed(docs)), min_df=1, kind="unigram")
+    assert a.entries == b.entries == ("NAMEFORM_FULL", "alpha", "zeta")
+    assert a.index == b.index == {"NAMEFORM_FULL": 0, "alpha": 1, "zeta": 2}
+    assert a.doc_freq == b.doc_freq == (2, 2, 2)
 
 
 def test_build_space_empty_error():
     with pytest.raises(DataError, match="no features survive min_df"):
-        build_space([Counter({term("once"): 1})], min_df=2)
+        build_space([Counter({"once": 1})], min_df=2, kind="unigram")
 
 
 def test_build_space_bad_min_df():
     with pytest.raises(ConfigError):
-        build_space([Counter({term("x"): 1})], min_df=0)
+        build_space([Counter({"x": 1})], min_df=0, kind="unigram")
 
 
 # --- vectorize ---
@@ -255,17 +243,17 @@ def test_build_space_bad_min_df():
 @pytest.fixture
 def three_doc_space():
     docs = [
-        Counter({term("everywhere"): 1, term("twice"): 2}),
-        Counter({term("everywhere"): 3}),
-        Counter({term("everywhere"): 1, term("other"): 1}),
+        Counter({"everywhere": 1, "twice": 2}),
+        Counter({"everywhere": 3}),
+        Counter({"everywhere": 1, "other": 1}),
     ]
-    return docs, build_space(docs, min_df=1)
+    return docs, build_space(docs, min_df=1, kind="unigram")
 
 
 def test_vectorize_count(three_doc_space):
     docs, space = three_doc_space
     vec = vectorize(docs[0], space, "count")
-    fid = space.id_of("twice", "unigram")
+    fid = space.index["twice"]
     assert dict(zip(vec.ids, vec.values))[fid] == 2.0
 
 
@@ -281,14 +269,14 @@ def test_vectorize_boolean_is_indicator(three_doc_space):
 def test_vectorize_tfidf_everywhere_term_dropped(three_doc_space):
     docs, space = three_doc_space
     vec = vectorize(docs[1], space, "tfidf")
-    assert space.id_of("everywhere", "unigram") not in vec.ids
+    assert space.index["everywhere"] not in vec.ids
     assert vec.ids == ()  # doc 1 contains only the everywhere term
 
 
 def test_vectorize_tfidf_hand_computed(three_doc_space):
     docs, space = three_doc_space
     vec = vectorize(docs[0], space, "tfidf")
-    fid = space.id_of("twice", "unigram")
+    fid = space.index["twice"]
     expected = 2 * math.log(3)  # two occurrences, present in 1 of 3 docs
     assert dict(zip(vec.ids, vec.values))[fid] == pytest.approx(expected, abs=1e-9)
 
@@ -303,7 +291,7 @@ def test_vectorize_tfidf_subset_of_count_ids(three_doc_space):
 
 def test_vectorize_unknown_terms_ignored(three_doc_space):
     _, space = three_doc_space
-    vec = vectorize(Counter({term("unseen"): 4}), space, "count")
+    vec = vectorize(Counter({"unseen": 4}), space, "count")
     assert vec.ids == ()
 
 

@@ -14,7 +14,6 @@ from newsbias.interpret import (
     RateStat,
     kwic,
     rank_features,
-    rate,
     rate_ratio,
     term_count,
 )
@@ -226,9 +225,10 @@ def test_term_count_equals_kwic_length():
 # --- rates ---
 
 def test_rate_basic():
-    assert rate(48, 38.6) == pytest.approx(48 / 38.6)
-    with pytest.raises(ValueError):
-        rate(1, 0.0)
+    assert RateStat(term="husband", group="female", count=48, years=38.6).rate == pytest.approx(48 / 38.6)
+    for years in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            RateStat(term="husband", group="female", count=1, years=years)
 
 
 def test_rate_stat_consistency():

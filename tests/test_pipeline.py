@@ -7,7 +7,7 @@ import datetime
 import pytest
 
 from newsbias import corpus, features, pipeline, synth
-from newsbias.errors import DataError
+from newsbias.errors import ConfigError, DataError
 from newsbias.preprocess import MARKER, kind_of
 
 
@@ -47,6 +47,15 @@ def test_build_dataset_shares_space_across_representations(small_corpus):
     assert len(ds_bool) == len(ds_count) == len(instances)
     for b, c in zip(ds_bool.vectors, ds_count.vectors):
         assert b.ids == c.ids
+
+
+def test_build_dataset_rejects_a_space_of_another_scheme(small_corpus):
+    articles, registry = small_corpus
+    instances = pipeline.build_instances(articles, registry)
+    _, space = pipeline.build_dataset(instances, scheme="unigram", min_df=2)
+    assert space.kind == "unigram"
+    with pytest.raises(ConfigError, match="unigram"):
+        pipeline.build_dataset(instances, scheme="section", space=space)
 
 
 def test_sentence_window_dataset_is_smaller(small_corpus):

@@ -10,8 +10,9 @@ from newsbias.learn import Dataset
 
 
 def make_space(n: int, kind: str = "unigram", n_docs: int = 10) -> FeatureSpace:
-    entries = tuple((f"f{i:03d}", kind) for i in range(n))
+    entries = tuple(f"f{i:03d}" for i in range(n))
     return FeatureSpace(
+        kind=kind,
         entries=entries,
         index={e: i for i, e in enumerate(entries)},
         doc_freq=(1,) * n,
