@@ -241,6 +241,10 @@ def _load_resources(config: dict):
     pos_lexicon = None
     if config["paths"]["pos_lexicon"]:
         pos_lexicon = features.load_pos_lexicon(_require_path(config, "pos_lexicon"))
+    if config["pipeline"]["stem"]:
+        # the schemes look up the tokens of the masked text, which hold stems
+        lexicon = lexicon and lexicon.stemmed()
+        pos_lexicon = pos_lexicon and pos_lexicon.stemmed()
     return lexicon, pos_lexicon
 
 

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 from .corpus import LabeledInstance
 from .errors import ConfigError, DataError, read_text
-from .preprocess import MARKER, MARKER_SURFACES, WORD, TokenStream, kind_of, marker_sentences
+from .preprocess import MARKER, MARKER_SURFACES, WORD, TokenStream, kind_of, marker_sentences, stem
 
 # feature kinds
 UNIGRAM = "unigram"
@@ -39,6 +39,11 @@ POS_TAGS = ("ADJ", "VERB", "NOUN", "OTHER")
 DEFAULT_MIN_DF = 3
 
 
+def _stems(words: Sequence[str]) -> dict[str, str]:
+    """Each word's stem by the masking chain's stemmer, the form it takes in stemmed text."""
+    return dict(zip(words, stem(TokenStream(tuple(words))).tokens))
+
+
 @dataclass(frozen=True, slots=True)
 class LexiconSet:
     """Named word lists grouped by category (power words, action words, ...)."""
@@ -46,12 +51,30 @@ class LexiconSet:
     name: str
     categories: Mapping[str, frozenset[str]]
 
+    def stemmed(self) -> "LexiconSet":
+        """The same lists with each word stemmed, to look up stemmed tokens."""
+        stems = _stems(sorted(set().union(*self.categories.values())))
+        return LexiconSet(self.name, {c: frozenset(stems[w] for w in ws) for c, ws in self.categories.items()})
+
 
 @dataclass(frozen=True, slots=True)
 class PosLexicon:
     """Word -> part-of-speech lookup with one primary tag per word."""
 
     primary: Mapping[str, str]
+
+    def stemmed(self) -> "PosLexicon":
+        """The same lookup keyed by stems, to look up stemmed tokens; two
+        words that share a stem must share their primary tag."""
+        primary: dict[str, str] = {}
+        first: dict[str, str] = {}
+        for word, word_stem in _stems(sorted(self.primary)).items():
+            tag = self.primary[word]
+            other = first.setdefault(word_stem, word)
+            if primary.setdefault(word_stem, tag) != tag:
+                raise DataError(f"POS lexicon words {other!r} ({primary[word_stem]}) and {word!r} ({tag}) "
+                                f"share the stem {word_stem!r} but not a primary tag")
+        return PosLexicon(primary)
 
 
 @dataclass(frozen=True, slots=True)

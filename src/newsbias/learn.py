@@ -16,7 +16,28 @@ reads, kept so the under-sampling seeds stay where they have always
 been), so a report is byte-for-byte reproducible.
 
 Ties (zero scores, equal posteriors, equal leaf counts) always resolve
-to "female", the lexicographically smaller label.
+to "female", the lexicographically smaller label; features of equal gain
+ratio resolve to the lowest feature id.
+
+The tree grows level by level. One node-id array over the CSR's rows says
+which node of the level each training row is in, and a split node's
+feature is tested against the CSR's column index (the rows holding each
+feature, made once per CSR and shared by every fold of a cross-validation,
+which drops it when done); prediction sends test rows down the same way. Per level, only the smaller child of each
+split is counted, in one bincount over (node, class, feature) cells; the
+larger child's counts are its parent's less the smaller's (histogram
+subtraction, as in LightGBM). Between levels a node keeps its counts
+sparse, one (pf, pm) pair of female and male rows per feature present in
+it, and a gain ratio, which depends only on the node's class counts and
+that pair, is computed once per distinct pair. A level so costs one pass
+over the entries of its smaller children, one over its nodes' present
+features and one over the column entries of its split features, with a
+fixed number of numpy calls however many nodes it has. Memory: one
+bincount holds at most _COUNT_CELLS int64 counts (2 MiB), so the smaller
+children of a wide level are counted in groups of nodes; everything else
+the grower holds grows with the training entries: the sparse counts, at
+most one int32 pair per entry, and the column index, one int32 row per
+entry.
 """
 
 from __future__ import annotations
@@ -52,6 +73,8 @@ CLASSIFIERS = tuple(ACCEPTS)
 
 # guards against float noise masquerading as information gain
 _GAIN_EPS = 1e-12
+# the most (node, class, feature) counts one bincount of the tree grower holds: 2 MiB
+_COUNT_CELLS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,14 +111,34 @@ class CSR:
         return tuple(FeatureVector(tuple(ids[a:b]), tuple(values[a:b]), self.representation)
                      for a, b in zip(bounds, bounds[1:]))
 
+    @cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The column index, made on first read and shared by every subset: the
+        int32 rows holding feature j, in row order, are rows[starts[j]:starts[j + 1]]
+        for j below len(starts) - 1; no row holds a higher id. cross_validate
+        drops it once its folds are done."""
+        starts = np.concatenate(([0], np.cumsum(np.bincount(self.indices), dtype=np.int64)))
+        # one (feature, row) key per entry, sorted in place: at most 12 bytes an entry
+        keys = self.indices.astype(np.int64)
+        keys <<= 32
+        keys |= np.repeat(np.arange(len(self.indptr) - 1, dtype=np.int32), np.diff(self.indptr))
+        keys.sort()
+        keys &= 0xFFFFFFFF
+        return starts, keys.astype(np.int32)
+
     def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Positions of the given rows' entries, row after row, and the rows' lengths."""
         starts = self.indptr[rows]
         lengths = self.indptr[rows + 1] - starts
-        ends = np.cumsum(lengths)
-        entries = np.repeat(starts - (ends - lengths), lengths)
-        entries += np.arange(len(entries))
-        return entries, lengths
+        return _spans(starts, lengths), lengths
+
+
+def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions starts[i] up to starts[i] + lengths[i], span after span."""
+    ends = np.cumsum(lengths)
+    positions = np.repeat(starts - (ends - lengths), lengths)
+    positions += np.arange(len(positions))
+    return positions
 
 
 def _row_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -542,44 +585,143 @@ def _entropy(counts_a: np.ndarray, counts_b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _best_split(
-    csr: CSR, labels: np.ndarray, rows: np.ndarray, nf: int, nm: int, dim: int
-) -> int | None:
-    """The feature whose presence split of rows has the best gain ratio, if any gains.
-
-    Apart from the tree's growth so that its temporaries are freed before the recursion.
-    """
-    entries, lengths = csr.gather(rows)
-    ids = csr.indices[entries]
-    del entries
-    pm = np.bincount(ids[np.repeat(labels[rows], lengths) == 1], minlength=dim)
-    pf = np.bincount(ids, minlength=dim) - pm
-    del ids
-
-    n = float(len(rows))
+def _gain_ratios(pf: np.ndarray, pm: np.ndarray, nf: np.ndarray, nm: np.ndarray) -> np.ndarray:
+    """Gain ratio of splitting a node of nf female and nm male rows on a feature
+    that pf and pm of them hold; -inf where the split is not valid."""
     af, am = nf - pf, nm - pm
     n_present = pf + pm
     n_absent = af + am
-    node_entropy = _entropy(np.array([float(nf)]), np.array([float(nm)]))[0]
+    node_entropy = _entropy(nf.astype(float), nm.astype(float))
     child_entropy = (
         n_present * _entropy(pf, pm) + n_absent * _entropy(af, am)
-    ) / n
+    ) / (nf + nm).astype(float)
     gain = node_entropy - child_entropy
     split_info = _entropy(n_present, n_absent)
     valid = (n_present > 0) & (n_absent > 0) & (gain > _GAIN_EPS) & (split_info > 0)
-    if not valid.any():
-        return None
-    ratio = np.where(valid, gain / np.where(split_info > 0, split_info, 1.0), -np.inf)
-    return int(np.argmax(ratio))  # argmax takes the lowest id on ties
+    return np.where(valid, gain / np.where(split_info > 0, split_info, 1.0), -np.inf)
 
 
-def _has_feature(csr: CSR, rows: np.ndarray, feature: int) -> np.ndarray:
-    """Mask over rows: whether each holds the feature."""
-    entries, lengths = csr.gather(rows)
-    hits = np.flatnonzero(csr.indices[entries] == feature)
-    present = np.zeros(len(rows), dtype=bool)
-    present[np.searchsorted(np.cumsum(lengths), hits, side="right")] = True
-    return present
+def _best_features(cells: tuple[np.ndarray, ...], nf: np.ndarray, nm: np.ndarray) -> np.ndarray:
+    """Per node of a level, the feature whose presence split has the best gain
+    ratio, the lowest id among equals, or -1 where none gains.
+
+    cells are (node, feature, pf, pm): the features present in each node with
+    the node's female and male rows holding them, one node's cells together
+    and in feature order. A ratio depends only on the node's nf and nm and the
+    cell's (pf, pm) pair, so it is computed once per distinct pair in a node.
+    """
+    node, feature, pf, pm = cells
+    best = np.full(len(nf), -1)
+    if not len(node):
+        return best
+    width = nm + 1
+    span = (nf + 1) * width
+    key = (np.cumsum(span) - span)[node] + pf * width[node] + pm
+    distinct, inverse = np.unique(key, return_inverse=True)
+    first = np.empty(len(distinct), dtype=np.intp)
+    first[inverse] = np.arange(len(key))  # any cell of a pair stands for it
+    at = node[first]  # ascending, as the keys are
+    ratio = _gain_ratios(pf[first], pm[first], nf[at], nm[at])
+    starts = np.flatnonzero(np.concatenate(([True], at[1:] != at[:-1])))
+    top = np.repeat(np.maximum.reduceat(ratio, starts), np.diff(np.append(starts, len(at))))
+    # the cells whose pair has its node's top ratio: the first of a node's is the lowest id
+    hits = np.flatnonzero((ratio == top)[inverse])
+    lowest = hits[np.concatenate(([True], node[hits][1:] != node[hits][:-1]))]
+    gains = top[inverse[lowest]] > -np.inf
+    best[node[lowest[gains]]] = feature[lowest[gains]]
+    return best
+
+
+def _holds(csr: CSR, node_of: np.ndarray, nodes: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """Mask over the CSR's rows: whether a row in one of the nodes (node_of
+    gives each row's) holds that node's feature, read off the column index."""
+    starts, col_rows = csr.columns
+    last = len(starts) - 1
+    first = starts[np.minimum(features, last)]
+    lengths = starts[np.minimum(features + 1, last)] - first
+    rows = col_rows[_spans(first, lengths)]
+    holds = np.zeros(len(node_of), dtype=bool)
+    holds[rows[node_of[rows] == np.repeat(nodes, lengths)]] = True
+    return holds
+
+
+def _descend(csr: CSR, node_of: np.ndarray, live: np.ndarray, feature: np.ndarray) -> np.ndarray:
+    """Send the live rows one level down; return those still live.
+
+    A live row is in node node_of[row] of the level, whose split feature is
+    feature[node] (-1 at a leaf). The i-th split node's children in the next
+    level are 2i (holds the feature) and 2i + 1 (lacks it); a row at a leaf
+    gets -1. Copies of a row share one entry, so they go down together.
+    """
+    split = np.flatnonzero(feature >= 0)
+    rank = np.full(len(feature), -1)
+    rank[split] = np.arange(len(split))
+    lacks = ~_holds(csr, node_of, split, feature[split])
+    ranks = rank[node_of[live]]
+    node_of[live] = np.where(ranks >= 0, 2 * ranks + lacks[live], -1)
+    return live[ranks >= 0]
+
+
+def _level_cells(
+    csr: CSR, y: np.ndarray, rows: np.ndarray, node_of: np.ndarray, dim: int,
+    grows: np.ndarray, sizes: np.ndarray, parents: tuple[np.ndarray, ...] | None,
+) -> tuple[np.ndarray, ...]:
+    """The cells (node, feature, pf, pm) of the level's nodes that may grow.
+
+    rows are the training rows, node_of[row] the node of the level a row is
+    in (-1 once it has reached a leaf) and y[row] its label. Children
+    2i and 2i + 1 come from the i-th split node of the level above, whose
+    cells, keyed by i, are parents (None at the root). Only the smaller
+    child of each pair is counted; the larger one's cells are its parent's
+    less those counts. The counts are bincounts over (node, class, feature)
+    of at most _COUNT_CELLS cells each, so the smaller children are counted
+    in groups of at most _COUNT_CELLS // (2 * dim) nodes.
+    """
+    if parents is None:
+        direct = np.flatnonzero(grows)
+    else:
+        pairs = np.arange(0, len(grows), 2, dtype=np.int32)
+        smaller = pairs + (sizes[pairs] > sizes[pairs + 1])
+        larger = smaller ^ 1
+        direct = smaller[grows[pairs] | grows[pairs + 1]]
+        derive = grows[larger]
+    slot = np.full(len(grows) + 1, -1, dtype=np.int32)  # the last entry answers for node -1
+    row_node = node_of[rows]
+    pieces = []
+    group = max(1, _COUNT_CELLS // (2 * dim))
+    for start in range(0, len(direct), group):
+        counted = direct[start:start + group]
+        slot[counted] = np.arange(len(counted))
+        row_slot = slot[row_node]
+        sel = row_slot >= 0
+        entries, lengths = csr.gather(rows[sel])
+        ids = csr.indices[entries]
+        del entries
+        cells = np.repeat((row_slot[sel] * 2 + y[rows[sel]]).astype(np.intp) * dim, lengths)
+        cells += ids
+        del ids
+        table = np.bincount(cells, minlength=len(counted) * 2 * dim).reshape(len(counted), 2, dim)
+        del cells
+        k, f = np.nonzero(np.logical_or(table[:, 0], table[:, 1]))
+        keep = grows[counted[k]]
+        k, f = k[keep], f[keep]
+        # int32 cells, each cast as it is made: a wide level's cells outweigh its table
+        pieces.append((counted[k].astype(np.int32), f.astype(np.int32),
+                       table[k, 0, f].astype(np.int32), table[k, 1, f].astype(np.int32)))
+        if parents is not None:
+            rank, pfeature, ppf, ppm = parents
+            by = slot[smaller]
+            take = (derive & (by >= 0))[rank]
+            rank, pfeature, by = rank[take], pfeature[take], by[rank[take]]
+            pf = (ppf[take] - table[by, 0, pfeature]).astype(np.int32)
+            pm = (ppm[take] - table[by, 1, pfeature]).astype(np.int32)
+            held = (pf + pm) > 0
+            pieces.append((larger[rank[held]], pfeature[held], pf[held], pm[held]))
+        slot[counted] = -1
+        del table  # before the next group's is made
+    if not pieces:
+        return tuple(np.zeros(0, np.int32) for _ in range(4))
+    return tuple(np.concatenate(column) for column in zip(*pieces))
 
 
 def train_tree(
@@ -592,26 +734,68 @@ def train_tree(
 
     Splits are on feature presence/absence, so vectors must be boolean.
     Growth stops at purity, zero gain, max_depth, or nodes smaller than
-    2*min_leaf; leaves predict their majority label (ties: female).
+    2*min_leaf; leaves predict their majority label (ties: female). Among
+    features of equal gain ratio the lowest id splits.
+
+    The tree grows level by level: see the module docstring for the order
+    and for what a level costs.
     """
     if max_depth < 1 or min_leaf < 1:
         raise ConfigError("tree needs max_depth >= 1 and min_leaf >= 1")
     _check_representation(dataset, "tree")
     dim = len(dataset.space)
-    csr, labels, rows = dataset.csr, dataset.y, dataset.rows
+    csr, y, rows = dataset.csr, dataset.y, dataset.rows
+    labels = y[rows]
+    node_of = np.full(len(csr.indptr) - 1, -1, dtype=np.intp)
+    node_of[rows] = 0
+    live = np.flatnonzero(node_of == 0)
+    nm = np.array([int(labels.sum())])
+    nf = len(rows) - nm
+    levels, parents = [], None
+    for depth in range(max_depth + 1):
+        sizes = nf + nm
+        grows = (nf > 0) & (nm > 0) & (sizes >= 2 * min_leaf) & (depth < max_depth)
+        cells = _level_cells(csr, y, rows, node_of, dim, grows, sizes, parents)
+        parents = None  # its counts live on in this level's cells
+        feature = _best_features(cells, nf, nm)
+        levels.append((nf.tolist(), nm.tolist(), feature.tolist()))
+        split = feature >= 0
+        if not split.any():
+            break
+        rank = (np.cumsum(split) - 1).astype(np.int32)
+        kept = split[cells[0]]
+        parents = (rank[cells[0][kept]], *(column[kept] for column in cells[1:]))
+        del cells, kept  # before the next level's are made
+        live = _descend(csr, node_of, live, feature)
+        at = node_of[rows]
+        inside = at >= 0
+        counts = np.bincount(2 * at[inside] + labels[inside], minlength=4 * int(split.sum())).reshape(-1, 2)
+        nf, nm = counts[:, 0], counts[:, 1]
 
-    def grow(rows: np.ndarray, depth: int) -> TreeNode:
-        nm = int(labels[rows].sum())
-        nf = len(rows) - nm
-        if nf == 0 or nm == 0 or depth >= max_depth or len(rows) < 2 * min_leaf:
-            return TreeNode(nf, nm)
-        feature = _best_split(csr, labels, rows, nf, nm, dim)
-        if feature is None:
-            return TreeNode(nf, nm)
-        present = _has_feature(csr, rows, feature)
-        return TreeNode(nf, nm, feature, grow(rows[present], depth + 1), grow(rows[~present], depth + 1))
+    below: list[TreeNode] = []
+    for nfs, nms, features in reversed(levels):
+        nodes, children = [], iter(below)
+        for n_female, n_male, f in zip(nfs, nms, features):
+            nodes.append(TreeNode(n_female, n_male) if f < 0
+                         else TreeNode(n_female, n_male, f, next(children), next(children)))
+        below = nodes
+    return TreeModel(root=below[0], max_depth=max_depth, min_leaf=min_leaf, n_features=dim)
 
-    return TreeModel(root=grow(rows, 0), max_depth=max_depth, min_leaf=min_leaf, n_features=dim)
+
+def _tree_female(root: TreeNode, csr: CSR, rows: np.ndarray) -> np.ndarray:
+    """Whether the tree's leaf for each of the given rows predicts female,
+    the rows sent down level by level as in training."""
+    female = np.zeros(len(csr.indptr) - 1, dtype=bool)
+    node_of = np.full(len(female), -1, dtype=np.intp)
+    node_of[rows] = 0
+    live = np.flatnonzero(node_of == 0)
+    level = [root]
+    while len(live):
+        female[live] = np.array([node.feature is None and node.label == FEMALE for node in level])[node_of[live]]
+        feature = np.array([-1 if node.feature is None else node.feature for node in level])
+        live = _descend(csr, node_of, live, feature)
+        level = [child for node in level if node.feature is not None for child in (node.present, node.absent)]
+    return female[rows]
 
 
 def _female(model, csr: CSR, rows: np.ndarray) -> np.ndarray:
@@ -626,20 +810,8 @@ def _female(model, csr: CSR, rows: np.ndarray) -> np.ndarray:
         return joint[:, 0] >= joint[:, 1]
     if isinstance(model, TreeModel):
         _check_range(ids, model.n_features)
-        female = np.zeros(len(csr.indptr) - 1, dtype=bool)
-        _route(model.root, csr, rows, female)
-        return female[rows]
+        return _tree_female(model.root, csr, rows)
     raise TypeError(f"unknown model type {type(model).__name__}")
-
-
-def _route(node: TreeNode, csr: CSR, rows: np.ndarray, female: np.ndarray) -> None:
-    """Send rows down the tree, marking those whose leaf predicts female."""
-    if node.feature is None:
-        female[rows] = node.label == FEMALE
-    elif len(rows):
-        present = _has_feature(csr, rows, node.feature)
-        _route(node.present, csr, rows[present], female)
-        _route(node.absent, csr, rows[~present], female)
 
 
 def predict_batch(model, vectors: Sequence[FeatureVector]) -> list[str]:
@@ -694,6 +866,8 @@ def cross_validate(
         actual = labels[test_idx]
         cells += np.bincount(2 * actual + got, minlength=4)
         per_fold.append(int((got == actual).sum()) / len(test_idx))
+    # the column index served these folds; the dataset may outlive them
+    vars(dataset.csr).pop("columns", None)
     confusion = {a: {p: int(cells[2 * i + j]) for j, p in enumerate(GENDERS)} for i, a in enumerate(GENDERS)}
     return CVReport(
         per_fold_accuracy=tuple(per_fold),

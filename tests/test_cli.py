@@ -300,6 +300,44 @@ def test_rank_entries_carry_the_scheme_as_kind(every_scheme_corpus, tmp_path, sc
     assert [(r["surface"], r["kind"]) for r in rows] == [(e["surface"], e["kind"]) for e in entries]
 
 
+@pytest.mark.parametrize("command", ["sweep", "rank"])
+def test_lexicon_schemes_find_their_words_under_stemming(every_scheme_corpus, tmp_path, command):
+    # "formidable" and "embrace" stem to "formid" and "embrac": the lexicons are stemmed to match
+    outputs = {}
+    for stem in (False, True):
+        config = json.loads(every_scheme_corpus.read_text())
+        config["pipeline"] = {"stem": stem}
+        config["features"]["scheme"] = "adjective"
+        config["sweep"]["schemes"] = ["adjective/article", "verb/article", "lexicon_category/article"]
+        config_path = tmp_path / f"stem-{stem}.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / f"out-{stem}"
+        assert run(command, "--config", str(config_path), "--out", str(out)) == 0
+        outputs[stem] = read_tree(out)
+    if command == "sweep":
+        # the stems index the same rows as the words, so every number is the same
+        assert outputs[True]["sweep_summary.csv"] == outputs[False]["sweep_summary.csv"]
+    else:
+        ranked = json.loads(outputs[True]["ranked_features.json"])
+        assert {e["surface"] for e in ranked["female"] + ranked["male"]} == {"formid", "shrill"}
+
+
+def test_stemmed_pos_lexicon_refuses_words_whose_stems_disagree(every_scheme_corpus, tmp_path, capsys):
+    config = json.loads(every_scheme_corpus.read_text())
+    pos_lexicon = tmp_path / "pos-clash.tsv"
+    pos_lexicon.write_text("embrace\tVERB\nembraced\tADJ\nembraces\tVERB\n")
+    config["paths"]["pos_lexicon"] = str(pos_lexicon)
+    config["sweep"]["schemes"] = ["verb/article"]
+    config["sweep"]["classifiers"] = ["nb-bernoulli"]
+    for stem, code in ((False, 0), (True, 2)):
+        config["pipeline"] = {"stem": stem}
+        config_path = tmp_path / f"stem-{stem}.json"
+        config_path.write_text(json.dumps(config))
+        assert run("sweep", "--config", str(config_path), "--out", str(tmp_path / f"out-{stem}")) == code
+    err = capsys.readouterr().err
+    assert "'embrace' (VERB) and 'embraced' (ADJ)" in err and "'embrac'" in err
+
+
 # --- kwic ---
 
 def test_kwic_absent_term_header_only(synth_corpus, tmp_path):

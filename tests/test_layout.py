@@ -10,6 +10,9 @@ pick against string-label references.
 
 from __future__ import annotations
 
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,13 +65,26 @@ def ref_svm_objective(weights, bias, ds, lam):
     return 0.5 * lam * float(weights @ weights) + total / len(ds)
 
 
+def ref_entropy(counts_a, counts_b):
+    """The tree's split entropy as the recursive grower computed it."""
+    total = counts_a + counts_b
+    out = np.zeros_like(total, dtype=float)
+    nz = total > 0
+    for part in (counts_a, counts_b):
+        p = np.zeros_like(out)
+        p[nz] = part[nz] / total[nz]
+        pos = p > 0
+        out[pos] -= p[pos] * np.log2(p[pos])
+    return out
+
+
 def ref_tree(ds, max_depth, min_leaf):
     member = [set(v.ids) for v in ds.vectors]
     labels = [0 if lab == F else 1 for lab in ds.labels]
     dim = len(ds.space)
 
     def entropy(a, b):
-        return learn._entropy(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+        return ref_entropy(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
     def grow(rows, depth):
         nf = sum(1 for i in rows if labels[i] == 0)
@@ -144,27 +160,51 @@ def ref_folds(labels, k, seed):
 
 # --- strategies ---
 
-@st.composite
-def datasets(draw, representation=None):
-    """A small dataset, then a subset of it and a subset of that subset."""
-    representation = representation or draw(st.sampled_from(["boolean", "count"]))
-    dim = draw(st.integers(1, 12))
-    n = draw(st.integers(4, 30))
-    rows = []
-    for i in range(n):
-        ids = draw(st.sets(st.integers(0, dim - 1), max_size=dim))
-        if representation == "boolean":
-            pairs = [(j, 1.0) for j in ids]
-        else:
-            pairs = [(j, float(draw(st.integers(1, 5)))) for j in ids]
-        # both classes always present
-        label = F if i == 0 else M if i == 1 else draw(st.sampled_from([F, M]))
-        rows.append((pairs, label))
+def draw_label(draw, i):
+    # both classes always present
+    return F if i == 0 else M if i == 1 else draw(st.sampled_from([F, M]))
+
+
+def with_subsets(draw, rows, dim, representation):
+    """The dataset of the rows, then a subset of it and a subset of that
+    subset, both of which may repeat rows."""
+    n = len(rows)
     root = make_dataset(rows, n_features=dim, representation=representation)
     first = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2 * n))
     sub = root.subset(first)
     second = draw(st.lists(st.integers(-len(sub), len(sub) - 1), min_size=2, max_size=2 * n))
     return root, sub, sub.subset(second)
+
+
+@st.composite
+def datasets(draw, representation=None):
+    """A small dataset, then a subset of it and a subset of that subset."""
+    representation = representation or draw(st.sampled_from(["boolean", "count"]))
+    dim = draw(st.integers(1, 12))
+    rows = []
+    for i in range(draw(st.integers(4, 30))):
+        ids = draw(st.sets(st.integers(0, dim - 1), max_size=dim))
+        if representation == "boolean":
+            pairs = [(j, 1.0) for j in ids]
+        else:
+            pairs = [(j, float(draw(st.integers(1, 5)))) for j in ids]
+        rows.append((pairs, draw_label(draw, i)))
+    return with_subsets(draw, rows, dim, representation)
+
+
+@st.composite
+def tree_datasets(draw):
+    """A boolean dataset of up to 64 features and 120 rows whose features
+    copy a few base columns, so that splits tie exactly, and its subsets."""
+    dim = draw(st.integers(1, 64))
+    n_base = draw(st.integers(1, min(dim, 12)))
+    source = list(range(n_base)) + draw(st.lists(st.integers(0, n_base - 1), min_size=dim - n_base,
+                                                 max_size=dim - n_base))
+    rows = []
+    for i in range(draw(st.integers(4, 120))):
+        base = draw(st.sets(st.integers(0, n_base - 1), max_size=n_base))
+        rows.append(([j for j in range(dim) if source[j] in base], draw_label(draw, i)))
+    return with_subsets(draw, rows, dim, "boolean")
 
 
 def both_classes(ds):
@@ -201,11 +241,39 @@ def test_nb_tables_match_reference(sets, variant):
 
 
 @SETTINGS
-@given(datasets("boolean"), st.integers(1, 4), st.integers(1, 3))
+@given(tree_datasets(), st.integers(1, 10), st.integers(1, 3))
 def test_tree_structure_matches_reference(sets, max_depth, min_leaf):
     for ds in sets:
         model = train_tree(ds, max_depth=max_depth, min_leaf=min_leaf)
         assert model.root == ref_tree(ds, max_depth, min_leaf)
+
+
+def test_tree_growth_holds_at_most_the_count_cells():
+    # bushy and wide: 64 features spread over 20,000, each in about half the rows
+    rng = np.random.default_rng(5)
+    dim = 20_000
+    columns = np.sort(rng.choice(dim, 64, replace=False))
+    rows = [(columns[rng.random(64) < 0.5].tolist(), F if rng.random() < 0.5 else M) for _ in range(400)]
+    ds = make_dataset(rows, n_features=dim)
+    ds.csr.columns  # the column index belongs to the CSR, not to one fit
+    tracemalloc.start()
+    try:
+        model = train_tree(ds, max_depth=10, min_leaf=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.root == ref_tree(ds, 10, 1)
+    widths = Counter()
+    stack = [(model.root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        widths[depth] += 1
+        if node.feature is not None:
+            stack += [(node.present, depth + 1), (node.absent, depth + 1)]
+    # counting every smaller child of the widest level at once would take four times the bound
+    assert max(widths.values()) // 2 * 2 * dim >= 4 * learn._COUNT_CELLS
+    # 8 bytes per count; the rest grows with the training entries
+    assert peak <= 8 * learn._COUNT_CELLS + 64 * len(ds.csr.indices)
 
 
 @SETTINGS
@@ -232,7 +300,7 @@ def test_predict_batch_matches_per_vector_reference(sets):
         models = [train_svm(ds, lam=0.1, epochs=3), train_nb(ds, variant="multinomial")]
         if ds.vectors[0].representation == "boolean":
             models.append(train_nb(ds, variant="bernoulli"))
-            tree = train_tree(ds, max_depth=3, min_leaf=1)
+            tree = train_tree(ds, max_depth=len(ds), min_leaf=1)  # no depth bound binds
             assert predict_batch(tree, root.vectors) == [ref_tree_predict(tree, v) for v in root.vectors]
         for model in models:
             got = predict_batch(model, root.vectors)
