@@ -224,7 +224,9 @@ def _pipeline_options(config: dict) -> dict:
     }
 
 
-def _load_resources(config: dict):
+def _load_resources(config: dict, schemes: set[str]):
+    """The configured lexicon and POS lexicon; with stemming on, those the
+    schemes read are stemmed, as the tokens they look up are."""
     lexicon = None
     merged: dict[str, set[str]] = {}
     for path in config["paths"]["lexicons"]:
@@ -242,9 +244,10 @@ def _load_resources(config: dict):
     if config["paths"]["pos_lexicon"]:
         pos_lexicon = features.load_pos_lexicon(_require_path(config, "pos_lexicon"))
     if config["pipeline"]["stem"]:
-        # the schemes look up the tokens of the masked text, which hold stems
-        lexicon = lexicon and lexicon.stemmed()
-        pos_lexicon = pos_lexicon and pos_lexicon.stemmed()
+        if lexicon and features.LEXICON_CATEGORY in schemes:
+            lexicon = lexicon.stemmed()
+        if pos_lexicon and schemes & {features.ADJECTIVE, features.VERB}:
+            pos_lexicon = pos_lexicon.stemmed()
     return lexicon, pos_lexicon
 
 
@@ -343,7 +346,7 @@ def _sweep_combinations(config: dict) -> list[tuple[str, str, str, str]]:
 def cmd_sweep(config: dict) -> int:
     combinations = _sweep_combinations(config)
     run = _Run("sweep", config)
-    lexicon, pos_lexicon = _load_resources(config)
+    lexicon, pos_lexicon = _load_resources(config, {c[0] for c in combinations})
     _, _, instances = _build_instances(config)
     seed = config["seed"]
     k = config["evaluate"]["k"]
@@ -434,7 +437,7 @@ def cmd_rank(config: dict) -> int:
     fconf = config["features"]
     _check_scheme(config, fconf["scheme"])
     run = _Run("rank", config)
-    lexicon, pos_lexicon = _load_resources(config)
+    lexicon, pos_lexicon = _load_resources(config, {fconf["scheme"]})
     _, _, instances = _build_instances(config)
     dataset, space = pipeline.build_dataset(
         instances,

@@ -20,24 +20,27 @@ to "female", the lexicographically smaller label; features of equal gain
 ratio resolve to the lowest feature id.
 
 The tree grows level by level. One node-id array over the CSR's rows says
-which node of the level each training row is in, and a split node's
-feature is tested against the CSR's column index (the rows holding each
-feature, made once per CSR and shared by every fold of a cross-validation,
-which drops it when done); prediction sends test rows down the same way. Per level, only the smaller child of each
-split is counted, in one bincount over (node, class, feature) cells; the
-larger child's counts are its parent's less the smaller's (histogram
-subtraction, as in LightGBM). Between levels a node keeps its counts
-sparse, one (pf, pm) pair of female and male rows per feature present in
-it, and a gain ratio, which depends only on the node's class counts and
-that pair, is computed once per distinct pair. A level so costs one pass
-over the entries of its smaller children, one over its nodes' present
-features and one over the column entries of its split features, with a
-fixed number of numpy calls however many nodes it has. Memory: one
-bincount holds at most _COUNT_CELLS int64 counts (2 MiB), so the smaller
-children of a wide level are counted in groups of nodes; everything else
-the grower holds grows with the training entries: the sparse counts, at
-most one int32 pair per entry, and the column index, one int32 row per
-entry.
+which node of the level each training row is in. A row goes down a split
+by a search of its own ids, which increase strictly, for the split's
+feature, every row of the level at once; prediction sends test rows down
+the same way. Per level, only the smaller child of each split is counted,
+in one bincount over (node, class, feature) cells; the larger child's
+counts are its parent's less the smaller's (histogram subtraction, as in
+LightGBM). Between levels a node keeps its counts sparse, one (pf, pm)
+pair of female and male rows per feature present in it, and a gain
+ratio, which depends only on the node's class counts and that pair, is
+computed once per distinct pair, found with a table rather than a sort
+(pairs too large for the table are computed one by one). A level so
+costs one pass over the entries of its smaller children, one over its
+nodes' present features and, to route, as many rounds over its rows as
+the longest row's length has bits, with a fixed number of numpy calls
+however many nodes it has. Memory: one bincount holds at most
+_COUNT_CELLS int64 counts (2 MiB), however wide the space: the smaller
+children of a wide level are counted in groups of nodes, and a node
+whose 2 * dim cells are more than that, _COUNT_CELLS // 2 features at a
+time; the table of pairs holds at most _COUNT_CELLS int32 entries.
+Everything else the grower holds grows with the training entries: the
+sparse counts are at most one int32 pair per entry.
 """
 
 from __future__ import annotations
@@ -110,21 +113,6 @@ class CSR:
         bounds = self.indptr.tolist()
         return tuple(FeatureVector(tuple(ids[a:b]), tuple(values[a:b]), self.representation)
                      for a, b in zip(bounds, bounds[1:]))
-
-    @cached_property
-    def columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """The column index, made on first read and shared by every subset: the
-        int32 rows holding feature j, in row order, are rows[starts[j]:starts[j + 1]]
-        for j below len(starts) - 1; no row holds a higher id. cross_validate
-        drops it once its folds are done."""
-        starts = np.concatenate(([0], np.cumsum(np.bincount(self.indices), dtype=np.int64)))
-        # one (feature, row) key per entry, sorted in place: at most 12 bytes an entry
-        keys = self.indices.astype(np.int64)
-        keys <<= 32
-        keys |= np.repeat(np.arange(len(self.indptr) - 1, dtype=np.int32), np.diff(self.indptr))
-        keys.sort()
-        keys &= 0xFFFFFFFF
-        return starts, keys.astype(np.int32)
 
     def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Positions of the given rows' entries, row after row, and the rows' lengths."""
@@ -608,41 +596,37 @@ def _best_features(cells: tuple[np.ndarray, ...], nf: np.ndarray, nm: np.ndarray
     cells are (node, feature, pf, pm): the features present in each node with
     the node's female and male rows holding them, one node's cells together
     and in feature order. A ratio depends only on the node's nf and nm and the
-    cell's (pf, pm) pair, so it is computed once per distinct pair in a node.
+    cell's (pf, pm) pair, so the cells of a node that share a pair share one
+    computation, for every pair small enough for a table of w * w pairs per
+    node to hold at most _COUNT_CELLS; the larger pairs, which only features
+    common in a big node have, are computed one by one.
     """
     node, feature, pf, pm = cells
     best = np.full(len(nf), -1)
     if not len(node):
         return best
-    width = nm + 1
-    span = (nf + 1) * width
-    key = (np.cumsum(span) - span)[node] + pf * width[node] + pm
-    distinct, inverse = np.unique(key, return_inverse=True)
-    first = np.empty(len(distinct), dtype=np.intp)
-    first[inverse] = np.arange(len(key))  # any cell of a pair stands for it
-    at = node[first]  # ascending, as the keys are
-    ratio = _gain_ratios(pf[first], pm[first], nf[at], nm[at])
-    starts = np.flatnonzero(np.concatenate(([True], at[1:] != at[:-1])))
-    top = np.repeat(np.maximum.reduceat(ratio, starts), np.diff(np.append(starts, len(at))))
-    # the cells whose pair has its node's top ratio: the first of a node's is the lowest id
-    hits = np.flatnonzero((ratio == top)[inverse])
+    # the cells whose pf and pm are both below w share a ratio per (node, pf, pm),
+    # computed for whichever of them the table keeps
+    w = min(math.isqrt(_COUNT_CELLS // len(nf)), int(max(nf.max(), nm.max())) + 1)
+    cell = np.arange(len(node))
+    small = np.flatnonzero((pf < w) & (pm < w))
+    pair = (node[small] * w + pf[small]) * w + pm[small]
+    table = np.empty(len(nf) * w * w, dtype=np.int32)  # read only where written
+    table[pair] = small
+    stand = cell.copy()
+    stand[small] = table[pair]
+    scored = np.flatnonzero(stand == cell)
+    ratio = np.empty(len(node))
+    ratio[scored] = _gain_ratios(pf[scored], pm[scored], nf[node[scored]], nm[node[scored]])
+    ratio = ratio[stand]
+    starts = np.flatnonzero(np.concatenate(([True], node[1:] != node[:-1])))
+    top = np.repeat(np.maximum.reduceat(ratio, starts), np.diff(np.append(starts, len(node))))
+    # the first of a node's cells with its top ratio has the lowest id
+    hits = np.flatnonzero(ratio == top)
     lowest = hits[np.concatenate(([True], node[hits][1:] != node[hits][:-1]))]
-    gains = top[inverse[lowest]] > -np.inf
+    gains = top[lowest] > -np.inf
     best[node[lowest[gains]]] = feature[lowest[gains]]
     return best
-
-
-def _holds(csr: CSR, node_of: np.ndarray, nodes: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Mask over the CSR's rows: whether a row in one of the nodes (node_of
-    gives each row's) holds that node's feature, read off the column index."""
-    starts, col_rows = csr.columns
-    last = len(starts) - 1
-    first = starts[np.minimum(features, last)]
-    lengths = starts[np.minimum(features + 1, last)] - first
-    rows = col_rows[_spans(first, lengths)]
-    holds = np.zeros(len(node_of), dtype=bool)
-    holds[rows[node_of[rows] == np.repeat(nodes, lengths)]] = True
-    return holds
 
 
 def _descend(csr: CSR, node_of: np.ndarray, live: np.ndarray, feature: np.ndarray) -> np.ndarray:
@@ -656,10 +640,28 @@ def _descend(csr: CSR, node_of: np.ndarray, live: np.ndarray, feature: np.ndarra
     split = np.flatnonzero(feature >= 0)
     rank = np.full(len(feature), -1)
     rank[split] = np.arange(len(split))
-    lacks = ~_holds(csr, node_of, split, feature[split])
     ranks = rank[node_of[live]]
-    node_of[live] = np.where(ranks >= 0, 2 * ranks + lacks[live], -1)
-    return live[ranks >= 0]
+    node_of[live[ranks < 0]] = -1
+    live, ranks = live[ranks >= 0], ranks[ranks >= 0]
+    node_of[live] = 2 * ranks + ~_holds(csr, live, feature[node_of[live]])
+    return live
+
+
+def _holds(csr: CSR, rows: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """Whether each of the rows holds its feature. A row's ids increase
+    strictly, so every row is searched at once, in steps of halving length:
+    as many rounds over the rows as the longest row's length has bits."""
+    pos, end = csr.indptr[rows], csr.indptr[rows + 1]
+    step = 1 << int((end - pos).max(initial=0)).bit_length()
+    last = len(csr.indices) - 1
+    while step > 1:
+        step >>= 1
+        ahead = pos + (step - 1)
+        pos += step * ((ahead < end) & (csr.indices[np.minimum(ahead, last)] < features))
+    # pos is each row's first position whose id is not below its feature
+    holds = pos < end
+    holds[holds] = csr.indices[pos[holds]] == features[holds]
+    return holds
 
 
 def _level_cells(
@@ -674,8 +676,9 @@ def _level_cells(
     cells, keyed by i, are parents (None at the root). Only the smaller
     child of each pair is counted; the larger one's cells are its parent's
     less those counts. The counts are bincounts over (node, class, feature)
-    of at most _COUNT_CELLS cells each, so the smaller children are counted
-    in groups of at most _COUNT_CELLS // (2 * dim) nodes.
+    of at most _COUNT_CELLS cells each: the smaller children are counted in
+    groups of _COUNT_CELLS // (2 * dim) nodes, or, where one node's 2 * dim
+    cells are more than that, one node and _COUNT_CELLS // 2 features at a time.
     """
     if parents is None:
         direct = np.flatnonzero(grows)
@@ -687,8 +690,9 @@ def _level_cells(
         derive = grows[larger]
     slot = np.full(len(grows) + 1, -1, dtype=np.int32)  # the last entry answers for node -1
     row_node = node_of[rows]
-    pieces = []
+    counted_cells, derived_cells = [], []
     group = max(1, _COUNT_CELLS // (2 * dim))
+    width = min(dim, _COUNT_CELLS // 2)
     for start in range(0, len(direct), group):
         counted = direct[start:start + group]
         slot[counted] = np.arange(len(counted))
@@ -697,28 +701,38 @@ def _level_cells(
         entries, lengths = csr.gather(rows[sel])
         ids = csr.indices[entries]
         del entries
-        cells = np.repeat((row_slot[sel] * 2 + y[rows[sel]]).astype(np.intp) * dim, lengths)
-        cells += ids
-        del ids
-        table = np.bincount(cells, minlength=len(counted) * 2 * dim).reshape(len(counted), 2, dim)
-        del cells
-        k, f = np.nonzero(np.logical_or(table[:, 0], table[:, 1]))
-        keep = grows[counted[k]]
-        k, f = k[keep], f[keep]
-        # int32 cells, each cast as it is made: a wide level's cells outweigh its table
-        pieces.append((counted[k].astype(np.int32), f.astype(np.int32),
-                       table[k, 0, f].astype(np.int32), table[k, 1, f].astype(np.int32)))
-        if parents is not None:
-            rank, pfeature, ppf, ppm = parents
-            by = slot[smaller]
-            take = (derive & (by >= 0))[rank]
-            rank, pfeature, by = rank[take], pfeature[take], by[rank[take]]
-            pf = (ppf[take] - table[by, 0, pfeature]).astype(np.int32)
-            pm = (ppm[take] - table[by, 1, pfeature]).astype(np.int32)
-            held = (pf + pm) > 0
-            pieces.append((larger[rank[held]], pfeature[held], pf[held], pm[held]))
+        base = np.repeat((row_slot[sel] * 2 + y[rows[sel]]).astype(np.intp) * width, lengths)
+        for lo in range(0, dim, width):
+            if width < dim:
+                inside = (ids >= lo) & (ids < lo + width)
+                cells = base[inside] + (ids[inside] - lo)
+            else:  # the only range: summed in place, and base and ids let go
+                cells = base
+                cells += ids
+                del base, ids
+            table = np.bincount(cells, minlength=len(counted) * 2 * width).reshape(len(counted), 2, width)
+            del cells
+            k, f = np.nonzero(np.logical_or(table[:, 0], table[:, 1]))
+            keep = grows[counted[k]]
+            k, f = k[keep], f[keep]
+            # int32 cells, each cast as it is made: a wide level's cells outweigh its table
+            counted_cells.append((counted[k].astype(np.int32), (f + lo).astype(np.int32),
+                                  table[k, 0, f].astype(np.int32), table[k, 1, f].astype(np.int32)))
+            if parents is not None:
+                rank, pfeature, ppf, ppm = parents
+                by = slot[smaller]
+                take = (derive & (by >= 0))[rank]
+                if width < dim:
+                    take &= (pfeature >= lo) & (pfeature < lo + width)
+                rank, pfeature, by = rank[take], pfeature[take], by[rank[take]]
+                pf = (ppf[take] - table[by, 0, pfeature - lo]).astype(np.int32)
+                pm = (ppm[take] - table[by, 1, pfeature - lo]).astype(np.int32)
+                held = (pf + pm) > 0
+                derived_cells.append((larger[rank[held]], pfeature[held], pf[held], pm[held]))
+            del table  # before the next one is made
         slot[counted] = -1
-        del table  # before the next group's is made
+    # a node is counted or derived, and its cells come out together, in feature order
+    pieces = counted_cells + derived_cells
     if not pieces:
         return tuple(np.zeros(0, np.int32) for _ in range(4))
     return tuple(np.concatenate(column) for column in zip(*pieces))
@@ -866,8 +880,6 @@ def cross_validate(
         actual = labels[test_idx]
         cells += np.bincount(2 * actual + got, minlength=4)
         per_fold.append(int((got == actual).sum()) / len(test_idx))
-    # the column index served these folds; the dataset may outlive them
-    vars(dataset.csr).pop("columns", None)
     confusion = {a: {p: int(cells[2 * i + j]) for j, p in enumerate(GENDERS)} for i, a in enumerate(GENDERS)}
     return CVReport(
         per_fold_accuracy=tuple(per_fold),

@@ -338,6 +338,23 @@ def test_stemmed_pos_lexicon_refuses_words_whose_stems_disagree(every_scheme_cor
     assert "'embrace' (VERB) and 'embraced' (ADJ)" in err and "'embrac'" in err
 
 
+@pytest.mark.parametrize("command", ["sweep", "rank"])
+def test_stemming_leaves_lexicons_no_scheme_reads(every_scheme_corpus, tmp_path, command):
+    # a POS lexicon whose stems disagree stops only the schemes that read it
+    config = json.loads(every_scheme_corpus.read_text())
+    pos_lexicon = tmp_path / "pos-clash.tsv"
+    pos_lexicon.write_text("embrace\tVERB\nembraced\tADJ\n")
+    config["paths"]["pos_lexicon"] = str(pos_lexicon)
+    config["pipeline"] = {"stem": True}
+    config["sweep"]["classifiers"] = ["nb-bernoulli"]
+    for scheme, code in (("unigram", 0), ("lexicon_category", 0), ("adjective", 2)):
+        config["features"]["scheme"] = scheme
+        config["sweep"]["schemes"] = [f"{scheme}/article"]
+        config_path = tmp_path / f"{scheme}.json"
+        config_path.write_text(json.dumps(config))
+        assert run(command, "--config", str(config_path), "--out", str(tmp_path / f"out-{scheme}")) == code
+
+
 # --- kwic ---
 
 def test_kwic_absent_term_header_only(synth_corpus, tmp_path):

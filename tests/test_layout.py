@@ -248,14 +248,24 @@ def test_tree_structure_matches_reference(sets, max_depth, min_leaf):
         assert model.root == ref_tree(ds, max_depth, min_leaf)
 
 
-def test_tree_growth_holds_at_most_the_count_cells():
-    # bushy and wide: 64 features spread over 20,000, each in about half the rows
+@SETTINGS
+@given(tree_datasets(), st.integers(1, 10), st.sampled_from([8, 40, 300]))
+def test_tree_with_small_count_tables_matches_reference(sets, max_depth, count_cells):
+    # small tables: nodes counted in groups, features in ranges, and pairs too large for the table
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(learn, "_COUNT_CELLS", count_cells)
+        for ds in sets:
+            assert train_tree(ds, max_depth=max_depth, min_leaf=1).root == ref_tree(ds, max_depth, 1)
+
+
+@pytest.mark.parametrize("dim", [20_000, 200_000])
+def test_tree_growth_holds_at_most_the_count_cells(dim):
+    # bushy and wide: 64 features spread over dim, each in about half the rows;
+    # at 200,000 features one node's count alone is more than the bound
     rng = np.random.default_rng(5)
-    dim = 20_000
     columns = np.sort(rng.choice(dim, 64, replace=False))
     rows = [(columns[rng.random(64) < 0.5].tolist(), F if rng.random() < 0.5 else M) for _ in range(400)]
     ds = make_dataset(rows, n_features=dim)
-    ds.csr.columns  # the column index belongs to the CSR, not to one fit
     tracemalloc.start()
     try:
         model = train_tree(ds, max_depth=10, min_leaf=1)
