@@ -241,21 +241,14 @@ def test_nb_tables_match_reference(sets, variant):
 
 
 @SETTINGS
-@given(tree_datasets(), st.integers(1, 10), st.integers(1, 3))
-def test_tree_structure_matches_reference(sets, max_depth, min_leaf):
-    for ds in sets:
-        model = train_tree(ds, max_depth=max_depth, min_leaf=min_leaf)
-        assert model.root == ref_tree(ds, max_depth, min_leaf)
-
-
-@SETTINGS
-@given(tree_datasets(), st.integers(1, 10), st.sampled_from([8, 40, 300]))
-def test_tree_with_small_count_tables_matches_reference(sets, max_depth, count_cells):
-    # small tables: nodes counted in groups, features in ranges, and pairs too large for the table
+@given(tree_datasets(), st.integers(1, 10), st.integers(1, 3), st.sampled_from([learn._COUNT_CELLS, 8, 40, 300]))
+def test_tree_structure_matches_reference(sets, max_depth, min_leaf, count_cells):
+    # small tables: nodes counted in groups, features in ranges, and pairs too large for the pair table
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(learn, "_COUNT_CELLS", count_cells)
         for ds in sets:
-            assert train_tree(ds, max_depth=max_depth, min_leaf=1).root == ref_tree(ds, max_depth, 1)
+            model = train_tree(ds, max_depth=max_depth, min_leaf=min_leaf)
+            assert model.root == ref_tree(ds, max_depth, min_leaf)
 
 
 @pytest.mark.parametrize("dim", [20_000, 200_000])
