@@ -50,7 +50,6 @@ from .learn import (
     cross_validate,
     majority_baseline,
     predict,
-    predict_batch,
     stratified_folds,
     train_nb,
     train_svm,

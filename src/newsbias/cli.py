@@ -165,7 +165,10 @@ class _Run:
         self.command = command
         self.config = config
         self.out_dir = Path(config["out"])
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        # the directory is made at the first write, so a run that fails before it leaves none behind
+        found = next(path for path in (self.out_dir, *self.out_dir.parents) if path.exists())
+        if not found.is_dir():
+            raise ConfigError(f"out {self.out_dir} cannot be a directory: {found} is not one")
         self.outputs: list[str] = []
 
     def path(self, name: str) -> Path:

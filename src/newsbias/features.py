@@ -8,6 +8,8 @@ or section), and a space holds one scheme's features, its kind. Vectors
 come in boolean, count, and tf-idf flavours; tf-idf is raw count times
 ln(n_docs / doc_freq) with no smoothing, which is well defined because
 every indexed feature occurs in at least one document.
+
+vectorize makes one row, the reference each row of learn.CSR.from_terms equals.
 """
 
 from __future__ import annotations

@@ -48,8 +48,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import chain
-from typing import Iterator, Sequence
+from itertools import repeat
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -93,15 +93,37 @@ class CSR:
     representation: str
 
     @classmethod
-    def from_vectors(cls, vectors: Sequence[FeatureVector]) -> "CSR":
-        """Pack vectors; boolean only when every vector is (or there are none)."""
-        representation = next((v.representation for v in vectors if v.representation != "boolean"), "boolean")
-        indptr = np.concatenate(([0], np.cumsum([len(v.ids) for v in vectors], dtype=np.int64)))
-        nnz = int(indptr[-1])
-        indices = np.fromiter(chain.from_iterable(v.ids for v in vectors), np.int32, nnz)
-        if representation == "boolean":
-            return cls(indptr, indices, np.broadcast_to(1.0, nnz), representation)
-        data = np.fromiter(chain.from_iterable(v.values for v in vectors), np.float64, nnz)
+    def from_terms(cls, terms: Sequence[Mapping[str, int]], space: FeatureSpace, representation: str) -> "CSR":
+        """One row per multiset of surfaces, the row vectorize gives it: ids in
+        increasing order, terms outside the space ignored, entries <= 0 dropped."""
+        if representation not in REPRESENTATIONS:
+            raise ConfigError(f"unknown representation {representation!r}")
+        get, outside = space.index.get, repeat(-1)
+        weighted = representation != "boolean"
+        lengths, indices, counts = [], [], []
+        for row in terms:
+            ids = list(map(get, row, outside))  # a term outside the space takes id -1
+            if weighted:
+                count_of = dict(zip(ids, row.values()))
+            ids.sort()
+            del ids[:ids.count(-1)]  # the -1s sort first
+            lengths.append(len(ids))
+            indices += ids
+            if weighted:
+                counts += map(count_of.__getitem__, ids)
+        indptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+        indices = np.array(indices, dtype=np.int32)
+        if not weighted:
+            return cls(indptr, indices, np.broadcast_to(1.0, len(indices)), representation)
+        data = np.array(counts, dtype=np.float64)
+        del counts
+        if representation == "tfidf":
+            # one math.log per feature, as vectorize takes it, times the count
+            data *= np.array([math.log(space.n_docs / df) for df in space.doc_freq])[indices]
+        keep = data > 0
+        if not keep.all():
+            indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+            indices, data = indices[keep], data[keep]
         return cls(indptr, indices, data, representation)
 
     @cached_property
@@ -160,16 +182,6 @@ class Dataset:
     def __post_init__(self):
         if len(self.rows) < 2:
             raise ValueError("a dataset needs at least two instances")
-
-    @classmethod
-    def pack(cls, vectors: Sequence[FeatureVector], labels: Sequence[str], space: FeatureSpace) -> "Dataset":
-        """One row per vector, its ids checked against the space here, once."""
-        if len(vectors) != len(labels) or not set(labels) <= set(GENDERS):
-            raise ValueError(f"vectors need one label each, of {GENDERS}")
-        csr = CSR.from_vectors(vectors)
-        _check_range(csr.indices, len(space))
-        y = np.array([label == MALE for label in labels], dtype=np.int8)
-        return cls(csr, y, space, np.arange(len(y)))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -828,15 +840,11 @@ def _female(model, csr: CSR, rows: np.ndarray) -> np.ndarray:
     raise TypeError(f"unknown model type {type(model).__name__}")
 
 
-def predict_batch(model, vectors: Sequence[FeatureVector]) -> list[str]:
-    """Predicted label for every vector; all ties resolve to female."""
-    female = _female(model, CSR.from_vectors(vectors), np.arange(len(vectors)))
-    return [FEMALE if f else MALE for f in female.tolist()]
-
-
 def predict(model, vector: FeatureVector) -> str:
     """Predicted label for one vector; all ties resolve to female."""
-    return predict_batch(model, [vector])[0]
+    csr = CSR(np.array([0, len(vector)]), np.array(vector.ids, dtype=np.int32),
+              np.array(vector.values), vector.representation)
+    return FEMALE if _female(model, csr, np.zeros(1, dtype=np.intp))[0] else MALE
 
 
 def _train_for(classifier: str, dataset: Dataset, params: dict):

@@ -4,21 +4,22 @@ These helpers chain the lower modules in the canonical order so that
 the CLI, the demos, and tests all agree on how a corpus is prepared.
 The masking chain (mask and drop stopwords in one pass, then stem)
 lives in one place here, so labeled instances and masked query views
-hold the same stream.
+hold the same stream, and term counts go straight into a dataset's CSR.
 """
 
 from __future__ import annotations
 
 import datetime
-from collections import Counter
 from typing import Sequence
 
+import numpy as np
+
 from . import corpus, features, preprocess
-from .corpus import GENDERS, Article, LabeledInstance, PoliticianRecord
+from .corpus import GENDERS, MALE, Article, LabeledInstance, PoliticianRecord
 from .errors import ConfigError
 from .features import FeatureSpace, LexiconSet, PosLexicon
 from .interpret import DocView
-from .learn import Dataset
+from .learn import CSR, Dataset
 from .preprocess import DEFAULT_GENDERED_SIGNALS, TokenStream
 
 
@@ -86,22 +87,6 @@ def build_instances(
     return instances
 
 
-def instance_terms(
-    instances: Sequence[LabeledInstance],
-    scheme: str,
-    window: str = "article",
-    *,
-    pos_lexicon: PosLexicon | None = None,
-    lexicon: LexiconSet | None = None,
-) -> list[Counter[str]]:
-    return [
-        features.extract_terms(
-            inst, scheme, window=window, pos_lexicon=pos_lexicon, lexicon=lexicon
-        )
-        for inst in instances
-    ]
-
-
 def build_dataset(
     instances: Sequence[LabeledInstance],
     *,
@@ -117,18 +102,18 @@ def build_dataset(
 
     Pass an existing space of the scheme to vectorize a new batch against
     a fixed vocabulary; otherwise the space is built from these instances.
-    The vectors are packed into the dataset's CSR here and then dropped.
+    Each instance's term counts go straight into its row of the CSR.
     """
     if space is not None and space.kind != scheme:
         raise ConfigError(f"a {space.kind} feature space cannot vectorize scheme {scheme!r}")
-    terms = instance_terms(
-        instances, scheme, window, pos_lexicon=pos_lexicon, lexicon=lexicon
-    )
+    terms = [features.extract_terms(inst, scheme, window=window, pos_lexicon=pos_lexicon, lexicon=lexicon)
+             for inst in instances]
     if space is None:
         space = features.build_space(terms, min_df, kind=scheme)
-    vectors = [features.vectorize(t, space, representation) for t in terms]
-    del terms  # the term counts outweigh the CSR: free them before it is packed
-    return Dataset.pack(vectors, [inst.label for inst in instances], space), space
+    csr = CSR.from_terms(terms, space, representation)
+    del terms  # the term counts outweigh the CSR: free them as soon as it is written
+    y = np.array([inst.label == MALE for inst in instances], dtype=np.int8)
+    return Dataset(csr, y, space, np.arange(len(y))), space
 
 
 def build_doc_views(

@@ -336,6 +336,8 @@ def test_stemmed_pos_lexicon_refuses_words_whose_stems_disagree(every_scheme_cor
         assert run("sweep", "--config", str(config_path), "--out", str(tmp_path / f"out-{stem}")) == code
     err = capsys.readouterr().err
     assert "'embrace' (VERB) and 'embraced' (ADJ)" in err and "'embrac'" in err
+    # the failed load leaves no --out behind
+    assert (tmp_path / "out-False").is_dir() and not (tmp_path / "out-True").exists()
 
 
 @pytest.mark.parametrize("command", ["sweep", "rank"])
@@ -656,7 +658,7 @@ def test_query_usage_checked_before_any_work(synth_corpus, monkeypatch, tmp_path
     assert calls == [] and not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("bad", ["directory", "not-utf8", "not-utf8-late"])
+@pytest.mark.parametrize("bad", ["directory", "not-utf8", "not-utf8-late", "missing"])
 @pytest.mark.parametrize("key", ["config", "articles", "registry", "stoplist", "signals",
                                  "lexicons", "pos_lexicon"])
 def test_unreadable_input_file_is_a_config_or_data_error(synth_corpus, tmp_path, capsys, key, bad):
@@ -666,7 +668,7 @@ def test_unreadable_input_file_is_a_config_or_data_error(synth_corpus, tmp_path,
         path.mkdir()
     elif bad == "not-utf8":
         path.write_bytes(b"\xffthe\n")
-    else:
+    elif bad == "not-utf8-late":
         # valid article records, many read buffers long, before the bad byte
         articles = Path(config["paths"]["articles"]).read_bytes()
         assert len(articles) > 64 * 1024
@@ -680,8 +682,24 @@ def test_unreadable_input_file_is_a_config_or_data_error(synth_corpus, tmp_path,
     config_path = tmp_path / "probe.json"
     config_path.write_text(json.dumps(config))
     given = path if key == "config" else config_path
-    assert run("rank", "--config", str(given), "--out", str(tmp_path / "o")) == (1 if key == "config" else 2)
+    code = 1 if key == "config" or bad == "missing" else 2
+    assert run("rank", "--config", str(given), "--out", str(tmp_path / "o")) == code
     assert str(path) in capsys.readouterr().err
+    # a failed load leaves no --out behind
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_out_that_cannot_be_a_directory_is_a_config_error(synth_corpus, monkeypatch, tmp_path, capsys, out):
+    from newsbias import corpus
+
+    calls = []
+    monkeypatch.setattr(corpus, "load_articles", lambda *a, **kw: calls.append(1))
+    (tmp_path / "afile").write_text("kept\n")
+    assert run("label", "--config", str(synth_corpus), "--out", str(tmp_path / out)) == 1
+    err = capsys.readouterr().err
+    assert f"out {tmp_path / out} cannot be a directory: {tmp_path / 'afile'} is not one" in err
+    assert calls == [] and (tmp_path / "afile").read_text() == "kept\n"
 
 
 def _flatten(config: dict) -> dict:

@@ -10,6 +10,7 @@ pick against string-label references.
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 from collections import Counter
 
@@ -24,7 +25,6 @@ from newsbias.learn import (
     TreeNode,
     cross_validate,
     predict,
-    predict_batch,
     stratified_folds,
     svm_objective,
     train_nb,
@@ -32,10 +32,11 @@ from newsbias.learn import (
     train_tree,
     undersample,
 )
-from newsbias.preprocess import tokenize
+from newsbias.errors import DataError
+from newsbias.preprocess import TokenStream, split_sentences
 from newsbias.rng import Rng
 
-from util import make_dataset
+from util import make_dataset, make_vec
 
 F, M = "female", "male"
 
@@ -293,9 +294,14 @@ def test_svm_objective_matches_reference(sets, weights, bias, lam):
         assert got == pytest.approx(ref_svm_objective(w, bias, ds, lam), rel=1e-12, abs=1e-15)
 
 
+def batch_labels(model, ds):
+    """The labels cross_validate predicts for the dataset's rows, all in one batch."""
+    return [F if female else M for female in learn._female(model, ds.csr, ds.rows).tolist()]
+
+
 @SETTINGS
 @given(datasets())
-def test_predict_batch_matches_per_vector_reference(sets):
+def test_predictions_match_per_vector_reference(sets):
     root, sub, subsub = sets
     for ds in (sub, subsub):
         if not both_classes(ds):
@@ -304,9 +310,9 @@ def test_predict_batch_matches_per_vector_reference(sets):
         if ds.vectors[0].representation == "boolean":
             models.append(train_nb(ds, variant="bernoulli"))
             tree = train_tree(ds, max_depth=len(ds), min_leaf=1)  # no depth bound binds
-            assert predict_batch(tree, root.vectors) == [ref_tree_predict(tree, v) for v in root.vectors]
+            assert batch_labels(tree, root) == [ref_tree_predict(tree, v) for v in root.vectors]
         for model in models:
-            got = predict_batch(model, root.vectors)
+            got = batch_labels(model, root)
             for vector, label in zip(root.vectors, got):
                 margin = ref_female_margin(model, vector)
                 if abs(margin) > 1e-9:  # a near-tie may go either way after reordered sums
@@ -314,30 +320,49 @@ def test_predict_batch_matches_per_vector_reference(sets):
                 assert predict(model, vector) == label
 
 
-WORDS = ["budget", "health", "school", "road", "tax", "farm"]
+# "." ends a sentence and the marker makes its sentence part of the sentence window
+WORDS = ["budget", "health", "school", "road", "tax", "farm", "NAMEFORM_FULL", "."]
 
 
 @st.composite
-def instance_lists(draw):
-    """Labeled instances over a few words, so that words repeat across rows."""
-    n = draw(st.integers(2, 12))
+def instance_lists(draw, min_size=2):
+    """Labeled instances over a few words, so that words repeat across rows;
+    every instance starts with "every", a term in every document of the
+    article window, which tf-idf drops."""
+    n = draw(st.integers(min_size, 12))
     return [
         LabeledInstance(
             article_id=f"a{i}",
             label=F if i == 0 else M if i == 1 else draw(st.sampled_from([F, M])),
             politician_ids=("p",),
             headline_mention=False,
-            stream=tokenize(" ".join(draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=10)))),
+            stream=split_sentences(TokenStream(("every", *draw(st.lists(st.sampled_from(WORDS), max_size=10))))),
         )
         for i in range(n)
     ]
 
 
 @SETTINGS
-@given(instance_lists(), st.sampled_from(["boolean", "count", "tfidf"]))
-def test_build_dataset_packs_what_vectorize_gives_row_by_row(instances, representation):
-    ds, space = pipeline.build_dataset(instances, scheme="unigram", representation=representation, min_df=1)
-    want = [features.vectorize(t, space, representation) for t in pipeline.instance_terms(instances, "unigram")]
+@given(instance_lists(), st.sampled_from(features.REPRESENTATIONS), st.sampled_from(features.WINDOWS),
+       st.integers(1, 3), st.none() | instance_lists(min_size=1))
+def test_build_dataset_packs_what_vectorize_gives_row_by_row(instances, representation, window, min_df, other):
+    terms = [features.extract_terms(inst, "unigram", window=window) for inst in instances]
+    given_space = None
+    if other is not None:
+        # another list's space: some terms fall outside it, and some rows come out empty
+        given_space = features.build_space([features.extract_terms(inst, "unigram") for inst in other],
+                                           kind="unigram", min_df=1)
+    elif max(Counter(t for row in terms for t in row).values(), default=0) < min_df:
+        with pytest.raises(DataError, match="no features survive min_df"):
+            pipeline.build_dataset(instances, scheme="unigram", window=window, min_df=min_df)
+        return
+    ds, space = pipeline.build_dataset(instances, scheme="unigram", window=window, representation=representation,
+                                       min_df=min_df, space=given_space)
+    if given_space is None:
+        assert space == features.build_space(terms, min_df, kind="unigram")
+    else:
+        assert space is given_space
+    want = [features.vectorize(t, space, representation) for t in terms]
     assert ds.csr.representation == representation
     assert ds.csr.indptr.tolist() == [0, *np.cumsum([len(v) for v in want]).tolist()]
     assert ds.csr.indices.tolist() == [i for v in want for i in v.ids]
@@ -348,6 +373,31 @@ def test_build_dataset_packs_what_vectorize_gives_row_by_row(instances, represen
     assert ds.vectors == tuple(want)
     if representation == "boolean":
         assert len({id(x) for v in ds.vectors for x in v.values}) <= 1
+
+
+@pytest.mark.parametrize("representation", features.REPRESENTATIONS)
+def test_build_dataset_makes_no_feature_vector(monkeypatch, representation):
+    instances = [
+        LabeledInstance(f"a{i}", (F, M)[i % 2], ("p",), False, TokenStream(tuple(words.split())))
+        for i, words in enumerate(["tax road tax", "farm road", "tax school", "farm farm road", "school"])
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a FeatureVector was made")
+
+    monkeypatch.setattr(features, "vectorize", refuse)
+    monkeypatch.setattr(features.FeatureVector, "__post_init__", refuse)
+    ds, space = pipeline.build_dataset(instances, scheme="unigram", representation=representation, min_df=1)
+    assert space.entries == ("farm", "road", "school", "tax")
+    assert ds.csr.indptr.tolist() == [0, 2, 4, 6, 8, 9]
+    assert ds.csr.indices.tolist() == [1, 3, 0, 1, 2, 3, 0, 1, 2]
+    assert ds.csr.data.tolist() == {
+        "boolean": [1.0] * 9,
+        "count": [1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0],
+        "tfidf": [math.log(5 / 3), 2 * math.log(5 / 2), math.log(5 / 2), math.log(5 / 3), math.log(5 / 2),
+                  math.log(5 / 2), 2 * math.log(5 / 2), math.log(5 / 3), math.log(5 / 2)],
+    }[representation]
+    assert ds.y.dtype == np.int8 and ds.y.tolist() == [0, 1, 0, 1, 0]
 
 
 @SETTINGS
@@ -416,7 +466,8 @@ def test_cross_validate_fits_through_module_attributes(monkeypatch, classifier, 
 
 
 def test_out_of_range_id_is_rejected_once_per_layout():
-    # checked once, when the CSR is packed, before any learner sees it
-    with pytest.raises(ValueError, match="vector id 5 out of range for 2 features"):
-        make_dataset([([0], F), ([5], M)], n_features=2)
-
+    # build_dataset writes only ids of its space; a vector from elsewhere is checked when it is predicted
+    ds = make_dataset([([0], F), ([1], M)] * 2, n_features=2)
+    for model in (train_svm(ds, epochs=2), train_nb(ds), train_tree(ds)):
+        with pytest.raises(ValueError, match="vector id 5 out of range for 2 features"):
+            predict(model, make_vec([(5, 1.0)]))

@@ -61,8 +61,8 @@ def test_build_dataset_rejects_a_space_of_another_scheme(small_corpus):
 def test_sentence_window_dataset_is_smaller(small_corpus):
     articles, registry = small_corpus
     instances = pipeline.build_instances(articles, registry)
-    article_terms = pipeline.instance_terms(instances, "unigram", "article")
-    sentence_terms = pipeline.instance_terms(instances, "unigram", "sentence")
+    article_terms = [features.extract_terms(inst, "unigram", window="article") for inst in instances]
+    sentence_terms = [features.extract_terms(inst, "unigram", window="sentence") for inst in instances]
     assert sum(sum(t.values()) for t in sentence_terms) < sum(
         sum(t.values()) for t in article_terms
     )

@@ -5,8 +5,11 @@ from __future__ import annotations
 import datetime
 import json
 
+import numpy as np
+
+from newsbias.corpus import GENDERS, MALE
 from newsbias.features import FeatureSpace, FeatureVector
-from newsbias.learn import Dataset
+from newsbias.learn import CSR, Dataset
 
 
 def make_space(n: int, kind: str = "unigram", n_docs: int = 10) -> FeatureSpace:
@@ -29,6 +32,21 @@ def make_vec(pairs, representation: str = "boolean") -> FeatureVector:
     )
 
 
+def pack(vectors, labels, space: FeatureSpace) -> Dataset:
+    """One CSR row per vector, labelled 0 (female) or 1 (male); boolean
+    only when every vector is (or there are none)."""
+    assert len(vectors) == len(labels) and set(labels) <= set(GENDERS)
+    representation = next((v.representation for v in vectors if v.representation != "boolean"), "boolean")
+    indptr = np.concatenate(([0], np.cumsum([len(v) for v in vectors]))).astype(np.int64)
+    indices = np.array([i for v in vectors for i in v.ids], dtype=np.int32)
+    if representation == "boolean":
+        data = np.broadcast_to(1.0, len(indices))
+    else:
+        data = np.array([x for v in vectors for x in v.values], dtype=np.float64)
+    y = np.array([label == MALE for label in labels], dtype=np.int8)
+    return Dataset(CSR(indptr, indices, data, representation), y, space, np.arange(len(y)))
+
+
 def make_dataset(rows, n_features: int, representation: str = "boolean") -> Dataset:
     """rows: list of (feature-id list or (id, value) pairs, label)."""
     vectors = []
@@ -37,7 +55,7 @@ def make_dataset(rows, n_features: int, representation: str = "boolean") -> Data
         pairs = [(i, 1.0) if isinstance(i, int) else i for i in ids]
         vectors.append(make_vec(pairs, representation))
         labels.append(label)
-    return Dataset.pack(vectors, labels, make_space(n_features))
+    return pack(vectors, labels, make_space(n_features))
 
 
 def write_articles(path, rows) -> None:
