@@ -287,20 +287,10 @@ def cmd_label(config: dict) -> int:
     articles, registry, instances = _build_instances(config)
     with run.path("instances.jsonl").open("w", encoding="utf-8") as fh:
         for inst in instances:
-            fh.write(
-                json.dumps(
-                    {
-                        "article_id": inst.article_id,
-                        "label": inst.label,
-                        "politician_ids": list(inst.politician_ids),
-                        "headline_mention": inst.headline_mention,
-                        "n_tokens": len(inst.stream),
-                        "n_sentences": len(inst.stream.sentence_spans),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            record = {"article_id": inst.article_id, "label": inst.label, "politician_ids": list(inst.politician_ids),
+                      "headline_mention": inst.headline_mention, "n_tokens": len(inst.stream),
+                      "n_sentences": len(inst.stream.ends)}
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
     matched = {inst.article_id for inst in instances}
     both = len(instances) - len(matched)
     summary = {

@@ -14,9 +14,13 @@ from __future__ import annotations
 
 import datetime
 import json
+from collections import namedtuple
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from . import preprocess
 from .errors import DataError, read_lines, read_text
@@ -33,11 +37,6 @@ MALE = "male"
 GENDERS = (FEMALE, MALE)
 
 DAYS_PER_YEAR = 365.25
-
-# when one text span is claimed under several forms, the more specific
-# naming wins for the marker choice
-_FORM_PRIORITY = {FORM_FULL: 0, FORM_SURNAME: 1, FORM_GIVEN: 2}
-
 
 @dataclass(frozen=True, slots=True)
 class Article:
@@ -277,91 +276,94 @@ def name_variants(record: PoliticianRecord) -> list[tuple[tuple[str, ...], str]]
     return variants
 
 
-class _VariantTable:
-    def __init__(self, registry: Sequence[PoliticianRecord]):
-        self.entries: dict[tuple[str, ...], list[tuple[str, str]]] = {}
-        self.max_len = 0
-        for record in registry:
-            for tt, form in name_variants(record):
-                self.entries.setdefault(tt, []).append((record.id, form))
-                self.max_len = max(self.max_len, len(tt))
-        for owners in self.entries.values():
-            owners.sort()
-        # a mention can only start at a token that starts some variant
-        self.first_tokens = frozenset(tt[0] for tt in self.entries)
+def _scan_mentions(registry: Sequence[PoliticianRecord], stream: TokenStream):
+    """Leftmost-longest name mentions within each text of a stream: (text, start,
+    end, (form, owners)) with positions over the whole stream, owners the sorted
+    (politician_id, form) pairs whose variant the span is, and form the index in
+    preprocess.FORMS of the most specific of their forms. Spans never overlap."""
+    vocab = stream.vocab
+    owners_of: dict[tuple[int, ...], list[tuple[str, str]]] = {}
+    for record in registry:
+        for tt, form in name_variants(record):
+            owners_of.setdefault(tuple(map(vocab.id, tt)), []).append((record.id, form))
+    # preprocess.FORMS runs from the most specific naming down, and when one span
+    # is claimed under several forms the most specific wins the marker
+    entries = {tt: (min(preprocess.FORMS.index(f) for _, f in owners), sorted(owners))
+               for tt, owners in owners_of.items()}
+    longest = max(map(len, entries), default=0)
+    # a mention can only start at a token that starts some variant
+    first = np.zeros(len(vocab.surfaces), bool)
+    first[[tt[0] for tt in entries]] = True
+    starts = np.flatnonzero(first[stream.ids])
+    text = np.searchsorted(stream.bounds, starts, side="right")
+    caps = np.minimum(stream.bounds[text] - starts, longest)
+    grams = stream.ids[np.minimum(starts[:, None] + np.arange(longest), len(stream.ids) - 1)]
+    end = 0
+    for t, i, cap, gram in zip((text - 1).tolist(), starts.tolist(), caps.tolist(), grams.tolist()):
+        if i < end:
+            continue
+        for length in range(cap, 0, -1):
+            entry = entries.get(tuple(gram[:length]))
+            if entry:
+                end = i + length
+                yield t, i, end, entry
+                break
 
-    def scan(self, surfaces: Sequence[str]):
-        """Leftmost-longest resolution of mentions over a token sequence.
 
-        Yields (span_start, span_end, owners) with owners a list of
-        (politician_id, form); spans never overlap.
-        """
-        n = len(surfaces)
-        first = self.first_tokens
-        entries = self.entries
-        end = 0
-        for i in [i for i, s in enumerate(surfaces) if s in first]:
-            if i < end:
-                continue
-            for length in range(min(self.max_len, n - i), 0, -1):
-                owners = entries.get(tuple(surfaces[i : i + length]))
-                if owners:
-                    end = i + length
-                    yield i, end, owners
-                    break
+# one article of a corpus scan: its unmasked stream, its matches and its resolved mention spans
+ArticleScan = namedtuple("ArticleScan", "article stream matches mention_spans")
 
 
 @dataclass(frozen=True)
-class ArticleScan:
-    """One article tokenized and matched: the unmasked combined stream,
-    per-politician matches, and the resolved (non-overlapping) mention spans."""
+class CorpusScan:
+    """Every article tokenized and matched in one pass: stream holds one text
+    per article (headline, then body), mentions the resolved spans over it
+    as (start, end, index of the form in preprocess.FORMS) rows in order,
+    and matches[i] what article i features, with spans over its own text.
+    Iterating gives one ArticleScan per article."""
 
-    article: Article
+    articles: tuple[Article, ...]
     stream: TokenStream
-    matches: tuple[PoliticianMatch, ...]
-    mention_spans: tuple[MentionSpan, ...]
+    mentions: np.ndarray
+    matches: list[tuple[PoliticianMatch, ...]]
+
+    def __iter__(self) -> Iterator[ArticleScan]:
+        bounds, mentions = self.stream.bounds.tolist(), self.mentions.tolist()
+        cuts = np.searchsorted(self.mentions[:, 0], bounds).tolist()
+        for i, view in enumerate(self.stream.texts()):
+            yield ArticleScan(self.articles[i], view, self.matches[i], tuple(
+                MentionSpan(s - bounds[i], e - bounds[i], preprocess.FORMS[f]) for s, e, f in mentions[cuts[i]:cuts[i + 1]]))
 
 
-def _scan_article(article: Article, table: _VariantTable) -> ArticleScan:
-    """Tokenize headline+body and resolve mentions over the combined stream."""
-    headline = preprocess.split_sentences(preprocess.tokenize(article.headline))
-    body = preprocess.split_sentences(preprocess.tokenize(article.body))
-    stream = preprocess.concat_streams(headline, body)
-    n_headline = len(headline.tokens)
-
-    per_politician: dict[str, list[MentionSpan]] = {}
-    headline_hit: dict[str, bool] = {}
-    resolved: list[MentionSpan] = []
-    for start, end, owners in table.scan(stream.tokens):
-        form = min((f for _, f in owners), key=_FORM_PRIORITY.__getitem__)
-        resolved.append(MentionSpan(start, end, form))
-        for rid, rid_form in owners:
-            per_politician.setdefault(rid, []).append(MentionSpan(start, end, rid_form))
-            if start < n_headline:
-                headline_hit[rid] = True
-    matches = tuple(
-        PoliticianMatch(rid, tuple(spans), headline_hit.get(rid, False))
-        for rid, spans in sorted(per_politician.items())
-    )
-    return ArticleScan(article, stream, matches, tuple(resolved))
-
-
-def scan_corpus(
-    articles: Sequence[Article], registry: Sequence[PoliticianRecord]
-) -> list[ArticleScan]:
-    """Tokenize and match every article (matched or not) against the registry."""
-    table = _VariantTable(registry)
-    return [_scan_article(article, table) for article in articles]
+def scan_corpus(articles: Sequence[Article], registry: Sequence[PoliticianRecord]) -> CorpusScan:
+    """Tokenize and match every article (matched or not) against the registry.
+    Headlines and bodies are texts of their own until matched, so a mention lies
+    inside one of them; an article's text is then its headline and its body."""
+    texts = preprocess.split_sentences(
+        preprocess.tokenize([text for art in articles for text in (art.headline, art.body)], preprocess.Vocab()))
+    bounds = texts.bounds.tolist()
+    mentions: list[tuple[int, int, int]] = []
+    matches: list[tuple[PoliticianMatch, ...]] = [()] * len(articles)
+    for i, hits in groupby(_scan_mentions(registry, texts), key=lambda hit: hit[0] // 2):
+        offset = bounds[2 * i]
+        per_politician: dict[str, list[MentionSpan]] = {}
+        in_headline: set[str] = set()
+        for text, start, end, (form, owners) in hits:
+            mentions.append((start, end, form))
+            for rid, rid_form in owners:
+                per_politician.setdefault(rid, []).append(MentionSpan(start - offset, end - offset, rid_form))
+                if text % 2 == 0:
+                    in_headline.add(rid)
+        matches[i] = tuple(PoliticianMatch(rid, tuple(spans), rid in in_headline)
+                           for rid, spans in sorted(per_politician.items()))
+    stream = TokenStream(texts.vocab, texts.ids, texts.bounds[::2], texts.ends)
+    return CorpusScan(tuple(articles), stream, np.array(mentions, np.int64).reshape(-1, 3), matches)
 
 
 def match_politicians(article: Article, registry: Sequence[PoliticianRecord]) -> list[PoliticianMatch]:
-    """All politicians featured in the article, with their mention spans.
-
-    Spans index into the combined headline+body token stream (headline
-    first). Results are sorted by politician id and do not depend on
-    registry ordering.
-    """
-    return list(_scan_article(article, _VariantTable(registry)).matches)
+    """All politicians featured in the article, with their mention spans over its
+    headline+body stream, sorted by politician id whatever the registry's order."""
+    return list(scan_corpus([article], registry).matches[0])
 
 
 def years_in_office(

@@ -20,9 +20,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .corpus import LabeledInstance
 from .errors import ConfigError, DataError, read_text
-from .preprocess import MARKER, MARKER_SURFACES, WORD, TokenStream, kind_of, marker_sentences, stem
+from .preprocess import FORMS, MARKER, WORD, TokenStream, stem
 
 # feature kinds
 UNIGRAM = "unigram"
@@ -43,7 +45,7 @@ DEFAULT_MIN_DF = 3
 
 def _stems(words: Sequence[str]) -> dict[str, str]:
     """Each word's stem by the masking chain's stemmer, the form it takes in stemmed text."""
-    return dict(zip(words, stem(TokenStream(tuple(words))).tokens))
+    return dict(zip(words, stem(TokenStream.of(words)).tokens))
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,11 +163,14 @@ def load_pos_lexicon(path: str | Path) -> PosLexicon:
     return PosLexicon(primary=primary)
 
 
-def _window_tokens(stream: TokenStream, window: str) -> Sequence[str]:
-    if window == "article" or not stream.sentence_spans:
-        return stream.tokens
-    spans = stream.sentence_spans
-    return [tok for s in sorted(marker_sentences(stream)) for tok in stream.tokens[slice(*spans[s])]]
+def _window_tokens(stream: TokenStream, window: str) -> np.ndarray:
+    """The ids of the tokens the window reads: all, or those of the sentences holding a marker."""
+    if window == "article" or not len(stream.ends):
+        return stream.ids
+    ends = stream.ends
+    held = np.zeros(len(ends), bool)
+    held[np.searchsorted(ends, (stream.ids < len(FORMS)).nonzero()[0], side="right")] = True
+    return stream.ids[np.repeat(held, np.concatenate((ends[:1], ends[1:] - ends[:-1])))]
 
 
 def extract_terms(
@@ -190,24 +195,22 @@ def extract_terms(
         section = instance.section.strip()
         return Counter({section: 1}) if section else Counter()
 
-    # each distinct token of the window once, with its count there
-    counts = Counter(_window_tokens(instance.stream, window))
-    if scheme == UNIGRAM:
-        return Counter({tok: n for tok, n in counts.items() if kind_of(tok) in (WORD, MARKER)})
-    if scheme == NAMEFORM:
-        return Counter({tok: n for tok, n in counts.items() if tok in MARKER_SURFACES})
+    # each distinct token of the window once, with its count there, if it is of a kind the scheme reads
+    vocab = instance.stream.vocab
+    wanted = {UNIGRAM: (WORD, MARKER), NAMEFORM: (MARKER,)}.get(scheme, (WORD,))
+    counts = Counter({vocab.surfaces[i]: n for i, n in Counter(_window_tokens(instance.stream, window).tolist()).items()
+                      if vocab.kinds[i] in wanted})
+    if scheme in (UNIGRAM, NAMEFORM):
+        return counts
     if scheme in (ADJECTIVE, VERB):
         if pos_lexicon is None:
             raise ConfigError(f"scheme {scheme!r} requires a POS lexicon")
         wanted = "ADJ" if scheme == ADJECTIVE else "VERB"
-        return Counter({tok: n for tok, n in counts.items()
-                        if pos_lexicon.primary.get(tok) == wanted and kind_of(tok) == WORD})
+        return Counter({tok: n for tok, n in counts.items() if pos_lexicon.primary.get(tok) == wanted})
     if lexicon is None:
         raise ConfigError("scheme 'lexicon_category' requires a lexicon")
     terms: Counter[str] = Counter()
     for tok, n in counts.items():
-        if kind_of(tok) != WORD:
-            continue
         for cat, words in lexicon.categories.items():
             if tok in words:
                 terms[cat] += n

@@ -136,21 +136,14 @@ def kwic(
     for doc in sorted(docs, key=lambda d: d.article_id):
         if group is not None and group not in doc.groups:
             continue
-        tokens = doc.stream.tokens
-        hits = [i for i, tok in enumerate(tokens) if tok == surface]
+        hits = (doc.stream.ids == doc.stream.vocab.index.get(surface, -1)).nonzero()[0].tolist()
         if require_cooccurrence:
-            sentences = preprocess.sentence_ids(doc.stream.sentence_spans, hits)
+            sentences = preprocess.sentence_ids(doc.stream, hits).tolist()
             hits = [i for i, sent in zip(hits, sentences) if sent in doc.mention_sentences]
-        for i in hits:
-            lines.append(
-                ConcordanceLine(
-                    article_id=doc.article_id,
-                    position=i,
-                    left=tokens[max(0, i - window) : i],
-                    keyword=surface,
-                    right=tokens[i + 1 : i + 1 + window],
-                )
-            )
+        surfaces, ids = doc.stream.vocab.surfaces.__getitem__, doc.stream.ids
+        lines.extend(ConcordanceLine(doc.article_id, i, tuple(map(surfaces, ids[max(0, i - window):i].tolist())),
+                                     surface, tuple(map(surfaces, ids[i + 1:i + 1 + window].tolist())))
+                     for i in hits)
     return lines
 
 
@@ -165,7 +158,7 @@ def term_count(docs: Sequence[DocView], term: str, group: str | None = None, *, 
     for doc in docs:
         if group is not None and group not in doc.groups:
             continue
-        total += doc.stream.tokens.count(surface)
+        total += len((doc.stream.ids == doc.stream.vocab.index.get(surface, -1)).nonzero()[0])
     return total
 
 

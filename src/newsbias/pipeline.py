@@ -39,10 +39,11 @@ def filter_by_date(
     return out
 
 
-def _masked_stream(scan: corpus.ArticleScan, dropped: frozenset[str], apply_stem: bool) -> TokenStream:
-    """The text the classifiers see: mentions masked and the dropped words
-    deleted in one pass, then words stemmed when asked."""
-    stream = preprocess.mask_gender_signals(scan.stream, scan.mention_spans, dropped)
+def _masked_stream(scan: corpus.CorpusScan, signals: frozenset[str], stoplist: frozenset[str] | None,
+                   apply_stem: bool) -> TokenStream:
+    """The text the classifiers see, one text per article: mentions masked and the
+    signals and stopwords deleted in one pass, then words stemmed when asked."""
+    stream = preprocess.mask_gender_signals(scan.stream, scan.mentions, signals | stoplist if stoplist else signals)
     return preprocess.stem(stream) if apply_stem else stream
 
 
@@ -65,25 +66,15 @@ def build_instances(
     a pair of instances.
     """
     gender_of = {r.id: r.gender for r in registry}
-    dropped = signals | stoplist if stoplist else signals
+    scan = corpus.scan_corpus(filter_by_date(articles, date_from, date_to), registry)
+    masked = _masked_stream(scan, signals, stoplist, apply_stem)
     instances: list[LabeledInstance] = []
-    for scan in corpus.scan_corpus(filter_by_date(articles, date_from, date_to), registry):
-        if not scan.matches:
-            continue
-        stream = _masked_stream(scan, dropped, apply_stem)
+    for article, found, stream in zip(scan.articles, scan.matches, masked.texts()):
         for gender in GENDERS:
-            matches = [m for m in scan.matches if gender_of[m.politician_id] == gender]
+            matches = [m for m in found if gender_of[m.politician_id] == gender]
             if matches:
-                instances.append(
-                    LabeledInstance(
-                        article_id=scan.article.id,
-                        label=gender,
-                        politician_ids=tuple(m.politician_id for m in matches),
-                        headline_mention=any(m.headline_mention for m in matches),
-                        stream=stream,
-                        section=scan.article.section,
-                    )
-                )
+                instances.append(LabeledInstance(article.id, gender, tuple(m.politician_id for m in matches),
+                                                 any(m.headline_mention for m in matches), stream, article.section))
     return instances
 
 
@@ -133,16 +124,13 @@ def build_doc_views(
     Group membership is the set of genders the article features.
     """
     gender_of = {r.id: r.gender for r in registry}
-    dropped = signals | stoplist if stoplist else signals
-    views: list[DocView] = []
-    for scan in corpus.scan_corpus(articles, registry):
-        groups = frozenset(gender_of[m.politician_id] for m in scan.matches)
-        if masked:
-            stream = _masked_stream(scan, dropped, apply_stem)
-            mention_sentences = preprocess.marker_sentences(stream)
-        else:
-            stream = scan.stream
-            starts = [span.start for span in scan.mention_spans]
-            mention_sentences = frozenset(preprocess.sentence_ids(stream.sentence_spans, starts))
-        views.append(DocView(scan.article.id, stream, groups, mention_sentences))
-    return views
+    scan = corpus.scan_corpus(articles, registry)
+    if masked:
+        stream = _masked_stream(scan, signals, stoplist, apply_stem)
+        mention_sentences = preprocess.marker_sentences(stream)
+    else:
+        stream = scan.stream
+        mention_sentences = preprocess.text_sentences(stream, scan.mentions[:, 0])
+    return [DocView(article.id, view, frozenset(gender_of[m.politician_id] for m in found), sentences)
+            for article, found, view, sentences
+            in zip(scan.articles, scan.matches, stream.texts(), mention_sentences)]

@@ -1,21 +1,21 @@
-"""Tokenization, sentence splitting, and gender-signal masking.
+"""Tokenization, sentence splitting, and gender-signal masking, over token ids.
 
 The pipeline order is: tokenize -> split_sentences -> mask_gender_signals
 (which drops the gender signals and, when configured, the stopwords in
-one pass) -> (optionally) stem. All operations are pure and return new
-TokenStream values, so they are safe to run data-parallel per article.
+one pass) -> (optionally) stem. Each step takes a whole corpus at once, a
+TokenStream of texts end to end (one text is a stream of one).
 
-A token is its surface string. Its kind follows from the surface:
-kind_of gives MARKER for the three marker surfaces and otherwise the name
-of the tokenizer pattern's group that matches the surface, so the pattern
-stays the one definition of a kind. This is exact because lowercasing a
-word and Porter-stemming it keep its first character a letter, and
-masking is the only place markers are made. tokenize, stem and kind_of
-memoise their per-string work (the tokens of each whitespace-delimited
-chunk, the Porter stem of each word, the kind of each surface), so it
-runs once per distinct string rather than once per occurrence. Each
-memo empties itself once it holds _CACHE_LIMIT entries; the memos change
-no output.
+A token is its surface string; within one corpus pass each distinct
+surface has one int32 id that never changes (a Vocab, made per pass). A
+token's kind follows from the surface (kind_of: MARKER for the three
+marker surfaces, else the name of the tokenizer pattern's group that
+matches it), exact because lowercasing and Porter-stemming keep a word's
+first character a letter and masking alone makes markers. The vocabulary
+tokenizes each distinct whitespace chunk once, and a token's kind, stem
+and membership of a word list are per-id tables filled once per distinct
+surface, so each step is a few numpy operations over the whole corpus. A
+vocabulary lives as long as its pass's streams and is bounded by the
+pass's distinct chunks: about 340 bytes per distinct word.
 
 Masking deletes grammatical gender signals (pronouns and titles, see
 DEFAULT_GENDERED_SIGNALS) and replaces each politician mention with a
@@ -28,14 +28,15 @@ place: they are analysis targets, not leakage.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from . import porter
-from .errors import InvariantError, read_text
+from .errors import DataError, InvariantError, read_text
 
 # token kinds
 WORD = "word"
@@ -43,7 +44,8 @@ NUMBER = "number"
 PUNCT = "punct"
 MARKER = "marker"
 
-# name-form markers; the only surfaces a marker token may carry
+# name-form markers, from the most specific naming down; the only surfaces a
+# marker token may carry, and the marker of FORMS[i] has id i in every vocabulary
 FORM_FULL = "full"
 FORM_SURNAME = "surname"
 FORM_GIVEN = "given"
@@ -53,6 +55,7 @@ MARKER_FOR_FORM = {
     FORM_GIVEN: "NAMEFORM_GIVEN",
 }
 MARKER_SURFACES = frozenset(MARKER_FOR_FORM.values())
+FORMS = tuple(MARKER_FOR_FORM)
 
 # grammatical gender signals deleted outright by masking; titles included,
 # gendered content nouns (wife, husband, female, ...) deliberately excluded
@@ -74,6 +77,13 @@ _TOKEN_RE = re.compile(
     r"|(?P<punct>\S)",
 )
 
+_NO_POSITIONS = np.zeros(0, np.int64)
+
+
+def kind_of(surface: str) -> str:
+    """MARKER for the three marker surfaces, else the kind the tokenizer's pattern gives the surface."""
+    return MARKER if surface in MARKER_SURFACES else _TOKEN_RE.match(surface).lastgroup
+
 
 @dataclass(frozen=True, slots=True)
 class MentionSpan:
@@ -90,178 +100,184 @@ class MentionSpan:
             raise InvariantError(f"bad mention span [{self.start}, {self.end})")
 
 
-@dataclass(frozen=True, slots=True)
+class Vocab(dict):
+    """One corpus pass's memo of the whitespace chunks it has tokenized: chunk ->
+    its tokens' int32 ids, as bytes. index maps a surface to its id (a new one
+    takes the next), and surfaces and kinds give each id's surface and kind."""
+
+    def __init__(self):
+        super().__init__()
+        self.surfaces: list[str] = []
+        self.kinds: list[str] = []
+        self.index: dict[str, int] = {}
+        for form in FORMS:
+            self.id(MARKER_FOR_FORM[form])
+
+    def id(self, surface: str) -> int:
+        i = self.index.setdefault(surface, len(self.surfaces))
+        if i == len(self.surfaces):
+            self.surfaces.append(surface)
+            self.kinds.append(kind_of(surface))
+        return i
+
+    def __missing__(self, chunk: str) -> bytes:
+        # the pattern's group names are the kinds: only words and numbers are lowercased
+        ids = self[chunk] = np.array([self.id(m.group() if m.lastgroup == PUNCT else m.group().lower())
+                                      for m in _TOKEN_RE.finditer(chunk)], np.int32).tobytes()
+        return ids
+
+    def flags(self, words: Iterable[str]) -> np.ndarray:
+        """A table over the ids: True at the surfaces in words."""
+        table = np.zeros(len(self.surfaces), bool)
+        table[[i for i in map(self.index.get, words) if i is not None]] = True
+        return table
+
+    def of_kind(self, kind: str) -> np.ndarray:
+        """A table over the ids: True at the surfaces of the kind."""
+        return np.array([k == kind for k in self.kinds], bool)
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class TokenStream:
-    """Immutable sequence of token surfaces, optionally carrying sentence spans."""
+    """Texts end to end as int32 token ids over one vocabulary: text i is
+    ids[bounds[i]:bounds[i + 1]]. ends holds the sentence ends, none before
+    split_sentences: a sentence runs from the previous end (or 0) to its own,
+    and none crosses the end of a text. Streams over different vocabularies
+    are equal when their surfaces, texts and sentences are."""
 
-    tokens: tuple[str, ...]
-    sentence_spans: tuple[tuple[int, int], ...] = ()
+    vocab: Vocab
+    ids: np.ndarray
+    bounds: np.ndarray
+    ends: np.ndarray
 
-    def __post_init__(self):
-        if self.sentence_spans:
-            expected = 0
-            for start, end in self.sentence_spans:
-                if start != expected or end <= start:
-                    raise InvariantError("sentence spans must partition the tokens")
-                expected = end
-            if expected != len(self.tokens):
-                raise InvariantError("sentence spans must cover all tokens")
+    @classmethod
+    def of(cls, tokens: Sequence[str], sentence_spans: Sequence[tuple[int, int]] = ()) -> "TokenStream":
+        """One text from its surfaces, with (start, end) sentence spans that partition it or none."""
+        cuts = [0, *(end for _, end in sentence_spans)]
+        if sentence_spans and ([*map(tuple, sentence_spans)] != [*zip(cuts, cuts[1:])] or cuts[-1] != len(tokens)
+                               or cuts != sorted(set(cuts))):
+            raise InvariantError("sentence spans must partition the tokens")
+        return cls(vocab := Vocab(), np.fromiter(map(vocab.id, tokens), np.int32), np.array((0, len(tokens))),
+                   np.array(cuts[1:], np.int64))
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.ids)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, TokenStream) and (self.tokens, self.bounds.tolist(), self.ends.tolist()) == (
+            other.tokens, other.bounds.tolist(), other.ends.tolist())
+
+    @property
+    def tokens(self) -> tuple[str, ...]:
+        return tuple(map(self.vocab.surfaces.__getitem__, self.ids.tolist()))
+
+    @property
+    def sentence_spans(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip([0, *self.ends.tolist()], self.ends.tolist()))
+
+    def texts(self) -> list["TokenStream"]:
+        """Each text as a stream of its own over the same vocabulary, its ids a view of this stream's."""
+        bounds = self.bounds.tolist()
+        cuts = np.searchsorted(self.ends, self.bounds, side="right")
+        # each text's sentence ends and bounds, counted from the text's start
+        ends = self.ends - np.repeat(self.bounds[:-1], np.diff(cuts))
+        own = np.column_stack((np.zeros(len(bounds) - 1, np.int64), np.diff(self.bounds)))
+        cuts = cuts.tolist()
+        return [TokenStream(self.vocab, self.ids[bounds[i]:bounds[i + 1]], own[i], ends[cuts[i]:cuts[i + 1]])
+                for i in range(len(own))]
 
 
-# entries per memo; a distinct word costs about 320 bytes over the three
-# memos, and a 20,000-word vocabulary fills about 27,000 chunk entries
-_CACHE_LIMIT = 1 << 16
-
-
-class _Memo(dict):
-    """A dict that fills a missing key from fn and empties itself at _CACHE_LIMIT entries.
-
-    Calling it looks a key up, so a memo stands in for the function it memoises."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        if len(self) >= _CACHE_LIMIT:
-            self.clear()
-        value = self[key] = self.fn(key)
-        return value
-
-    __call__ = dict.__getitem__
-
-
-# surface -> its kind; only markers are surfaces the pattern does not make
-kind_of = _Memo(lambda surface: MARKER if surface in MARKER_SURFACES else _TOKEN_RE.match(surface).lastgroup)
-
-
-def _tokenize_chunk(chunk: str) -> tuple[str, ...]:
-    # the pattern's group names are the kinds: only words and numbers are lowercased
-    return tuple(m.group() if m.lastgroup == PUNCT else m.group().lower() for m in _TOKEN_RE.finditer(chunk))
-
-
-# whitespace-delimited chunk -> its tokens; str.split() splits on exactly
-# the characters \S excludes, so no token spans two chunks and a text's
-# tokens are its chunks' tokens in order
-_CHUNKS = _Memo(_tokenize_chunk)
-
-# surface -> its Porter stem if it is a word, else the surface itself
-_STEMS = _Memo(lambda surface: porter.stem(surface) if kind_of(surface) == WORD else surface)
-
-
-def tokenize(text: str) -> TokenStream:
-    """Lowercased tokens over letters/digits; single-char punct; no sentence spans."""
-    return TokenStream(tuple(chain.from_iterable(map(_CHUNKS.__getitem__, text.split()))))
+def tokenize(texts: str | Sequence[str], vocab: Vocab | None = None) -> TokenStream:
+    """Lowercased tokens over letters/digits; single-char punct; no sentence ends.
+    One text per item of texts (a str is one text), over vocab or a new one."""
+    if isinstance(texts, str):
+        texts = (texts,)
+    vocab = Vocab() if vocab is None else vocab
+    # str.split() splits on exactly the characters \S excludes, so no token spans
+    # two chunks; joining the chunks' bytes is the fastest way to lay ids end to end
+    parts = [b"".join(map(vocab.__getitem__, text.split())) for text in texts]
+    bounds = np.zeros(len(parts) + 1, np.int64)
+    np.cumsum([len(part) // 4 for part in parts], out=bounds[1:])
+    return TokenStream(vocab, np.frombuffer(b"".join(parts), np.int32), bounds, _NO_POSITIONS)
 
 
 def split_sentences(stream: TokenStream) -> TokenStream:
     """Close a sentence after each run of . ! ? unless guarded by an abbreviation.
 
-    The guard applies to a lone "." directly preceded by a word in
-    DEFAULT_ABBREVIATIONS ("dr", "st", ...). A final unterminated sentence is
-    closed at the end of the stream; an empty stream has no spans.
+    The guard applies to a lone "." directly preceded, in its own text, by a
+    word in DEFAULT_ABBREVIATIONS ("dr", "st", ...). A final unterminated
+    sentence is closed at the end of its text; an empty text has none.
     """
-    tokens = stream.tokens
-    spans = []
-    start = 0
-    i = 0
-    n = len(tokens)
-    while i < n:
-        tok = tokens[i]
-        if tok in _SENTENCE_FINAL:  # only punctuation can be ".", "!" or "?"
-            run_start = i
-            while i + 1 < n and tokens[i + 1] in _SENTENCE_FINAL:
-                i += 1
-            lone_period = i == run_start and tok == "."
-            guarded = (
-                lone_period
-                and run_start > 0
-                and tokens[run_start - 1] in DEFAULT_ABBREVIATIONS
-                and kind_of(tokens[run_start - 1]) == WORD
-            )
-            if not guarded:
-                spans.append((start, i + 1))
-                start = i + 1
-        i += 1
-    if start < n:
-        spans.append((start, n))
-    return TokenStream(tokens, tuple(spans))
+    ids, vocab, n = stream.ids, stream.vocab, len(stream.ids)
+    final = vocab.flags(_SENTENCE_FINAL)[ids]
+    # a run ends before a token that is not final; one that runs on into the
+    # next text ends at its own text's end all the same, as every sentence does
+    run_end = final.copy()
+    run_end[:-1] &= ~final[1:]
+    # an abbreviation is not sentence-final, so a "." after one starts its run
+    guarded = np.zeros(n + 1, bool)
+    guarded[1:n] = run_end[1:] & vocab.flags((".",))[ids[1:]] & vocab.flags(DEFAULT_ABBREVIATIONS)[ids[:-1]]
+    guarded[stream.bounds] = False
+    is_end = np.zeros(n + 1, bool)
+    is_end[1:] = run_end & ~guarded[:n]
+    is_end[stream.bounds] = True
+    is_end[0] = False
+    return replace(stream, ends=np.flatnonzero(is_end))
 
 
-def concat_streams(a: TokenStream, b: TokenStream) -> TokenStream:
-    """Join two streams, keeping both sets of sentence spans (b's shifted)."""
-    offset = len(a.tokens)
-    spans = tuple(a.sentence_spans) + tuple((s + offset, e + offset) for s, e in b.sentence_spans)
-    return TokenStream(tuple(a.tokens) + tuple(b.tokens), spans)
-
-
-def sentence_ids(
-    spans: Sequence[tuple[int, int]], positions: Iterable[int]
-) -> list[int | None]:
-    """Index of the sentence span holding each position; None where no span does.
-
-    Spans must be sorted and disjoint, as a TokenStream's are: the last
-    span starting at or before a position is the only one that can hold it.
-    """
-    starts = [start for start, _ in spans]
-    out: list[int | None] = []
-    for pos in positions:
-        idx = bisect_right(starts, pos) - 1
-        out.append(idx if idx >= 0 and pos < spans[idx][1] else None)
+def sentence_ids(stream: TokenStream, positions: Sequence[int]) -> np.ndarray:
+    """Index of the sentence holding each position, counted over the whole
+    stream; -1 where none does (outside the stream, or before splitting)."""
+    positions = np.asarray(positions, np.int64)
+    out = np.searchsorted(stream.ends, positions, side="right")
+    out[(positions < 0) | (out >= len(stream.ends))] = -1
     return out
 
 
-def mask_gender_signals(
-    stream: TokenStream,
-    mentions: Sequence[MentionSpan],
-    signals: frozenset[str] = DEFAULT_GENDERED_SIGNALS,
-) -> TokenStream:
+def text_sentences(stream: TokenStream, positions: np.ndarray) -> list[frozenset[int]]:
+    """Per text, the indices (counted within the text) of its sentences that
+    hold any of the positions, which must be sorted."""
+    held = sentence_ids(stream, positions).tolist()
+    first = np.searchsorted(stream.ends, stream.bounds, side="right").tolist()
+    cuts = np.searchsorted(positions, stream.bounds).tolist()
+    return [frozenset(s - f for s in held[a:b] if s >= 0) for a, b, f in zip(cuts, cuts[1:], first)]
+
+
+def mask_gender_signals(stream: TokenStream, mentions: Sequence[MentionSpan] | np.ndarray,
+                        signals: frozenset[str] = DEFAULT_GENDERED_SIGNALS) -> TokenStream:
     """Delete the words in signals and collapse each mention span to one marker.
 
-    This is the one loop that deletes tokens and reindexes sentence
-    spans: pass signals | stoplist to drop stopwords in the same pass.
-    Mention spans must be disjoint and within bounds (they come from the
-    matcher, which guarantees both); overlap is an upstream contract
-    violation and raises. All other tokens pass through unchanged,
-    including quoted material.
+    This is the one pass that deletes tokens and remaps sentence ends and
+    text bounds: pass signals | stoplist to drop stopwords in the same pass.
+    Mentions index the whole stream, as MentionSpans or as a corpus scan
+    keeps them ((start, end, index of the form in FORMS) rows sorted by
+    start); they must be disjoint and within bounds (the matcher
+    guarantees both), and overlap raises. All other tokens pass through
+    unchanged, including quoted material; a sentence left empty is gone.
     """
-    n = len(stream.tokens)
-    ordered = sorted(mentions, key=lambda s: s.start)
-    prev_end = 0
-    for span in ordered:
-        if span.start < prev_end:
-            raise InvariantError(f"overlapping mention spans at token {span.start}")
-        if span.end > n:
-            raise InvariantError(f"mention span [{span.start}, {span.end}) exceeds stream length {n}")
-        prev_end = span.end
+    if not isinstance(mentions, np.ndarray):
+        mentions = np.array([(s.start, s.end, FORMS.index(s.form)) for s in sorted(mentions, key=attrgetter("start"))],
+                            np.int64).reshape(-1, 3)
+    starts, ends, forms = mentions.T
+    n = len(stream.ids)
+    overlaps = np.flatnonzero(starts[1:] < ends[:-1])
+    if len(overlaps):
+        raise InvariantError(f"overlapping mention spans at token {starts[overlaps[0] + 1]}")
+    if len(ends) and ends[-1] > n:
+        raise InvariantError(f"mention span [{starts[-1]}, {ends[-1]}) exceeds stream length {n}")
 
-    marker_at = {s.start: s for s in ordered}
-    out: list[str] = []
-    new_pos = [0] * (n + 1)
-    i = 0
-    while i < n:
-        new_pos[i] = len(out)
-        span = marker_at.get(i)
-        if span is not None:
-            out.append(MARKER_FOR_FORM[span.form])
-            for j in range(i + 1, span.end):
-                new_pos[j] = len(out) - 1
-            i = span.end
-            continue
-        tok = stream.tokens[i]
-        if not (tok in signals and kind_of(tok) == WORD):
-            out.append(tok)
-        i += 1
-    new_pos[n] = len(out)
-    # new_pos[i] = number of output tokens emitted for input tokens < i;
-    # sentences that end up empty are dropped
-    spans = tuple((new_pos[s], new_pos[e]) for s, e in stream.sentence_spans if new_pos[e] > new_pos[s])
-    return TokenStream(tuple(out), spans)
+    keep = ~(stream.vocab.flags(signals) & stream.vocab.of_kind(WORD))[stream.ids]
+    # every token of a mention but its first goes; the first becomes the marker
+    inner = ends - starts - 1
+    offsets = np.cumsum(inner) - inner
+    keep[np.arange(inner.sum()) + np.repeat(starts + 1 - offsets, inner)] = False
+    keep[starts] = True
+    kept = np.zeros(n + 1, np.int32)  # kept[i]: tokens kept before token i
+    np.cumsum(keep, out=kept[1:])
+    ids = stream.ids[keep]
+    ids[kept[starts]] = forms
+    ends = kept[stream.ends]
+    return TokenStream(stream.vocab, ids, kept[stream.bounds], ends[np.diff(ends, prepend=0) > 0])
 
 
 def remove_stopwords(stream: TokenStream, stoplist: frozenset[str]) -> TokenStream:
@@ -269,23 +285,31 @@ def remove_stopwords(stream: TokenStream, stoplist: frozenset[str]) -> TokenStre
     return mask_gender_signals(stream, (), stoplist)
 
 
-def marker_sentences(stream: TokenStream) -> frozenset[int]:
-    """Indices of the sentence spans that hold a name marker: the sentences
-    of masked text that mention a politician."""
-    positions = [i for i, tok in enumerate(stream.tokens) if tok in MARKER_SURFACES]
-    return frozenset(sentence_ids(stream.sentence_spans, positions)) - {None}
+def marker_sentences(stream: TokenStream) -> list[frozenset[int]]:
+    """Per text, the indices of the sentences that hold a name marker: the
+    sentences of masked text that mention a politician."""
+    return text_sentences(stream, np.flatnonzero(stream.ids < len(FORMS)))
 
 
 def stem(stream: TokenStream) -> TokenStream:
     """Replace each word token by its Porter stem; other kinds untouched."""
-    return TokenStream(tuple(map(_STEMS.__getitem__, stream.tokens)), stream.sentence_spans)
+    vocab = stream.vocab
+    table = np.arange(len(vocab.surfaces), dtype=np.int32)
+    present = np.bincount(stream.ids, minlength=len(table)) > 0
+    words = np.flatnonzero(present & vocab.of_kind(WORD)).tolist()
+    table[words] = [vocab.id(porter.stem(vocab.surfaces[i])) for i in words]
+    return replace(stream, ids=table[stream.ids])
 
 
 def load_wordlist(path: str | Path) -> frozenset[str]:
-    """One lowercase token per line; blank lines and '#' comments ignored."""
+    """One word per line, as the tokenizer reads it (lowercased); blank lines
+    and '#' comments ignored. An entry that is not exactly one word token
+    (two tokens, a number, punctuation) could never match, so it raises."""
     words = set()
-    for line in read_text(path, "word list").splitlines():
+    for line_no, line in enumerate(read_text(path, "word list").splitlines(), start=1):
         entry = line.split("#", 1)[0].strip()
-        if entry:
-            words.add(entry.lower())
+        tokens = tokenize(entry).tokens
+        if entry and (len(tokens) != 1 or kind_of(tokens[0]) != WORD):
+            raise DataError(f"{Path(path).name}:{line_no}: word list entry {entry!r} is not one word")
+        words.update(tokens)
     return frozenset(words)

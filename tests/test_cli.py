@@ -689,6 +689,23 @@ def test_unreadable_input_file_is_a_config_or_data_error(synth_corpus, tmp_path,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("entry", ["mr.", "2010", "co chair", "NAMEFORM_FULL", "-"])
+@pytest.mark.parametrize("key", ["signals", "stoplist"])
+def test_word_list_entry_that_is_not_one_word_is_a_data_error(synth_corpus, tmp_path, capsys, key, entry):
+    # masking deletes word tokens only, so such an entry could never delete anything
+    config = json.loads(synth_corpus.read_text())
+    words = tmp_path / "words.txt"
+    words.write_text(f"# a word list\nShe\n\n{entry}  # not one word\nhe\n", encoding="utf-8")
+    config["paths"][key] = str(words)
+    config["pipeline"] = {"remove_stopwords": key == "stoplist"}
+    config_path = tmp_path / "probe.json"
+    config_path.write_text(json.dumps(config))
+    for argv in (["label"], ["kwic", "husband", "--masked"]):
+        assert run(*argv, "--config", str(config_path), "--out", str(tmp_path / "o")) == 2
+        assert f"words.txt:4: word list entry {entry!r} is not one word" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("out", ["afile", "afile/sub"])
 def test_out_that_cannot_be_a_directory_is_a_config_error(synth_corpus, monkeypatch, tmp_path, capsys, out):
     from newsbias import corpus

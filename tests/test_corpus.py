@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newsbias import corpus, pipeline
+from newsbias import corpus, pipeline, preprocess
 from newsbias.errors import DataError
 from newsbias.preprocess import MARKER, kind_of
 
@@ -339,6 +339,20 @@ def test_label_headline_mention_per_gender(registry_file):
     assert flags == {"female": True, "male": False}
 
 
+def test_a_mention_lies_inside_its_headline_or_its_body(tmp_path):
+    path = tmp_path / "r.json"
+    write_registry(path, [politician("p1", "male", "John", "Kelly")])
+    registry = corpus.load_registry(path)
+    art = make_article("Kelly said no.", headline="Talks with John")
+    got = corpus.match_politicians(art, registry)
+    assert [(s.start, s.end, s.form) for s in got[0].spans] == [(2, 3, "given"), (3, 4, "surname")]
+    assert got[0].headline_mention is True
+    # each text keeps its own marker, in its own sentence
+    view, = pipeline.build_doc_views([art], registry)
+    assert view.stream.tokens == ("talks", "with", "NAMEFORM_GIVEN", "NAMEFORM_SURNAME", "said", "no", ".")
+    assert view.stream.sentence_spans == ((0, 3), (3, 7)) and view.mention_sentences == {0, 1}
+
+
 def test_label_keeps_section(registry_file):
     registry = load_registry(registry_file)
     art = corpus.Article(
@@ -497,4 +511,6 @@ def registries_and_surfaces(draw):
 @given(registries_and_surfaces())
 def test_gated_scan_equals_ungated_reference(case):
     registry, surfaces = case
-    assert list(corpus._VariantTable(registry).scan(surfaces)) == ref_scan(registry, surfaces)
+    stream = preprocess.tokenize(" ".join(surfaces))
+    got = corpus._scan_mentions(registry, stream)
+    assert [(start, end, owners) for _, start, end, (_, owners) in got] == ref_scan(registry, surfaces)

@@ -336,7 +336,7 @@ def instance_lists(draw, min_size=2):
             label=F if i == 0 else M if i == 1 else draw(st.sampled_from([F, M])),
             politician_ids=("p",),
             headline_mention=False,
-            stream=split_sentences(TokenStream(("every", *draw(st.lists(st.sampled_from(WORDS), max_size=10))))),
+            stream=split_sentences(TokenStream.of(("every", *draw(st.lists(st.sampled_from(WORDS), max_size=10))))),
         )
         for i in range(n)
     ]
@@ -378,7 +378,7 @@ def test_build_dataset_packs_what_vectorize_gives_row_by_row(instances, represen
 @pytest.mark.parametrize("representation", features.REPRESENTATIONS)
 def test_build_dataset_makes_no_feature_vector(monkeypatch, representation):
     instances = [
-        LabeledInstance(f"a{i}", (F, M)[i % 2], ("p",), False, TokenStream(tuple(words.split())))
+        LabeledInstance(f"a{i}", (F, M)[i % 2], ("p",), False, TokenStream.of(words.split()))
         for i, words in enumerate(["tax road tax", "farm road", "tax school", "farm farm road", "school"])
     ]
 

@@ -5,10 +5,13 @@ from __future__ import annotations
 import datetime
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import util
 from newsbias import corpus, features, pipeline, synth
 from newsbias.errors import ConfigError, DataError
-from newsbias.preprocess import MARKER, kind_of
+from newsbias.preprocess import DEFAULT_GENDERED_SIGNALS, MARKER, MARKER_SURFACES, kind_of
 
 
 @pytest.fixture(scope="module")
@@ -116,8 +119,84 @@ def test_instances_and_views_share_one_prepared_stream(small_corpus, stoplist, a
         assert view.stream == inst.stream
         # the sentence window reads exactly the sentences the view marks as mentions
         spans = view.stream.sentence_spans
-        assert list(features._window_tokens(inst.stream, "sentence")) == [
+        surfaces = inst.stream.vocab.surfaces
+        assert [surfaces[i] for i in features._window_tokens(inst.stream, "sentence")] == [
             tok for s in sorted(view.mention_sentences) for tok in view.stream.tokens[slice(*spans[s])]
         ]
     # raw views are the scanned text, whatever the stoplist and stemming settings
     assert [v.stream for v in raw] == [s.stream for s in scans]
+
+
+# --- the batch front end, against the token-by-token reference ---
+
+NAMES = ["Ann", "Lee", "May", "Rose"]
+# names, an abbreviation before ".", runs of . ! ?, signals and stopwords,
+# words the stemmer changes, and chunks that hold several tokens
+PIECES = NAMES + ["mr", "Mr", "dr", ".", ".", "!", "?", "?!", "...", ",", "said", "the", "she", "his",
+                  "husband", "ministers", "3.4bn", "Ann's", "co-chair"]
+SEPARATORS = [" ", " ", " ", "", "\n", "  "]
+
+
+@st.composite
+def texts(draw, max_size):
+    # often a name first and last, so that names meet at the headline's and the body's ends
+    names = st.lists(st.sampled_from(NAMES), max_size=1)
+    pieces = [*draw(names), *draw(st.lists(st.sampled_from(PIECES), max_size=max_size)), *draw(names)]
+    return "".join(piece + draw(st.sampled_from(SEPARATORS)) for piece in pieces)
+
+
+@st.composite
+def front_end_cases(draw):
+    """A registry over a few shared names, articles whose headlines (often
+    empty) and bodies start and end anywhere, and masking settings whose
+    word lists may hold a name token."""
+    names = st.sampled_from(NAMES)
+    registry = [
+        corpus.PoliticianRecord(
+            id=f"p{i}", gender=draw(st.sampled_from(corpus.GENDERS)),
+            given_name=draw(names), surname=draw(names),
+            extra_variants=tuple(" ".join(draw(st.lists(names, min_size=1, max_size=2)))
+                                 for _ in range(draw(st.integers(0, 1)))),
+        )
+        for i in range(draw(st.integers(1, 3)))
+    ]
+    articles = [
+        corpus.Article(id=f"a{i}", source="s", date=datetime.date(2005, 1, 1), section="news",
+                       headline=draw(texts(4)), body=draw(texts(14)))
+        for i in range(draw(st.integers(0, 5)))
+    ]
+    signals = draw(st.sampled_from([DEFAULT_GENDERED_SIGNALS, frozenset({"ann", "said"}), frozenset()]))
+    stoplist = draw(st.sampled_from([None, frozenset({"the", "lee", "ministers"})]))
+    return articles, registry, signals, stoplist, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(front_end_cases())
+def test_batch_front_end_equals_the_token_by_token_reference(case):
+    articles, registry, signals, stoplist, apply_stem = case
+    refs = [util.ref_article(article, registry) for article in articles]
+    for scan, ref in zip(corpus.scan_corpus(articles, registry), refs, strict=True):
+        assert list(scan.stream.tokens) == ref["tokens"]
+        assert list(scan.stream.sentence_spans) == ref["spans"]
+        assert [(m.start, m.end, m.form) for m in scan.mention_spans] == ref["mentions"]
+        assert {m.politician_id: ([(s.start, s.end, s.form) for s in m.spans], m.headline_mention)
+                for m in scan.matches} == ref["matches"]
+
+    opts = {"signals": signals, "stoplist": stoplist, "apply_stem": apply_stem}
+    raw = pipeline.build_doc_views(articles, registry, masked=False, **opts)
+    masked = pipeline.build_doc_views(articles, registry, masked=True, **opts)
+    instances = pipeline.build_instances(articles, registry, **opts)
+    gender_of = {r.id: r.gender for r in registry}
+    for article, ref, raw_view, masked_view in zip(articles, refs, raw, masked, strict=True):
+        groups = {gender_of[rid] for rid in ref["matches"]}
+        assert (raw_view.article_id, raw_view.groups, masked_view.groups) == (article.id, groups, groups)
+        assert (list(raw_view.stream.tokens), list(raw_view.stream.sentence_spans)) == (ref["tokens"], ref["spans"])
+        assert raw_view.mention_sentences == util.ref_sentences(ref["spans"], [s for s, _, _ in ref["mentions"]])
+        tokens, spans = util.ref_mask(ref["tokens"], ref["spans"], ref["mentions"],
+                                      signals | (stoplist or frozenset()), apply_stem)
+        assert (list(masked_view.stream.tokens), list(masked_view.stream.sentence_spans)) == (tokens, spans)
+        markers = [i for i, tok in enumerate(tokens) if tok in MARKER_SURFACES]
+        assert masked_view.mention_sentences == util.ref_sentences(spans, markers)
+    by_id = {view.article_id: view for view in masked}
+    assert all(inst.stream == by_id[inst.article_id].stream for inst in instances)
+    assert {inst.article_id for inst in instances} == {a.id for a, ref in zip(articles, refs) if ref["matches"]}

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newsbias import porter, preprocess
+from newsbias import pipeline, porter, preprocess, synth
 from newsbias.errors import InvariantError
 from newsbias.preprocess import (
     DEFAULT_GENDERED_SIGNALS,
@@ -19,7 +19,7 @@ from newsbias.preprocess import (
     WORD,
     MentionSpan,
     TokenStream,
-    concat_streams,
+    Vocab,
     kind_of,
     marker_sentences,
     mask_gender_signals,
@@ -266,19 +266,22 @@ def test_stem_stream_touches_only_words():
 
 # --- stream plumbing ---
 
-def test_concat_streams_offsets_spans():
-    a = split_sentences(tokenize("Headline here"))
-    b = split_sentences(tokenize("Body one. Body two."))
-    got = concat_streams(a, b)
+def test_texts_of_one_stream_keep_their_own_sentences():
+    got = split_sentences(tokenize(["Headline here", "", "Body one. Body two."]))
     assert got.sentence_spans == ((0, 2), (2, 5), (5, 8))
+    head, empty, body = got.texts()
+    assert head.tokens == ("headline", "here") and head.sentence_spans == ((0, 2),)
+    assert empty.tokens == () and empty.sentence_spans == ()
+    assert body.sentence_spans == ((0, 3), (3, 6))
+    assert body.vocab is got.vocab
 
 
 def test_stream_rejects_bad_spans():
     toks = tuple(tokenize("a b c").tokens)
     with pytest.raises(InvariantError):
-        TokenStream(toks, ((0, 2),))
+        TokenStream.of(toks, ((0, 2),))
     with pytest.raises(InvariantError):
-        TokenStream(toks, ((0, 2), (2, 4)))
+        TokenStream.of(toks, ((0, 2), (2, 4)))
 
 
 def test_stream_rejects_unknown_marker():
@@ -287,10 +290,10 @@ def test_stream_rejects_unknown_marker():
     assert kind_of("NAMEFORM_NICKNAME") == WORD
     assert {kind_of(m) for m in MARKER_SURFACES} == {MARKER}
     with pytest.raises(InvariantError):
-        TokenStream(("NAMEFORM_FULL", "said"), ((0, 1),))
+        TokenStream.of(("NAMEFORM_FULL", "said"), ((0, 1),))
 
 
-# --- derived kinds and memoised tokens and stems, against per-occurrence references ---
+# --- derived kinds, and tokens and stems over a vocabulary, against per-occurrence references ---
 
 # whitespace the tokenizer must split on like the regex does, letters whose
 # lowercase is longer or combining, non-ASCII digits, and the joiners
@@ -308,19 +311,13 @@ def ref_tokenize(text):
     return tokens
 
 
-@pytest.fixture
-def fresh_memos():
-    """Start from empty memos, so no memo empties itself in the middle of the test."""
-    for memo in (preprocess.kind_of, preprocess._CHUNKS, preprocess._STEMS):
-        memo.clear()
-
-
 @settings(max_examples=300, deadline=None)
 @given(TEXTS)
 def test_tokenize_equals_pattern_scan(text):
-    assert kinds(tokenize(text)) == ref_tokenize(text)
-    # a second call, served from the memos, gives the same
-    assert kinds(tokenize(text)) == ref_tokenize(text)
+    vocab = Vocab()
+    assert kinds(tokenize(text, vocab)) == ref_tokenize(text)
+    # a second call, served from the vocabulary's chunks, gives the same
+    assert kinds(tokenize(text, vocab)) == ref_tokenize(text)
 
 
 @settings(max_examples=500, deadline=None)
@@ -334,11 +331,24 @@ def test_kind_follows_from_the_surface(text):
             assert kind_of(porter.stem(surface)) == WORD
 
 
-def test_tokenize_shares_one_token_per_surface_and_kind(fresh_memos):
-    tokens = tokenize("Husband husband, HUSBAND. 3 3").tokens
-    assert [t for t in tokens if kind_of(t) == WORD] == ["husband"] * 3
-    assert tokens[-1] is tokens[-2]  # one chunk, tokenized once
-    assert stem(TokenStream(tokens)).tokens[0] == "husband"  # "husband" is its own stem
+def test_passes_do_not_share_a_vocabulary_and_ids_never_change():
+    text = "Husband husband, HUSBAND. 3 3"
+    vocab = Vocab()
+    first = tokenize(text, vocab)
+    assert first.tokens == ("husband", "husband", ",", "husband", ".", "3", "3")
+    assert len(set(first.ids[[0, 1, 3]].tolist())) == 1 and first.ids[5] == first.ids[6]
+    # growing the vocabulary, stemming over it and masking leave every id's surface as it was
+    surfaces = list(vocab.surfaces)
+    later = stem(mask_gender_signals(split_sentences(tokenize("Ministers spoke; husbands too.", vocab)), []))
+    assert vocab.surfaces[: len(surfaces)] == surfaces
+    assert tokenize(text, vocab).ids.tolist() == first.ids.tolist()
+    assert later.vocab is vocab and later.tokens == ("minist", "spoke", ";", "husband", "too", ".")
+    # each pass of the pipeline makes its own vocabulary, shared by the streams it makes
+    articles, registry = synth.generate_corpus(20, seed=5)
+    views = pipeline.build_doc_views(articles, registry, masked=False)
+    instances = pipeline.build_instances(articles, registry)
+    vocabs = {id(v.stream.vocab) for v in views}, {id(i.stream.vocab) for i in instances}
+    assert [len(found) for found in vocabs] == [1, 1] and not vocabs[0] & vocabs[1]
 
 
 @settings(max_examples=100, deadline=None)
@@ -348,25 +358,6 @@ def test_stem_equals_porter_per_token(text):
     got = stem(stream)
     assert kinds(got) == [(porter.stem(t) if kind == WORD else t, kind) for t, kind in kinds(stream)]
     assert got.sentence_spans == stream.sentence_spans
-
-
-def test_memos_stay_within_their_bound(fresh_memos, monkeypatch):
-    monkeypatch.setattr(preprocess, "_CACHE_LIMIT", 50)
-    memos = (preprocess.kind_of, preprocess._CHUNKS, preprocess._STEMS)
-    rng = random.Random(3)
-    words = sorted({
-        "".join(rng.choice("bdfgklmnprstv") + rng.choice("aeiou") for _ in range(4))
-        for _ in range(400)
-    })
-    largest = [0, 0, 0]
-    for i, word in enumerate(words):
-        text = f"{word}, {word}" if i % 3 else word
-        stream = tokenize(text)
-        stemmed = stem(stream)
-        assert kinds(stream) == ref_tokenize(text)
-        assert list(stemmed.tokens) == [porter.stem(t) if kind == WORD else t for t, kind in kinds(stream)]
-        largest = [max(size, len(memo)) for size, memo in zip(largest, memos)]
-    assert largest == [50, 50, 50]
 
 
 # --- sentence lookup, against a linear scan ---
@@ -385,21 +376,21 @@ def ref_sentence_ids(spans, positions):
 
 @st.composite
 def spans_and_positions(draw):
-    # sorted, disjoint, non-empty spans with optional gaps between them
-    spans, pos = [], draw(st.integers(0, 3))
-    for _ in range(draw(st.integers(0, 8))):
-        length = draw(st.integers(1, 5))
-        spans.append((pos, pos + length))
-        pos += length + draw(st.sampled_from([0, 0, 0, 2]))
-    positions = draw(st.lists(st.integers(-2, pos + 2), max_size=20))
-    return spans, positions
+    # sentence spans that partition a text, or none (a text not split), and
+    # positions inside and outside it
+    n = draw(st.integers(0, 20))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=8))) if n > 1 else []
+    bounds = [0, *cuts, n]
+    spans = list(zip(bounds, bounds[1:])) if n and draw(st.booleans()) else []
+    return n, spans, draw(st.lists(st.integers(-2, n + 2), max_size=20))
 
 
 @settings(max_examples=300, deadline=None)
 @given(spans_and_positions())
 def test_sentence_ids_equal_linear_scan(case):
-    spans, positions = case
-    assert sentence_ids(spans, positions) == ref_sentence_ids(spans, positions)
+    n, spans, positions = case
+    got = sentence_ids(TokenStream.of(["x"] * n, spans), positions)
+    assert got.tolist() == [-1 if idx is None else idx for idx in ref_sentence_ids(spans, positions)]
 
 
 # --- the one masking pass, against the chain of separate passes ---
@@ -414,7 +405,7 @@ def ref_remove_stopwords(stream, stoplist):
             out.append(tok)
     new_pos[len(stream.tokens)] = len(out)
     spans = tuple((new_pos[s], new_pos[e]) for s, e in stream.sentence_spans if new_pos[e] > new_pos[s])
-    return TokenStream(tuple(out), spans)
+    return TokenStream.of(tuple(out), spans)
 
 
 def ref_marker_sentences(stream):
@@ -454,7 +445,7 @@ def masking_cases(draw):
         mentions.append(MentionSpan(start, end, draw(st.sampled_from(["full", "surname", "given"]))))
         pos = end
     signals = draw(st.sampled_from([DEFAULT_GENDERED_SIGNALS, frozenset({"said", "the"}), frozenset()]))
-    return TokenStream(tokens, spans), mentions, signals, draw(STOPLISTS)
+    return TokenStream.of(tokens, spans), mentions, signals, draw(STOPLISTS)
 
 
 @settings(max_examples=400, deadline=None)
@@ -475,7 +466,7 @@ def test_one_masking_pass_equals_mask_then_stopwords_then_stem(case, apply_stem)
 def test_marker_sentences_equal_a_scan_of_each_sentence(case):
     stream, mentions, signals, stoplist = case
     for s in (stream, mask_gender_signals(stream, mentions, signals | stoplist)):
-        assert marker_sentences(s) == ref_marker_sentences(s)
+        assert marker_sentences(s) == [ref_marker_sentences(s)]
 
 
 def test_masking_hands_out_the_shared_marker_token():

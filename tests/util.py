@@ -110,3 +110,106 @@ def politician(
 def days_after(start: str, days: int) -> str:
     d = datetime.date.fromisoformat(start) + datetime.timedelta(days=days)
     return d.isoformat()
+
+
+# --- the front end token by token: the reference the batch front end equals ---
+
+def ref_tokens(text: str) -> list[str]:
+    """The tokenizer as a plain scan of its pattern: only punctuation keeps its case."""
+    from newsbias import preprocess
+
+    return [m.group() if m.lastgroup == preprocess.PUNCT else m.group().lower()
+            for m in preprocess._TOKEN_RE.finditer(text)]
+
+
+def ref_split(tokens: list[str]) -> list[tuple[int, int]]:
+    """Sentence spans of one text: a run of . ! ? closes a sentence, unless it
+    is a lone "." after an abbreviation; the text's end closes the last."""
+    from newsbias.preprocess import DEFAULT_ABBREVIATIONS
+
+    spans, start, i, n = [], 0, 0, len(tokens)
+    while i < n:
+        if tokens[i] in (".", "!", "?"):
+            run_start = i
+            while i + 1 < n and tokens[i + 1] in (".", "!", "?"):
+                i += 1
+            guarded = (i == run_start and tokens[i] == "." and run_start > 0
+                       and tokens[run_start - 1] in DEFAULT_ABBREVIATIONS)
+            if not guarded:
+                spans.append((start, i + 1))
+                start = i + 1
+        i += 1
+    if start < n:
+        spans.append((start, n))
+    return spans
+
+
+def ref_scan(registry, tokens: list[str]) -> list[tuple[int, int, list[tuple[str, str]]]]:
+    """Leftmost-longest mentions of one text, trying every position: (start, end, owners)."""
+    from newsbias import corpus
+
+    entries: dict = {}
+    for record in registry:
+        for tt, form in corpus.name_variants(record):
+            entries.setdefault(tt, []).append((record.id, form))
+    longest = max(map(len, entries), default=0)
+    out, i, n = [], 0, len(tokens)
+    while i < n:
+        for length in range(min(longest, n - i), 0, -1):
+            owners = entries.get(tuple(tokens[i : i + length]))
+            if owners:
+                out.append((i, i + length, sorted(owners)))
+                i += length
+                break
+        else:
+            i += 1
+    return out
+
+
+def ref_article(article, registry) -> dict:
+    """One article's raw tokens and sentence spans (headline then body), its
+    mentions (start, end, form) and, per politician id, its (start, end, form)
+    spans and whether one lies in the headline."""
+    head, body = ref_tokens(article.headline), ref_tokens(article.body)
+    shift = len(head)
+    spans = ref_split(head) + [(s + shift, e + shift) for s, e in ref_split(body)]
+    hits = ref_scan(registry, head) + [(s + shift, e + shift, o) for s, e, o in ref_scan(registry, body)]
+    matches: dict = {}
+    for start, end, owners in hits:
+        for rid, form in owners:
+            spans_of, in_headline = matches.get(rid, ([], False))
+            matches[rid] = (spans_of + [(start, end, form)], in_headline or start < shift)
+    # the most specific form claiming a span names its marker
+    priority = {"full": 0, "surname": 1, "given": 2}
+    mentions = [(s, e, min((f for _, f in o), key=priority.__getitem__)) for s, e, o in hits]
+    return {"tokens": head + body, "spans": spans, "mentions": mentions, "matches": matches}
+
+
+def ref_sentences(spans, positions) -> frozenset[int]:
+    return frozenset(idx for idx, (s, e) in enumerate(spans) if any(s <= p < e for p in positions))
+
+
+def ref_mask(tokens, spans, mentions, dropped, apply_stem: bool):
+    """Each mention collapsed to its marker and the dropped words deleted, one
+    token at a time, then words stemmed when asked: (tokens, spans)."""
+    from newsbias import porter
+    from newsbias.preprocess import MARKER_FOR_FORM, WORD, kind_of
+
+    marker_at = {start: (end, form) for start, end, form in mentions}
+    out, new_pos, i, n = [], [0] * (len(tokens) + 1), 0, len(tokens)
+    while i < n:
+        new_pos[i] = len(out)
+        if i in marker_at:
+            end, form = marker_at[i]
+            out.append(MARKER_FOR_FORM[form])
+            for j in range(i + 1, end):
+                new_pos[j] = len(out) - 1
+            i = end
+            continue
+        if not (tokens[i] in dropped and kind_of(tokens[i]) == WORD):
+            out.append(tokens[i])
+        i += 1
+    new_pos[n] = len(out)
+    if apply_stem:
+        out = [porter.stem(t) if kind_of(t) == WORD else t for t in out]
+    return out, [(new_pos[s], new_pos[e]) for s, e in spans if new_pos[e] > new_pos[s]]
