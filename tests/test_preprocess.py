@@ -331,6 +331,42 @@ def test_kind_follows_from_the_surface(text):
             assert kind_of(porter.stem(surface)) == WORD
 
 
+def test_tokenize_shares_one_token_per_surface_and_kind():
+    # one id per surface: case variants of a word and repeats of a number share it
+    vocab = Vocab()
+    stream = tokenize("Husband husband, HUSBAND. 3 3", vocab)
+    assert [t for t in stream.tokens if kind_of(t) == WORD] == ["husband"] * 3
+    assert stream.ids.tolist() == [vocab.index[t] for t in stream.tokens]
+    assert len(set(stream.ids.tolist())) == len(set(stream.tokens)) == 4
+    assert [vocab.kinds[i] for i in stream.ids.tolist()] == [kind_of(t) for t in stream.tokens]
+    assert stem(stream).ids[0] == stream.ids[0]  # "husband" is its own stem
+
+
+def test_memos_stay_within_their_bound():
+    # a pass's memos are its vocabulary: one chunk entry per distinct whitespace
+    # chunk, one surface per distinct token or stem, and none outlives the pass
+    rng = random.Random(3)
+    words = sorted({
+        "".join(rng.choice("bdfgklmnprstv") + rng.choice("aeiou") for _ in range(4))
+        for _ in range(400)
+    })
+    vocab = Vocab()
+    fresh = len(vocab.surfaces)
+    chunks, seen = set(), set()
+    for i, word in enumerate(words):
+        text = f"{word}, {word}" if i % 3 else word
+        stream = tokenize(text, vocab)
+        stemmed = stem(stream)
+        assert kinds(stream) == ref_tokenize(text)
+        assert list(stemmed.tokens) == [porter.stem(t) if kind == WORD else t for t, kind in kinds(stream)]
+        chunks.update(text.split())
+        seen.update(stream.tokens + stemmed.tokens)
+        assert len(vocab) == len(chunks)
+        assert len(vocab.surfaces) == len(vocab.kinds) == len(vocab.index) == fresh + len(seen)
+    assert len(vocab) > 400
+    assert not Vocab() and len(Vocab().surfaces) == fresh
+
+
 def test_passes_do_not_share_a_vocabulary_and_ids_never_change():
     text = "Husband husband, HUSBAND. 3 3"
     vocab = Vocab()
