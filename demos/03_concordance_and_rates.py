@@ -17,7 +17,10 @@ articles, registry = synth.generate_corpus(
     planted=(synth.PlantedTerm("husband", 0.03, 0.002),),
     seed=7,
 )
+# one query view over the whole corpus pass: its stream holds every article's text
 views = pipeline.build_doc_views(articles, registry, masked=False)
+print(f"{len(views.article_ids)} articles, {views.mention_sentences.sum()} of "
+      f"{len(views.mention_sentences)} sentences mention a politician\n")
 
 print("=== concordance: 'husband', window 5, female-group articles ===")
 for line in kwic(views, "husband", window=5, group="female")[:8]:

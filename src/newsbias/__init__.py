@@ -32,7 +32,7 @@ from .features import (
 )
 from .interpret import (
     ConcordanceLine,
-    DocView,
+    DocViews,
     RankedFeatures,
     RateRatio,
     RateStat,

@@ -518,6 +518,8 @@ def cmd_stats(config: dict, terms: list[str], groups: list[str], portfolio: str 
         raise ConfigError(f"unknown group {unknown[0]!r}" if unknown else "--groups names no group")
     if len(set(groups)) < len(groups):
         raise ConfigError(f"--groups names a group twice: {','.join(groups)}")
+    if len({interpret.normalize_query(term) for term in terms}) < len(terms):
+        raise ConfigError(f"--term names a query twice: {','.join(terms)}")
     run = _Run("stats", config)
     registry, (date_from, date_to), views, stem = _build_views(config)
     # years in office cover the counted dates: an unset side takes the registry's bound

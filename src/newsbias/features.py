@@ -24,7 +24,7 @@ import numpy as np
 
 from .corpus import LabeledInstance
 from .errors import ConfigError, DataError, read_text
-from .preprocess import FORMS, MARKER, WORD, TokenStream, stem
+from .preprocess import FORMS, MARKER, WORD, TokenStream, sentences_holding, stem
 
 # feature kinds
 UNIGRAM = "unigram"
@@ -168,8 +168,7 @@ def _window_tokens(stream: TokenStream, window: str) -> np.ndarray:
     if window == "article" or not len(stream.ends):
         return stream.ids
     ends = stream.ends
-    held = np.zeros(len(ends), bool)
-    held[np.searchsorted(ends, (stream.ids < len(FORMS)).nonzero()[0], side="right")] = True
+    held = sentences_holding(stream, (stream.ids < len(FORMS)).nonzero()[0])
     return stream.ids[np.repeat(held, np.concatenate((ends[:1], ends[1:] - ends[:-1])))]
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+
+import numpy as np
 
 from . import preprocess
 from .features import FeatureSpace
@@ -33,14 +34,15 @@ class RankedFeatures:
     k: int
 
 
-@dataclass(frozen=True, slots=True)
-class DocView:
-    """One article prepared for querying: tokens, group labels, mention sentences."""
+@dataclass(frozen=True, eq=False, slots=True)
+class DocViews:
+    """One corpus pass prepared for querying: its stream (one text per article), each article's id and
+    groups (groups[gender][i]: article i features the gender), and per sentence whether it mentions a politician."""
 
-    article_id: str
+    article_ids: tuple[str, ...]
     stream: TokenStream
-    groups: frozenset[str]
-    mention_sentences: frozenset[int]
+    groups: dict[str, np.ndarray]
+    mention_sentences: np.ndarray
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,8 +115,20 @@ def normalize_query(term: str, stem: bool = False) -> str:
     return (preprocess.stem(stream) if stem else stream).tokens[0]
 
 
+def _hits(views: DocViews, surface: str, group: str | None, cooccur: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Stream positions of the surface in articles of the group (None: all), in sentences
+    that mention a politician when cooccur, and the index of each one's article."""
+    stream = views.stream
+    hits = np.flatnonzero(stream.ids == stream.vocab.index.get(surface, -1))
+    article = np.searchsorted(stream.bounds, hits, side="right") - 1
+    keep = np.ones(len(hits), bool) if group is None else views.groups[group][article]
+    if cooccur:
+        keep &= views.mention_sentences[preprocess.sentence_ids(stream, hits)]
+    return hits[keep], article[keep]
+
+
 def kwic(
-    docs: Sequence[DocView],
+    views: DocViews,
     term: str,
     window: int = DEFAULT_KWIC_WINDOW,
     *,
@@ -124,42 +138,33 @@ def kwic(
 ) -> list[ConcordanceLine]:
     """Concordance lines for every occurrence of the term.
 
-    Context never crosses article boundaries (it is truncated at the
-    ends of the token stream). With require_cooccurrence, only hits in
-    sentences that mention a politician are returned. Lines come back
+    Context never crosses article boundaries: it is truncated at the ends of
+    the article's text, and positions count from its start. With require_cooccurrence,
+    only hits in sentences that mention a politician are returned. Lines come back
     ordered by (article id, token position). Pass stem when the views were stemmed.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     surface = normalize_query(term, stem)
-    lines: list[ConcordanceLine] = []
-    for doc in sorted(docs, key=lambda d: d.article_id):
-        if group is not None and group not in doc.groups:
-            continue
-        hits = (doc.stream.ids == doc.stream.vocab.index.get(surface, -1)).nonzero()[0].tolist()
-        if require_cooccurrence:
-            sentences = preprocess.sentence_ids(doc.stream, hits).tolist()
-            hits = [i for i, sent in zip(hits, sentences) if sent in doc.mention_sentences]
-        surfaces, ids = doc.stream.vocab.surfaces.__getitem__, doc.stream.ids
-        lines.extend(ConcordanceLine(doc.article_id, i, tuple(map(surfaces, ids[max(0, i - window):i].tolist())),
-                                     surface, tuple(map(surfaces, ids[i + 1:i + 1 + window].tolist())))
-                     for i in hits)
-    return lines
+    hits, article = _hits(views, surface, group, require_cooccurrence)
+    # hits run in stream order, so a stable sort on the article id keeps each article's in position order
+    order = np.argsort(np.array(views.article_ids)[article], kind="stable")
+    hits, article = hits[order], article[order]
+    ids, surfaces, bounds = views.stream.ids, views.stream.vocab.surfaces.__getitem__, views.stream.bounds
+    return [ConcordanceLine(views.article_ids[a], i - start, tuple(map(surfaces, ids[left:i].tolist())), surface,
+                            tuple(map(surfaces, ids[i + 1:right].tolist())))
+            for a, i, start, left, right in zip(article.tolist(), hits.tolist(), bounds[article].tolist(),
+                                                np.maximum(bounds[article], hits - window).tolist(),
+                                                np.minimum(bounds[article + 1], hits + 1 + window).tolist())]
 
 
-def term_count(docs: Sequence[DocView], term: str, group: str | None = None, *, stem: bool = False) -> int:
+def term_count(views: DocViews, term: str, group: str | None = None, *, stem: bool = False) -> int:
     """Occurrences of the term in articles belonging to the group.
 
     An article in both groups counts toward both; group None counts all
     articles. Pass stem when the views were stemmed.
     """
-    surface = normalize_query(term, stem)
-    total = 0
-    for doc in docs:
-        if group is not None and group not in doc.groups:
-            continue
-        total += len((doc.stream.ids == doc.stream.vocab.index.get(surface, -1)).nonzero()[0])
-    return total
+    return len(_hits(views, normalize_query(term, stem), group)[0])
 
 
 def rate_ratio(a: RateStat, b: RateStat) -> RateRatio:

@@ -18,7 +18,7 @@ from . import corpus, features, preprocess
 from .corpus import GENDERS, MALE, Article, LabeledInstance, PoliticianRecord
 from .errors import ConfigError
 from .features import FeatureSpace, LexiconSet, PosLexicon
-from .interpret import DocView
+from .interpret import DocViews
 from .learn import CSR, Dataset
 from .preprocess import DEFAULT_GENDERED_SIGNALS, TokenStream
 
@@ -115,22 +115,22 @@ def build_doc_views(
     signals: frozenset[str] = DEFAULT_GENDERED_SIGNALS,
     stoplist: frozenset[str] | None = None,
     apply_stem: bool = False,
-) -> list[DocView]:
-    """Per-article query views over masked or raw token streams.
+) -> DocViews:
+    """Query views of the articles over masked or raw token streams, in one pass.
 
     Masked views show exactly what the classifiers saw; raw views keep
     the original tokens (names, pronouns and all) for corpus analyses,
     so they ignore the stoplist and stemming settings.
-    Group membership is the set of genders the article features.
+    An article belongs to the group of each gender it features.
     """
     gender_of = {r.id: r.gender for r in registry}
     scan = corpus.scan_corpus(articles, registry)
     if masked:
         stream = _masked_stream(scan, signals, stoplist, apply_stem)
-        mention_sentences = preprocess.marker_sentences(stream)
+        mentions = np.flatnonzero(stream.ids < len(preprocess.FORMS))
     else:
-        stream = scan.stream
-        mention_sentences = preprocess.text_sentences(stream, scan.mentions[:, 0])
-    return [DocView(article.id, view, frozenset(gender_of[m.politician_id] for m in found), sentences)
-            for article, found, view, sentences
-            in zip(scan.articles, scan.matches, stream.texts(), mention_sentences)]
+        stream, mentions = scan.stream, scan.mentions[:, 0]
+    featured = [{gender_of[m.politician_id] for m in found} for found in scan.matches]
+    return DocViews(tuple(article.id for article in scan.articles), stream,
+                    {gender: np.array([gender in f for f in featured], bool) for gender in GENDERS},
+                    preprocess.sentences_holding(stream, mentions))

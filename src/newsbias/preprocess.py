@@ -234,13 +234,12 @@ def sentence_ids(stream: TokenStream, positions: Sequence[int]) -> np.ndarray:
     return out
 
 
-def text_sentences(stream: TokenStream, positions: np.ndarray) -> list[frozenset[int]]:
-    """Per text, the indices (counted within the text) of its sentences that
-    hold any of the positions, which must be sorted."""
-    held = sentence_ids(stream, positions).tolist()
-    first = np.searchsorted(stream.ends, stream.bounds, side="right").tolist()
-    cuts = np.searchsorted(positions, stream.bounds).tolist()
-    return [frozenset(s - f for s in held[a:b] if s >= 0) for a, b, f in zip(cuts, cuts[1:], first)]
+def sentences_holding(stream: TokenStream, positions: Sequence[int]) -> np.ndarray:
+    """A bool per sentence of the stream: True where the sentence holds any of
+    the positions (mention starts, or marker ids: the sentences that mention a politician)."""
+    held = np.zeros(len(stream.ends) + 1, bool)
+    held[np.searchsorted(stream.ends, positions, side="right")] = True  # past the last sentence: the spare slot
+    return held[:-1]
 
 
 def mask_gender_signals(stream: TokenStream, mentions: Sequence[MentionSpan] | np.ndarray,
@@ -283,12 +282,6 @@ def mask_gender_signals(stream: TokenStream, mentions: Sequence[MentionSpan] | n
 def remove_stopwords(stream: TokenStream, stoplist: frozenset[str]) -> TokenStream:
     """Drop word tokens found in the stoplist; markers are never removed."""
     return mask_gender_signals(stream, (), stoplist)
-
-
-def marker_sentences(stream: TokenStream) -> list[frozenset[int]]:
-    """Per text, the indices of the sentences that hold a name marker: the
-    sentences of masked text that mention a politician."""
-    return text_sentences(stream, np.flatnonzero(stream.ids < len(FORMS)))
 
 
 def stem(stream: TokenStream) -> TokenStream:

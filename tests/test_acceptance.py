@@ -285,12 +285,12 @@ def test_criterion_09_kwic_brute_force():
     window = 6
     got = interpret.kwic(views, "budget", window=window)
     expected = []
-    for doc in sorted(views, key=lambda d: d.article_id):
-        surfaces = doc.stream.tokens
+    for article_id, text in sorted(zip(views.article_ids, views.stream.texts()), key=lambda d: d[0]):
+        surfaces = text.tokens
         for i, s in enumerate(surfaces):
             if s == "budget":
                 expected.append((
-                    doc.article_id, i,
+                    article_id, i,
                     tuple(surfaces[max(0, i - window): i]),
                     "budget",
                     tuple(surfaces[i + 1: i + 1 + window]),

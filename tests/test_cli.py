@@ -648,7 +648,10 @@ def test_date_window_must_run_forwards(synth_corpus, monkeypatch, tmp_path, caps
     ["stats", "--term", "mary keane"],
     ["kwic", "mary keane"],
     ["stats", "--term", "husband", "--groups", "female,male,female"],
-], ids=["unknown-group", "no-group", "stats-phrase", "kwic-phrase", "repeated-group"])
+    ["stats", "--term", "husband", "--term", "husband"],
+    ["stats", "--term", "husband", "--term", "wife", "--term", "Husband"],
+], ids=["unknown-group", "no-group", "stats-phrase", "kwic-phrase", "repeated-group", "repeated-term",
+        "repeated-normalised-term"])
 def test_query_usage_checked_before_any_work(synth_corpus, monkeypatch, tmp_path, argv):
     from newsbias import pipeline
 

@@ -348,9 +348,10 @@ def test_a_mention_lies_inside_its_headline_or_its_body(tmp_path):
     assert [(s.start, s.end, s.form) for s in got[0].spans] == [(2, 3, "given"), (3, 4, "surname")]
     assert got[0].headline_mention is True
     # each text keeps its own marker, in its own sentence
-    view, = pipeline.build_doc_views([art], registry)
-    assert view.stream.tokens == ("talks", "with", "NAMEFORM_GIVEN", "NAMEFORM_SURNAME", "said", "no", ".")
-    assert view.stream.sentence_spans == ((0, 3), (3, 7)) and view.mention_sentences == {0, 1}
+    views = pipeline.build_doc_views([art], registry)
+    assert views.article_ids == ("a1",)
+    assert views.stream.tokens == ("talks", "with", "NAMEFORM_GIVEN", "NAMEFORM_SURNAME", "said", "no", ".")
+    assert views.stream.sentence_spans == ((0, 3), (3, 7)) and views.mention_sentences.tolist() == [True, True]
 
 
 def test_label_keeps_section(registry_file):

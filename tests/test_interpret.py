@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import datetime
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from newsbias import pipeline, synth
+import util
+from util import make_space
+from newsbias import corpus, pipeline, synth
+from newsbias.corpus import GENDERS
 from newsbias.interpret import (
-    DocView,
+    DocViews,
     RateRatio,
     RateStat,
     kwic,
@@ -20,7 +26,6 @@ from newsbias.interpret import (
 from newsbias.learn import LinearModel
 from newsbias.preprocess import split_sentences, tokenize
 
-from util import make_space
 
 
 def model_with(weights):
@@ -92,60 +97,67 @@ def test_rank_lists_disjoint():
 
 # --- kwic ---
 
-def view(article_id, text, groups=frozenset(), mention_sentences=frozenset()):
-    return DocView(
-        article_id=article_id,
-        stream=split_sentences(tokenize(text)),
-        groups=frozenset(groups),
-        mention_sentences=frozenset(mention_sentences),
-    )
+def doc(article_id, text, groups=(), mention_sentences=()):
+    """One article of views_of(): its id, its text, its groups and the indices of
+    its sentences that mention a politician."""
+    return article_id, text, frozenset(groups), frozenset(mention_sentences)
+
+
+def views_of(*docs):
+    """One-pass query views over the docs, their texts tokenized and split together."""
+    ids, texts, groups, mentions = zip(*docs)
+    stream = split_sentences(tokenize(list(texts)))
+    first = np.searchsorted(stream.ends, stream.bounds[:-1], side="right")
+    held = np.zeros(len(stream.ends), bool)
+    held[[f + s for f, sentences in zip(first.tolist(), mentions) for s in sentences]] = True
+    return DocViews(ids, stream, {g: np.array([g in gs for gs in groups], bool) for g in GENDERS}, held)
 
 
 def test_kwic_term_at_start_empty_left():
-    lines = kwic([view("a1", "budget cuts loom")], "budget", window=4)
+    lines = kwic(views_of(doc("a1", "budget cuts loom")), "budget", window=4)
     assert len(lines) == 1
     assert lines[0].left == () and lines[0].right == ("cuts", "loom")
 
 
 def test_kwic_absent_term():
-    assert kwic([view("a1", "nothing here")], "budget") == []
+    assert kwic(views_of(doc("a1", "nothing here")), "budget") == []
 
 
 def test_kwic_orders_by_article_then_position():
-    docs = [view("b", "budget twice budget"), view("a", "one budget")]
+    docs = views_of(doc("b", "budget twice budget"), doc("a", "one budget"))
     lines = kwic(docs, "budget", window=2)
     assert [(l.article_id, l.position) for l in lines] == [("a", 1), ("b", 0), ("b", 2)]
+    # context stops at the article's own bounds
+    assert [(l.left, l.right) for l in lines] == [(("one",), ()), ((), ("twice", "budget")), (("budget", "twice"), ())]
 
 
 def test_kwic_group_filter():
-    docs = [
-        view("a1", "the budget speech", groups={"female"}),
-        view("a2", "a budget row", groups={"male"}),
-        view("a3", "budget again", groups={"female", "male"}),
-    ]
+    docs = views_of(
+        doc("a1", "the budget speech", groups={"female"}),
+        doc("a2", "a budget row", groups={"male"}),
+        doc("a3", "budget again", groups={"female", "male"}),
+    )
     assert {l.article_id for l in kwic(docs, "budget", group="female")} == {"a1", "a3"}
     assert {l.article_id for l in kwic(docs, "budget", group="male")} == {"a2", "a3"}
 
 
 def test_kwic_cooccurrence_restricts_to_mention_sentences():
-    doc = view(
-        "a1",
-        "the budget passed. Keane disputed the budget loudly.",
-        mention_sentences={1},
+    docs = views_of(
+        doc("a0", "budget. budget!", mention_sentences={0}),
+        doc("a1", "the budget passed. Keane disputed the budget loudly.", mention_sentences={1}),
     )
-    lines = kwic([doc], "budget", require_cooccurrence=True)
-    assert len(lines) == 1
-    assert lines[0].position > 3
+    lines = kwic(docs, "budget", require_cooccurrence=True)
+    assert [(l.article_id, l.position) for l in lines] == [("a0", 0), ("a1", 7)]
 
 
 def test_kwic_multi_token_query_rejected():
     with pytest.raises(ValueError, match="phrase"):
-        kwic([view("a1", "x")], "mary harney")
+        kwic(views_of(doc("a1", "x")), "mary harney")
 
 
 def test_kwic_window_validation():
     with pytest.raises(ValueError):
-        kwic([view("a1", "x")], "x", window=0)
+        kwic(views_of(doc("a1", "x")), "x", window=0)
 
 
 def test_kwic_marker_query_over_masked_views():
@@ -165,13 +177,13 @@ def test_kwic_matches_brute_force_scan():
     window = 5
     lines = kwic(views, "budget", window=window)
     expected = []
-    for doc in sorted(views, key=lambda d: d.article_id):
-        surfaces = doc.stream.tokens
+    for article_id, text in sorted(zip(views.article_ids, views.stream.texts()), key=lambda doc: doc[0]):
+        surfaces = text.tokens
         for i, s in enumerate(surfaces):
             if s == "budget":
                 expected.append(
                     (
-                        doc.article_id,
+                        article_id,
                         i,
                         tuple(surfaces[max(0, i - window) : i]),
                         tuple(surfaces[i + 1 : i + 1 + window]),
@@ -184,9 +196,9 @@ def test_kwic_matches_brute_force_scan():
 def test_kwic_line_reconstructs_contiguous_slice():
     arts, reg = synth.generate_corpus(10, seed=23)
     views = pipeline.build_doc_views(arts, reg, masked=True)
-    by_id = {v.article_id: v for v in views}
+    by_id = dict(zip(views.article_ids, views.stream.texts()))
     for line in kwic(views, "NAMEFORM_SURNAME", window=4):
-        surfaces = by_id[line.article_id].stream.tokens
+        surfaces = by_id[line.article_id].tokens
         start = line.position - len(line.left)
         end = line.position + 1 + len(line.right)
         assert tuple(surfaces[start:end]) == line.left + (line.keyword,) + line.right
@@ -196,30 +208,65 @@ def test_kwic_additive_over_disjoint_doc_sets():
     arts, reg = synth.generate_corpus(
         30, seed=29, planted=(synth.PlantedTerm("budget", 0.05, 0.05),)
     )
-    views = pipeline.build_doc_views(arts, reg, masked=False)
-    whole = kwic(views, "budget")
-    parts = kwic(views[:10], "budget") + kwic(views[10:], "budget")
-    assert len(whole) == len(parts)
+    whole = kwic(pipeline.build_doc_views(arts, reg, masked=False), "budget")
+    # two disjoint article sets, interleaved, each its own corpus pass
+    parts = [line for half in (arts[::2], arts[1::2])
+             for line in kwic(pipeline.build_doc_views(half, reg, masked=False), "budget")]
+    assert whole and sorted(parts, key=lambda l: (l.article_id, l.position)) == whole
+
+
+NAMES = ["Ann", "Lee", "May"]
+# names, the query words, signals and sentence ends, several to a chunk at times
+PIECES = NAMES + ["budget", "budget", "Budget.", "the", "she", "said", ".", "!", "?", "mr"]
+QUERIES = ["budget", "the", ".", "ann", "NAMEFORM_FULL", "NAMEFORM_SURNAME", "NAMEFORM_GIVEN", "absent"]
+
+
+@st.composite
+def query_corpora(draw):
+    """A registry over a few shared names and articles whose ids repeat and run
+    out of order, with headlines and bodies (often empty) of the pieces above."""
+    names = st.sampled_from(NAMES)
+    text = st.lists(st.sampled_from(PIECES), max_size=16).map(" ".join)
+    registry = [corpus.PoliticianRecord(id=f"p{i}", gender=draw(st.sampled_from(GENDERS)),
+                                        given_name=draw(names), surname=draw(names))
+                for i in range(draw(st.integers(1, 3)))]
+    articles = [corpus.Article(id=draw(st.sampled_from("dcba")), source="s", date=datetime.date(2005, 1, 1),
+                               section="news", headline=draw(text), body=draw(text))
+                for _ in range(draw(st.integers(0, 6)))]
+    return articles, registry
+
+
+@settings(max_examples=300, deadline=None)
+@given(query_corpora(), st.booleans(), st.sampled_from([None, *GENDERS]), st.booleans(), st.integers(1, 10),
+       st.sampled_from(QUERIES))
+def test_one_pass_kwic_and_term_count_equal_the_per_article_loop(case, masked, group, cooccur, window, term):
+    articles, registry = case
+    views = pipeline.build_doc_views(articles, registry, masked=masked)
+    lines = kwic(views, term, window, group=group, require_cooccurrence=cooccur)
+    assert [(l.article_id, l.position, l.left, l.keyword, l.right) for l in lines] == util.ref_kwic(
+        views, term, window, group, cooccur)
+    assert term_count(views, term, group) == util.ref_term_count(views, term, group)
 
 
 # --- term_count ---
 
 def test_term_count_both_groups_counts_twice():
-    docs = [view("a1", "family matters for family", groups={"female", "male"})]
+    docs = views_of(doc("a1", "family matters for family", groups={"female", "male"}))
     assert term_count(docs, "family", "female") == 2
     assert term_count(docs, "family", "male") == 2
 
 
 def test_term_count_absent_zero():
-    assert term_count([view("a1", "x y z")], "budget", "female") == 0
+    assert term_count(views_of(doc("a1", "x y z")), "budget", "female") == 0
 
 
 def test_term_count_equals_kwic_length():
-    docs = [
-        view("a1", "one budget here", groups={"female"}),
-        view("a2", "budget and budget", groups={"female"}),
-    ]
-    assert term_count(docs, "budget", "female") == len(kwic(docs, "budget", group="female"))
+    docs = views_of(
+        doc("a1", "one budget here", groups={"female"}),
+        doc("a2", "budget and budget", groups={"female"}),
+        doc("a3", "budget", groups={"male"}),
+    )
+    assert term_count(docs, "budget", "female") == len(kwic(docs, "budget", group="female")) == 3
 
 
 # --- rates ---

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import datetime
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,24 +78,23 @@ def test_doc_views_masked_vs_raw(small_corpus):
     masked = pipeline.build_doc_views(articles, registry, masked=True)
     raw = pipeline.build_doc_views(articles, registry, masked=False)
     surnames = {r.surname.lower() for r in registry}
-    assert any(
-        kind_of(t) == MARKER for view in masked for t in view.stream.tokens
-    )
-    assert not any(
-        t in surnames for view in masked for t in view.stream.tokens
-    )
-    assert any(t in surnames for view in raw for t in view.stream.tokens)
-    # groups identical regardless of the stream flavour
-    assert [v.groups for v in masked] == [v.groups for v in raw]
-    assert all(v.groups for v in masked)  # every synthetic article features someone
+    assert any(kind_of(t) == MARKER for t in masked.stream.tokens)
+    assert not any(t in surnames for t in masked.stream.tokens)
+    assert any(t in surnames for t in raw.stream.tokens)
+    # one text per article, and groups identical regardless of the stream flavour
+    assert masked.article_ids == raw.article_ids == tuple(a.id for a in articles)
+    assert len(masked.stream.bounds) == len(raw.stream.bounds) == len(articles) + 1
+    assert masked.groups.keys() == raw.groups.keys() == set(corpus.GENDERS)
+    assert all(masked.groups[g].tolist() == raw.groups[g].tolist() for g in corpus.GENDERS)
+    assert all(masked.groups["female"] | masked.groups["male"])  # every synthetic article features someone
 
 
 def test_doc_views_mention_sentences_nonempty(small_corpus):
     articles, registry = small_corpus
-    for view in pipeline.build_doc_views(articles, registry, masked=True):
-        assert view.mention_sentences
-        n_sentences = len(view.stream.sentence_spans)
-        assert all(0 <= idx < n_sentences for idx in view.mention_sentences)
+    views = pipeline.build_doc_views(articles, registry, masked=True)
+    assert views.mention_sentences.dtype == bool and len(views.mention_sentences) == len(views.stream.ends)
+    cuts = np.searchsorted(views.stream.ends, views.stream.bounds, side="right").tolist()
+    assert all(views.mention_sentences[a:b].any() for a, b in zip(cuts, cuts[1:]))
 
 
 def test_build_dataset_min_df_too_high(small_corpus):
@@ -110,21 +110,22 @@ def test_instances_and_views_share_one_prepared_stream(small_corpus, stoplist, a
     articles, registry = small_corpus
     opts = {"stoplist": stoplist, "apply_stem": apply_stem}
     instances = pipeline.build_instances(articles, registry, **opts)
-    masked = {v.article_id: v for v in pipeline.build_doc_views(articles, registry, masked=True, **opts)}
+    masked = {aid: (text, mentions) for aid, text, _, mentions
+              in util.per_article(pipeline.build_doc_views(articles, registry, masked=True, **opts))}
     raw = pipeline.build_doc_views(articles, registry, masked=False, **opts)
     scans = corpus.scan_corpus(articles, registry)
     assert {i.article_id for i in instances} == {s.article.id for s in scans if s.matches}
     for inst in instances:
-        view = masked[inst.article_id]
-        assert view.stream == inst.stream
-        # the sentence window reads exactly the sentences the view marks as mentions
-        spans = view.stream.sentence_spans
+        text, mentions = masked[inst.article_id]
+        assert text == inst.stream
+        # the sentence window reads exactly the sentences the views mark as mentions
+        spans = text.sentence_spans
         surfaces = inst.stream.vocab.surfaces
         assert [surfaces[i] for i in features._window_tokens(inst.stream, "sentence")] == [
-            tok for s in sorted(view.mention_sentences) for tok in view.stream.tokens[slice(*spans[s])]
+            tok for s in sorted(mentions) for tok in text.tokens[slice(*spans[s])]
         ]
     # raw views are the scanned text, whatever the stoplist and stemming settings
-    assert [v.stream for v in raw] == [s.stream for s in scans]
+    assert raw.stream == scans.stream
 
 
 # --- the batch front end, against the token-by-token reference ---
@@ -187,16 +188,19 @@ def test_batch_front_end_equals_the_token_by_token_reference(case):
     masked = pipeline.build_doc_views(articles, registry, masked=True, **opts)
     instances = pipeline.build_instances(articles, registry, **opts)
     gender_of = {r.id: r.gender for r in registry}
-    for article, ref, raw_view, masked_view in zip(articles, refs, raw, masked, strict=True):
+    for article, ref, raw_view, masked_view in zip(articles, refs, util.per_article(raw), util.per_article(masked),
+                                                   strict=True):
+        raw_id, raw_text, raw_groups, raw_mentions = raw_view
+        _, masked_text, masked_groups, masked_mentions = masked_view
         groups = {gender_of[rid] for rid in ref["matches"]}
-        assert (raw_view.article_id, raw_view.groups, masked_view.groups) == (article.id, groups, groups)
-        assert (list(raw_view.stream.tokens), list(raw_view.stream.sentence_spans)) == (ref["tokens"], ref["spans"])
-        assert raw_view.mention_sentences == util.ref_sentences(ref["spans"], [s for s, _, _ in ref["mentions"]])
+        assert (raw_id, raw_groups, masked_groups) == (article.id, groups, groups)
+        assert (list(raw_text.tokens), list(raw_text.sentence_spans)) == (ref["tokens"], ref["spans"])
+        assert raw_mentions == util.ref_sentences(ref["spans"], [s for s, _, _ in ref["mentions"]])
         tokens, spans = util.ref_mask(ref["tokens"], ref["spans"], ref["mentions"],
                                       signals | (stoplist or frozenset()), apply_stem)
-        assert (list(masked_view.stream.tokens), list(masked_view.stream.sentence_spans)) == (tokens, spans)
+        assert (list(masked_text.tokens), list(masked_text.sentence_spans)) == (tokens, spans)
         markers = [i for i, tok in enumerate(tokens) if tok in MARKER_SURFACES]
-        assert masked_view.mention_sentences == util.ref_sentences(spans, markers)
-    by_id = {view.article_id: view for view in masked}
-    assert all(inst.stream == by_id[inst.article_id].stream for inst in instances)
+        assert masked_mentions == util.ref_sentences(spans, markers)
+    by_id = {aid: text for aid, text, _, _ in util.per_article(masked)}
+    assert all(inst.stream == by_id[inst.article_id] for inst in instances)
     assert {inst.article_id for inst in instances} == {a.id for a, ref in zip(articles, refs) if ref["matches"]}

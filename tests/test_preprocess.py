@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from newsbias import pipeline, porter, preprocess, synth
 from newsbias.errors import InvariantError
 from newsbias.preprocess import (
     DEFAULT_GENDERED_SIGNALS,
+    FORMS,
     MARKER,
     MARKER_SURFACES,
     NUMBER,
@@ -21,10 +23,10 @@ from newsbias.preprocess import (
     TokenStream,
     Vocab,
     kind_of,
-    marker_sentences,
     mask_gender_signals,
     remove_stopwords,
     sentence_ids,
+    sentences_holding,
     split_sentences,
     stem,
     tokenize,
@@ -383,7 +385,7 @@ def test_passes_do_not_share_a_vocabulary_and_ids_never_change():
     articles, registry = synth.generate_corpus(20, seed=5)
     views = pipeline.build_doc_views(articles, registry, masked=False)
     instances = pipeline.build_instances(articles, registry)
-    vocabs = {id(v.stream.vocab) for v in views}, {id(i.stream.vocab) for i in instances}
+    vocabs = {id(views.stream.vocab)}, {id(i.stream.vocab) for i in instances}
     assert [len(found) for found in vocabs] == [1, 1] and not vocabs[0] & vocabs[1]
 
 
@@ -445,10 +447,9 @@ def ref_remove_stopwords(stream, stoplist):
 
 
 def ref_marker_sentences(stream):
-    return frozenset(
-        idx for idx, (start, end) in enumerate(stream.sentence_spans)
-        if any(REF_KINDS[tok] == MARKER for tok in stream.tokens[start:end])
-    )
+    """Per sentence, whether a token of it is a marker."""
+    return [any(REF_KINDS[tok] == MARKER for tok in stream.tokens[start:end])
+            for start, end in stream.sentence_spans]
 
 
 # signals, stopwords, words that look like markers, and the words between,
@@ -499,10 +500,15 @@ def test_one_masking_pass_equals_mask_then_stopwords_then_stem(case, apply_stem)
 
 @settings(max_examples=300, deadline=None)
 @given(masking_cases())
-def test_marker_sentences_equal_a_scan_of_each_sentence(case):
+def test_sentences_holding_equal_a_scan_of_each_sentence(case):
     stream, mentions, signals, stoplist = case
+    # the sentences that mention a politician: those of raw text holding a mention's start
+    starts = [m.start for m in mentions]
+    assert sentences_holding(stream, starts).tolist() == [any(a <= p < b for p in starts)
+                                                          for a, b in stream.sentence_spans]
+    # and those of masked text holding a marker
     for s in (stream, mask_gender_signals(stream, mentions, signals | stoplist)):
-        assert marker_sentences(s) == [ref_marker_sentences(s)]
+        assert sentences_holding(s, np.flatnonzero(s.ids < len(FORMS))).tolist() == ref_marker_sentences(s)
 
 
 def test_masking_hands_out_the_shared_marker_token():

@@ -213,3 +213,36 @@ def ref_mask(tokens, spans, mentions, dropped, apply_stem: bool):
     if apply_stem:
         out = [porter.stem(t) if kind_of(t) == WORD else t for t in out]
     return out, [(new_pos[s], new_pos[e]) for s, e in spans if new_pos[e] > new_pos[s]]
+
+
+# --- queries article by article: the reference the one-pass kwic and term_count equal ---
+
+def per_article(views) -> list[tuple]:
+    """Each article of one-pass query views as (article id, its own stream, its
+    groups, the indices of its sentences that mention a politician)."""
+    stream = views.stream
+    cuts = np.searchsorted(stream.ends, stream.bounds, side="right").tolist()
+    return [(aid, text, frozenset(g for g, member in views.groups.items() if member[i]),
+             frozenset(np.flatnonzero(views.mention_sentences[cuts[i]:cuts[i + 1]]).tolist()))
+            for i, (aid, text) in enumerate(zip(views.article_ids, stream.texts()))]
+
+
+def ref_kwic(views, surface: str, window: int, group=None, cooccur: bool = False) -> list[tuple]:
+    """Concordance lines found one article at a time, each over its own stream,
+    in (article id, position) order: (article id, position, left, keyword, right)."""
+    from newsbias.preprocess import sentence_ids
+
+    lines = []
+    for aid, text, groups, mentions in sorted(per_article(views), key=lambda doc: doc[0]):
+        if group is not None and group not in groups:
+            continue
+        tokens = text.tokens
+        hits = [i for i, tok in enumerate(tokens) if tok == surface]
+        if cooccur:
+            hits = [i for i, sent in zip(hits, sentence_ids(text, hits).tolist()) if sent in mentions]
+        lines.extend((aid, i, tokens[max(0, i - window):i], surface, tokens[i + 1:i + 1 + window]) for i in hits)
+    return lines
+
+
+def ref_term_count(views, surface: str, group=None) -> int:
+    return len(ref_kwic(views, surface, 1, group))
