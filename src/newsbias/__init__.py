@@ -10,6 +10,7 @@ __version__ = "0.1.0"
 
 from .corpus import (
     Article,
+    Instances,
     LabeledInstance,
     OfficeTerm,
     PoliticianRecord,

@@ -24,6 +24,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, corpus, features, interpret, learn, pipeline, preprocess, synth
 from .errors import ConfigError, DataError, NewsbiasError, read_text
 
@@ -285,22 +287,28 @@ def cmd_ingest(config: dict) -> int:
 def cmd_label(config: dict) -> int:
     run = _Run("label", config)
     articles, registry, instances = _build_instances(config)
+    # every instance's text is its article's: count tokens and sentences per article
+    stream = instances.stream
+    n_tokens = np.diff(stream.bounds).tolist()
+    n_sentences = np.diff(np.searchsorted(stream.ends, stream.bounds, side="right")).tolist()
     with run.path("instances.jsonl").open("w", encoding="utf-8") as fh:
-        for inst in instances:
-            record = {"article_id": inst.article_id, "label": inst.label, "politician_ids": list(inst.politician_ids),
-                      "headline_mention": inst.headline_mention, "n_tokens": len(inst.stream),
-                      "n_sentences": len(inst.stream.ends)}
+        for a, label, politician_ids, headline_mention in zip(
+                instances.article.tolist(), instances.y.tolist(), instances.politician_ids,
+                instances.headline_mention.tolist()):
+            record = {"article_id": instances.article_ids[a], "label": corpus.GENDERS[label],
+                      "politician_ids": list(politician_ids), "headline_mention": headline_mention,
+                      "n_tokens": n_tokens[a], "n_sentences": n_sentences[a]}
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-    matched = {inst.article_id for inst in instances}
-    both = len(instances) - len(matched)
+    n_matched = len(set(instances.article.tolist()))
+    n_male = int(instances.y.sum())
     summary = {
         "n_articles": len(articles),
-        "n_articles_matched": len(matched),
-        "n_articles_unmatched": len(articles) - len(matched),
-        "n_articles_both_genders": both,
+        "n_articles_matched": n_matched,
+        "n_articles_unmatched": len(articles) - n_matched,
+        "n_articles_both_genders": len(instances) - n_matched,
         "n_instances": len(instances),
-        "n_female_instances": sum(1 for i in instances if i.label == corpus.FEMALE),
-        "n_male_instances": sum(1 for i in instances if i.label == corpus.MALE),
+        "n_female_instances": len(instances) - n_male,
+        "n_male_instances": n_male,
     }
     run.write_json("label_summary.json", summary)
     run.write_manifest()
@@ -441,6 +449,9 @@ def cmd_rank(config: dict) -> int:
         pos_lexicon=pos_lexicon,
         lexicon=lexicon,
     )
+    for label, n in dataset.class_counts().items():
+        if not n:
+            raise DataError(f"rank needs instances of both classes, and class {label!r} has none")
     if config["evaluate"]["undersample"]:
         dataset = learn.undersample(dataset, config["seed"])
     model = learn.train_svm(dataset, lam=config["classifier"]["lam"], epochs=config["classifier"]["epochs"])

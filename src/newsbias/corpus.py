@@ -7,7 +7,8 @@ office terms. An article "features" a politician when any name variant
 (full "Given Surname", surname only, given only, or a registered extra
 variant) occurs token-bounded and case-insensitively in the headline or
 body. Labeling and masking live in `pipeline`, which builds at most
-one labeled instance per article and gender.
+one labeled instance per article and gender, all of a corpus pass in
+one Instances object.
 """
 
 from __future__ import annotations
@@ -84,6 +85,36 @@ class LabeledInstance:
     headline_mention: bool
     stream: TokenStream
     section: str = ""
+
+
+@dataclass(frozen=True, eq=False)
+class Instances(Sequence[LabeledInstance]):
+    """The labeled instances of one corpus pass, as columns over its masked stream.
+
+    stream holds one text per article of the pass, matched or not, whose
+    ids and sections are article_ids and sections. Instance i is article
+    article[i] seen from gender GENDERS[y[i]] (y is 0 for female, 1 for
+    male): politician_ids[i] are the politicians of that gender it
+    features and headline_mention[i] says whether one is named in the
+    headline. An article featuring both genders is two instances over
+    one text. Indexing gives instance i as a LabeledInstance.
+    """
+
+    article_ids: tuple[str, ...]
+    sections: tuple[str, ...]
+    stream: TokenStream
+    article: np.ndarray
+    y: np.ndarray
+    politician_ids: tuple[tuple[str, ...], ...]
+    headline_mention: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.article)
+
+    def __getitem__(self, i: int) -> LabeledInstance:
+        a = int(self.article[i])
+        return LabeledInstance(self.article_ids[a], GENDERS[self.y[i]], self.politician_ids[i],
+                               bool(self.headline_mention[i]), self.stream.text(a), self.sections[a])
 
 
 def _parse_date(value, where: str) -> datetime.date:

@@ -4,12 +4,19 @@ Five extraction schemes are supported (unigrams, adjectives, verbs,
 lexicon categories, newspaper section) plus the name-form markers, each
 over either the whole article or only the sentences that mention a
 politician. A feature is its surface string (a token, lexicon category
-or section), and a space holds one scheme's features, its kind. Vectors
-come in boolean, count, and tf-idf flavours; tf-idf is raw count times
-ln(n_docs / doc_freq) with no smoothing, which is well defined because
-every indexed feature occurs in at least one document.
+or section), and a space holds one scheme's features, its kind, in
+surface order. Vectors come in boolean, count, and tf-idf flavours;
+tf-idf is raw count times ln(n_docs / doc_freq) with no smoothing, which
+is well defined because every indexed feature occurs in at least one
+document.
 
-vectorize makes one row, the reference each row of learn.CSR.from_terms equals.
+count_terms reads a whole corpus pass at once: per-id tables over the
+pass's vocabulary say which token ids a scheme reads (word and marker
+kinds, marker ids, the POS lexicon, or one table per lexicon category,
+since a word may sit in several), one sentences_holding mask gives the
+sentence window, and one np.unique over (text, term) keys counts every
+text's terms. extract_terms and vectorize do the same for one instance
+and one row, the reference the pass and each row of a dataset equal.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import numpy as np
 
 from .corpus import LabeledInstance
 from .errors import ConfigError, DataError, read_text
-from .preprocess import FORMS, MARKER, WORD, TokenStream, sentences_holding, stem
+from .preprocess import FORMS, MARKER, WORD, TokenStream, Vocab, sentences_holding, stem
 
 # feature kinds
 UNIGRAM = "unigram"
@@ -172,6 +179,17 @@ def _window_tokens(stream: TokenStream, window: str) -> np.ndarray:
     return stream.ids[np.repeat(held, np.concatenate((ends[:1], ends[1:] - ends[:-1])))]
 
 
+def _check(scheme: str, window: str, pos_lexicon: PosLexicon | None, lexicon: LexiconSet | None) -> None:
+    if scheme not in SCHEMES:
+        raise ConfigError(f"unknown scheme {scheme!r}")
+    if window not in WINDOWS:
+        raise ConfigError(f"unknown window {window!r}")
+    if scheme in (ADJECTIVE, VERB) and pos_lexicon is None:
+        raise ConfigError(f"scheme {scheme!r} requires a POS lexicon")
+    if scheme == LEXICON_CATEGORY and lexicon is None:
+        raise ConfigError("scheme 'lexicon_category' requires a lexicon")
+
+
 def extract_terms(
     instance: LabeledInstance,
     scheme: str,
@@ -186,10 +204,7 @@ def extract_terms(
     name marker are considered (the section scheme ignores the window:
     it is a property of the article, not of any sentence).
     """
-    if scheme not in SCHEMES:
-        raise ConfigError(f"unknown scheme {scheme!r}")
-    if window not in WINDOWS:
-        raise ConfigError(f"unknown window {window!r}")
+    _check(scheme, window, pos_lexicon, lexicon)
     if scheme == SECTION:
         section = instance.section.strip()
         return Counter({section: 1}) if section else Counter()
@@ -202,12 +217,8 @@ def extract_terms(
     if scheme in (UNIGRAM, NAMEFORM):
         return counts
     if scheme in (ADJECTIVE, VERB):
-        if pos_lexicon is None:
-            raise ConfigError(f"scheme {scheme!r} requires a POS lexicon")
         wanted = "ADJ" if scheme == ADJECTIVE else "VERB"
         return Counter({tok: n for tok, n in counts.items() if pos_lexicon.primary.get(tok) == wanted})
-    if lexicon is None:
-        raise ConfigError("scheme 'lexicon_category' requires a lexicon")
     terms: Counter[str] = Counter()
     for tok, n in counts.items():
         for cat, words in lexicon.categories.items():
@@ -216,23 +227,93 @@ def extract_terms(
     return terms
 
 
-def build_space(term_multisets: Sequence[Counter[str]], min_df: int = DEFAULT_MIN_DF, *, kind: str) -> FeatureSpace:
-    """Index the terms of one scheme with document frequency >= min_df, in surface order."""
+def _reads(vocab: Vocab, scheme: str, pos_lexicon: PosLexicon | None) -> np.ndarray:
+    """A table over the ids: True at the tokens a token-level scheme counts as themselves."""
+    if scheme == UNIGRAM:
+        return vocab.of_kind(WORD) | vocab.of_kind(MARKER)
+    if scheme == NAMEFORM:
+        return vocab.of_kind(MARKER)
+    tag = "ADJ" if scheme == ADJECTIVE else "VERB"
+    return vocab.flags(word for word, t in pos_lexicon.primary.items() if t == tag) & vocab.of_kind(WORD)
+
+
+def count_terms(
+    stream: TokenStream,
+    sections: Sequence[str],
+    scheme: str,
+    *,
+    window: str = "article",
+    pos_lexicon: PosLexicon | None = None,
+    lexicon: LexiconSet | None = None,
+    texts: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    """Each text's term counts under a scheme, read from a whole corpus pass at once.
+
+    Returns (text, term, count) entries, one per term present in a text,
+    sorted by text and then term, and the terms' surfaces in surface
+    order: term t is surfaces[t]. Text i counts what extract_terms counts
+    in an instance over it with section sections[i]. texts, a bool per
+    text, limits the reading to the texts marked True. The stream's
+    sentences must cover it, as split_sentences leaves them.
+    """
+    _check(scheme, window, pos_lexicon, lexicon)
+    n_texts = len(stream.bounds) - 1
+    read = np.ones(n_texts, bool) if texts is None else texts
+    if scheme == SECTION:
+        present = [(i, section.strip()) for i, section in enumerate(sections) if read[i] and section.strip()]
+        surfaces = sorted({section for _, section in present})
+        rank = {section: t for t, section in enumerate(surfaces)}
+        text = np.array([i for i, _ in present], np.int64)
+        term = np.array([rank[section] for _, section in present], np.int64)
+    else:
+        vocab, ids = stream.vocab, stream.ids
+        text = np.repeat(np.arange(n_texts), np.diff(stream.bounds))
+        window_mask = read[text]
+        if window == "sentence":
+            held = sentences_holding(stream, np.flatnonzero(ids < len(FORMS)))
+            window_mask &= np.repeat(held, np.diff(stream.ends, prepend=0))
+        if scheme == LEXICON_CATEGORY:
+            # one table per category: a word in several categories counts toward each
+            surfaces = sorted(lexicon.categories)
+            word = vocab.of_kind(WORD)
+            tables = [vocab.flags(lexicon.categories[category]) & word for category in surfaces]
+            in_any = np.zeros(len(vocab.surfaces), bool)
+            for table in tables:
+                in_any |= table
+            positions = np.flatnonzero(window_mask & in_any[ids])
+            found = [positions[table[ids[positions]]] for table in tables]
+            term = np.repeat(np.arange(len(tables)), [len(f) for f in found])
+            text = text[np.concatenate([positions[:0], *found])]
+        else:
+            positions = np.flatnonzero(window_mask & _reads(vocab, scheme, pos_lexicon)[ids])
+            ids, text = ids[positions], text[positions]
+            # the ids present, ranked in surface order: a token's term is its id's rank
+            order = sorted(np.flatnonzero(np.bincount(ids, minlength=len(vocab.surfaces))).tolist(),
+                           key=vocab.surfaces.__getitem__)
+            rank = np.zeros(len(vocab.surfaces), np.int64)
+            rank[order] = np.arange(len(order))
+            surfaces = [vocab.surfaces[i] for i in order]
+            term = rank[ids]
+    n_terms = max(len(surfaces), 1)
+    keys, counts = np.unique(text * n_terms + term, return_counts=True)
+    text, term = np.divmod(keys, n_terms)
+    return text, term, counts, surfaces
+
+
+def build_space(doc_freq: Mapping[str, int], n_docs: int, min_df: int = DEFAULT_MIN_DF, *,
+                kind: str) -> FeatureSpace:
+    """Index the terms of one scheme with document frequency >= min_df over n_docs documents, in surface order."""
     if min_df < 1:
         raise ConfigError(f"min_df must be >= 1, got {min_df}")
-    df: Counter[str] = Counter()
-    for terms in term_multisets:
-        df.update(terms.keys())
-    kept = sorted(term for term, n in df.items() if n >= min_df)
+    kept = sorted(term for term, n in doc_freq.items() if n >= min_df)
     if not kept:
         raise DataError("no features survive min_df")
-    index = {term: i for i, term in enumerate(kept)}
     return FeatureSpace(
         kind=kind,
         entries=tuple(kept),
-        index=index,
-        doc_freq=tuple(df[term] for term in kept),
-        n_docs=len(term_multisets),
+        index={term: i for i, term in enumerate(kept)},
+        doc_freq=tuple(doc_freq[term] for term in kept),
+        n_docs=n_docs,
     )
 
 

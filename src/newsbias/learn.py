@@ -48,8 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import repeat
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -91,40 +90,6 @@ class CSR:
     indices: np.ndarray
     data: np.ndarray
     representation: str
-
-    @classmethod
-    def from_terms(cls, terms: Sequence[Mapping[str, int]], space: FeatureSpace, representation: str) -> "CSR":
-        """One row per multiset of surfaces, the row vectorize gives it: ids in
-        increasing order, terms outside the space ignored, entries <= 0 dropped."""
-        if representation not in REPRESENTATIONS:
-            raise ConfigError(f"unknown representation {representation!r}")
-        get, outside = space.index.get, repeat(-1)
-        weighted = representation != "boolean"
-        lengths, indices, counts = [], [], []
-        for row in terms:
-            ids = list(map(get, row, outside))  # a term outside the space takes id -1
-            if weighted:
-                count_of = dict(zip(ids, row.values()))
-            ids.sort()
-            del ids[:ids.count(-1)]  # the -1s sort first
-            lengths.append(len(ids))
-            indices += ids
-            if weighted:
-                counts += map(count_of.__getitem__, ids)
-        indptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
-        indices = np.array(indices, dtype=np.int32)
-        if not weighted:
-            return cls(indptr, indices, np.broadcast_to(1.0, len(indices)), representation)
-        data = np.array(counts, dtype=np.float64)
-        del counts
-        if representation == "tfidf":
-            # one math.log per feature, as vectorize takes it, times the count
-            data *= np.array([math.log(space.n_docs / df) for df in space.doc_freq])[indices]
-        keep = data > 0
-        if not keep.all():
-            indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
-            indices, data = indices[keep], data[keep]
-        return cls(indptr, indices, data, representation)
 
     @cached_property
     def vectors(self) -> tuple[FeatureVector, ...]:

@@ -4,19 +4,21 @@ These helpers chain the lower modules in the canonical order so that
 the CLI, the demos, and tests all agree on how a corpus is prepared.
 The masking chain (mask and drop stopwords in one pass, then stem)
 lives in one place here, so labeled instances and masked query views
-hold the same stream, and term counts go straight into a dataset's CSR.
+hold the same stream, and a dataset's CSR is counted from that stream
+in one pass.
 """
 
 from __future__ import annotations
 
 import datetime
+import math
 from typing import Sequence
 
 import numpy as np
 
 from . import corpus, features, preprocess
-from .corpus import GENDERS, MALE, Article, LabeledInstance, PoliticianRecord
-from .errors import ConfigError
+from .corpus import GENDERS, Article, Instances, PoliticianRecord
+from .errors import ConfigError, DataError
 from .features import FeatureSpace, LexiconSet, PosLexicon
 from .interpret import DocViews
 from .learn import CSR, Dataset
@@ -56,30 +58,36 @@ def build_instances(
     apply_stem: bool = False,
     date_from: datetime.date | None = None,
     date_to: datetime.date | None = None,
-) -> list[LabeledInstance]:
+) -> Instances:
     """One instance per (article in the date window, gender with >=1 matched politician).
 
     An article featuring both genders yields two instances sharing the
-    same masked stream; an article featuring none yields nothing. All
+    same masked text; an article featuring none yields nothing. All
     matched mentions are masked regardless of gender, so the text never
-    reveals the label through names, and the stream is identical across
+    reveals the label through names, and the text is identical across
     a pair of instances.
     """
     gender_of = {r.id: r.gender for r in registry}
     scan = corpus.scan_corpus(filter_by_date(articles, date_from, date_to), registry)
-    masked = _masked_stream(scan, signals, stoplist, apply_stem)
-    instances: list[LabeledInstance] = []
-    for article, found, stream in zip(scan.articles, scan.matches, masked.texts()):
-        for gender in GENDERS:
+    article: list[int] = []
+    y: list[int] = []
+    politician_ids: list[tuple[str, ...]] = []
+    headline_mention: list[bool] = []
+    for i, found in enumerate(scan.matches):
+        for label, gender in enumerate(GENDERS):
             matches = [m for m in found if gender_of[m.politician_id] == gender]
             if matches:
-                instances.append(LabeledInstance(article.id, gender, tuple(m.politician_id for m in matches),
-                                                 any(m.headline_mention for m in matches), stream, article.section))
-    return instances
+                article.append(i)
+                y.append(label)
+                politician_ids.append(tuple(m.politician_id for m in matches))
+                headline_mention.append(any(m.headline_mention for m in matches))
+    return Instances(tuple(art.id for art in scan.articles), tuple(art.section for art in scan.articles),
+                     _masked_stream(scan, signals, stoplist, apply_stem), np.array(article, np.int64),
+                     np.array(y, np.int8), tuple(politician_ids), np.array(headline_mention, bool))
 
 
 def build_dataset(
-    instances: Sequence[LabeledInstance],
+    instances: Instances,
     *,
     scheme: str,
     window: str = "article",
@@ -93,18 +101,42 @@ def build_dataset(
 
     Pass an existing space of the scheme to vectorize a new batch against
     a fixed vocabulary; otherwise the space is built from these instances.
-    Each instance's term counts go straight into its row of the CSR.
+    The terms of every article are counted in one pass over the masked
+    stream and written as one CSR row per article, and each instance's
+    row is its article's.
     """
     if space is not None and space.kind != scheme:
         raise ConfigError(f"a {space.kind} feature space cannot vectorize scheme {scheme!r}")
-    terms = [features.extract_terms(inst, scheme, window=window, pos_lexicon=pos_lexicon, lexicon=lexicon)
-             for inst in instances]
+    if representation not in features.REPRESENTATIONS:
+        raise ConfigError(f"unknown representation {representation!r}")
+    n_docs = len(instances)
+    if n_docs < 2:
+        raise DataError(f"a dataset needs at least two instances, and the corpus yields {n_docs}")
+    # an article is as many documents as it has instances, and none is not read
+    weight = np.bincount(instances.article, minlength=len(instances.article_ids))
+    text, term, counts, surfaces = features.count_terms(
+        instances.stream, instances.sections, scheme, window=window, pos_lexicon=pos_lexicon, lexicon=lexicon,
+        texts=weight > 0)
     if space is None:
-        space = features.build_space(terms, min_df, kind=scheme)
-    csr = CSR.from_terms(terms, space, representation)
-    del terms  # the term counts outweigh the CSR: free them as soon as it is written
-    y = np.array([inst.label == MALE for inst in instances], dtype=np.int8)
-    return Dataset(csr, y, space, np.arange(len(y))), space
+        doc_freq = np.bincount(term, weights=weight[text], minlength=len(surfaces)).astype(np.int64)
+        space = features.build_space(dict(zip(surfaces, doc_freq.tolist())), n_docs, min_df, kind=scheme)
+    # space entries are in surface order, as the terms are, so columns increase with terms
+    column = np.array([space.index.get(surface, -1) for surface in surfaces], np.int32)[term]
+    keep = column >= 0
+    text, column, data = text[keep], column[keep], counts[keep].astype(np.float64)
+    if representation == "tfidf":
+        # one math.log per feature, as vectorize takes it, times the count;
+        # a feature in every document weighs 0 and makes no entry
+        data *= np.array([math.log(space.n_docs / df) for df in space.doc_freq])[column]
+        keep = data > 0
+        text, column, data = text[keep], column[keep], data[keep]
+    # one row per article (of counts, for a boolean dataset), and each instance's row gathered from its article's
+    articles = CSR(np.concatenate(([0], np.cumsum(np.bincount(text, minlength=len(weight))))), column, data,
+                   representation)
+    positions, lengths = articles.gather(instances.article)
+    data = np.broadcast_to(1.0, len(positions)) if representation == "boolean" else data[positions]
+    csr = CSR(np.concatenate(([0], np.cumsum(lengths))), column[positions], data, representation)
+    return Dataset(csr, instances.y, space, np.arange(n_docs)), space
 
 
 def build_doc_views(

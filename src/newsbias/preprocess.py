@@ -175,6 +175,12 @@ class TokenStream:
     def sentence_spans(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip([0, *self.ends.tolist()], self.ends.tolist()))
 
+    def text(self, i: int) -> "TokenStream":
+        """Text i as a stream of its own over the same vocabulary, its ids a view of this stream's."""
+        start, end = self.bounds[i:i + 2].tolist()
+        first, last = np.searchsorted(self.ends, (start, end), side="right").tolist()
+        return TokenStream(self.vocab, self.ids[start:end], np.array((0, end - start)), self.ends[first:last] - start)
+
     def texts(self) -> list["TokenStream"]:
         """Each text as a stream of its own over the same vocabulary, its ids a view of this stream's."""
         bounds = self.bounds.tolist()

@@ -377,7 +377,7 @@ def test_criterion_12_representation_laws():
         Counter({"everywhere": 3}),
         Counter({"everywhere": 1, "other": 1}),
     ]
-    space = features.build_space(docs, min_df=1, kind="unigram")
+    space = features.build_space(Counter(t for doc in docs for t in doc), len(docs), min_df=1, kind="unigram")
     indicator_ok = True
     for doc in docs:
         boolean = features.vectorize(doc, space, "boolean")

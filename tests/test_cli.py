@@ -177,6 +177,24 @@ def test_internal_errors_exit_three(monkeypatch, tmp_path):
     assert run("ingest", "--config", str(config), "--out", str(tmp_path / "o")) == 3
 
 
+@pytest.mark.parametrize("command, bodies, named", [
+    ("rank", ["Mary Keane spoke.", "Nobody spoke."], "the corpus yields 1"),
+    ("sweep", ["Mary Keane spoke.", "Nobody spoke."], "the corpus yields 1"),
+    ("rank", ["Mary Keane spoke.", "Keane voted.", "Mary Keane won."], "class 'male' has none"),
+], ids=["rank-one-instance", "sweep-one-instance", "rank-one-class"])
+def test_too_few_instances_or_one_class_is_a_data_error(tmp_path, capsys, command, bodies, named):
+    articles = tmp_path / "a.jsonl"
+    write_articles(articles, [article_row(f"a{i}", body) for i, body in enumerate(bodies)])
+    registry = tmp_path / "r.json"
+    write_registry(registry, [politician("p1", "female", "Mary", "Keane"), politician("p2", "male", "John", "Byrne")])
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"paths": {"articles": str(articles), "registry": str(registry)},
+                                  "features": {"min_df": 1}, "evaluate": {"k": 2}}))
+    assert run(command, "--config", str(config), "--out", str(tmp_path / "o")) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # --- sweep ---
 
 def test_sweep_rows_and_determinism(synth_corpus, tmp_path):

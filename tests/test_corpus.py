@@ -306,7 +306,7 @@ def test_label_both_genders_two_instances(registry_file):
 
 def test_label_no_politicians_no_instances(registry_file):
     registry = load_registry(registry_file)
-    assert pipeline.build_instances([make_article("made no mention")], registry) == []
+    assert len(pipeline.build_instances([make_article("made no mention")], registry)) == 0
 
 
 def test_label_instance_count_bounded(registry_file):

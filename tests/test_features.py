@@ -21,6 +21,8 @@ from newsbias.features import (
 )
 from newsbias.preprocess import MentionSpan, mask_gender_signals, split_sentences, tokenize
 
+from util import space_of
+
 
 def make_instance(text, spans=(), section="", label="female"):
     stream = mask_gender_signals(split_sentences(tokenize(text)), list(spans))
@@ -199,10 +201,7 @@ def test_extract_missing_resources_error():
 # --- build_space ---
 
 def test_build_space_min_df_filters():
-    docs = [Counter({"rare": 1, "common": 2}),
-            Counter({"common": 1}),
-            Counter({"common": 5})]
-    space = build_space(docs, min_df=2, kind="unigram")
+    space = build_space({"rare": 1, "common": 3}, 3, min_df=2, kind="unigram")
     assert space.kind == "unigram"
     assert space.entries == ("common",)
     assert space.doc_freq == (3,)
@@ -210,8 +209,7 @@ def test_build_space_min_df_filters():
 
 
 def test_build_space_min_df_one_keeps_everything():
-    docs = [Counter({"a": 1}), Counter({"b": 1})]
-    space = build_space(docs, min_df=1, kind="unigram")
+    space = build_space({"a": 1, "b": 1}, 2, min_df=1, kind="unigram")
     assert set(space.entries) == {"a", "b"}
 
 
@@ -221,8 +219,8 @@ def test_build_space_ordering_independent_of_doc_order():
         Counter({"alpha": 2, "NAMEFORM_FULL": 1}),
         Counter({"zeta": 1}),
     ]
-    a = build_space(docs, min_df=1, kind="unigram")
-    b = build_space(list(reversed(docs)), min_df=1, kind="unigram")
+    a = space_of(docs, min_df=1, kind="unigram")
+    b = space_of(list(reversed(docs)), min_df=1, kind="unigram")
     assert a.entries == b.entries == ("NAMEFORM_FULL", "alpha", "zeta")
     assert a.index == b.index == {"NAMEFORM_FULL": 0, "alpha": 1, "zeta": 2}
     assert a.doc_freq == b.doc_freq == (2, 2, 2)
@@ -230,12 +228,12 @@ def test_build_space_ordering_independent_of_doc_order():
 
 def test_build_space_empty_error():
     with pytest.raises(DataError, match="no features survive min_df"):
-        build_space([Counter({"once": 1})], min_df=2, kind="unigram")
+        build_space({"once": 1}, 1, min_df=2, kind="unigram")
 
 
 def test_build_space_bad_min_df():
     with pytest.raises(ConfigError):
-        build_space([Counter({"x": 1})], min_df=0, kind="unigram")
+        build_space({"x": 1}, 1, min_df=0, kind="unigram")
 
 
 # --- vectorize ---
@@ -247,7 +245,7 @@ def three_doc_space():
         Counter({"everywhere": 3}),
         Counter({"everywhere": 1, "other": 1}),
     ]
-    return docs, build_space(docs, min_df=1, kind="unigram")
+    return docs, space_of(docs, min_df=1, kind="unigram")
 
 
 def test_vectorize_count(three_doc_space):

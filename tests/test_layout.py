@@ -36,7 +36,7 @@ from newsbias.errors import DataError
 from newsbias.preprocess import TokenStream, split_sentences
 from newsbias.rng import Rng
 
-from util import make_dataset, make_vec
+from util import instances_of, make_dataset, make_vec, space_of
 
 F, M = "female", "male"
 
@@ -350,16 +350,15 @@ def test_build_dataset_packs_what_vectorize_gives_row_by_row(instances, represen
     given_space = None
     if other is not None:
         # another list's space: some terms fall outside it, and some rows come out empty
-        given_space = features.build_space([features.extract_terms(inst, "unigram") for inst in other],
-                                           kind="unigram", min_df=1)
+        given_space = space_of([features.extract_terms(inst, "unigram") for inst in other], 1, kind="unigram")
     elif max(Counter(t for row in terms for t in row).values(), default=0) < min_df:
         with pytest.raises(DataError, match="no features survive min_df"):
-            pipeline.build_dataset(instances, scheme="unigram", window=window, min_df=min_df)
+            pipeline.build_dataset(instances_of(instances), scheme="unigram", window=window, min_df=min_df)
         return
-    ds, space = pipeline.build_dataset(instances, scheme="unigram", window=window, representation=representation,
-                                       min_df=min_df, space=given_space)
+    ds, space = pipeline.build_dataset(instances_of(instances), scheme="unigram", window=window,
+                                       representation=representation, min_df=min_df, space=given_space)
     if given_space is None:
-        assert space == features.build_space(terms, min_df, kind="unigram")
+        assert space == space_of(terms, min_df, kind="unigram")
     else:
         assert space is given_space
     want = [features.vectorize(t, space, representation) for t in terms]
@@ -387,7 +386,8 @@ def test_build_dataset_makes_no_feature_vector(monkeypatch, representation):
 
     monkeypatch.setattr(features, "vectorize", refuse)
     monkeypatch.setattr(features.FeatureVector, "__post_init__", refuse)
-    ds, space = pipeline.build_dataset(instances, scheme="unigram", representation=representation, min_df=1)
+    ds, space = pipeline.build_dataset(instances_of(instances), scheme="unigram", representation=representation,
+                                       min_df=1)
     assert space.entries == ("farm", "road", "school", "tax")
     assert ds.csr.indptr.tolist() == [0, 2, 4, 6, 8, 9]
     assert ds.csr.indices.tolist() == [1, 3, 0, 1, 2, 3, 0, 1, 2]

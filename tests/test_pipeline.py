@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime
+import functools
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import util
-from newsbias import corpus, features, pipeline, synth
+from newsbias import corpus, features, pipeline, preprocess, synth
 from newsbias.errors import ConfigError, DataError
 from newsbias.preprocess import DEFAULT_GENDERED_SIGNALS, MARKER, MARKER_SURFACES, kind_of
 
@@ -204,3 +205,101 @@ def test_batch_front_end_equals_the_token_by_token_reference(case):
     by_id = {aid: text for aid, text, _, _ in util.per_article(masked)}
     assert all(inst.stream == by_id[inst.article_id] for inst in instances)
     assert {inst.article_id for inst in instances} == {a.id for a, ref in zip(articles, refs) if ref["matches"]}
+
+
+# --- the one-pass dataset, against extract_terms and the per-instance CSR ---
+
+PASS_WORDS = ["Ann", "Lee", "Rose", "she", "the", "chief", "vote", "votes", "voting", "embrace", "embraced",
+              "strong", "2010", ",", ".", ".", "!"]
+# a word in several categories, a lexicon word the stemmer changes, and entries
+# that are no word token, which the schemes never read
+PASS_LEXICON = features.LexiconSet("lex", {"POWER": frozenset({"chief", "vote", "2010"}),
+                                           "ACTIVE": frozenset({"vote", "embraced", ","})})
+PASS_POS = features.PosLexicon({"strong": "ADJ", "vote": "VERB", "embraced": "VERB", "chief": "NOUN", "2010": "ADJ",
+                                ",": "VERB"})
+# terms of every scheme, and one no corpus holds, to make fixed spaces of
+PASS_TERMS = ["NAMEFORM_FULL", "NAMEFORM_SURNAME", "chief", "vote", "votes", "embrac", "strong", "POWER", "ACTIVE",
+              "news", "politics", "unseen"]
+
+
+@st.composite
+def passes(draw):
+    """Articles (often featuring both genders, with empty bodies and blank sections) over a
+    two- or three-politician registry, and masking settings."""
+    registry = [corpus.PoliticianRecord("p0", "female", "Ann", "Lee"),
+                corpus.PoliticianRecord("p1", "male", "Rose", "Byrne")][:draw(st.integers(1, 2))]
+    if draw(st.booleans()):
+        registry.append(corpus.PoliticianRecord("p2", draw(st.sampled_from(corpus.GENDERS)), "Ann", "Rose"))
+    words = st.lists(st.sampled_from(PASS_WORDS), max_size=14)
+    articles = [corpus.Article(f"a{i}", "s", datetime.date(2005, 1, 1),
+                               draw(st.sampled_from(["news", "politics", "", "  "])),
+                               " ".join(draw(st.lists(st.sampled_from(PASS_WORDS), max_size=3))), " ".join(draw(words)))
+                for i in range(draw(st.integers(0, 7)))]
+    return articles, registry, draw(st.sampled_from([None, frozenset({"the", "chief"})])), draw(st.booleans())
+
+
+@settings(max_examples=120, deadline=None)
+@given(passes(), st.integers(1, 2), st.lists(st.lists(st.sampled_from(PASS_TERMS), max_size=6), min_size=1,
+                                             max_size=3))
+def test_one_pass_dataset_equals_the_per_instance_reference(case, min_df, fixed_docs):
+    articles, registry, stoplist, apply_stem = case
+    instances = pipeline.build_instances(articles, registry, stoplist=stoplist, apply_stem=apply_stem)
+    lexicon, pos = (PASS_LEXICON.stemmed(), PASS_POS.stemmed()) if apply_stem else (PASS_LEXICON, PASS_POS)
+    resources = {"lexicon": lexicon, "pos_lexicon": pos}
+    for scheme in features.SCHEMES:
+        fixed = util.space_of(fixed_docs, 1, kind=scheme) if any(fixed_docs) else None
+        for window in features.WINDOWS:
+            terms = [features.extract_terms(inst, scheme, window=window, **resources) for inst in instances]
+            for given_space in (None, fixed):
+                build = functools.partial(pipeline.build_dataset, instances, scheme=scheme, window=window,
+                                          min_df=min_df, space=given_space, **resources)
+                if len(instances) < 2:
+                    with pytest.raises(DataError, match=f"the corpus yields {len(instances)}"):
+                        build()
+                    continue
+                try:
+                    space = util.space_of(terms, min_df, kind=scheme) if given_space is None else given_space
+                except DataError:
+                    with pytest.raises(DataError, match="no features survive min_df"):
+                        build()
+                    continue
+                for representation in features.REPRESENTATIONS:
+                    ds, got_space = build(representation=representation)
+                    want = util.from_terms(terms, space, representation)
+                    assert (got_space.entries, got_space.doc_freq, got_space.n_docs) == (
+                        space.entries, space.doc_freq, space.n_docs)
+                    assert ds.csr.indptr.tolist() == want.indptr.tolist()
+                    assert ds.csr.indices.tolist() == want.indices.tolist()
+                    assert ds.csr.data.tolist() == want.data.tolist()
+                    assert ds.y.tolist() == [corpus.GENDERS.index(inst.label) for inst in instances]
+
+
+def test_datasets_make_no_per_instance_terms_texts_or_views(small_corpus, monkeypatch):
+    # the dataset path reads the pass as a whole: a return to per-instance work fails here
+    articles, registry = small_corpus
+    lexicon = features.LexiconSet("lex", {"POWER": frozenset({"minister", "said"})})
+
+    def build_all():
+        instances = pipeline.build_instances(articles, registry)
+        columns = (instances.article_ids, instances.sections, instances.stream, instances.article.tolist(),
+                   instances.y.tolist(), instances.politician_ids, instances.headline_mention.tolist())
+        datasets = []
+        for scheme in (features.UNIGRAM, features.LEXICON_CATEGORY, features.SECTION):
+            for window in features.WINDOWS:
+                for representation in features.REPRESENTATIONS:
+                    ds, space = pipeline.build_dataset(instances, scheme=scheme, window=window,
+                                                       representation=representation, min_df=2, lexicon=lexicon)
+                    datasets.append((space, ds.csr.indptr.tolist(), ds.csr.indices.tolist(), ds.csr.data.tolist(),
+                                     ds.y.tolist()))
+        return columns, datasets
+
+    want = build_all()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-instance work on the dataset path")
+
+    monkeypatch.setattr(features, "extract_terms", refuse)
+    monkeypatch.setattr(preprocess.TokenStream, "texts", refuse)
+    monkeypatch.setattr(preprocess.TokenStream, "text", refuse)
+    monkeypatch.setattr(corpus, "LabeledInstance", refuse)
+    assert build_all() == want

@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
+from collections import Counter
+from itertools import repeat
 
 import numpy as np
 
-from newsbias.corpus import GENDERS, MALE
+from newsbias import features
+from newsbias.corpus import GENDERS, MALE, Instances
 from newsbias.features import FeatureSpace, FeatureVector
 from newsbias.learn import CSR, Dataset
+from newsbias.preprocess import TokenStream, Vocab
 
 
 def make_space(n: int, kind: str = "unigram", n_docs: int = 10) -> FeatureSpace:
@@ -56,6 +61,60 @@ def make_dataset(rows, n_features: int, representation: str = "boolean") -> Data
         vectors.append(make_vec(pairs, representation))
         labels.append(label)
     return pack(vectors, labels, make_space(n_features))
+
+
+# --- datasets instance by instance: the reference the one-pass dataset equals ---
+
+def space_of(term_multisets, min_df: int = features.DEFAULT_MIN_DF, *, kind: str) -> FeatureSpace:
+    """The space of one term multiset per document: each term's document frequency counted over them."""
+    return features.build_space(Counter(term for terms in term_multisets for term in terms), len(term_multisets),
+                                min_df, kind=kind)
+
+
+def from_terms(terms, space: FeatureSpace, representation: str) -> CSR:
+    """One row per multiset of surfaces, the row vectorize gives it: ids in
+    increasing order, terms outside the space ignored, entries <= 0 dropped."""
+    get, outside = space.index.get, repeat(-1)
+    weighted = representation != "boolean"
+    lengths, indices, counts = [], [], []
+    for row in terms:
+        ids = list(map(get, row, outside))  # a term outside the space takes id -1
+        if weighted:
+            count_of = dict(zip(ids, row.values()))
+        ids.sort()
+        del ids[:ids.count(-1)]  # the -1s sort first
+        lengths.append(len(ids))
+        indices += ids
+        if weighted:
+            counts += map(count_of.__getitem__, ids)
+    indptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+    indices = np.array(indices, dtype=np.int32)
+    if not weighted:
+        return CSR(indptr, indices, np.broadcast_to(1.0, len(indices)), representation)
+    data = np.array(counts, dtype=np.float64)
+    if representation == "tfidf":
+        # one math.log per feature, as vectorize takes it, times the count
+        data *= np.array([math.log(space.n_docs / df) for df in space.doc_freq])[indices]
+    keep = data > 0
+    if not keep.all():
+        indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+        indices, data = indices[keep], data[keep]
+    return CSR(indptr, indices, data, representation)
+
+
+def instances_of(labeled) -> Instances:
+    """Labeled instances as one corpus pass, each over an article of its own: their
+    streams laid end to end over one vocabulary, with their sentences."""
+    vocab = Vocab()
+    texts = [np.fromiter(map(vocab.id, inst.stream.tokens), np.int32, len(inst.stream)) for inst in labeled]
+    bounds = np.concatenate(([0], np.cumsum([len(text) for text in texts], dtype=np.int64)))
+    ends = [inst.stream.ends + start for inst, start in zip(labeled, bounds.tolist())]
+    stream = TokenStream(vocab, np.concatenate([np.zeros(0, np.int32), *texts]), bounds,
+                         np.concatenate([np.zeros(0, np.int64), *ends]))
+    return Instances(tuple(inst.article_id for inst in labeled), tuple(inst.section for inst in labeled), stream,
+                     np.arange(len(labeled)), np.array([GENDERS.index(inst.label) for inst in labeled], np.int8),
+                     tuple(inst.politician_ids for inst in labeled),
+                     np.array([inst.headline_mention for inst in labeled], bool))
 
 
 def write_articles(path, rows) -> None:
