@@ -240,25 +240,24 @@ def _reads(vocab: Vocab, scheme: str, pos_lexicon: PosLexicon | None) -> np.ndar
 def count_terms(
     stream: TokenStream,
     sections: Sequence[str],
+    read: np.ndarray,
     scheme: str,
     *,
     window: str = "article",
     pos_lexicon: PosLexicon | None = None,
     lexicon: LexiconSet | None = None,
-    texts: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
     """Each text's term counts under a scheme, read from a whole corpus pass at once.
 
     Returns (text, term, count) entries, one per term present in a text,
     sorted by text and then term, and the terms' surfaces in surface
-    order: term t is surfaces[t]. Text i counts what extract_terms counts
-    in an instance over it with section sections[i]. texts, a bool per
-    text, limits the reading to the texts marked True. The stream's
-    sentences must cover it, as split_sentences leaves them.
+    order: term t is surfaces[t]. Text i, read where read[i] is True,
+    counts what extract_terms counts in an instance over it with section
+    sections[i]. The stream's sentences must cover it, as split_sentences
+    leaves them.
     """
     _check(scheme, window, pos_lexicon, lexicon)
     n_texts = len(stream.bounds) - 1
-    read = np.ones(n_texts, bool) if texts is None else texts
     if scheme == SECTION:
         present = [(i, section.strip()) for i, section in enumerate(sections) if read[i] and section.strip()]
         surfaces = sorted({section for _, section in present})

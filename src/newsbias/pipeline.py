@@ -115,8 +115,8 @@ def build_dataset(
     # an article is as many documents as it has instances, and none is not read
     weight = np.bincount(instances.article, minlength=len(instances.article_ids))
     text, term, counts, surfaces = features.count_terms(
-        instances.stream, instances.sections, scheme, window=window, pos_lexicon=pos_lexicon, lexicon=lexicon,
-        texts=weight > 0)
+        instances.stream, instances.sections, weight > 0, scheme, window=window, pos_lexicon=pos_lexicon,
+        lexicon=lexicon)
     if space is None:
         doc_freq = np.bincount(term, weights=weight[text], minlength=len(surfaces)).astype(np.int64)
         space = features.build_space(dict(zip(surfaces, doc_freq.tolist())), n_docs, min_df, kind=scheme)
