@@ -6,9 +6,13 @@ document listing politicians with their name parts, gender, and dated
 office terms. An article "features" a politician when any name variant
 (full "Given Surname", surname only, given only, or a registered extra
 variant) occurs token-bounded and case-insensitively in the headline or
-body. Labeling and masking live in `pipeline`, which builds at most
-one labeled instance per article and gender, all of a corpus pass in
-one Instances object.
+body. scan_corpus tokenizes and matches a whole corpus in one pass and
+keeps each mention once, as int rows: its span and marker form, and one
+owner row per politician whose name variant it is. match_politicians
+reads one article's owner rows back as PoliticianMatch objects.
+Labeling and masking live in `pipeline`, which builds at most one
+labeled instance per article and gender, all of a corpus pass in one
+Instances object.
 """
 
 from __future__ import annotations
@@ -16,8 +20,7 @@ from __future__ import annotations
 import datetime
 import json
 from collections import namedtuple
-from dataclasses import dataclass
-from itertools import groupby
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -181,20 +184,7 @@ def save_articles(articles: Iterable[Article], path: str | Path) -> None:
     """Write JSON Lines that load_articles reads back identically."""
     with Path(path).open("w", encoding="utf-8") as fh:
         for art in articles:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": art.id,
-                        "source": art.source,
-                        "date": art.date.isoformat(),
-                        "section": art.section,
-                        "headline": art.headline,
-                        "body": art.body,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+            fh.write(json.dumps({**asdict(art), "date": art.date.isoformat()}, ensure_ascii=False) + "\n")
 
 
 def load_registry(path: str | Path) -> list[PoliticianRecord]:
@@ -308,19 +298,22 @@ def name_variants(record: PoliticianRecord) -> list[tuple[tuple[str, ...], str]]
 
 
 def _scan_mentions(registry: Sequence[PoliticianRecord], stream: TokenStream):
-    """Leftmost-longest name mentions within each text of a stream: (text, start,
-    end, (form, owners)) with positions over the whole stream, owners the sorted
-    (politician_id, form) pairs whose variant the span is, and form the index in
-    preprocess.FORMS of the most specific of their forms. Spans never overlap."""
+    """Leftmost-longest name mentions within each text of a stream. Returns the
+    registry's ids sorted (the politicians), one (text, start, end, form) row per
+    mention with positions over the whole stream and form the index in
+    preprocess.FORMS of the most specific form claiming the span, and one
+    (mention row, politician, form) row per politician whose variant the span
+    is, in politician order. Spans never overlap."""
     vocab = stream.vocab
-    owners_of: dict[tuple[int, ...], list[tuple[str, str]]] = {}
+    politicians = tuple(sorted(r.id for r in registry))
+    rank = {rid: p for p, rid in enumerate(politicians)}
+    owners_of: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for record in registry:
         for tt, form in name_variants(record):
-            owners_of.setdefault(tuple(map(vocab.id, tt)), []).append((record.id, form))
+            owners_of.setdefault(tuple(map(vocab.id, tt)), []).append((rank[record.id], preprocess.FORMS.index(form)))
     # preprocess.FORMS runs from the most specific naming down, and when one span
     # is claimed under several forms the most specific wins the marker
-    entries = {tt: (min(preprocess.FORMS.index(f) for _, f in owners), sorted(owners))
-               for tt, owners in owners_of.items()}
+    entries = {tt: (min(f for _, f in owners), sorted(owners)) for tt, owners in owners_of.items()}
     longest = max(map(len, entries), default=0)
     # a mention can only start at a token that starts some variant
     first = np.zeros(len(vocab.surfaces), bool)
@@ -329,6 +322,8 @@ def _scan_mentions(registry: Sequence[PoliticianRecord], stream: TokenStream):
     text = np.searchsorted(stream.bounds, starts, side="right")
     caps = np.minimum(stream.bounds[text] - starts, longest)
     grams = stream.ids[np.minimum(starts[:, None] + np.arange(longest), len(stream.ids) - 1)]
+    mentions: list[tuple[int, int, int, int]] = []
+    owners: list[tuple[int, int, int]] = []
     end = 0
     for t, i, cap, gram in zip((text - 1).tolist(), starts.tolist(), caps.tolist(), grams.tolist()):
         if i < end:
@@ -337,32 +332,39 @@ def _scan_mentions(registry: Sequence[PoliticianRecord], stream: TokenStream):
             entry = entries.get(tuple(gram[:length]))
             if entry:
                 end = i + length
-                yield t, i, end, entry
+                owners.extend((len(mentions), p, f) for p, f in entry[1])
+                mentions.append((t, i, end, entry[0]))
                 break
+    return politicians, np.array(mentions, np.int64).reshape(-1, 4), np.array(owners, np.int64).reshape(-1, 3)
 
 
-# one article of a corpus scan: its unmasked stream, its matches and its resolved mention spans
-ArticleScan = namedtuple("ArticleScan", "article stream matches mention_spans")
+# one article of a corpus scan: its unmasked stream and its resolved mention spans
+ArticleScan = namedtuple("ArticleScan", "article stream mention_spans")
 
 
 @dataclass(frozen=True)
 class CorpusScan:
     """Every article tokenized and matched in one pass: stream holds one text
-    per article (headline, then body), mentions the resolved spans over it
-    as (start, end, index of the form in preprocess.FORMS) rows in order,
-    and matches[i] what article i features, with spans over its own text.
-    Iterating gives one ArticleScan per article."""
+    per article (headline, then body), and mentions the resolved spans over it
+    as (start, end, index of the form in preprocess.FORMS) rows in order. Who
+    a mention names is in owners, one (mention row, politician, form, in
+    headline) row per politician whose name variant the span is, ordered by
+    mention and then politician: politician indexes politicians (the
+    registry's ids, sorted), form indexes preprocess.FORMS and in headline is
+    1 where the mention lies in the article's headline. Iterating gives one
+    ArticleScan per article."""
 
     articles: tuple[Article, ...]
     stream: TokenStream
     mentions: np.ndarray
-    matches: list[tuple[PoliticianMatch, ...]]
+    politicians: tuple[str, ...]
+    owners: np.ndarray
 
     def __iter__(self) -> Iterator[ArticleScan]:
         bounds, mentions = self.stream.bounds.tolist(), self.mentions.tolist()
         cuts = np.searchsorted(self.mentions[:, 0], bounds).tolist()
         for i, view in enumerate(self.stream.texts()):
-            yield ArticleScan(self.articles[i], view, self.matches[i], tuple(
+            yield ArticleScan(self.articles[i], view, tuple(
                 MentionSpan(s - bounds[i], e - bounds[i], preprocess.FORMS[f]) for s, e, f in mentions[cuts[i]:cuts[i + 1]]))
 
 
@@ -372,29 +374,22 @@ def scan_corpus(articles: Sequence[Article], registry: Sequence[PoliticianRecord
     inside one of them; an article's text is then its headline and its body."""
     texts = preprocess.split_sentences(
         preprocess.tokenize([text for art in articles for text in (art.headline, art.body)], preprocess.Vocab()))
-    bounds = texts.bounds.tolist()
-    mentions: list[tuple[int, int, int]] = []
-    matches: list[tuple[PoliticianMatch, ...]] = [()] * len(articles)
-    for i, hits in groupby(_scan_mentions(registry, texts), key=lambda hit: hit[0] // 2):
-        offset = bounds[2 * i]
-        per_politician: dict[str, list[MentionSpan]] = {}
-        in_headline: set[str] = set()
-        for text, start, end, (form, owners) in hits:
-            mentions.append((start, end, form))
-            for rid, rid_form in owners:
-                per_politician.setdefault(rid, []).append(MentionSpan(start - offset, end - offset, rid_form))
-                if text % 2 == 0:
-                    in_headline.add(rid)
-        matches[i] = tuple(PoliticianMatch(rid, tuple(spans), rid in in_headline)
-                           for rid, spans in sorted(per_politician.items()))
+    politicians, mentions, owners = _scan_mentions(registry, texts)
     stream = TokenStream(texts.vocab, texts.ids, texts.bounds[::2], texts.ends)
-    return CorpusScan(tuple(articles), stream, np.array(mentions, np.int64).reshape(-1, 3), matches)
+    # headlines are the even texts
+    owners = np.column_stack((owners, mentions[owners[:, 0], 0] % 2 == 0))
+    return CorpusScan(tuple(articles), stream, mentions[:, 1:], politicians, owners)
 
 
 def match_politicians(article: Article, registry: Sequence[PoliticianRecord]) -> list[PoliticianMatch]:
     """All politicians featured in the article, with their mention spans over its
     headline+body stream, sorted by politician id whatever the registry's order."""
-    return list(scan_corpus([article], registry).matches[0])
+    scan = scan_corpus([article], registry)
+    found: dict[int, list[tuple[MentionSpan, int]]] = {}
+    for m, p, form, headline in scan.owners.tolist():
+        found.setdefault(p, []).append((MentionSpan(*scan.mentions[m, :2].tolist(), preprocess.FORMS[form]), headline))
+    return [PoliticianMatch(scan.politicians[p], tuple(span for span, _ in rows), any(h for _, h in rows))
+            for p, rows in sorted(found.items())]
 
 
 def years_in_office(

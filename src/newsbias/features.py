@@ -170,13 +170,13 @@ def load_pos_lexicon(path: str | Path) -> PosLexicon:
     return PosLexicon(primary=primary)
 
 
-def _window_tokens(stream: TokenStream, window: str) -> np.ndarray:
-    """The ids of the tokens the window reads: all, or those of the sentences holding a marker."""
+def _window_mask(stream: TokenStream, window: str) -> np.ndarray:
+    """A bool per token of the stream: True where the window reads it, in every
+    sentence or only in those holding a marker (every token before splitting)."""
     if window == "article" or not len(stream.ends):
-        return stream.ids
-    ends = stream.ends
-    held = sentences_holding(stream, (stream.ids < len(FORMS)).nonzero()[0])
-    return stream.ids[np.repeat(held, np.concatenate((ends[:1], ends[1:] - ends[:-1])))]
+        return np.ones(len(stream.ids), bool)
+    held = sentences_holding(stream, np.flatnonzero(stream.ids < len(FORMS)))
+    return np.repeat(held, np.diff(stream.ends, prepend=0))
 
 
 def _check(scheme: str, window: str, pos_lexicon: PosLexicon | None, lexicon: LexiconSet | None) -> None:
@@ -212,8 +212,8 @@ def extract_terms(
     # each distinct token of the window once, with its count there, if it is of a kind the scheme reads
     vocab = instance.stream.vocab
     wanted = {UNIGRAM: (WORD, MARKER), NAMEFORM: (MARKER,)}.get(scheme, (WORD,))
-    counts = Counter({vocab.surfaces[i]: n for i, n in Counter(_window_tokens(instance.stream, window).tolist()).items()
-                      if vocab.kinds[i] in wanted})
+    ids = instance.stream.ids[_window_mask(instance.stream, window)]
+    counts = Counter({vocab.surfaces[i]: n for i, n in Counter(ids.tolist()).items() if vocab.kinds[i] in wanted})
     if scheme in (UNIGRAM, NAMEFORM):
         return counts
     if scheme in (ADJECTIVE, VERB):
@@ -257,7 +257,6 @@ def count_terms(
     leaves them.
     """
     _check(scheme, window, pos_lexicon, lexicon)
-    n_texts = len(stream.bounds) - 1
     if scheme == SECTION:
         present = [(i, section.strip()) for i, section in enumerate(sections) if read[i] and section.strip()]
         surfaces = sorted({section for _, section in present})
@@ -266,19 +265,14 @@ def count_terms(
         term = np.array([rank[section] for _, section in present], np.int64)
     else:
         vocab, ids = stream.vocab, stream.ids
-        text = np.repeat(np.arange(n_texts), np.diff(stream.bounds))
-        window_mask = read[text]
-        if window == "sentence":
-            held = sentences_holding(stream, np.flatnonzero(ids < len(FORMS)))
-            window_mask &= np.repeat(held, np.diff(stream.ends, prepend=0))
+        text = np.repeat(np.arange(len(stream.bounds) - 1), np.diff(stream.bounds))
+        window_mask = read[text] & _window_mask(stream, window)
         if scheme == LEXICON_CATEGORY:
             # one table per category: a word in several categories counts toward each
             surfaces = sorted(lexicon.categories)
             word = vocab.of_kind(WORD)
             tables = [vocab.flags(lexicon.categories[category]) & word for category in surfaces]
-            in_any = np.zeros(len(vocab.surfaces), bool)
-            for table in tables:
-                in_any |= table
+            in_any = vocab.flags(set().union(*lexicon.categories.values())) & word
             positions = np.flatnonzero(window_mask & in_any[ids])
             found = [positions[table[ids[positions]]] for table in tables]
             term = np.repeat(np.arange(len(tables)), [len(f) for f in found])

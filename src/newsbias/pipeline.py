@@ -49,6 +49,21 @@ def _masked_stream(scan: corpus.CorpusScan, signals: frozenset[str], stoplist: f
     return preprocess.stem(stream) if apply_stem else stream
 
 
+def _featured(scan: corpus.CorpusScan, registry: Sequence[PoliticianRecord]) -> tuple[np.ndarray, ...]:
+    """The scan's owner rows read as who each article features: (article, gender,
+    politician, in headline) columns, one row per politician an article names, in
+    (article, gender, politician id) order; gender indexes GENDERS, politician
+    scan.politicians, and in headline says whether one of its mentions is there."""
+    gender_of = {r.id: GENDERS.index(r.gender) for r in registry}
+    gender = np.array([gender_of[rid] for rid in scan.politicians], np.int64)
+    mention, politician, _, headline = scan.owners.T
+    article = np.searchsorted(scan.stream.bounds, scan.mentions[mention, 0], side="right") - 1
+    keys, row = np.unique((article * 2 + gender[politician]) * len(gender) + politician, return_inverse=True)
+    article, key = np.divmod(keys, 2 * len(gender))
+    label, politician = np.divmod(key, len(gender))
+    return article, label, politician, np.bincount(row, headline, len(keys)) > 0
+
+
 def build_instances(
     articles: Sequence[Article],
     registry: Sequence[PoliticianRecord],
@@ -67,23 +82,16 @@ def build_instances(
     reveals the label through names, and the text is identical across
     a pair of instances.
     """
-    gender_of = {r.id: r.gender for r in registry}
     scan = corpus.scan_corpus(filter_by_date(articles, date_from, date_to), registry)
-    article: list[int] = []
-    y: list[int] = []
-    politician_ids: list[tuple[str, ...]] = []
-    headline_mention: list[bool] = []
-    for i, found in enumerate(scan.matches):
-        for label, gender in enumerate(GENDERS):
-            matches = [m for m in found if gender_of[m.politician_id] == gender]
-            if matches:
-                article.append(i)
-                y.append(label)
-                politician_ids.append(tuple(m.politician_id for m in matches))
-                headline_mention.append(any(m.headline_mention for m in matches))
+    article, gender, politician, headline = _featured(scan, registry)
+    # an instance per (article, gender): the run of rows that share both
+    first = np.flatnonzero(np.diff(article * 2 + gender, prepend=-1))
+    ids = [scan.politicians[p] for p in politician.tolist()]
+    cuts = [*first.tolist(), len(ids)]
     return Instances(tuple(art.id for art in scan.articles), tuple(art.section for art in scan.articles),
-                     _masked_stream(scan, signals, stoplist, apply_stem), np.array(article, np.int64),
-                     np.array(y, np.int8), tuple(politician_ids), np.array(headline_mention, bool))
+                     _masked_stream(scan, signals, stoplist, apply_stem), article[first], gender[first].astype(np.int8),
+                     tuple(tuple(ids[a:b]) for a, b in zip(cuts, cuts[1:])),
+                     np.logical_or.reduceat(headline, first))
 
 
 def build_dataset(
@@ -155,14 +163,14 @@ def build_doc_views(
     so they ignore the stoplist and stemming settings.
     An article belongs to the group of each gender it features.
     """
-    gender_of = {r.id: r.gender for r in registry}
     scan = corpus.scan_corpus(articles, registry)
     if masked:
         stream = _masked_stream(scan, signals, stoplist, apply_stem)
         mentions = np.flatnonzero(stream.ids < len(preprocess.FORMS))
     else:
         stream, mentions = scan.stream, scan.mentions[:, 0]
-    featured = [{gender_of[m.politician_id] for m in found} for found in scan.matches]
-    return DocViews(tuple(article.id for article in scan.articles), stream,
-                    {gender: np.array([gender in f for f in featured], bool) for gender in GENDERS},
+    article, gender, _, _ = _featured(scan, registry)
+    return DocViews(tuple(art.id for art in scan.articles), stream,
+                    {name: np.bincount(article[gender == label], minlength=len(scan.articles)) > 0
+                     for label, name in enumerate(GENDERS)},
                     preprocess.sentences_holding(stream, mentions))

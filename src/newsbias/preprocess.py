@@ -103,7 +103,8 @@ class MentionSpan:
 class Vocab(dict):
     """One corpus pass's memo of the whitespace chunks it has tokenized: chunk ->
     its tokens' int32 ids, as bytes. index maps a surface to its id (a new one
-    takes the next), and surfaces and kinds give each id's surface and kind."""
+    takes the next, and its kind from the pattern match that made it or else
+    from kind_of), and surfaces and kinds give each id's surface and kind."""
 
     def __init__(self):
         super().__init__()
@@ -113,16 +114,16 @@ class Vocab(dict):
         for form in FORMS:
             self.id(MARKER_FOR_FORM[form])
 
-    def id(self, surface: str) -> int:
+    def id(self, surface: str, kind: str | None = None) -> int:
         i = self.index.setdefault(surface, len(self.surfaces))
         if i == len(self.surfaces):
             self.surfaces.append(surface)
-            self.kinds.append(kind_of(surface))
+            self.kinds.append(kind or kind_of(surface))
         return i
 
     def __missing__(self, chunk: str) -> bytes:
         # the pattern's group names are the kinds: only words and numbers are lowercased
-        ids = self[chunk] = np.array([self.id(m.group() if m.lastgroup == PUNCT else m.group().lower())
+        ids = self[chunk] = np.array([self.id(m.group() if m.lastgroup == PUNCT else m.group().lower(), m.lastgroup)
                                       for m in _TOKEN_RE.finditer(chunk)], np.int32).tobytes()
         return ids
 

@@ -513,5 +513,7 @@ def registries_and_surfaces(draw):
 def test_gated_scan_equals_ungated_reference(case):
     registry, surfaces = case
     stream = preprocess.tokenize(" ".join(surfaces))
-    got = corpus._scan_mentions(registry, stream)
-    assert [(start, end, owners) for _, start, end, (_, owners) in got] == ref_scan(registry, surfaces)
+    politicians, mentions, owners = corpus._scan_mentions(registry, stream)
+    got = [(start, end, [(politicians[p], preprocess.FORMS[f]) for m, p, f in owners.tolist() if m == row])
+           for row, (_, start, end, _) in enumerate(mentions.tolist())]
+    assert got == ref_scan(registry, surfaces)

@@ -115,14 +115,15 @@ def test_instances_and_views_share_one_prepared_stream(small_corpus, stoplist, a
               in util.per_article(pipeline.build_doc_views(articles, registry, masked=True, **opts))}
     raw = pipeline.build_doc_views(articles, registry, masked=False, **opts)
     scans = corpus.scan_corpus(articles, registry)
-    assert {i.article_id for i in instances} == {s.article.id for s in scans if s.matches}
+    assert {i.article_id for i in instances} == {s.article.id for s in scans
+                                                 if corpus.match_politicians(s.article, registry)}
     for inst in instances:
         text, mentions = masked[inst.article_id]
         assert text == inst.stream
         # the sentence window reads exactly the sentences the views mark as mentions
         spans = text.sentence_spans
         surfaces = inst.stream.vocab.surfaces
-        assert [surfaces[i] for i in features._window_tokens(inst.stream, "sentence")] == [
+        assert [surfaces[i] for i in inst.stream.ids[features._window_mask(inst.stream, "sentence")]] == [
             tok for s in sorted(mentions) for tok in text.tokens[slice(*spans[s])]
         ]
     # raw views are the scanned text, whatever the stoplist and stemming settings
@@ -182,7 +183,7 @@ def test_batch_front_end_equals_the_token_by_token_reference(case):
         assert list(scan.stream.sentence_spans) == ref["spans"]
         assert [(m.start, m.end, m.form) for m in scan.mention_spans] == ref["mentions"]
         assert {m.politician_id: ([(s.start, s.end, s.form) for s in m.spans], m.headline_mention)
-                for m in scan.matches} == ref["matches"]
+                for m in corpus.match_politicians(scan.article, registry)} == ref["matches"]
 
     opts = {"signals": signals, "stoplist": stoplist, "apply_stem": apply_stem}
     raw = pipeline.build_doc_views(articles, registry, masked=False, **opts)
@@ -205,6 +206,15 @@ def test_batch_front_end_equals_the_token_by_token_reference(case):
     by_id = {aid: text for aid, text, _, _ in util.per_article(masked)}
     assert all(inst.stream == by_id[inst.article_id] for inst in instances)
     assert {inst.article_id for inst in instances} == {a.id for a, ref in zip(articles, refs) if ref["matches"]}
+    # an instance per article and gender it features: that gender's politicians, and whether one is in the headline
+    want = {}
+    for article, ref in zip(articles, refs):
+        for gender in corpus.GENDERS:
+            ids = tuple(sorted(rid for rid in ref["matches"] if gender_of[rid] == gender))
+            if ids:
+                want[article.id, gender] = (ids, any(ref["matches"][rid][1] for rid in ids))
+    got = [((inst.article_id, inst.label), (inst.politician_ids, inst.headline_mention)) for inst in instances]
+    assert (len(got), dict(got)) == (len(want), want)
 
 
 # --- the one-pass dataset, against extract_terms and the per-instance CSR ---
@@ -272,6 +282,29 @@ def test_one_pass_dataset_equals_the_per_instance_reference(case, min_df, fixed_
                     assert ds.csr.indices.tolist() == want.indices.tolist()
                     assert ds.csr.data.tolist() == want.data.tolist()
                     assert ds.y.tolist() == [corpus.GENDERS.index(inst.label) for inst in instances]
+
+
+def test_pass_path_makes_no_per_mention_objects(small_corpus, monkeypatch):
+    # who an article features is read from the scan's owner rows: a return to per-mention objects fails here
+    articles, registry = small_corpus
+
+    def build_all():
+        instances = pipeline.build_instances(articles, registry)
+        columns = (instances.article_ids, instances.sections, instances.stream, instances.article.tolist(),
+                   instances.y.tolist(), instances.politician_ids, instances.headline_mention.tolist())
+        views = [pipeline.build_doc_views(articles, registry, masked=masked) for masked in (True, False)]
+        return columns, [(v.article_ids, v.stream, {g: a.tolist() for g, a in v.groups.items()},
+                          v.mention_sentences.tolist()) for v in views]
+
+    want = build_all()
+    assert want[0][5] and any(want[0][6]) and all(any(map(any, v[2].values())) for v in want[1])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-mention objects on the pass path")
+
+    monkeypatch.setattr(corpus, "PoliticianMatch", refuse)
+    monkeypatch.setattr(corpus, "MentionSpan", refuse)
+    assert build_all() == want
 
 
 def test_datasets_make_no_per_instance_terms_texts_or_views(small_corpus, monkeypatch):

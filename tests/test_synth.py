@@ -32,7 +32,7 @@ def test_balance_is_exact():
 def test_every_article_matches_one_politician():
     arts, reg = synth.generate_corpus(60, seed=9)
     for scan in corpus.scan_corpus(arts, reg):
-        assert len(scan.matches) == 1
+        assert len(corpus.match_politicians(scan.article, reg)) == 1
         assert scan.mention_spans
 
 
