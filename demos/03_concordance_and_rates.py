@@ -17,13 +17,13 @@ articles, registry = synth.generate_corpus(
     planted=(synth.PlantedTerm("husband", 0.03, 0.002),),
     seed=7,
 )
-# one query view over the whole corpus pass: its stream holds every article's text
-views = pipeline.build_doc_views(articles, registry, masked=False)
-print(f"{len(views.article_ids)} articles, {views.mention_sentences.sum()} of "
-      f"{len(views.mention_sentences)} sentences mention a politician\n")
+# one raw corpus pass over the whole corpus: its stream holds every article's text
+raw = pipeline.build_instances(articles, registry, masked=False)
+print(f"{len(raw.article_ids)} articles, {raw.mention_sentences.sum()} of "
+      f"{len(raw.mention_sentences)} sentences mention a politician\n")
 
 print("=== concordance: 'husband', window 5, female-group articles ===")
-for line in kwic(views, "husband", window=5, group="female")[:8]:
+for line in kwic(raw, "husband", window=5, group="female")[:8]:
     left = " ".join(line.left)
     right = " ".join(line.right)
     print(f"{line.article_id} {left:>40s} [{line.keyword}] {right}")
@@ -32,7 +32,7 @@ print("\n=== counts and rates per group ===")
 window = registry_window(registry)
 stats = {}
 for group in ("female", "male"):
-    count = term_count(views, "husband", group)
+    count = term_count(raw, "husband", group)
     years = total_years(registry, group, window)
     stats[group] = RateStat(term="husband", group=group, count=count, years=years)
     print(f"{group:6s}: {count:4d} mentions / {years:6.1f} years in office = {stats[group].rate:.3f} per year")

@@ -33,7 +33,6 @@ from .features import (
 )
 from .interpret import (
     ConcordanceLine,
-    DocViews,
     RankedFeatures,
     RateRatio,
     RateStat,

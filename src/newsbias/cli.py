@@ -256,13 +256,20 @@ def _load_resources(config: dict, schemes: set[str]):
     return lexicon, pos_lexicon
 
 
-def _build_instances(config: dict):
+def _prepare(config: dict, query: bool = False):
+    """Articles, registry, pipeline options and the corpus pass over the articles in the
+    configured date window. label, sweep and rank classify the masked pass, which must hold
+    an instance; with query, kwic and stats read the pass interpret.masked asks for. A caller
+    keeps only what it reads, so the articles are freed once the pass is built."""
     articles, registry = _load_corpus(config)
     opts = _pipeline_options(config)
+    if query:
+        return articles, registry, opts, pipeline.build_doc_views(
+            articles, registry, masked=config["interpret"]["masked"], **opts)
     instances = pipeline.build_instances(articles, registry, **opts)
     if not instances:
         raise DataError("no articles matched any registry politician")
-    return articles, registry, instances
+    return articles, registry, opts, instances
 
 
 def cmd_ingest(config: dict) -> int:
@@ -286,7 +293,7 @@ def cmd_ingest(config: dict) -> int:
 
 def cmd_label(config: dict) -> int:
     run = _Run("label", config)
-    articles, registry, instances = _build_instances(config)
+    articles, _, _, instances = _prepare(config)
     # every instance's text is its article's: count tokens and sentences per article
     stream = instances.stream
     n_tokens = np.diff(stream.bounds).tolist()
@@ -348,7 +355,7 @@ def cmd_sweep(config: dict) -> int:
     combinations = _sweep_combinations(config)
     run = _Run("sweep", config)
     lexicon, pos_lexicon = _load_resources(config, {c[0] for c in combinations})
-    _, _, instances = _build_instances(config)
+    instances = _prepare(config)[-1]
     seed = config["seed"]
     k = config["evaluate"]["k"]
     min_df = config["features"]["min_df"]
@@ -439,7 +446,7 @@ def cmd_rank(config: dict) -> int:
     _check_scheme(config, fconf["scheme"])
     run = _Run("rank", config)
     lexicon, pos_lexicon = _load_resources(config, {fconf["scheme"]})
-    _, _, instances = _build_instances(config)
+    instances = _prepare(config)[-1]
     dataset, space = pipeline.build_dataset(
         instances,
         scheme=fconf["scheme"],
@@ -476,21 +483,6 @@ def cmd_rank(config: dict) -> int:
     return 0
 
 
-def _build_views(config: dict):
-    """Registry, the configured date window, query views of the articles inside it, and
-    whether queries are stemmed: masked views under pipeline.stem hold stems."""
-    articles, registry = _load_corpus(config)
-    opts = _pipeline_options(config)
-    window = (opts.pop("date_from"), opts.pop("date_to"))
-    views = pipeline.build_doc_views(
-        pipeline.filter_by_date(articles, *window),
-        registry,
-        masked=config["interpret"]["masked"],
-        **opts,
-    )
-    return registry, window, views, config["interpret"]["masked"] and config["pipeline"]["stem"]
-
-
 def _stemmed(terms: list[str], stem: bool) -> dict[str, str]:
     """Each query the stemmer changes, mapped to the stem searched in its place."""
     forms = {term: interpret.normalize_query(term, stem=True) for term in terms if stem}
@@ -499,9 +491,11 @@ def _stemmed(terms: list[str], stem: bool) -> dict[str, str]:
 
 def cmd_kwic(config: dict, term: str, tag: str) -> int:
     run = _Run("kwic", config)
-    _, _, views, stem = _build_views(config)
+    instances = _prepare(config, query=True)[-1]
+    # a masked pass under pipeline.stem holds stems, and so the query is stemmed
+    stem = config["interpret"]["masked"] and config["pipeline"]["stem"]
     lines = interpret.kwic(
-        views,
+        instances,
         term,
         window=config["interpret"]["kwic_window"],
         group=config["interpret"].get("group"),
@@ -532,14 +526,20 @@ def cmd_stats(config: dict, terms: list[str], groups: list[str], portfolio: str 
     if len({interpret.normalize_query(term) for term in terms}) < len(terms):
         raise ConfigError(f"--term names a query twice: {','.join(terms)}")
     run = _Run("stats", config)
-    registry, (date_from, date_to), views, stem = _build_views(config)
+    registry, opts, instances = _prepare(config, query=True)[1:]
+    stem = config["interpret"]["masked"] and config["pipeline"]["stem"]
     # years in office cover the counted dates: an unset side takes the registry's bound
     registry_from, registry_to = corpus.registry_window(registry)
-    window = (date_from or registry_from, date_to or registry_to)
+    window = (opts["date_from"] or registry_from, opts["date_to"] or registry_to)
+    if window[0] >= window[1]:
+        # a window with both sides set runs forwards, so the one side set lies past the registry's terms
+        key = "date_from" if opts["date_from"] else "date_to"
+        raise DataError(f"pipeline.{key} {opts[key]} leaves no years in office: the registry's terms run from "
+                        f"{registry_from} to {registry_to}")
     stats = []
     for term in terms:
         for group in groups:
-            count = interpret.term_count(views, term, group, stem=stem)
+            count = interpret.term_count(instances, term, group, stem=stem)
             years = corpus.total_years(registry, group, window, portfolio)
             if years <= 0:
                 raise DataError(f"group {group!r} has zero years in office in the window")

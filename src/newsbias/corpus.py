@@ -92,15 +92,18 @@ class LabeledInstance:
 
 @dataclass(frozen=True, eq=False)
 class Instances(Sequence[LabeledInstance]):
-    """The labeled instances of one corpus pass, as columns over its masked stream.
+    """One corpus pass: its stream and its labeled instances, as columns.
 
-    stream holds one text per article of the pass, matched or not, whose
-    ids and sections are article_ids and sections. Instance i is article
-    article[i] seen from gender GENDERS[y[i]] (y is 0 for female, 1 for
-    male): politician_ids[i] are the politicians of that gender it
-    features and headline_mention[i] says whether one is named in the
-    headline. An article featuring both genders is two instances over
-    one text. Indexing gives instance i as a LabeledInstance.
+    stream holds one text per article of the pass, matched or not, masked
+    or raw, whose ids and sections are article_ids and sections, and
+    mention_sentences a bool per sentence of it: True where the sentence
+    holds a marker (masked) or a mention's start (raw), so it mentions a
+    politician. Instance i is article article[i] seen from gender
+    GENDERS[y[i]] (y is 0 for female, 1 for male): politician_ids[i] are
+    the politicians of that gender it features and headline_mention[i]
+    says whether one is named in the headline. An article featuring both
+    genders is two instances over one text. Indexing gives instance i as
+    a LabeledInstance.
     """
 
     article_ids: tuple[str, ...]
@@ -110,6 +113,7 @@ class Instances(Sequence[LabeledInstance]):
     y: np.ndarray
     politician_ids: tuple[tuple[str, ...], ...]
     headline_mention: np.ndarray
+    mention_sentences: np.ndarray
 
     def __len__(self) -> int:
         return len(self.article)

@@ -3,7 +3,9 @@
 Covers the read-only analyses that follow classification: ranking the
 features a linear model found most discriminative for each gender,
 keyword-in-context concordance extraction, and mention-rate statistics
-normalized by years in office.
+normalized by years in office. Queries read a corpus pass, the
+`corpus.Instances` that labeling builds too, over masked or raw text:
+an article belongs to the group of each gender it has an instance of.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import preprocess
+from .corpus import GENDERS, Instances
 from .features import FeatureSpace
 from .learn import LinearModel
-from .preprocess import MARKER_SURFACES, TokenStream
+from .preprocess import MARKER_SURFACES
 
 DEFAULT_KWIC_WINDOW = 8
 
@@ -32,17 +35,6 @@ class RankedFeatures:
     female: tuple[tuple[str, str, float], ...]
     male: tuple[tuple[str, str, float], ...]
     k: int
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class DocViews:
-    """One corpus pass prepared for querying: its stream (one text per article), each article's id and
-    groups (groups[gender][i]: article i features the gender), and per sentence whether it mentions a politician."""
-
-    article_ids: tuple[str, ...]
-    stream: TokenStream
-    groups: dict[str, np.ndarray]
-    mention_sentences: np.ndarray
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,7 +95,7 @@ def normalize_query(term: str, stem: bool = False) -> str:
     """Single-token surface for a query term, via the pipeline tokenizer.
 
     Marker surfaces (NAMEFORM_*) pass through verbatim so masked streams
-    can be queried for them. Pass stem when the views searched were stemmed.
+    can be queried for them. Pass stem when the pass searched was stemmed.
     """
     if term in MARKER_SURFACES:
         return term
@@ -115,20 +107,26 @@ def normalize_query(term: str, stem: bool = False) -> str:
     return (preprocess.stem(stream) if stem else stream).tokens[0]
 
 
-def _hits(views: DocViews, surface: str, group: str | None, cooccur: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _hits(instances: Instances, surface: str, group: str | None,
+          cooccur: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Stream positions of the surface in articles of the group (None: all), in sentences
     that mention a politician when cooccur, and the index of each one's article."""
-    stream = views.stream
+    stream = instances.stream
     hits = np.flatnonzero(stream.ids == stream.vocab.index.get(surface, -1))
     article = np.searchsorted(stream.bounds, hits, side="right") - 1
-    keep = np.ones(len(hits), bool) if group is None else views.groups[group][article]
+    if group is None:
+        keep = np.ones(len(hits), bool)
+    else:
+        # an article is in the group when it has an instance of the group's gender
+        keep = np.bincount(instances.article[instances.y == GENDERS.index(group)],
+                           minlength=len(instances.article_ids))[article] > 0
     if cooccur:
-        keep &= views.mention_sentences[preprocess.sentence_ids(stream, hits)]
+        keep &= instances.mention_sentences[preprocess.sentence_ids(stream, hits)]
     return hits[keep], article[keep]
 
 
 def kwic(
-    views: DocViews,
+    instances: Instances,
     term: str,
     window: int = DEFAULT_KWIC_WINDOW,
     *,
@@ -141,30 +139,31 @@ def kwic(
     Context never crosses article boundaries: it is truncated at the ends of
     the article's text, and positions count from its start. With require_cooccurrence,
     only hits in sentences that mention a politician are returned. Lines come back
-    ordered by (article id, token position). Pass stem when the views were stemmed.
+    ordered by (article id, token position). Pass stem when the pass was stemmed.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     surface = normalize_query(term, stem)
-    hits, article = _hits(views, surface, group, require_cooccurrence)
+    hits, article = _hits(instances, surface, group, require_cooccurrence)
     # hits run in stream order, so a stable sort on the article id keeps each article's in position order
-    order = np.argsort(np.array(views.article_ids)[article], kind="stable")
+    order = np.argsort(np.array(instances.article_ids)[article], kind="stable")
     hits, article = hits[order], article[order]
-    ids, surfaces, bounds = views.stream.ids, views.stream.vocab.surfaces.__getitem__, views.stream.bounds
-    return [ConcordanceLine(views.article_ids[a], i - start, tuple(map(surfaces, ids[left:i].tolist())), surface,
+    stream = instances.stream
+    ids, surfaces, bounds = stream.ids, stream.vocab.surfaces.__getitem__, stream.bounds
+    return [ConcordanceLine(instances.article_ids[a], i - start, tuple(map(surfaces, ids[left:i].tolist())), surface,
                             tuple(map(surfaces, ids[i + 1:right].tolist())))
             for a, i, start, left, right in zip(article.tolist(), hits.tolist(), bounds[article].tolist(),
                                                 np.maximum(bounds[article], hits - window).tolist(),
                                                 np.minimum(bounds[article + 1], hits + 1 + window).tolist())]
 
 
-def term_count(views: DocViews, term: str, group: str | None = None, *, stem: bool = False) -> int:
+def term_count(instances: Instances, term: str, group: str | None = None, *, stem: bool = False) -> int:
     """Occurrences of the term in articles belonging to the group.
 
     An article in both groups counts toward both; group None counts all
-    articles. Pass stem when the views were stemmed.
+    articles. Pass stem when the pass was stemmed.
     """
-    return len(_hits(views, normalize_query(term, stem), group)[0])
+    return len(_hits(instances, normalize_query(term, stem), group)[0])
 
 
 def rate_ratio(a: RateStat, b: RateStat) -> RateRatio:

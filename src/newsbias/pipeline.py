@@ -1,11 +1,11 @@
-"""High-level wiring: articles + registry -> instances -> datasets/views.
+"""High-level wiring: articles + registry -> one corpus pass -> datasets.
 
 These helpers chain the lower modules in the canonical order so that
 the CLI, the demos, and tests all agree on how a corpus is prepared.
-The masking chain (mask and drop stopwords in one pass, then stem)
-lives in one place here, so labeled instances and masked query views
-hold the same stream, and a dataset's CSR is counted from that stream
-in one pass.
+One builder makes the corpus pass that labeling, classification, kwic
+and stats all read, over masked or raw text. The masking chain (mask
+and drop stopwords in one pass, then stem) lives in one place here, and
+a dataset's CSR is counted from the masked stream in one pass.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from . import corpus, features, preprocess
 from .corpus import GENDERS, Article, Instances, PoliticianRecord
 from .errors import ConfigError, DataError
 from .features import FeatureSpace, LexiconSet, PosLexicon
-from .interpret import DocViews
 from .learn import CSR, Dataset
 from .preprocess import DEFAULT_GENDERED_SIGNALS, TokenStream
 
@@ -68,30 +67,44 @@ def build_instances(
     articles: Sequence[Article],
     registry: Sequence[PoliticianRecord],
     *,
+    masked: bool = True,
     signals: frozenset[str] = DEFAULT_GENDERED_SIGNALS,
     stoplist: frozenset[str] | None = None,
     apply_stem: bool = False,
     date_from: datetime.date | None = None,
     date_to: datetime.date | None = None,
 ) -> Instances:
-    """One instance per (article in the date window, gender with >=1 matched politician).
+    """One corpus pass over the articles in the date window, with one instance per
+    (article, gender with >=1 matched politician).
 
     An article featuring both genders yields two instances sharing the
-    same masked text; an article featuring none yields nothing. All
-    matched mentions are masked regardless of gender, so the text never
-    reveals the label through names, and the text is identical across
-    a pair of instances.
+    same text; an article featuring none yields nothing. The masked
+    stream is what the classifiers see: all matched mentions are masked
+    regardless of gender, so the text never reveals the label through
+    names, and the text is identical across a pair of instances. A raw
+    pass keeps the original tokens (names, pronouns and all) for corpus
+    analyses, so it ignores the stoplist and stemming settings; its
+    instances are the masked pass's.
     """
     scan = corpus.scan_corpus(filter_by_date(articles, date_from, date_to), registry)
+    if masked:
+        stream = _masked_stream(scan, signals, stoplist, apply_stem)
+        mentions = np.flatnonzero(stream.ids < len(preprocess.FORMS))
+    else:
+        stream, mentions = scan.stream, scan.mentions[:, 0]
     article, gender, politician, headline = _featured(scan, registry)
     # an instance per (article, gender): the run of rows that share both
     first = np.flatnonzero(np.diff(article * 2 + gender, prepend=-1))
     ids = [scan.politicians[p] for p in politician.tolist()]
     cuts = [*first.tolist(), len(ids)]
-    return Instances(tuple(art.id for art in scan.articles), tuple(art.section for art in scan.articles),
-                     _masked_stream(scan, signals, stoplist, apply_stem), article[first], gender[first].astype(np.int8),
-                     tuple(tuple(ids[a:b]) for a, b in zip(cuts, cuts[1:])),
-                     np.logical_or.reduceat(headline, first))
+    return Instances(tuple(art.id for art in scan.articles), tuple(art.section for art in scan.articles), stream,
+                     article[first], gender[first].astype(np.int8),
+                     tuple(tuple(ids[a:b]) for a, b in zip(cuts, cuts[1:])), np.logical_or.reduceat(headline, first),
+                     preprocess.sentences_holding(stream, mentions))
+
+
+# kwic and stats build their pass under this name, which the benchmark's tracer times apart from label's
+build_doc_views = build_instances
 
 
 def build_dataset(
@@ -145,32 +158,3 @@ def build_dataset(
     data = np.broadcast_to(1.0, len(positions)) if representation == "boolean" else data[positions]
     csr = CSR(np.concatenate(([0], np.cumsum(lengths))), column[positions], data, representation)
     return Dataset(csr, instances.y, space, np.arange(n_docs)), space
-
-
-def build_doc_views(
-    articles: Sequence[Article],
-    registry: Sequence[PoliticianRecord],
-    *,
-    masked: bool = True,
-    signals: frozenset[str] = DEFAULT_GENDERED_SIGNALS,
-    stoplist: frozenset[str] | None = None,
-    apply_stem: bool = False,
-) -> DocViews:
-    """Query views of the articles over masked or raw token streams, in one pass.
-
-    Masked views show exactly what the classifiers saw; raw views keep
-    the original tokens (names, pronouns and all) for corpus analyses,
-    so they ignore the stoplist and stemming settings.
-    An article belongs to the group of each gender it features.
-    """
-    scan = corpus.scan_corpus(articles, registry)
-    if masked:
-        stream = _masked_stream(scan, signals, stoplist, apply_stem)
-        mentions = np.flatnonzero(stream.ids < len(preprocess.FORMS))
-    else:
-        stream, mentions = scan.stream, scan.mentions[:, 0]
-    article, gender, _, _ = _featured(scan, registry)
-    return DocViews(tuple(art.id for art in scan.articles), stream,
-                    {name: np.bincount(article[gender == label], minlength=len(scan.articles)) > 0
-                     for label, name in enumerate(GENDERS)},
-                    preprocess.sentences_holding(stream, mentions))

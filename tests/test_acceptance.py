@@ -281,11 +281,11 @@ def test_criterion_09_kwic_brute_force():
     articles, registry = synth.generate_corpus(
         50, seed=17, planted=(synth.PlantedTerm("budget", 0.05, 0.05),)
     )
-    views = pipeline.build_doc_views(articles, registry, masked=False)
+    raw = pipeline.build_instances(articles, registry, masked=False)
     window = 6
-    got = interpret.kwic(views, "budget", window=window)
+    got = interpret.kwic(raw, "budget", window=window)
     expected = []
-    for article_id, text in sorted(zip(views.article_ids, views.stream.texts()), key=lambda d: d[0]):
+    for article_id, text in sorted(zip(raw.article_ids, raw.stream.texts()), key=lambda d: d[0]):
         surfaces = text.tokens
         for i, s in enumerate(surfaces):
             if s == "budget":

@@ -471,6 +471,28 @@ def test_stats_half_open_window_counts_years_from_date_from(tmp_path):
         assert float(rows[group]["years"]) == pytest.approx(2.16, abs=0.005)
 
 
+@pytest.mark.parametrize("key, value", [("date_from", "2030-01-01"), ("date_from", "2006-03-01"),
+                                        ("date_to", "1990-01-01"), ("date_to", "1994-01-01")],
+                         ids=["from-after", "from-at-end", "to-before", "to-at-start"])
+def test_stats_window_past_the_registry_is_a_data_error(tmp_path, capsys, key, value):
+    # the one side set leaves no time in office between it and the registry's bound on the other side
+    registry_path = tmp_path / "registry.json"
+    write_registry(registry_path, [
+        politician("f1", "female", "Mary", "Keane", terms=[("health", "1994-01-01", "2006-03-01")]),
+        politician("m1", "male", "Brian", "Dunne", terms=[("finance", "1995-01-01", "2001-03-01")]),
+    ])
+    articles_path = tmp_path / "articles.jsonl"
+    write_articles(articles_path, [article_row("f", "Mary Keane spoke. husband.", date="2005-05-01")])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"paths": {"articles": str(articles_path), "registry": str(registry_path)},
+                                  "pipeline": {key: value}}))
+    out = tmp_path / "stats"
+    assert run("stats", "--config", str(config), "--out", str(out), "--term", "husband") == 2
+    err = capsys.readouterr().err
+    assert f"pipeline.{key} {value}" in err and "1994-01-01 to 2006-03-01" in err
+    assert not out.exists()
+
+
 # --- queries against stemmed views ---
 
 @pytest.fixture

@@ -14,6 +14,7 @@ from newsbias import corpus, pipeline, preprocess
 from newsbias.errors import DataError
 from newsbias.preprocess import MARKER, kind_of
 
+import util
 from util import article_row, days_after, politician, write_articles, write_registry
 
 
@@ -348,10 +349,10 @@ def test_a_mention_lies_inside_its_headline_or_its_body(tmp_path):
     assert [(s.start, s.end, s.form) for s in got[0].spans] == [(2, 3, "given"), (3, 4, "surname")]
     assert got[0].headline_mention is True
     # each text keeps its own marker, in its own sentence
-    views = pipeline.build_doc_views([art], registry)
-    assert views.article_ids == ("a1",)
-    assert views.stream.tokens == ("talks", "with", "NAMEFORM_GIVEN", "NAMEFORM_SURNAME", "said", "no", ".")
-    assert views.stream.sentence_spans == ((0, 3), (3, 7)) and views.mention_sentences.tolist() == [True, True]
+    masked = pipeline.build_instances([art], registry)
+    assert masked.article_ids == ("a1",)
+    assert masked.stream.tokens == ("talks", "with", "NAMEFORM_GIVEN", "NAMEFORM_SURNAME", "said", "no", ".")
+    assert masked.stream.sentence_spans == ((0, 3), (3, 7)) and masked.mention_sentences.tolist() == [True, True]
 
 
 def test_label_keeps_section(registry_file):
@@ -464,28 +465,6 @@ def test_years_bad_window():
 NAME_POOL = ["Ann", "Lee", "May", "Rose", "Kay"]
 
 
-def ref_scan(registry, surfaces):
-    # leftmost-longest over every position, as the scan ran before the gate
-    entries = {}
-    for record in registry:
-        for tt, form in corpus.name_variants(record):
-            entries.setdefault(tt, []).append((record.id, form))
-    for owners in entries.values():
-        owners.sort()
-    max_len = max(map(len, entries))
-    out, i, n = [], 0, len(surfaces)
-    while i < n:
-        for length in range(min(max_len, n - i), 0, -1):
-            owners = entries.get(tuple(surfaces[i : i + length]))
-            if owners:
-                out.append((i, i + length, owners))
-                i += length
-                break
-        else:
-            i += 1
-    return out
-
-
 @st.composite
 def registries_and_surfaces(draw):
     # names from one small pool, so a given name is often another's surname
@@ -516,4 +495,4 @@ def test_gated_scan_equals_ungated_reference(case):
     politicians, mentions, owners = corpus._scan_mentions(registry, stream)
     got = [(start, end, [(politicians[p], preprocess.FORMS[f]) for m, p, f in owners.tolist() if m == row])
            for row, (_, start, end, _) in enumerate(mentions.tolist())]
-    assert got == ref_scan(registry, surfaces)
+    assert got == util.ref_scan(registry, surfaces)

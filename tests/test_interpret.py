@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 import util
 from util import make_space
 from newsbias import corpus, pipeline, synth
-from newsbias.corpus import GENDERS
+from newsbias.corpus import GENDERS, Instances
 from newsbias.interpret import (
-    DocViews,
     RateRatio,
     RateStat,
     kwic,
@@ -98,33 +97,37 @@ def test_rank_lists_disjoint():
 # --- kwic ---
 
 def doc(article_id, text, groups=(), mention_sentences=()):
-    """One article of views_of(): its id, its text, its groups and the indices of
+    """One article of pass_of(): its id, its text, its groups and the indices of
     its sentences that mention a politician."""
     return article_id, text, frozenset(groups), frozenset(mention_sentences)
 
 
-def views_of(*docs):
-    """One-pass query views over the docs, their texts tokenized and split together."""
+def pass_of(*docs):
+    """One corpus pass over the docs, their texts tokenized and split together, with
+    an instance per doc and group that names no politician."""
     ids, texts, groups, mentions = zip(*docs)
     stream = split_sentences(tokenize(list(texts)))
     first = np.searchsorted(stream.ends, stream.bounds[:-1], side="right")
     held = np.zeros(len(stream.ends), bool)
     held[[f + s for f, sentences in zip(first.tolist(), mentions) for s in sentences]] = True
-    return DocViews(ids, stream, {g: np.array([g in gs for gs in groups], bool) for g in GENDERS}, held)
+    rows = [(a, y) for a, gs in enumerate(groups) for y, g in enumerate(GENDERS) if g in gs]
+    article, y = np.array(rows, np.int64).reshape(-1, 2).T
+    return Instances(ids, ("news",) * len(ids), stream, article, y.astype(np.int8), ((),) * len(rows),
+                     np.zeros(len(rows), bool), held)
 
 
 def test_kwic_term_at_start_empty_left():
-    lines = kwic(views_of(doc("a1", "budget cuts loom")), "budget", window=4)
+    lines = kwic(pass_of(doc("a1", "budget cuts loom")), "budget", window=4)
     assert len(lines) == 1
     assert lines[0].left == () and lines[0].right == ("cuts", "loom")
 
 
 def test_kwic_absent_term():
-    assert kwic(views_of(doc("a1", "nothing here")), "budget") == []
+    assert kwic(pass_of(doc("a1", "nothing here")), "budget") == []
 
 
 def test_kwic_orders_by_article_then_position():
-    docs = views_of(doc("b", "budget twice budget"), doc("a", "one budget"))
+    docs = pass_of(doc("b", "budget twice budget"), doc("a", "one budget"))
     lines = kwic(docs, "budget", window=2)
     assert [(l.article_id, l.position) for l in lines] == [("a", 1), ("b", 0), ("b", 2)]
     # context stops at the article's own bounds
@@ -132,7 +135,7 @@ def test_kwic_orders_by_article_then_position():
 
 
 def test_kwic_group_filter():
-    docs = views_of(
+    docs = pass_of(
         doc("a1", "the budget speech", groups={"female"}),
         doc("a2", "a budget row", groups={"male"}),
         doc("a3", "budget again", groups={"female", "male"}),
@@ -142,7 +145,7 @@ def test_kwic_group_filter():
 
 
 def test_kwic_cooccurrence_restricts_to_mention_sentences():
-    docs = views_of(
+    docs = pass_of(
         doc("a0", "budget. budget!", mention_sentences={0}),
         doc("a1", "the budget passed. Keane disputed the budget loudly.", mention_sentences={1}),
     )
@@ -152,18 +155,18 @@ def test_kwic_cooccurrence_restricts_to_mention_sentences():
 
 def test_kwic_multi_token_query_rejected():
     with pytest.raises(ValueError, match="phrase"):
-        kwic(views_of(doc("a1", "x")), "mary harney")
+        kwic(pass_of(doc("a1", "x")), "mary harney")
 
 
 def test_kwic_window_validation():
     with pytest.raises(ValueError):
-        kwic(views_of(doc("a1", "x")), "x", window=0)
+        kwic(pass_of(doc("a1", "x")), "x", window=0)
 
 
 def test_kwic_marker_query_over_masked_views():
     arts, reg = synth.generate_corpus(20, seed=3)
-    views = pipeline.build_doc_views(arts, reg, masked=True)
-    lines = kwic(views, "NAMEFORM_FULL", window=3)
+    instances = pipeline.build_instances(arts, reg, masked=True)
+    lines = kwic(instances, "NAMEFORM_FULL", window=3)
     assert lines, "synthetic corpus should contain full-name mentions"
     assert all(l.keyword == "NAMEFORM_FULL" for l in lines)
 
@@ -173,11 +176,11 @@ def test_kwic_matches_brute_force_scan():
     arts, reg = synth.generate_corpus(
         50, seed=17, planted=(synth.PlantedTerm("budget", 0.05, 0.05),)
     )
-    views = pipeline.build_doc_views(arts, reg, masked=False)
+    instances = pipeline.build_instances(arts, reg, masked=False)
     window = 5
-    lines = kwic(views, "budget", window=window)
+    lines = kwic(instances, "budget", window=window)
     expected = []
-    for article_id, text in sorted(zip(views.article_ids, views.stream.texts()), key=lambda doc: doc[0]):
+    for article_id, text in sorted(zip(instances.article_ids, instances.stream.texts()), key=lambda doc: doc[0]):
         surfaces = text.tokens
         for i, s in enumerate(surfaces):
             if s == "budget":
@@ -190,14 +193,14 @@ def test_kwic_matches_brute_force_scan():
                     )
                 )
     assert [(l.article_id, l.position, l.left, l.right) for l in lines] == expected
-    assert len(lines) == term_count(views, "budget")
+    assert len(lines) == term_count(instances, "budget")
 
 
 def test_kwic_line_reconstructs_contiguous_slice():
     arts, reg = synth.generate_corpus(10, seed=23)
-    views = pipeline.build_doc_views(arts, reg, masked=True)
-    by_id = dict(zip(views.article_ids, views.stream.texts()))
-    for line in kwic(views, "NAMEFORM_SURNAME", window=4):
+    instances = pipeline.build_instances(arts, reg, masked=True)
+    by_id = dict(zip(instances.article_ids, instances.stream.texts()))
+    for line in kwic(instances, "NAMEFORM_SURNAME", window=4):
         surfaces = by_id[line.article_id].tokens
         start = line.position - len(line.left)
         end = line.position + 1 + len(line.right)
@@ -208,10 +211,10 @@ def test_kwic_additive_over_disjoint_doc_sets():
     arts, reg = synth.generate_corpus(
         30, seed=29, planted=(synth.PlantedTerm("budget", 0.05, 0.05),)
     )
-    whole = kwic(pipeline.build_doc_views(arts, reg, masked=False), "budget")
+    whole = kwic(pipeline.build_instances(arts, reg, masked=False), "budget")
     # two disjoint article sets, interleaved, each its own corpus pass
     parts = [line for half in (arts[::2], arts[1::2])
-             for line in kwic(pipeline.build_doc_views(half, reg, masked=False), "budget")]
+             for line in kwic(pipeline.build_instances(half, reg, masked=False), "budget")]
     assert whole and sorted(parts, key=lambda l: (l.article_id, l.position)) == whole
 
 
@@ -241,27 +244,27 @@ def query_corpora(draw):
        st.sampled_from(QUERIES))
 def test_one_pass_kwic_and_term_count_equal_the_per_article_loop(case, masked, group, cooccur, window, term):
     articles, registry = case
-    views = pipeline.build_doc_views(articles, registry, masked=masked)
-    lines = kwic(views, term, window, group=group, require_cooccurrence=cooccur)
+    instances = pipeline.build_instances(articles, registry, masked=masked)
+    lines = kwic(instances, term, window, group=group, require_cooccurrence=cooccur)
     assert [(l.article_id, l.position, l.left, l.keyword, l.right) for l in lines] == util.ref_kwic(
-        views, term, window, group, cooccur)
-    assert term_count(views, term, group) == util.ref_term_count(views, term, group)
+        instances, term, window, group, cooccur)
+    assert term_count(instances, term, group) == util.ref_term_count(instances, term, group)
 
 
 # --- term_count ---
 
 def test_term_count_both_groups_counts_twice():
-    docs = views_of(doc("a1", "family matters for family", groups={"female", "male"}))
+    docs = pass_of(doc("a1", "family matters for family", groups={"female", "male"}))
     assert term_count(docs, "family", "female") == 2
     assert term_count(docs, "family", "male") == 2
 
 
 def test_term_count_absent_zero():
-    assert term_count(views_of(doc("a1", "x y z")), "budget", "female") == 0
+    assert term_count(pass_of(doc("a1", "x y z")), "budget", "female") == 0
 
 
 def test_term_count_equals_kwic_length():
-    docs = views_of(
+    docs = pass_of(
         doc("a1", "one budget here", groups={"female"}),
         doc("a2", "budget and budget", groups={"female"}),
         doc("a3", "budget", groups={"male"}),

@@ -1,4 +1,4 @@
-"""End-to-end wiring helpers: date filtering, datasets, query views."""
+"""End-to-end wiring helpers: date filtering, corpus passes, datasets."""
 
 from __future__ import annotations
 
@@ -74,7 +74,14 @@ def test_sentence_window_dataset_is_smaller(small_corpus):
     assert all(s[t] <= a[t] for a, s in zip(article_terms, sentence_terms) for t in s)
 
 
+def columns(instances) -> tuple:
+    """What a corpus pass says of its articles and instances, whatever its stream."""
+    return (instances.article_ids, instances.sections, instances.article.tolist(), instances.y.tolist(),
+            instances.politician_ids, instances.headline_mention.tolist())
+
+
 def test_doc_views_masked_vs_raw(small_corpus):
+    # the passes kwic and stats query, built under the name they call
     articles, registry = small_corpus
     masked = pipeline.build_doc_views(articles, registry, masked=True)
     raw = pipeline.build_doc_views(articles, registry, masked=False)
@@ -82,20 +89,33 @@ def test_doc_views_masked_vs_raw(small_corpus):
     assert any(kind_of(t) == MARKER for t in masked.stream.tokens)
     assert not any(t in surnames for t in masked.stream.tokens)
     assert any(t in surnames for t in raw.stream.tokens)
-    # one text per article, and groups identical regardless of the stream flavour
+    # one text per article, and every synthetic article features someone
     assert masked.article_ids == raw.article_ids == tuple(a.id for a in articles)
     assert len(masked.stream.bounds) == len(raw.stream.bounds) == len(articles) + 1
-    assert masked.groups.keys() == raw.groups.keys() == set(corpus.GENDERS)
-    assert all(masked.groups[g].tolist() == raw.groups[g].tolist() for g in corpus.GENDERS)
-    assert all(masked.groups["female"] | masked.groups["male"])  # every synthetic article features someone
+    assert set(masked.article.tolist()) == set(range(len(articles)))
+
+
+@pytest.mark.parametrize("stoplist", [None, frozenset({"the", "a", "of", "and", "to", "in", "said"})])
+@pytest.mark.parametrize("apply_stem", [False, True])
+def test_raw_and_masked_passes_hold_the_same_instances(small_corpus, stoplist, apply_stem):
+    articles, registry = small_corpus
+    opts = {"stoplist": stoplist, "apply_stem": apply_stem, "date_from": datetime.date(2003, 1, 1)}
+    # kwic and stats build their pass under the other name, and it is the same builder
+    assert pipeline.build_doc_views is pipeline.build_instances
+    raw = pipeline.build_instances(articles, registry, masked=False, **opts)
+    masked = pipeline.build_instances(articles, registry, masked=True, **opts)
+    instances = pipeline.build_instances(pipeline.filter_by_date(articles, opts["date_from"]), registry)
+    assert len(instances) and columns(raw) == columns(masked) == columns(instances)
 
 
 def test_doc_views_mention_sentences_nonempty(small_corpus):
     articles, registry = small_corpus
-    views = pipeline.build_doc_views(articles, registry, masked=True)
-    assert views.mention_sentences.dtype == bool and len(views.mention_sentences) == len(views.stream.ends)
-    cuts = np.searchsorted(views.stream.ends, views.stream.bounds, side="right").tolist()
-    assert all(views.mention_sentences[a:b].any() for a, b in zip(cuts, cuts[1:]))
+    for masked in (True, False):
+        views = pipeline.build_doc_views(articles, registry, masked=masked)
+        held = views.mention_sentences
+        assert held.dtype == bool and len(held) == len(views.stream.ends)
+        cuts = np.searchsorted(views.stream.ends, views.stream.bounds, side="right").tolist()
+        assert all(held[a:b].any() for a, b in zip(cuts, cuts[1:]))
 
 
 def test_build_dataset_min_df_too_high(small_corpus):
@@ -111,6 +131,7 @@ def test_instances_and_views_share_one_prepared_stream(small_corpus, stoplist, a
     articles, registry = small_corpus
     opts = {"stoplist": stoplist, "apply_stem": apply_stem}
     instances = pipeline.build_instances(articles, registry, **opts)
+    # the passes kwic and stats query, built apart under the name they call
     masked = {aid: (text, mentions) for aid, text, _, mentions
               in util.per_article(pipeline.build_doc_views(articles, registry, masked=True, **opts))}
     raw = pipeline.build_doc_views(articles, registry, masked=False, **opts)
@@ -120,13 +141,13 @@ def test_instances_and_views_share_one_prepared_stream(small_corpus, stoplist, a
     for inst in instances:
         text, mentions = masked[inst.article_id]
         assert text == inst.stream
-        # the sentence window reads exactly the sentences the views mark as mentions
+        # the sentence window reads exactly the sentences the pass marks as mentions
         spans = text.sentence_spans
         surfaces = inst.stream.vocab.surfaces
         assert [surfaces[i] for i in inst.stream.ids[features._window_mask(inst.stream, "sentence")]] == [
             tok for s in sorted(mentions) for tok in text.tokens[slice(*spans[s])]
         ]
-    # raw views are the scanned text, whatever the stoplist and stemming settings
+    # a raw pass holds the scanned text, whatever the stoplist and stemming settings
     assert raw.stream == scans.stream
 
 
@@ -186,9 +207,10 @@ def test_batch_front_end_equals_the_token_by_token_reference(case):
                 for m in corpus.match_politicians(scan.article, registry)} == ref["matches"]
 
     opts = {"signals": signals, "stoplist": stoplist, "apply_stem": apply_stem}
-    raw = pipeline.build_doc_views(articles, registry, masked=False, **opts)
-    masked = pipeline.build_doc_views(articles, registry, masked=True, **opts)
+    raw = pipeline.build_instances(articles, registry, masked=False, **opts)
+    masked = pipeline.build_instances(articles, registry, masked=True, **opts)
     instances = pipeline.build_instances(articles, registry, **opts)
+    assert columns(raw) == columns(masked) == columns(instances)
     gender_of = {r.id: r.gender for r in registry}
     for article, ref, raw_view, masked_view in zip(articles, refs, util.per_article(raw), util.per_article(masked),
                                                    strict=True):
@@ -289,15 +311,11 @@ def test_pass_path_makes_no_per_mention_objects(small_corpus, monkeypatch):
     articles, registry = small_corpus
 
     def build_all():
-        instances = pipeline.build_instances(articles, registry)
-        columns = (instances.article_ids, instances.sections, instances.stream, instances.article.tolist(),
-                   instances.y.tolist(), instances.politician_ids, instances.headline_mention.tolist())
-        views = [pipeline.build_doc_views(articles, registry, masked=masked) for masked in (True, False)]
-        return columns, [(v.article_ids, v.stream, {g: a.tolist() for g, a in v.groups.items()},
-                          v.mention_sentences.tolist()) for v in views]
+        return [(columns(p), p.stream, p.mention_sentences.tolist())
+                for p in (pipeline.build_instances(articles, registry, masked=masked) for masked in (True, False))]
 
     want = build_all()
-    assert want[0][5] and any(want[0][6]) and all(any(map(any, v[2].values())) for v in want[1])
+    assert all(c[4] and any(c[5]) and any(held) for c, _, held in want)
 
     def refuse(*args, **kwargs):
         raise AssertionError("per-mention objects on the pass path")

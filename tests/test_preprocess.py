@@ -383,9 +383,9 @@ def test_passes_do_not_share_a_vocabulary_and_ids_never_change():
     assert later.vocab is vocab and later.tokens == ("minist", "spoke", ";", "husband", "too", ".")
     # each pass of the pipeline makes its own vocabulary, shared by the streams it makes
     articles, registry = synth.generate_corpus(20, seed=5)
-    views = pipeline.build_doc_views(articles, registry, masked=False)
+    raw = pipeline.build_instances(articles, registry, masked=False)
     instances = pipeline.build_instances(articles, registry)
-    vocabs = {id(views.stream.vocab)}, {id(i.stream.vocab) for i in instances}
+    vocabs = {id(raw.stream.vocab)}, {id(i.stream.vocab) for i in instances}
     assert [len(found) for found in vocabs] == [1, 1] and not vocabs[0] & vocabs[1]
 
 

@@ -14,7 +14,7 @@ from newsbias import features
 from newsbias.corpus import GENDERS, MALE, Instances
 from newsbias.features import FeatureSpace, FeatureVector
 from newsbias.learn import CSR, Dataset
-from newsbias.preprocess import TokenStream, Vocab
+from newsbias.preprocess import FORMS, TokenStream, Vocab, sentences_holding
 
 
 def make_space(n: int, kind: str = "unigram", n_docs: int = 10) -> FeatureSpace:
@@ -104,7 +104,8 @@ def from_terms(terms, space: FeatureSpace, representation: str) -> CSR:
 
 def instances_of(labeled) -> Instances:
     """Labeled instances as one corpus pass, each over an article of its own: their
-    streams laid end to end over one vocabulary, with their sentences."""
+    streams laid end to end over one vocabulary, with their sentences, of which
+    those holding a marker mention a politician."""
     vocab = Vocab()
     texts = [np.fromiter(map(vocab.id, inst.stream.tokens), np.int32, len(inst.stream)) for inst in labeled]
     bounds = np.concatenate(([0], np.cumsum([len(text) for text in texts], dtype=np.int64)))
@@ -114,7 +115,8 @@ def instances_of(labeled) -> Instances:
     return Instances(tuple(inst.article_id for inst in labeled), tuple(inst.section for inst in labeled), stream,
                      np.arange(len(labeled)), np.array([GENDERS.index(inst.label) for inst in labeled], np.int8),
                      tuple(inst.politician_ids for inst in labeled),
-                     np.array([inst.headline_mention for inst in labeled], bool))
+                     np.array([inst.headline_mention for inst in labeled], bool),
+                     sentences_holding(stream, np.flatnonzero(stream.ids < len(FORMS))))
 
 
 def write_articles(path, rows) -> None:
@@ -276,14 +278,17 @@ def ref_mask(tokens, spans, mentions, dropped, apply_stem: bool):
 
 # --- queries article by article: the reference the one-pass kwic and term_count equal ---
 
-def per_article(views) -> list[tuple]:
-    """Each article of one-pass query views as (article id, its own stream, its
-    groups, the indices of its sentences that mention a politician)."""
-    stream = views.stream
+def per_article(instances: Instances) -> list[tuple]:
+    """Each article of a corpus pass as (article id, its own stream, the genders
+    it has an instance of, the indices of its sentences that mention a politician)."""
+    stream = instances.stream
     cuts = np.searchsorted(stream.ends, stream.bounds, side="right").tolist()
-    return [(aid, text, frozenset(g for g, member in views.groups.items() if member[i]),
-             frozenset(np.flatnonzero(views.mention_sentences[cuts[i]:cuts[i + 1]]).tolist()))
-            for i, (aid, text) in enumerate(zip(views.article_ids, stream.texts()))]
+    groups = [set() for _ in instances.article_ids]
+    for a, y in zip(instances.article.tolist(), instances.y.tolist()):
+        groups[a].add(GENDERS[y])
+    return [(aid, text, frozenset(groups[i]),
+             frozenset(np.flatnonzero(instances.mention_sentences[cuts[i]:cuts[i + 1]]).tolist()))
+            for i, (aid, text) in enumerate(zip(instances.article_ids, stream.texts()))]
 
 
 def ref_kwic(views, surface: str, window: int, group=None, cooccur: bool = False) -> list[tuple]:
