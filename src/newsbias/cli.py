@@ -66,7 +66,8 @@ SCHEMA = {
     "features.representation": ("boolean", str, features.REPRESENTATIONS),
     "features.min_df": (features.DEFAULT_MIN_DF, int, lambda v: v >= 1),
     "classifier.name": ("svm", str, ("svm",)),
-    "classifier.lam": (learn.DEFAULT_SVM_LAMBDA, float, lambda v: 0 < v < math.inf),
+    # the svm's iterates scale as 1/lam, which must at least be finite
+    "classifier.lam": (learn.DEFAULT_SVM_LAMBDA, float, lambda v: 0 < v < math.inf and 1 / v < math.inf),
     "classifier.epochs": (learn.DEFAULT_SVM_EPOCHS, int, lambda v: v >= 1),
     "classifier.alpha": (learn.DEFAULT_NB_ALPHA, float, lambda v: 0 < v < math.inf),
     "classifier.max_depth": (learn.DEFAULT_TREE_MAX_DEPTH, int, lambda v: v >= 1),

@@ -67,6 +67,8 @@ DEFAULT_TREE_MIN_LEAF = 2
 SVM_GAP_TOLERANCE = 1e-3
 # how far on from the best point, towards the model's minimiser, each new cut is placed
 _CUT_STEP = 0.1
+# the most products one block of a new cut's Gram row multiplies at once: 512 KiB
+_GRAM_BLOCK_CELLS = 1 << 16
 
 # the vector representations each classifier accepts
 ACCEPTS = {"svm": REPRESENTATIONS, "nb-bernoulli": ("boolean",),
@@ -382,56 +384,83 @@ def _cutting_planes(dataset: Dataset, lam: float) -> Iterator[tuple[np.ndarray, 
     Each iteration minimises the cutting-plane model of the hinge loss
     (a small QP over the cuts so far, warm-started), searches the line
     from the best point towards that minimiser exactly, and adds the cut
-    at a point a tenth of the way on from the new best point. That costs
-    one sparse X @ w and one X.T @ v (a bincount) per iteration. Yields,
+    at a point a tenth of the way on from the new best point. Yields,
     per iteration, the best point so far (weights with the bias last),
     its objective, and the QP's dual value: a lower bound on the minimum.
+
+    One iteration costs one X @ w (a gather at the fit's entries, whose
+    ids are widened to intp once per fit, and one reduceat), one X.T @ v
+    (a repeat and one bincount), one sort of at most n breakpoints, the
+    QP, one scaled add per cut the QP keeps and, for the new cut's Gram
+    row, t dot products of length dim + 1, t the cuts so far, multiplied
+    in blocks of at most _GRAM_BLOCK_CELLS. The cuts are rows of one
+    array of DEFAULT_SVM_EPOCHS rows, doubled when full and never sized
+    from an epochs cap; the Gram matrix and offsets grow with it.
     """
     csr, rows = dataset.csr, dataset.rows
     n, dim = len(rows), len(dataset.space)
     entries, lengths = csr.gather(rows)
-    ids = csr.indices[entries]
+    ids = csr.indices[entries].astype(np.intp)
     values = None if csr.representation == "boolean" else csr.data[entries]
     del entries
+    # reduceat's run starts, non-empty rows only: it would hand an empty row its successor's first value
+    nonempty = np.flatnonzero(lengths)
+    starts = (np.cumsum(lengths) - lengths)[nonempty]
     ys = np.where(dataset.y[rows] == 0, 1.0, -1.0)
 
     def margins(w: np.ndarray) -> np.ndarray:
         products = w[ids]
         if values is not None:
             products *= values
-        return ys * (_row_sums(products, lengths) + w[-1])
+        sums = np.zeros(n)
+        if len(nonempty):
+            sums[nonempty] = np.add.reduceat(products, starts)
+        return ys * (sums + w[-1])
 
-    def cut(violated: np.ndarray) -> tuple[np.ndarray, float]:
-        """The mean hinge loss's linear minorant, exact wherever just these rows violate their margins."""
+    def cut(violated: np.ndarray, into: np.ndarray) -> float:
+        """Write into the mean hinge loss's linear minorant, exact wherever just
+        these rows violate their margins, and return its offset."""
         coef = np.where(violated, -ys / n, 0.0)
         per_entry = np.repeat(coef, lengths)
         if values is not None:
             per_entry *= values
-        return np.append(np.bincount(ids, per_entry, dim), coef.sum()), int(violated.sum()) / n
+        into[:-1] = np.bincount(ids, per_entry, dim)
+        into[-1] = coef.sum()
+        return int(violated.sum()) / n
 
+    # row t of cuts is cut t + 1; cut 0 is the loss's floor, zero, which no row
+    # stands for: it keeps the model's minimiser near the data from the first iteration
+    cuts = np.empty((DEFAULT_SVM_EPOCHS, dim + 1))
+    gram, offsets = np.zeros((len(cuts) + 1, len(cuts) + 1)), np.zeros(len(cuts) + 1)
     best, at_best = np.zeros(dim + 1), np.zeros(n)
-    first, offset = cut(at_best < 1)
-    # cut 0 is the loss's floor, zero, which no vector stands for in cuts:
-    # it keeps the model's minimiser near the data from the first iteration
-    cuts, offsets = [first], np.array([0.0, offset])
-    gram, alpha = np.array([[0.0, 0.0], [0.0, _dot(first, first)]]), np.array([0.0, 1.0])
+    offsets[1] = cut(at_best < 1, cuts[0])
+    gram[1, 1] = _dot(cuts[0], cuts[0])
+    alpha, t = np.array([0.0, 1.0]), 1  # t cuts so far besides the floor
+    block = max(1, _GRAM_BLOCK_CELLS // (dim + 1))
     while True:
-        alpha = _simplex_qp(gram, offsets, lam, alpha)
-        model = sum((alpha[t] * cuts[t - 1] for t in np.flatnonzero(alpha) if t), np.zeros(dim + 1))
+        alpha = _simplex_qp(gram[:t + 1, :t + 1], offsets[:t + 1], lam, alpha)
+        model = np.zeros(dim + 1)
+        for i in np.flatnonzero(alpha[1:]):
+            model += alpha[i + 1] * cuts[i]
         model *= -1.0 / lam
-        lower = _dot(alpha, offsets) - 0.5 * _dot(np.outer(alpha, alpha), gram) / lam
+        lower = _dot(alpha, offsets[:t + 1]) - 0.5 * _dot(np.outer(alpha, alpha), gram[:t + 1, :t + 1]) / lam
         at_model = margins(model)
         k = _line_search(lam, best, model - best, at_best, at_model)
         best = best + k * (model - best)
         at_best = at_best + k * (at_model - at_best)
         objective = 0.5 * lam * _dot(best, best) + float(np.maximum(0.0, 1.0 - at_best).sum()) / n
         yield best, objective, lower
-        new, offset = cut((1 - _CUT_STEP) * at_best + _CUT_STEP * at_model < 1)
-        row = np.array([0.0] + [_dot(c, new) for c in cuts])
-        cuts.append(new)
-        offsets = np.append(offsets, offset)
-        gram = np.block([[gram, row[:, None]], [row[None, :], np.array([[_dot(new, new)]])]])
+        if t == len(cuts):
+            cuts = np.concatenate((cuts, np.empty_like(cuts)))
+            gram, offsets = np.pad(gram, (0, t)), np.pad(offsets, (0, t))
+        new = cuts[t]
+        offsets[t + 1] = cut((1 - _CUT_STEP) * at_best + _CUT_STEP * at_model < 1, new)
+        for lo in range(0, t + 1, block):
+            hi = min(lo + block, t + 1)
+            gram[t + 1, lo + 1:hi + 1] = np.multiply(cuts[lo:hi], new).sum(axis=1)
+        gram[1:t + 2, t + 1] = gram[t + 1, 1:t + 2]
         alpha = np.append(alpha, 0.0)
+        t += 1
 
 
 def train_svm(
@@ -448,21 +477,28 @@ def train_svm(
     bound, over the best objective) is at most SVM_GAP_TOLERANCE. Each
     iteration's best point is scored by svm_objective's formula; the
     returned model is the one scoring lowest, and records those scores,
-    the iteration count and the last gap.
+    the iteration count and the last gap. A fit whose iterates overflow,
+    which a tiny lam brings about, raises ConfigError.
     """
-    if lam <= 0 or epochs < 1:
-        raise ConfigError("svm needs lam > 0 and epochs >= 1")
+    if not 0 < lam < math.inf or epochs < 1:
+        raise ConfigError("svm needs a finite lam > 0 and epochs >= 1")
     best: tuple[float, np.ndarray, float] | None = None
     history: list[float] = []
-    for point, objective, lower in _cutting_planes(dataset, lam):
-        bias = float(point[-1])
-        # the documented objective leaves the bias unregularised
-        history.append(objective - 0.5 * lam * bias * bias)
-        if best is None or history[-1] < best[0]:
-            best = (history[-1], point[:-1], bias)
-        gap = (objective - lower) / objective
-        if gap <= SVM_GAP_TOLERANCE or len(history) == epochs:
-            break
+    try:
+        # the iterates scale as 1/lam: where that overflows, no objective or model can be trusted
+        with np.errstate(over="raise", invalid="raise"):
+            for point, objective, lower in _cutting_planes(dataset, lam):
+                bias = float(point[-1])
+                # the documented objective leaves the bias unregularised
+                history.append(objective - 0.5 * lam * bias * bias)
+                if best is None or history[-1] < best[0]:
+                    best = (history[-1], point[:-1], bias)
+                gap = (objective - lower) / objective
+                if gap <= SVM_GAP_TOLERANCE or len(history) == epochs:
+                    break
+    except FloatingPointError:
+        raise ConfigError(f"classifier.lam {lam!r} is too small: the svm fit's iterates "
+                          f"stopped being finite at iteration {len(history) + 1}") from None
     assert best is not None
     return LinearModel(
         weights=best[1],
@@ -843,7 +879,9 @@ def cross_validate(
     per_fold: list[float] = []
     per_fold_fit: list[dict] = []
     for fold_no, test_idx in enumerate(folds):
-        train_ds = dataset.subset(np.setdiff1d(np.arange(len(dataset)), test_idx))
+        train = np.ones(len(dataset), dtype=bool)
+        train[test_idx] = False
+        train_ds = dataset.subset(np.flatnonzero(train))
         if undersample_train:
             train_ds = undersample(train_ds, sub_seeds[1 + 2 * fold_no])
         model = _train_for(classifier, train_ds, params)

@@ -243,6 +243,19 @@ def test_sweep_invalid_combination_named(synth_corpus, tmp_path):
     assert run("sweep", "--config", str(bad), "--out", str(tmp_path / "o")) == 1
 
 
+@pytest.mark.parametrize("lam", [1e-300, 1e-320])
+@pytest.mark.parametrize("command", ["sweep", "rank"])
+def test_lam_too_small_for_a_finite_fit_is_a_config_error(synth_corpus, tmp_path, capsys, command, lam):
+    config = json.loads(Path(synth_corpus).read_text())
+    config["classifier"]["lam"] = lam
+    tiny = Path(synth_corpus).with_name("tiny.json")
+    tiny.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run(command, "--config", str(tiny), "--out", str(out)) == 1
+    assert "classifier.lam" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- rank ---
 
 def test_rank_lists_bounded_by_k(synth_corpus, tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 from newsbias.errors import ConfigError, DataError
 from newsbias.learn import (
+    _GRAM_BLOCK_CELLS,
+    DEFAULT_SVM_EPOCHS,
     SVM_GAP_TOLERANCE,
     _cutting_planes,
     cross_validate,
@@ -28,7 +31,7 @@ from newsbias.learn import (
 )
 from newsbias.rng import Rng
 
-from util import make_dataset, make_vec
+from util import make_dataset, make_vec, ref_cutting_planes
 
 F, M = "female", "male"
 
@@ -290,10 +293,73 @@ def test_svm_lower_bound_never_exceeds_the_objective(problem):
 
 def test_svm_rejects_bad_params():
     ds = separable_dataset()
-    with pytest.raises(ConfigError):
-        train_svm(ds, lam=0.0)
+    for lam in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            train_svm(ds, lam=lam)
     with pytest.raises(ConfigError):
         train_svm(ds, epochs=0)
+
+
+@pytest.mark.parametrize("lam", [1e-300, 1e-320])
+def test_svm_whose_iterates_overflow_names_lam(lam):
+    with pytest.raises(ConfigError, match="classifier.lam"):
+        train_svm(separable_dataset(), lam=lam)
+
+
+def assert_same_iterates(ds, lam, iterations):
+    """The cut store's solver and the list-based reference agree bit for bit."""
+    runs = zip(range(iterations), _cutting_planes(ds, lam), ref_cutting_planes(ds, lam))
+    for _, (point, objective, lower), (ref_point, ref_objective, ref_lower) in runs:
+        assert point.tobytes() == ref_point.tobytes()
+        assert (objective, lower) == (ref_objective, ref_lower)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_problems())
+def test_cutting_planes_equal_the_list_reference(problem):
+    ds, lam, _ = problem
+    assert_same_iterates(ds, lam, 25)
+
+
+@pytest.mark.parametrize("ds", [lambda: random_dataset(400, 60, seed=8),
+                                # a Gram row of several blocks
+                                lambda: count_dataset(300, 5 * _GRAM_BLOCK_CELLS // DEFAULT_SVM_EPOCHS, seed=5)],
+                         ids=["boolean", "count-wide"])
+def test_cutting_planes_equal_the_list_reference_as_the_store_grows(ds):
+    # 61 iterations make 61 cuts: the store of DEFAULT_SVM_EPOCHS rows doubles twice
+    assert 2 * DEFAULT_SVM_EPOCHS < 61
+    assert_same_iterates(ds(), 1e-4, 61)
+
+
+def traced_peak(fit):
+    """fit's result and the most memory it held at once, in bytes, as tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fit()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_svm_cut_store_stays_within_its_bound():
+    # wide enough that a Gram row takes several blocks
+    dim = 20_000
+    ds = random_dataset(200, dim, seed=4)
+    n, nnz = len(ds), len(ds.csr.indices)
+    model, peak = traced_peak(lambda: train_svm(ds, lam=1e-4, epochs=DEFAULT_SVM_EPOCHS))
+    assert model.iterations == DEFAULT_SVM_EPOCHS
+    cut_store = DEFAULT_SVM_EPOCHS * (dim + 1) * 8
+    # besides the store: the Gram row's scratch, a few dense vectors, a few per-entry and per-row arrays
+    assert peak <= cut_store + 8 * (_GRAM_BLOCK_CELLS + 8 * (dim + 1) + 8 * nnz + 8 * n)
+
+
+def test_svm_that_stops_early_reserves_nothing_for_its_epochs_cap():
+    model, peak = traced_peak(lambda: train_svm(separable_dataset(), lam=0.01, epochs=10**6))
+    assert model.iterations < 100
+    # a store sized from the cap would take 24 MB: 10**6 cuts of three floats
+    assert peak < 1 << 16
 
 
 # --- Naive Bayes vs brute-force enumeration ---

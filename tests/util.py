@@ -310,3 +310,55 @@ def ref_kwic(views, surface: str, window: int, group=None, cooccur: bool = False
 
 def ref_term_count(views, surface: str, group=None) -> int:
     return len(ref_kwic(views, surface, 1, group))
+
+
+# --- the svm solver with one array per cut: the reference the one-array cut store equals ---
+
+def ref_cutting_planes(dataset: Dataset, lam: float):
+    """learn._cutting_planes with the cuts held in a list: each Gram row one
+    dot product per cut, the Gram matrix and offsets rebuilt per cut, and the
+    model summed cut by cut from zeros. Yields the same (point, objective,
+    lower) triples."""
+    from newsbias.learn import _CUT_STEP, _dot, _line_search, _row_sums, _simplex_qp
+
+    csr, rows = dataset.csr, dataset.rows
+    n, dim = len(rows), len(dataset.space)
+    entries, lengths = csr.gather(rows)
+    ids = csr.indices[entries]
+    values = None if csr.representation == "boolean" else csr.data[entries]
+    ys = np.where(dataset.y[rows] == 0, 1.0, -1.0)
+
+    def margins(w):
+        products = w[ids]
+        if values is not None:
+            products *= values
+        return ys * (_row_sums(products, lengths) + w[-1])
+
+    def cut(violated):
+        coef = np.where(violated, -ys / n, 0.0)
+        per_entry = np.repeat(coef, lengths)
+        if values is not None:
+            per_entry *= values
+        return np.append(np.bincount(ids, per_entry, dim), coef.sum()), int(violated.sum()) / n
+
+    best, at_best = np.zeros(dim + 1), np.zeros(n)
+    first, offset = cut(at_best < 1)
+    cuts, offsets = [first], np.array([0.0, offset])
+    gram, alpha = np.array([[0.0, 0.0], [0.0, _dot(first, first)]]), np.array([0.0, 1.0])
+    while True:
+        alpha = _simplex_qp(gram, offsets, lam, alpha)
+        model = sum((alpha[t] * cuts[t - 1] for t in np.flatnonzero(alpha) if t), np.zeros(dim + 1))
+        model *= -1.0 / lam
+        lower = _dot(alpha, offsets) - 0.5 * _dot(np.outer(alpha, alpha), gram) / lam
+        at_model = margins(model)
+        k = _line_search(lam, best, model - best, at_best, at_model)
+        best = best + k * (model - best)
+        at_best = at_best + k * (at_model - at_best)
+        objective = 0.5 * lam * _dot(best, best) + float(np.maximum(0.0, 1.0 - at_best).sum()) / n
+        yield best, objective, lower
+        new, offset = cut((1 - _CUT_STEP) * at_best + _CUT_STEP * at_model < 1)
+        row = np.array([0.0] + [_dot(c, new) for c in cuts])
+        cuts.append(new)
+        offsets = np.append(offsets, offset)
+        gram = np.block([[gram, row[:, None]], [row[None, :], np.array([[_dot(new, new)]])]])
+        alpha = np.append(alpha, 0.0)
