@@ -21,12 +21,9 @@ articles, registry = synth.generate_corpus(
 instances = pipeline.build_instances(articles, registry)
 print(f"{len(articles)} articles -> {len(instances)} labeled instances")
 
-dataset_bool, space = pipeline.build_dataset(
-    instances, scheme="unigram", representation="boolean", min_df=3
-)
-dataset_count, _ = pipeline.build_dataset(
-    instances, scheme="unigram", representation="count", min_df=3, space=space
-)
+dataset_bool = pipeline.build_dataset(instances, scheme="unigram", representation="boolean", min_df=3)
+dataset_count = pipeline.build_dataset(instances, scheme="unigram", representation="count", min_df=3)
+space = dataset_bool.space
 print(f"feature space: {len(space)} unigrams, baseline {majority_baseline(dataset_bool):.3f}")
 
 print("\n=== 10-fold cross-validation ===")

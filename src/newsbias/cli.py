@@ -243,9 +243,7 @@ def _load_resources(config: dict, schemes: set[str]):
         for cat, words in lex.categories.items():
             merged.setdefault(cat, set()).update(words)
     if merged:
-        lexicon = features.LexiconSet(
-            name="config", categories={c: frozenset(w) for c, w in merged.items()}
-        )
+        lexicon = features.LexiconSet({c: frozenset(w) for c, w in merged.items()})
     pos_lexicon = None
     if config["paths"]["pos_lexicon"]:
         pos_lexicon = features.load_pos_lexicon(_require_path(config, "pos_lexicon"))
@@ -363,7 +361,6 @@ def cmd_sweep(config: dict) -> int:
 
     rows = []
     reports = []
-    spaces: dict[tuple[str, str], features.FeatureSpace] = {}
     # combinations come grouped by dataset key: keep only the current key's
     # dataset, dropped before the next is built (a key that comes back is rebuilt)
     dataset_key, dataset = None, None
@@ -373,7 +370,7 @@ def cmd_sweep(config: dict) -> int:
             key = (scheme, window, representation)
             if key != dataset_key:
                 dataset = None
-                dataset, space = pipeline.build_dataset(
+                dataset = pipeline.build_dataset(
                     instances,
                     scheme=scheme,
                     window=window,
@@ -381,9 +378,7 @@ def cmd_sweep(config: dict) -> int:
                     min_df=min_df,
                     pos_lexicon=pos_lexicon,
                     lexicon=lexicon,
-                    space=spaces.get((scheme, window)),
                 )
-                spaces[(scheme, window)] = space
                 dataset_key = key
             report = learn.cross_validate(
                 dataset,
@@ -448,7 +443,7 @@ def cmd_rank(config: dict) -> int:
     run = _Run("rank", config)
     lexicon, pos_lexicon = _load_resources(config, {fconf["scheme"]})
     instances = _prepare(config)[-1]
-    dataset, space = pipeline.build_dataset(
+    dataset = pipeline.build_dataset(
         instances,
         scheme=fconf["scheme"],
         window=fconf["window"],
@@ -464,7 +459,7 @@ def cmd_rank(config: dict) -> int:
         dataset = learn.undersample(dataset, config["seed"])
     model = learn.train_svm(dataset, lam=config["classifier"]["lam"], epochs=config["classifier"]["epochs"])
     k = config["interpret"]["k"]
-    ranked = interpret.rank_features(model, space, k)
+    ranked = interpret.rank_features(model, dataset.space, k)
     payload = {
         "k": k,
         "descriptor": f"{fconf['scheme']}/{fconf['window']}/{fconf['representation']}/svm",
@@ -484,24 +479,21 @@ def cmd_rank(config: dict) -> int:
     return 0
 
 
-def _stemmed(terms: list[str], stem: bool) -> dict[str, str]:
+def _stemmed(terms: list[str], instances: corpus.Instances) -> dict[str, str]:
     """Each query the stemmer changes, mapped to the stem searched in its place."""
-    forms = {term: interpret.normalize_query(term, stem=True) for term in terms if stem}
+    forms = {term: interpret.normalize_query(term, stem=True) for term in terms if instances.stemmed}
     return {term: form for term, form in forms.items() if form != interpret.normalize_query(term)}
 
 
 def cmd_kwic(config: dict, term: str, tag: str) -> int:
     run = _Run("kwic", config)
     instances = _prepare(config, query=True)[-1]
-    # a masked pass under pipeline.stem holds stems, and so the query is stemmed
-    stem = config["interpret"]["masked"] and config["pipeline"]["stem"]
     lines = interpret.kwic(
         instances,
         term,
         window=config["interpret"]["kwic_window"],
         group=config["interpret"].get("group"),
         require_cooccurrence=config["interpret"].get("cooccur", False),
-        stem=stem,
     )
     fh, writer = _open_csv(run.path("kwic.csv"))
     with fh:
@@ -513,7 +505,7 @@ def cmd_kwic(config: dict, term: str, tag: str) -> int:
                     " ".join(line.left), line.keyword, " ".join(line.right), tag,
                 ]
             )
-    run.write_manifest(_stemmed([term], stem))
+    run.write_manifest(_stemmed([term], instances))
     print(f"{len(lines)} concordance lines for {term!r}")
     return 0
 
@@ -528,7 +520,6 @@ def cmd_stats(config: dict, terms: list[str], groups: list[str], portfolio: str 
         raise ConfigError(f"--term names a query twice: {','.join(terms)}")
     run = _Run("stats", config)
     registry, opts, instances = _prepare(config, query=True)[1:]
-    stem = config["interpret"]["masked"] and config["pipeline"]["stem"]
     # years in office cover the counted dates: an unset side takes the registry's bound
     registry_from, registry_to = corpus.registry_window(registry)
     window = (opts["date_from"] or registry_from, opts["date_to"] or registry_to)
@@ -540,7 +531,7 @@ def cmd_stats(config: dict, terms: list[str], groups: list[str], portfolio: str 
     stats = []
     for term in terms:
         for group in groups:
-            count = interpret.term_count(instances, term, group, stem=stem)
+            count = interpret.term_count(instances, term, group)
             years = corpus.total_years(registry, group, window, portfolio)
             if years <= 0:
                 raise DataError(f"group {group!r} has zero years in office in the window")
@@ -550,7 +541,7 @@ def cmd_stats(config: dict, terms: list[str], groups: list[str], portfolio: str 
         writer.writerow(["term", "group", "count", "years", "rate"])
         for st in stats:
             writer.writerow([st.term, st.group, st.count, f"{st.years:.6f}", f"{st.rate:.6f}"])
-    run.write_manifest(_stemmed(terms, stem))
+    run.write_manifest(_stemmed(terms, instances))
     for st in stats:
         print(f"{st.term}/{st.group}: {st.count} mentions over {st.years:.2f} years = {st.rate:.3f}/year")
     return 0

@@ -102,8 +102,9 @@ class Instances(Sequence[LabeledInstance]):
     GENDERS[y[i]] (y is 0 for female, 1 for male): politician_ids[i] are
     the politicians of that gender it features and headline_mention[i]
     says whether one is named in the headline. An article featuring both
-    genders is two instances over one text. Indexing gives instance i as
-    a LabeledInstance.
+    genders is two instances over one text. stemmed says whether the
+    stream holds Porter stems, so a query must be stemmed to match it.
+    Indexing gives instance i as a LabeledInstance.
     """
 
     article_ids: tuple[str, ...]
@@ -114,6 +115,7 @@ class Instances(Sequence[LabeledInstance]):
     politician_ids: tuple[tuple[str, ...], ...]
     headline_mention: np.ndarray
     mention_sentences: np.ndarray
+    stemmed: bool
 
     def __len__(self) -> int:
         return len(self.article)

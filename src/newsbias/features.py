@@ -57,15 +57,14 @@ def _stems(words: Sequence[str]) -> dict[str, str]:
 
 @dataclass(frozen=True, slots=True)
 class LexiconSet:
-    """Named word lists grouped by category (power words, action words, ...)."""
+    """Word lists grouped by category (power words, action words, ...)."""
 
-    name: str
     categories: Mapping[str, frozenset[str]]
 
     def stemmed(self) -> "LexiconSet":
         """The same lists with each word stemmed, to look up stemmed tokens."""
         stems = _stems(sorted(set().union(*self.categories.values())))
-        return LexiconSet(self.name, {c: frozenset(stems[w] for w in ws) for c, ws in self.categories.items()})
+        return LexiconSet({c: frozenset(stems[w] for w in ws) for c, ws in self.categories.items()})
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,8 +123,9 @@ class FeatureSpace:
         return len(self.entries)
 
 
-def load_lexicon(path: str | Path, name: str | None = None) -> LexiconSet:
-    """Parse `WORD<TAB>CAT1,CAT2,...` lines into category word sets."""
+def load_lexicon(path: str | Path) -> LexiconSet:
+    """Parse `WORD<TAB>CAT1,CAT2,...` lines into category word sets; a file
+    with no entry raises."""
     path = Path(path)
     categories: dict[str, set[str]] = {}
     for line_no, line in enumerate(read_text(path, "lexicon file").splitlines(), start=1):
@@ -141,14 +141,14 @@ def load_lexicon(path: str | Path, name: str | None = None) -> LexiconSet:
             raise DataError(f"{path.name}:{line_no}: empty word or category")
         for cat in cats:
             categories.setdefault(cat, set()).add(word)
-    return LexiconSet(
-        name=name or path.stem,
-        categories={c: frozenset(ws) for c, ws in categories.items()},
-    )
+    if not categories:
+        raise DataError(f"lexicon file {path} holds no entry")
+    return LexiconSet({c: frozenset(ws) for c, ws in categories.items()})
 
 
 def load_pos_lexicon(path: str | Path) -> PosLexicon:
-    """Parse `word<TAB>PRIMARYTAG<TAB>alt1,alt2` lines (alt tags optional, only validated)."""
+    """Parse `word<TAB>PRIMARYTAG<TAB>alt1,alt2` lines (alt tags optional, only
+    validated); a file with no entry raises."""
     path = Path(path)
     primary: dict[str, str] = {}
     for line_no, line in enumerate(read_text(path, "POS lexicon file").splitlines(), start=1):
@@ -167,6 +167,8 @@ def load_pos_lexicon(path: str | Path) -> PosLexicon:
         if word in primary and primary[word] != tag:
             raise DataError(f"{path.name}:{line_no}: conflicting primary tag for {word!r}")
         primary[word] = tag
+    if not primary:
+        raise DataError(f"POS lexicon file {path} holds no entry")
     return PosLexicon(primary=primary)
 
 

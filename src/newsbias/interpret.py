@@ -6,6 +6,7 @@ keyword-in-context concordance extraction, and mention-rate statistics
 normalized by years in office. Queries read a corpus pass, the
 `corpus.Instances` that labeling builds too, over masked or raw text:
 an article belongs to the group of each gender it has an instance of.
+A query is stemmed when the pass it reads is.
 """
 
 from __future__ import annotations
@@ -132,18 +133,17 @@ def kwic(
     *,
     group: str | None = None,
     require_cooccurrence: bool = False,
-    stem: bool = False,
 ) -> list[ConcordanceLine]:
     """Concordance lines for every occurrence of the term.
 
     Context never crosses article boundaries: it is truncated at the ends of
     the article's text, and positions count from its start. With require_cooccurrence,
     only hits in sentences that mention a politician are returned. Lines come back
-    ordered by (article id, token position). Pass stem when the pass was stemmed.
+    ordered by (article id, token position). The term is stemmed when the pass is.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    surface = normalize_query(term, stem)
+    surface = normalize_query(term, instances.stemmed)
     hits, article = _hits(instances, surface, group, require_cooccurrence)
     # hits run in stream order, so a stable sort on the article id keeps each article's in position order
     order = np.argsort(np.array(instances.article_ids)[article], kind="stable")
@@ -157,13 +157,13 @@ def kwic(
                                                 np.minimum(bounds[article + 1], hits + 1 + window).tolist())]
 
 
-def term_count(instances: Instances, term: str, group: str | None = None, *, stem: bool = False) -> int:
+def term_count(instances: Instances, term: str, group: str | None = None) -> int:
     """Occurrences of the term in articles belonging to the group.
 
     An article in both groups counts toward both; group None counts all
-    articles. Pass stem when the pass was stemmed.
+    articles. The term is stemmed when the pass is.
     """
-    return len(_hits(instances, normalize_query(term, stem), group)[0])
+    return len(_hits(instances, normalize_query(term, instances.stemmed), group)[0])
 
 
 def rate_ratio(a: RateStat, b: RateStat) -> RateRatio:

@@ -182,7 +182,6 @@ class LinearModel:
 
     weights: np.ndarray
     bias: float
-    positive_class: str = FEMALE
     epoch_objectives: tuple[float, ...] = ()
     iterations: int = 0
     gap: float = math.inf
@@ -503,7 +502,6 @@ def train_svm(
     return LinearModel(
         weights=best[1],
         bias=best[2],
-        positive_class=FEMALE,
         epoch_objectives=tuple(history),
         iterations=len(history),
         gap=gap,

@@ -19,7 +19,7 @@ import numpy as np
 from . import corpus, features, preprocess
 from .corpus import GENDERS, Article, Instances, PoliticianRecord
 from .errors import ConfigError, DataError
-from .features import FeatureSpace, LexiconSet, PosLexicon
+from .features import LexiconSet, PosLexicon
 from .learn import CSR, Dataset
 from .preprocess import DEFAULT_GENDERED_SIGNALS, TokenStream
 
@@ -84,7 +84,8 @@ def build_instances(
     names, and the text is identical across a pair of instances. A raw
     pass keeps the original tokens (names, pronouns and all) for corpus
     analyses, so it ignores the stoplist and stemming settings; its
-    instances are the masked pass's.
+    instances are the masked pass's. The pass records whether it is
+    stemmed, so queries on it stem themselves.
     """
     scan = corpus.scan_corpus(filter_by_date(articles, date_from, date_to), registry)
     if masked:
@@ -100,7 +101,7 @@ def build_instances(
     return Instances(tuple(art.id for art in scan.articles), tuple(art.section for art in scan.articles), stream,
                      article[first], gender[first].astype(np.int8),
                      tuple(tuple(ids[a:b]) for a, b in zip(cuts, cuts[1:])), np.logical_or.reduceat(headline, first),
-                     preprocess.sentences_holding(stream, mentions))
+                     preprocess.sentences_holding(stream, mentions), masked and apply_stem)
 
 
 # kwic and stats build their pass under this name, which the benchmark's tracer times apart from label's
@@ -116,18 +117,14 @@ def build_dataset(
     min_df: int = features.DEFAULT_MIN_DF,
     pos_lexicon: PosLexicon | None = None,
     lexicon: LexiconSet | None = None,
-    space: FeatureSpace | None = None,
-) -> tuple[Dataset, FeatureSpace]:
+) -> Dataset:
     """Vectorize instances under one scheme/window/representation.
 
-    Pass an existing space of the scheme to vectorize a new batch against
-    a fixed vocabulary; otherwise the space is built from these instances.
+    The space is built from these instances and is the dataset's space.
     The terms of every article are counted in one pass over the masked
     stream and written as one CSR row per article, and each instance's
     row is its article's.
     """
-    if space is not None and space.kind != scheme:
-        raise ConfigError(f"a {space.kind} feature space cannot vectorize scheme {scheme!r}")
     if representation not in features.REPRESENTATIONS:
         raise ConfigError(f"unknown representation {representation!r}")
     n_docs = len(instances)
@@ -138,9 +135,8 @@ def build_dataset(
     text, term, counts, surfaces = features.count_terms(
         instances.stream, instances.sections, weight > 0, scheme, window=window, pos_lexicon=pos_lexicon,
         lexicon=lexicon)
-    if space is None:
-        doc_freq = np.bincount(term, weights=weight[text], minlength=len(surfaces)).astype(np.int64)
-        space = features.build_space(dict(zip(surfaces, doc_freq.tolist())), n_docs, min_df, kind=scheme)
+    doc_freq = np.bincount(term, weights=weight[text], minlength=len(surfaces)).astype(np.int64)
+    space = features.build_space(dict(zip(surfaces, doc_freq.tolist())), n_docs, min_df, kind=scheme)
     # space entries are in surface order, as the terms are, so columns increase with terms
     column = np.array([space.index.get(surface, -1) for surface in surfaces], np.int32)[term]
     keep = column >= 0
@@ -157,4 +153,4 @@ def build_dataset(
     positions, lengths = articles.gather(instances.article)
     data = np.broadcast_to(1.0, len(positions)) if representation == "boolean" else data[positions]
     csr = CSR(np.concatenate(([0], np.cumsum(lengths))), column[positions], data, representation)
-    return Dataset(csr, instances.y, space, np.arange(n_docs)), space
+    return Dataset(csr, instances.y, space, np.arange(n_docs))

@@ -145,12 +145,12 @@ def test_criterion_04_planted_bias_recovery(tmp_path):
     articles = corpus.load_articles(out / "articles.jsonl")
     registry = corpus.load_registry(out / "registry.json")
     instances = pipeline.build_instances(articles, registry)
-    dataset, space = pipeline.build_dataset(
+    dataset = pipeline.build_dataset(
         instances, scheme="unigram", representation="boolean", min_df=3
     )
     cv = cross_validate(dataset, "svm", k=10, seed=7, descriptor="unigram/article/boolean/svm")
     model = train_svm(dataset)
-    ranked = interpret.rank_features(model, space, k=10)
+    ranked = interpret.rank_features(model, dataset.space, k=10)
     female_surfaces = [s for s, _, _ in ranked.female]
     ok = cv.mean_accuracy >= 0.65 and "husband" in female_surfaces
     report(4, "planted bias recovered", ok,
@@ -168,7 +168,7 @@ def test_svm_defaults_beat_the_zero_model_on_the_criterion_04_corpus(tmp_path, m
                      "--balance", "0.5", "--planted", "husband:0.10:0.01"]) == 0
     instances = pipeline.build_instances(corpus.load_articles(out / "articles.jsonl"),
                                          corpus.load_registry(out / "registry.json"))
-    dataset, _ = pipeline.build_dataset(instances, scheme="unigram", representation="boolean", min_df=3)
+    dataset = pipeline.build_dataset(instances, scheme="unigram", representation="boolean", min_df=3)
     fits = []
 
     def recorded(ds, **kwargs):
@@ -209,7 +209,7 @@ def test_rank_puts_the_planted_term_first_on_the_wide_vocab_corpus(tmp_path, see
 def test_criterion_05_null_signal_calibration():
     articles, registry = synth.generate_corpus(1000, balance=0.5, planted=(), seed=11)
     instances = pipeline.build_instances(articles, registry)
-    dataset, _ = pipeline.build_dataset(
+    dataset = pipeline.build_dataset(
         instances, scheme="unigram", representation="boolean", min_df=3
     )
     means = {}

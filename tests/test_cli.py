@@ -388,6 +388,25 @@ def test_stemming_leaves_lexicons_no_scheme_reads(every_scheme_corpus, tmp_path,
         assert run(command, "--config", str(config_path), "--out", str(tmp_path / f"out-{scheme}")) == code
 
 
+@pytest.mark.parametrize("command", ["sweep", "rank"])
+@pytest.mark.parametrize("key, scheme, text", [("lexicons", "lexicon_category", "# categories to come\n\n"),
+                                               ("pos_lexicon", "adjective", "")], ids=["lexicons", "pos_lexicon"])
+def test_lexicon_file_with_no_entry_is_a_data_error(every_scheme_corpus, tmp_path, capsys, command, key, scheme,
+                                                    text):
+    # such a file used to read as no lexicon at all, or to leave no feature, without naming the file
+    config = json.loads(every_scheme_corpus.read_text())
+    empty = tmp_path / "empty.tsv"
+    empty.write_text(text)
+    config["paths"][key] = [str(empty)] if key == "lexicons" else str(empty)
+    config["features"]["scheme"] = scheme
+    config["sweep"]["schemes"] = [f"{scheme}/article"]
+    config_path = tmp_path / "probe.json"
+    config_path.write_text(json.dumps(config))
+    assert run(command, "--config", str(config_path), "--out", str(tmp_path / "o")) == 2
+    assert f"{empty} holds no entry" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # --- kwic ---
 
 def test_kwic_absent_term_header_only(synth_corpus, tmp_path):

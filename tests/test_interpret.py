@@ -113,7 +113,7 @@ def pass_of(*docs):
     rows = [(a, y) for a, gs in enumerate(groups) for y, g in enumerate(GENDERS) if g in gs]
     article, y = np.array(rows, np.int64).reshape(-1, 2).T
     return Instances(ids, ("news",) * len(ids), stream, article, y.astype(np.int8), ((),) * len(rows),
-                     np.zeros(len(rows), bool), held)
+                     np.zeros(len(rows), bool), held, False)
 
 
 def test_kwic_term_at_start_empty_left():
@@ -216,6 +216,20 @@ def test_kwic_additive_over_disjoint_doc_sets():
     parts = [line for half in (arts[::2], arts[1::2])
              for line in kwic(pipeline.build_instances(half, reg, masked=False), "budget")]
     assert whole and sorted(parts, key=lambda l: (l.article_id, l.position)) == whole
+
+
+def test_queries_on_a_stemmed_pass_find_what_the_raw_pass_finds():
+    # a masked pass under stemming holds stems, and the query is stemmed to match with no flag to pass
+    arts, reg = synth.generate_corpus(200, seed=3, planted=(synth.PlantedTerm("bedite", 0.05, 0.05),))
+    raw = pipeline.build_instances(arts, reg, masked=False, apply_stem=True)
+    stemmed = pipeline.build_instances(arts, reg, apply_stem=True)
+    # a raw pass ignores the stemming setting
+    assert (raw.stemmed, stemmed.stemmed, pipeline.build_instances(arts, reg).stemmed) == (False, True, False)
+    for group in (None, *GENDERS):
+        assert term_count(stemmed, "Bedite", group) == term_count(raw, "Bedite", group) > 0
+    lines = kwic(stemmed, "bedite")
+    assert [l.article_id for l in lines] == [l.article_id for l in kwic(raw, "bedite")]
+    assert {l.keyword for l in lines} == {"bedit"}
 
 
 NAMES = ["Ann", "Lee", "May"]

@@ -325,11 +325,11 @@ WORDS = ["budget", "health", "school", "road", "tax", "farm", "NAMEFORM_FULL", "
 
 
 @st.composite
-def instance_lists(draw, min_size=2):
+def instance_lists(draw):
     """Labeled instances over a few words, so that words repeat across rows;
     every instance starts with "every", a term in every document of the
     article window, which tf-idf drops."""
-    n = draw(st.integers(min_size, 12))
+    n = draw(st.integers(2, 12))
     return [
         LabeledInstance(
             article_id=f"a{i}",
@@ -344,23 +344,18 @@ def instance_lists(draw, min_size=2):
 
 @SETTINGS
 @given(instance_lists(), st.sampled_from(features.REPRESENTATIONS), st.sampled_from(features.WINDOWS),
-       st.integers(1, 3), st.none() | instance_lists(min_size=1))
-def test_build_dataset_packs_what_vectorize_gives_row_by_row(instances, representation, window, min_df, other):
+       st.integers(1, 3))
+def test_build_dataset_packs_what_vectorize_gives_row_by_row(instances, representation, window, min_df):
     terms = [features.extract_terms(inst, "unigram", window=window) for inst in instances]
-    given_space = None
-    if other is not None:
-        # another list's space: some terms fall outside it, and some rows come out empty
-        given_space = space_of([features.extract_terms(inst, "unigram") for inst in other], 1, kind="unigram")
-    elif max(Counter(t for row in terms for t in row).values(), default=0) < min_df:
+    if max(Counter(t for row in terms for t in row).values(), default=0) < min_df:
         with pytest.raises(DataError, match="no features survive min_df"):
             pipeline.build_dataset(instances_of(instances), scheme="unigram", window=window, min_df=min_df)
         return
-    ds, space = pipeline.build_dataset(instances_of(instances), scheme="unigram", window=window,
-                                       representation=representation, min_df=min_df, space=given_space)
-    if given_space is None:
-        assert space == space_of(terms, min_df, kind="unigram")
-    else:
-        assert space is given_space
+    ds = pipeline.build_dataset(instances_of(instances), scheme="unigram", window=window,
+                                representation=representation, min_df=min_df)
+    # terms under min_df fall outside the space, and rows of only such terms come out empty
+    space = ds.space
+    assert space == space_of(terms, min_df, kind="unigram")
     want = [features.vectorize(t, space, representation) for t in terms]
     assert ds.csr.representation == representation
     assert ds.csr.indptr.tolist() == [0, *np.cumsum([len(v) for v in want]).tolist()]
@@ -386,9 +381,8 @@ def test_build_dataset_makes_no_feature_vector(monkeypatch, representation):
 
     monkeypatch.setattr(features, "vectorize", refuse)
     monkeypatch.setattr(features.FeatureVector, "__post_init__", refuse)
-    ds, space = pipeline.build_dataset(instances_of(instances), scheme="unigram", representation=representation,
-                                       min_df=1)
-    assert space.entries == ("farm", "road", "school", "tax")
+    ds = pipeline.build_dataset(instances_of(instances), scheme="unigram", representation=representation, min_df=1)
+    assert ds.space.entries == ("farm", "road", "school", "tax")
     assert ds.csr.indptr.tolist() == [0, 2, 4, 6, 8, 9]
     assert ds.csr.indices.tolist() == [1, 3, 0, 1, 2, 3, 0, 1, 2]
     assert ds.csr.data.tolist() == {

@@ -103,9 +103,9 @@ def from_terms(terms, space: FeatureSpace, representation: str) -> CSR:
 
 
 def instances_of(labeled) -> Instances:
-    """Labeled instances as one corpus pass, each over an article of its own: their
-    streams laid end to end over one vocabulary, with their sentences, of which
-    those holding a marker mention a politician."""
+    """Labeled instances as one unstemmed corpus pass, each over an article of its
+    own: their streams laid end to end over one vocabulary, with their sentences,
+    of which those holding a marker mention a politician."""
     vocab = Vocab()
     texts = [np.fromiter(map(vocab.id, inst.stream.tokens), np.int32, len(inst.stream)) for inst in labeled]
     bounds = np.concatenate(([0], np.cumsum([len(text) for text in texts], dtype=np.int64)))
@@ -116,7 +116,7 @@ def instances_of(labeled) -> Instances:
                      np.arange(len(labeled)), np.array([GENDERS.index(inst.label) for inst in labeled], np.int8),
                      tuple(inst.politician_ids for inst in labeled),
                      np.array([inst.headline_mention for inst in labeled], bool),
-                     sentences_holding(stream, np.flatnonzero(stream.ids < len(FORMS))))
+                     sentences_holding(stream, np.flatnonzero(stream.ids < len(FORMS))), False)
 
 
 def write_articles(path, rows) -> None:
