@@ -1,18 +1,25 @@
 """Walk through ingestion, matching, labeling, and masking on a tiny corpus.
 
+Who an article features is read from the corpus scan's owner rows, and the
+labeled instances from the columns of one corpus pass.
+
 Run with: python demos/01_label_and_mask.py
 """
 
 import datetime
 
+import numpy as np
+
 from newsbias import pipeline
 from newsbias.corpus import (
+    GENDERS,
     Article,
     OfficeTerm,
     PoliticianRecord,
-    match_politicians,
+    scan_corpus,
     years_in_office,
 )
+from newsbias.preprocess import FORMS
 
 registry = [
     PoliticianRecord(
@@ -55,14 +62,23 @@ articles = [
 ]
 
 print("=== matches per article ===")
-for article in articles:
-    matches = match_politicians(article, registry)
-    print(f"{article.id}: {[(m.politician_id, [s.form for s in m.spans], m.headline_mention) for m in matches]}")
+scan = scan_corpus(articles, registry)
+# one owner row per mention and politician whose name variant it is: (mention, politician, form, in headline)
+article_of = np.searchsorted(scan.stream.bounds, scan.mentions[:, 0], side="right") - 1
+for a, article in enumerate(articles):
+    found = {}
+    for mention, politician, form, headline in scan.owners.tolist():
+        if article_of[mention] == a:
+            forms, named = found.get(scan.politicians[politician], ([], False))
+            found[scan.politicians[politician]] = (forms + [FORMS[form]], named or bool(headline))
+    print(f"{article.id}: {[(pid, forms, named) for pid, (forms, named) in sorted(found.items())]}")
 
 print("\n=== labeled instances ===")
-for inst in pipeline.build_instances(articles, registry):
-    print(f"{inst.article_id} -> {inst.label} (headline mention: {inst.headline_mention})")
-    print("   masked:", " ".join(inst.stream.tokens))
+instances = pipeline.build_instances(articles, registry)
+texts = instances.stream.texts()
+for a, y, headline in zip(instances.article.tolist(), instances.y.tolist(), instances.headline_mention.tolist()):
+    print(f"{instances.article_ids[a]} -> {GENDERS[y]} (headline mention: {headline})")
+    print("   masked:", " ".join(texts[a].tokens))
 
 print("\n=== years in office (2000-2011 window) ===")
 window = (datetime.date(2000, 1, 1), datetime.date(2011, 12, 31))

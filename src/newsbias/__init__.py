@@ -11,12 +11,10 @@ __version__ = "0.1.0"
 from .corpus import (
     Article,
     Instances,
-    LabeledInstance,
     OfficeTerm,
     PoliticianRecord,
     load_articles,
     load_registry,
-    match_politicians,
     years_in_office,
 )
 from .errors import ConfigError, DataError, InvariantError, NewsbiasError

@@ -479,9 +479,14 @@ def cmd_rank(config: dict) -> int:
     return 0
 
 
-def _stemmed(terms: list[str], instances: corpus.Instances) -> dict[str, str]:
+def _searched(config: dict, term: str) -> str:
+    """The form a query is searched in: its stem where the pass is stemmed (masked, under pipeline.stem)."""
+    return interpret.normalize_query(term, stem=config["interpret"]["masked"] and config["pipeline"]["stem"])
+
+
+def _stemmed(config: dict, terms: list[str]) -> dict[str, str]:
     """Each query the stemmer changes, mapped to the stem searched in its place."""
-    forms = {term: interpret.normalize_query(term, stem=True) for term in terms if instances.stemmed}
+    forms = {term: _searched(config, term) for term in terms}
     return {term: form for term, form in forms.items() if form != interpret.normalize_query(term)}
 
 
@@ -505,7 +510,7 @@ def cmd_kwic(config: dict, term: str, tag: str) -> int:
                     " ".join(line.left), line.keyword, " ".join(line.right), tag,
                 ]
             )
-    run.write_manifest(_stemmed([term], instances))
+    run.write_manifest(_stemmed(config, [term]))
     print(f"{len(lines)} concordance lines for {term!r}")
     return 0
 
@@ -516,8 +521,9 @@ def cmd_stats(config: dict, terms: list[str], groups: list[str], portfolio: str 
         raise ConfigError(f"unknown group {unknown[0]!r}" if unknown else "--groups names no group")
     if len(set(groups)) < len(groups):
         raise ConfigError(f"--groups names a group twice: {','.join(groups)}")
-    if len({interpret.normalize_query(term) for term in terms}) < len(terms):
-        raise ConfigError(f"--term names a query twice: {','.join(terms)}")
+    if len({_searched(config, term) for term in terms}) < len(terms):
+        stems = " (each searched as its stem)" if _stemmed(config, terms) else ""
+        raise ConfigError(f"--term names a query twice{stems}: {','.join(terms)}")
     run = _Run("stats", config)
     registry, opts, instances = _prepare(config, query=True)[1:]
     # years in office cover the counted dates: an unset side takes the registry's bound
@@ -528,6 +534,9 @@ def cmd_stats(config: dict, terms: list[str], groups: list[str], portfolio: str 
         key = "date_from" if opts["date_from"] else "date_to"
         raise DataError(f"pipeline.{key} {opts[key]} leaves no years in office: the registry's terms run from "
                         f"{registry_from} to {registry_to}")
+    portfolios = sorted({term.portfolio for record in registry for term in record.terms})
+    if portfolio is not None and portfolio not in portfolios:
+        raise DataError(f"--portfolio {portfolio!r} is no portfolio of the registry's terms: {', '.join(portfolios)}")
     stats = []
     for term in terms:
         for group in groups:
@@ -541,7 +550,7 @@ def cmd_stats(config: dict, terms: list[str], groups: list[str], portfolio: str 
         writer.writerow(["term", "group", "count", "years", "rate"])
         for st in stats:
             writer.writerow([st.term, st.group, st.count, f"{st.years:.6f}", f"{st.rate:.6f}"])
-    run.write_manifest(_stemmed(terms, instances))
+    run.write_manifest(_stemmed(config, terms))
     for st in stats:
         print(f"{st.term}/{st.group}: {st.count} mentions over {st.years:.2f} years = {st.rate:.3f}/year")
     return 0

@@ -8,11 +8,10 @@ office terms. An article "features" a politician when any name variant
 variant) occurs token-bounded and case-insensitively in the headline or
 body. scan_corpus tokenizes and matches a whole corpus in one pass and
 keeps each mention once, as int rows: its span and marker form, and one
-owner row per politician whose name variant it is. match_politicians
-reads one article's owner rows back as PoliticianMatch objects.
-Labeling and masking live in `pipeline`, which builds at most one
-labeled instance per article and gender, all of a corpus pass in one
-Instances object.
+owner row per politician whose name variant it is; who an article
+features is read from those rows. Labeling and masking live in
+`pipeline`, which builds at most one labeled instance per article and
+gender, all of a corpus pass as the columns of one Instances object.
 """
 
 from __future__ import annotations
@@ -69,29 +68,8 @@ class PoliticianRecord:
     terms: tuple[OfficeTerm, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class PoliticianMatch:
-    """Resolved mentions of one politician within one article."""
-
-    politician_id: str
-    spans: tuple[MentionSpan, ...]
-    headline_mention: bool
-
-
-@dataclass(frozen=True, slots=True)
-class LabeledInstance:
-    """One (article, gender) classification unit with its masked stream."""
-
-    article_id: str
-    label: str
-    politician_ids: tuple[str, ...]
-    headline_mention: bool
-    stream: TokenStream
-    section: str = ""
-
-
 @dataclass(frozen=True, eq=False)
-class Instances(Sequence[LabeledInstance]):
+class Instances:
     """One corpus pass: its stream and its labeled instances, as columns.
 
     stream holds one text per article of the pass, matched or not, masked
@@ -104,7 +82,6 @@ class Instances(Sequence[LabeledInstance]):
     says whether one is named in the headline. An article featuring both
     genders is two instances over one text. stemmed says whether the
     stream holds Porter stems, so a query must be stemmed to match it.
-    Indexing gives instance i as a LabeledInstance.
     """
 
     article_ids: tuple[str, ...]
@@ -119,11 +96,6 @@ class Instances(Sequence[LabeledInstance]):
 
     def __len__(self) -> int:
         return len(self.article)
-
-    def __getitem__(self, i: int) -> LabeledInstance:
-        a = int(self.article[i])
-        return LabeledInstance(self.article_ids[a], GENDERS[self.y[i]], self.politician_ids[i],
-                               bool(self.headline_mention[i]), self.stream.text(a), self.sections[a])
 
 
 def _parse_date(value, where: str) -> datetime.date:
@@ -385,17 +357,6 @@ def scan_corpus(articles: Sequence[Article], registry: Sequence[PoliticianRecord
     # headlines are the even texts
     owners = np.column_stack((owners, mentions[owners[:, 0], 0] % 2 == 0))
     return CorpusScan(tuple(articles), stream, mentions[:, 1:], politicians, owners)
-
-
-def match_politicians(article: Article, registry: Sequence[PoliticianRecord]) -> list[PoliticianMatch]:
-    """All politicians featured in the article, with their mention spans over its
-    headline+body stream, sorted by politician id whatever the registry's order."""
-    scan = scan_corpus([article], registry)
-    found: dict[int, list[tuple[MentionSpan, int]]] = {}
-    for m, p, form, headline in scan.owners.tolist():
-        found.setdefault(p, []).append((MentionSpan(*scan.mentions[m, :2].tolist(), preprocess.FORMS[form]), headline))
-    return [PoliticianMatch(scan.politicians[p], tuple(span for span, _ in rows), any(h for _, h in rows))
-            for p, rows in sorted(found.items())]
 
 
 def years_in_office(

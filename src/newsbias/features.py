@@ -15,8 +15,9 @@ pass's vocabulary say which token ids a scheme reads (word and marker
 kinds, marker ids, the POS lexicon, or one table per lexicon category,
 since a word may sit in several), one sentences_holding mask gives the
 sentence window, and one np.unique over (text, term) keys counts every
-text's terms. extract_terms and vectorize do the same for one instance
-and one row, the reference the pass and each row of a dataset equal.
+text's terms. extract_terms and vectorize do the same for one text (a
+stream of one, with its article's section) and one row, the reference
+the pass and each row of a dataset equal.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import LabeledInstance
 from .errors import ConfigError, DataError, read_text
 from .preprocess import FORMS, MARKER, WORD, TokenStream, Vocab, sentences_holding, stem
 
@@ -193,14 +193,16 @@ def _check(scheme: str, window: str, pos_lexicon: PosLexicon | None, lexicon: Le
 
 
 def extract_terms(
-    instance: LabeledInstance,
+    stream: TokenStream,
+    section: str,
     scheme: str,
     *,
     window: str = "article",
     pos_lexicon: PosLexicon | None = None,
     lexicon: LexiconSet | None = None,
 ) -> Counter[str]:
-    """Multiset of the surfaces of one instance's features under a scheme.
+    """Multiset of the surfaces of one text's features under a scheme: the
+    stream holds the one text, and section is its article's section.
 
     With window="sentence" only tokens inside sentences that contain a
     name marker are considered (the section scheme ignores the window:
@@ -208,13 +210,13 @@ def extract_terms(
     """
     _check(scheme, window, pos_lexicon, lexicon)
     if scheme == SECTION:
-        section = instance.section.strip()
+        section = section.strip()
         return Counter({section: 1}) if section else Counter()
 
     # each distinct token of the window once, with its count there, if it is of a kind the scheme reads
-    vocab = instance.stream.vocab
+    vocab = stream.vocab
     wanted = {UNIGRAM: (WORD, MARKER), NAMEFORM: (MARKER,)}.get(scheme, (WORD,))
-    ids = instance.stream.ids[_window_mask(instance.stream, window)]
+    ids = stream.ids[_window_mask(stream, window)]
     counts = Counter({vocab.surfaces[i]: n for i, n in Counter(ids.tolist()).items() if vocab.kinds[i] in wanted})
     if scheme in (UNIGRAM, NAMEFORM):
         return counts
@@ -254,9 +256,9 @@ def count_terms(
     Returns (text, term, count) entries, one per term present in a text,
     sorted by text and then term, and the terms' surfaces in surface
     order: term t is surfaces[t]. Text i, read where read[i] is True,
-    counts what extract_terms counts in an instance over it with section
-    sections[i]. The stream's sentences must cover it, as split_sentences
-    leaves them.
+    counts what extract_terms counts in it as a stream of its own with
+    section sections[i]. The stream's sentences must cover it, as
+    split_sentences leaves them.
     """
     _check(scheme, window, pos_lexicon, lexicon)
     if scheme == SECTION:

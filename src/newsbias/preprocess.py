@@ -20,16 +20,16 @@ pass's distinct chunks: about 340 bytes per distinct word.
 Masking deletes grammatical gender signals (pronouns and titles, see
 DEFAULT_GENDERED_SIGNALS) and replaces each politician mention with a
 single neutral marker that records the form of the name used
-(full name, surname only, or given name only). Content words that merely
-relate to gender ("husband", "female", ...) are deliberately left in
-place: they are analysis targets, not leakage.
+(full name, surname only, or given name only). Mentions reach it as the
+corpus scan keeps them: (start, end, form index) int rows. Content words
+that merely relate to gender ("husband", "female", ...) are deliberately
+left in place: they are analysis targets, not leakage.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -78,6 +78,7 @@ _TOKEN_RE = re.compile(
 )
 
 _NO_POSITIONS = np.zeros(0, np.int64)
+_NO_MENTIONS = np.zeros((0, 3), np.int64)
 
 
 def kind_of(surface: str) -> str:
@@ -176,12 +177,6 @@ class TokenStream:
     def sentence_spans(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip([0, *self.ends.tolist()], self.ends.tolist()))
 
-    def text(self, i: int) -> "TokenStream":
-        """Text i as a stream of its own over the same vocabulary, its ids a view of this stream's."""
-        start, end = self.bounds[i:i + 2].tolist()
-        first, last = np.searchsorted(self.ends, (start, end), side="right").tolist()
-        return TokenStream(self.vocab, self.ids[start:end], np.array((0, end - start)), self.ends[first:last] - start)
-
     def texts(self) -> list["TokenStream"]:
         """Each text as a stream of its own over the same vocabulary, its ids a view of this stream's."""
         bounds = self.bounds.tolist()
@@ -249,21 +244,18 @@ def sentences_holding(stream: TokenStream, positions: Sequence[int]) -> np.ndarr
     return held[:-1]
 
 
-def mask_gender_signals(stream: TokenStream, mentions: Sequence[MentionSpan] | np.ndarray,
+def mask_gender_signals(stream: TokenStream, mentions: np.ndarray,
                         signals: frozenset[str] = DEFAULT_GENDERED_SIGNALS) -> TokenStream:
     """Delete the words in signals and collapse each mention span to one marker.
 
     This is the one pass that deletes tokens and remaps sentence ends and
     text bounds: pass signals | stoplist to drop stopwords in the same pass.
-    Mentions index the whole stream, as MentionSpans or as a corpus scan
-    keeps them ((start, end, index of the form in FORMS) rows sorted by
-    start); they must be disjoint and within bounds (the matcher
-    guarantees both), and overlap raises. All other tokens pass through
-    unchanged, including quoted material; a sentence left empty is gone.
+    Mentions index the whole stream as a corpus scan keeps them:
+    (start, end, index of the form in FORMS) rows sorted by start. They
+    must be disjoint and within bounds (the matcher guarantees both), and
+    overlap raises. All other tokens pass through unchanged, including
+    quoted material; a sentence left empty is gone.
     """
-    if not isinstance(mentions, np.ndarray):
-        mentions = np.array([(s.start, s.end, FORMS.index(s.form)) for s in sorted(mentions, key=attrgetter("start"))],
-                            np.int64).reshape(-1, 3)
     starts, ends, forms = mentions.T
     n = len(stream.ids)
     overlaps = np.flatnonzero(starts[1:] < ends[:-1])
@@ -288,7 +280,7 @@ def mask_gender_signals(stream: TokenStream, mentions: Sequence[MentionSpan] | n
 
 def remove_stopwords(stream: TokenStream, stoplist: frozenset[str]) -> TokenStream:
     """Drop word tokens found in the stoplist; markers are never removed."""
-    return mask_gender_signals(stream, (), stoplist)
+    return mask_gender_signals(stream, _NO_MENTIONS, stoplist)
 
 
 def stem(stream: TokenStream) -> TokenStream:

@@ -33,7 +33,7 @@ from newsbias.learn import (
 from newsbias.preprocess import DEFAULT_GENDERED_SIGNALS, MARKER, WORD, kind_of
 from newsbias.rng import Rng
 
-from util import make_dataset, make_vec
+from util import make_dataset, make_vec, mention_rows
 
 F, M = "female", "male"
 ROOT = Path(__file__).resolve().parent.parent
@@ -311,14 +311,15 @@ def test_criterion_10_masking_completeness():
     marker_mismatch = 0
     not_idempotent = 0
     for scan in scans:
-        masked = preprocess.mask_gender_signals(scan.stream, scan.mention_spans)
+        mentions = mention_rows((m.start, m.end, m.form) for m in scan.mention_spans)
+        masked = preprocess.mask_gender_signals(scan.stream, mentions)
         leaked += sum(
             1 for t in masked.tokens if kind_of(t) == WORD and t in DEFAULT_GENDERED_SIGNALS
         )
         markers = sum(1 for t in masked.tokens if kind_of(t) == MARKER)
         if markers != len(scan.mention_spans):
             marker_mismatch += 1
-        if preprocess.mask_gender_signals(masked, []) != masked:
+        if preprocess.mask_gender_signals(masked, mention_rows([])) != masked:
             not_idempotent += 1
     # the generator plants pronouns and titles, so masking had real work to do
     had_signals = any(

@@ -474,6 +474,38 @@ def test_stats_portfolio_filter_changes_years(spouse_fixture, tmp_path):
     assert years_health < years_all
 
 
+def test_stats_portfolio_no_term_holds_names_the_flag(spouse_fixture, tmp_path, capsys):
+    # it used to report a group with zero years in office, naming neither the flag nor the cause
+    out = tmp_path / "o"
+    assert run("stats", "--config", str(spouse_fixture), "--out", str(out), "--term", "husband",
+               "--portfolio", "helth") == 2
+    err = capsys.readouterr().err
+    assert "--portfolio 'helth'" in err and "education, finance, health, justice, transport" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("masked, stem, code", [(True, True, 1), (False, True, 0), (True, False, 0)],
+                         ids=["masked-stemmed", "raw-stemmed", "masked-unstemmed"])
+def test_stats_queries_that_search_one_stem_are_named_twice(tmp_path, capsys, masked, stem, code):
+    # a masked pass under pipeline.stem searches both terms as "husband", which used to count its hits twice
+    data = tmp_path / "data"
+    assert run("gen-synth", "--out", str(data), "--n", "120", "--planted", "husband:0.05:0.01") == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "paths": {"articles": str(data / "articles.jsonl"), "registry": str(data / "registry.json")},
+        "pipeline": {"stem": stem},
+    }))
+    out = tmp_path / "stats"
+    flags = ["--masked"] if masked else []
+    assert run("stats", "--term", "husband", "--term", "husbands", *flags, "--config", str(config),
+               "--out", str(out)) == code
+    if code:
+        assert "--term names a query twice (each searched as its stem): husband,husbands" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert [r["term"] for r in read_csv_rows(out / "stats.csv")] == ["husband"] * 2 + ["husbands"] * 2
+
+
 def test_stats_half_open_window_counts_years_from_date_from(tmp_path):
     # only date_from is set: years in office run from it to the registry's end
     registry_path = tmp_path / "registry.json"

@@ -202,7 +202,7 @@ def test_registry_rejects_malformed_entry(tmp_path, entry, message):
         corpus.load_registry(path)
 
 
-# --- match_politicians ---
+# --- matching (corpus.scan_corpus's owner rows) ---
 
 def make_article(body, headline="", id="a1"):
     return corpus.Article(
@@ -211,42 +211,42 @@ def make_article(body, headline="", id="a1"):
     )
 
 
+def match(article, registry) -> dict:
+    """Who one article names, read from its scan's owner rows: politician id -> (spans, in headline)."""
+    return util.matches(corpus.scan_corpus([article], registry))[0]
+
+
 def test_match_full_name(registry_file):
     registry = load_registry(registry_file)
-    got = corpus.match_politicians(make_article("Minister Mary Harney said"), registry)
-    assert len(got) == 1
-    match = got[0]
-    assert match.politician_id == "p1"
-    assert len(match.spans) == 1
-    assert (match.spans[0].start, match.spans[0].end, match.spans[0].form) == (1, 3, "full")
-    assert match.headline_mention is False
+    got = match(make_article("Minister Mary Harney said"), registry)
+    assert got == {"p1": ([(1, 3, "full")], False)}
 
 
 def test_match_is_token_bounded(registry_file):
     registry = load_registry(registry_file)
-    assert corpus.match_politicians(make_article("the harness broke"), registry) == []
+    assert match(make_article("the harness broke"), registry) == {}
 
 
 def test_match_headline_flag(registry_file):
     registry = load_registry(registry_file)
-    got = corpus.match_politicians(make_article("the vote passed", headline="Harney defends budget"), registry)
-    assert len(got) == 1
-    assert got[0].headline_mention is True
-    assert got[0].spans[0].form == "surname"
+    got = match(make_article("the vote passed", headline="Harney defends budget"), registry)
+    assert list(got) == ["p1"]
+    spans, in_headline = got["p1"]
+    assert in_headline is True
+    assert spans[0][2] == "surname"
 
 
 def test_match_longest_variant_wins(registry_file):
     registry = load_registry(registry_file)
-    got = corpus.match_politicians(make_article("Mary Harney and later just Harney and Mary"), registry)
-    spans = got[0].spans
-    assert [s.form for s in spans] == ["full", "surname", "given"]
-    assert [(s.start, s.end) for s in spans] == [(0, 2), (5, 6), (7, 8)]
+    spans, _ = match(make_article("Mary Harney and later just Harney and Mary"), registry)["p1"]
+    assert [form for _, _, form in spans] == ["full", "surname", "given"]
+    assert [(start, end) for start, end, _ in spans] == [(0, 2), (5, 6), (7, 8)]
 
 
 def test_match_case_insensitive(registry_file):
     registry = load_registry(registry_file)
-    got = corpus.match_politicians(make_article("BRIAN COWEN arrived"), registry)
-    assert [m.politician_id for m in got] == ["p2"]
+    got = match(make_article("BRIAN COWEN arrived"), registry)
+    assert list(got) == ["p2"]
 
 
 def test_match_extra_variants(tmp_path):
@@ -256,16 +256,20 @@ def test_match_extra_variants(tmp_path):
         [politician("p1", "male", "Bartholomew", "Ahern", extra=["Bertie Ahern", "Bert"])],
     )
     registry = corpus.load_registry(path)
-    got = corpus.match_politicians(make_article("Bertie Ahern, known as Bert"), registry)
-    forms = [s.form for s in got[0].spans]
+    spans, _ = match(make_article("Bertie Ahern, known as Bert"), registry)["p1"]
+    forms = [form for _, _, form in spans]
     assert forms == ["full", "surname"]  # multi-token extra: full; single-token: surname
 
 
 def test_match_independent_of_registry_order(registry_file):
     registry = load_registry(registry_file)
     art = make_article("Mary Harney met Brian Cowen and Noel Dempsey. Cowen agreed.")
-    expected = corpus.match_politicians(art, registry)
-    assert corpus.match_politicians(art, list(reversed(registry))) == expected
+    expected = corpus.scan_corpus([art], registry)
+    got = corpus.scan_corpus([art], list(reversed(registry)))
+    assert got.politicians == expected.politicians
+    assert got.mentions.tolist() == expected.mentions.tolist()
+    assert got.owners.tolist() == expected.owners.tolist()
+    assert util.matches(got) == util.matches(expected)
 
 
 def test_match_shared_surname_matches_both(tmp_path):
@@ -275,13 +279,13 @@ def test_match_shared_surname_matches_both(tmp_path):
         [politician("p1", "female", "Mary", "Lenihan"), politician("p2", "male", "Brian", "Lenihan")],
     )
     registry = corpus.load_registry(path)
-    got = corpus.match_politicians(make_article("Lenihan spoke first"), registry)
-    assert [m.politician_id for m in got] == ["p1", "p2"]
+    got = match(make_article("Lenihan spoke first"), registry)
+    assert list(got) == ["p1", "p2"]
 
 
 def test_no_match_empty_result(registry_file):
     registry = load_registry(registry_file)
-    assert corpus.match_politicians(make_article("nothing to see"), registry) == []
+    assert match(make_article("nothing to see"), registry) == {}
 
 
 # --- labeling (pipeline.build_instances) ---
@@ -290,19 +294,18 @@ def test_label_single_female(registry_file):
     registry = load_registry(registry_file)
     got = pipeline.build_instances([make_article("Mary Harney said it")], registry)
     assert len(got) == 1
-    assert got[0].label == "female"
-    assert got[0].politician_ids == ("p1",)
+    assert got.y.tolist() == [corpus.GENDERS.index("female")]
+    assert got.politician_ids == (("p1",),)
 
 
 def test_label_both_genders_two_instances(registry_file):
     registry = load_registry(registry_file)
     art = make_article("Mary Harney met Brian Cowen and Noel Dempsey")
     got = pipeline.build_instances([art], registry)
-    assert [i.label for i in got] == ["female", "male"]
-    assert got[0].politician_ids == ("p1",)
-    assert got[1].politician_ids == ("p2", "p3")
-    # both instances share one masked stream
-    assert got[0].stream == got[1].stream
+    assert [corpus.GENDERS[y] for y in got.y.tolist()] == ["female", "male"]
+    assert got.politician_ids == (("p1",), ("p2", "p3"))
+    # both instances share one masked stream: their article's one text
+    assert got.article.tolist() == [0, 0] and len(got.stream.bounds) == 2
 
 
 def test_label_no_politicians_no_instances(registry_file):
@@ -320,23 +323,23 @@ def test_label_instance_count_bounded(registry_file):
     ]
     got = pipeline.build_instances(arts, registry)
     per_article = {}
-    for inst in got:
-        per_article[inst.article_id] = per_article.get(inst.article_id, 0) + 1
+    for a in got.article.tolist():
+        per_article[got.article_ids[a]] = per_article.get(got.article_ids[a], 0) + 1
     assert per_article == {"a1": 1, "a2": 1, "a3": 2}
 
 
 def test_label_masks_names_and_pronouns(registry_file):
     registry = load_registry(registry_file)
     got = pipeline.build_instances([make_article("Mary Harney said she would resign")], registry)
-    assert got[0].stream.tokens == ("NAMEFORM_FULL", "said", "would", "resign")
-    assert kind_of(got[0].stream.tokens[0]) == MARKER
+    assert got.stream.tokens == ("NAMEFORM_FULL", "said", "would", "resign")
+    assert kind_of(got.stream.tokens[0]) == MARKER
 
 
 def test_label_headline_mention_per_gender(registry_file):
     registry = load_registry(registry_file)
     art = make_article("Brian Cowen responded", headline="Harney wins vote")
     got = pipeline.build_instances([art], registry)
-    flags = {i.label: i.headline_mention for i in got}
+    flags = {corpus.GENDERS[y]: flag for y, flag in zip(got.y.tolist(), got.headline_mention.tolist())}
     assert flags == {"female": True, "male": False}
 
 
@@ -345,9 +348,8 @@ def test_a_mention_lies_inside_its_headline_or_its_body(tmp_path):
     write_registry(path, [politician("p1", "male", "John", "Kelly")])
     registry = corpus.load_registry(path)
     art = make_article("Kelly said no.", headline="Talks with John")
-    got = corpus.match_politicians(art, registry)
-    assert [(s.start, s.end, s.form) for s in got[0].spans] == [(2, 3, "given"), (3, 4, "surname")]
-    assert got[0].headline_mention is True
+    got = match(art, registry)
+    assert got == {"p1": ([(2, 3, "given"), (3, 4, "surname")], True)}
     # each text keeps its own marker, in its own sentence
     masked = pipeline.build_instances([art], registry)
     assert masked.article_ids == ("a1",)
@@ -361,7 +363,8 @@ def test_label_keeps_section(registry_file):
         id="a1", source="s", date=datetime.date(2005, 1, 1),
         section="opinion", headline="", body="Mary Harney wrote this",
     )
-    assert pipeline.build_instances([art], registry)[0].section == "opinion"
+    got = pipeline.build_instances([art], registry)
+    assert got.sections[got.article[0]] == "opinion"
 
 
 # --- years_in_office ---

@@ -1,8 +1,11 @@
 """numpy is the only runtime dependency: the CLI's commands import nothing
-else outside the standard library, though other packages are installed."""
+else outside the standard library, though other packages are installed.
+Within the package, the term extraction layer does not depend on the corpus
+layer, and no module imports a name it never reads."""
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -10,6 +13,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "newsbias"
 
 # Runs in a fresh interpreter: an import hook refuses every top-level module
 # outside the standard library, numpy and newsbias, then the commands run
@@ -71,3 +75,54 @@ def test_commands_import_only_numpy_and_the_standard_library(tmp_path):
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout.splitlines()[-1]) == {"codes": [0] * len(commands), "refused": []}
+
+
+def imported_from(module: ast.Module) -> set[str]:
+    """The modules an import statement names, relative ones as written ("corpus" for "from .corpus import")."""
+    names = set()
+    for node in ast.walk(module):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                names.add(node.module)
+            else:  # from . import corpus
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_features_imports_nothing_from_corpus():
+    # term extraction reads a stream and a section, so it needs no corpus type
+    modules = imported_from(ast.parse((PACKAGE / "features.py").read_text(encoding="utf-8")))
+    assert not modules & {"corpus", "newsbias.corpus"}, sorted(modules)
+
+
+def unread_imports(source: str) -> list[str]:
+    """Names an import binds that the module never reads: not as a name, not as
+    an attribute's base, and not inside a string annotation."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    annotations = [node.annotation for node in ast.walk(tree) if isinstance(node, (ast.arg, ast.AnnAssign))]
+    annotations += [node.returns for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    for node in (n for annotation in annotations if annotation for n in ast.walk(annotation)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.update(n.id for n in ast.walk(ast.parse(node.value, mode="eval")) if isinstance(n, ast.Name))
+    return [f"line {line}: {name}" for name, line in sorted(bound.items(), key=lambda item: item[1])
+            if name not in read]
+
+
+def test_unread_imports_are_found():
+    assert unread_imports("import os\nfrom operator import attrgetter\nos.sep\n") == ["line 2: attrgetter"]
+    assert unread_imports("from typing import Sequence\ndef f(x: 'Sequence[int]'): pass\n") == []
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # __init__.py imports its names to re-export them
+    found = {path.name: unread_imports(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}

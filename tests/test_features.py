@@ -9,7 +9,6 @@ from collections import Counter
 import pytest
 
 from newsbias import features
-from newsbias.corpus import LabeledInstance
 from newsbias.errors import ConfigError, DataError
 from newsbias.features import (
     FeatureVector,
@@ -19,21 +18,14 @@ from newsbias.features import (
     load_pos_lexicon,
     vectorize,
 )
-from newsbias.preprocess import MentionSpan, mask_gender_signals, split_sentences, tokenize
+from newsbias.preprocess import mask_gender_signals, split_sentences, tokenize
 
-from util import space_of
+from util import mention_rows, space_of
 
 
-def make_instance(text, spans=(), section="", label="female"):
-    stream = mask_gender_signals(split_sentences(tokenize(text)), list(spans))
-    return LabeledInstance(
-        article_id="a1",
-        label=label,
-        politician_ids=("p1",),
-        headline_mention=False,
-        stream=stream,
-        section=section,
-    )
+def make_text(text, spans=()):
+    """One masked text, its mentions given as (start, end, form) spans."""
+    return mask_gender_signals(split_sentences(tokenize(text)), mention_rows(spans))
 
 
 # --- lexicon loading ---
@@ -113,59 +105,58 @@ def lexicon(tmp_path):
 
 
 def test_extract_unigrams_include_markers():
-    inst = make_instance("Mary Harney embraced the policy", spans=[MentionSpan(0, 2, "full")])
-    got = extract_terms(inst, "unigram")
+    text = make_text("Mary Harney embraced the policy", spans=[(0, 2, "full")])
+    got = extract_terms(text, "", "unigram")
     assert got == Counter({"NAMEFORM_FULL": 1, "embraced": 1, "the": 1, "policy": 1})
 
 
 def test_extract_unigrams_skip_numbers_and_punct():
-    inst = make_instance("a budget of €3.4bn, agreed.")
-    got = extract_terms(inst, "unigram")
+    text = make_text("a budget of €3.4bn, agreed.")
+    got = extract_terms(text, "", "unigram")
     assert set(got) == {"a", "budget", "of", "agreed"}
 
 
 def test_extract_lexicon_category(lexicon):
-    inst = make_instance("Mary Harney would embrace policy", spans=[MentionSpan(0, 2, "full")])
-    got = extract_terms(inst, "lexicon_category", lexicon=lexicon)
+    text = make_text("Mary Harney would embrace policy", spans=[(0, 2, "full")])
+    got = extract_terms(text, "", "lexicon_category", lexicon=lexicon)
     assert got == Counter({"ACTIVE": 1})
 
 
 def test_extract_lexicon_counts_occurrences(lexicon):
-    inst = make_instance("jail the chief, then jail him again")
-    got = extract_terms(inst, "lexicon_category", lexicon=lexicon)
+    text = make_text("jail the chief, then jail him again")
+    got = extract_terms(text, "", "lexicon_category", lexicon=lexicon)
     assert got["POWER"] == 3
 
 
 def test_extract_adjectives(pos_lexicon):
-    inst = make_instance("the formidable leader spoke")
-    got = extract_terms(inst, "adjective", pos_lexicon=pos_lexicon)
+    text = make_text("the formidable leader spoke")
+    got = extract_terms(text, "", "adjective", pos_lexicon=pos_lexicon)
     assert got == Counter({"formidable": 1})
 
 
 def test_extract_verbs_primary_tag_only(pos_lexicon):
-    inst = make_instance("they embrace the formidable leader who spoke")
-    got = extract_terms(inst, "verb", pos_lexicon=pos_lexicon)
+    text = make_text("they embrace the formidable leader who spoke")
+    got = extract_terms(text, "", "verb", pos_lexicon=pos_lexicon)
     assert got == Counter({"embrace": 1, "spoke": 1})
 
 
 def test_extract_section():
-    inst = make_instance("body text", section="politics")
-    assert extract_terms(inst, "section") == Counter({"politics": 1})
-    assert extract_terms(make_instance("body", section=""), "section") == Counter()
+    assert extract_terms(make_text("body text"), "politics", "section") == Counter({"politics": 1})
+    assert extract_terms(make_text("body"), "", "section") == Counter()
 
 
 def test_extract_nameform():
-    inst = make_instance("Mary Harney met Harney", spans=[MentionSpan(0, 2, "full"), MentionSpan(3, 4, "surname")])
-    got = extract_terms(inst, "nameform")
+    text = make_text("Mary Harney met Harney", spans=[(0, 2, "full"), (3, 4, "surname")])
+    got = extract_terms(text, "", "nameform")
     assert got == Counter({"NAMEFORM_FULL": 1, "NAMEFORM_SURNAME": 1})
 
 
 def test_sentence_window_restricts_to_mention_sentences():
-    inst = make_instance(
+    text = make_text(
         "Mary Harney backed the plan. Opponents dissented loudly.",
-        spans=[MentionSpan(0, 2, "full")],
+        spans=[(0, 2, "full")],
     )
-    got = extract_terms(inst, "unigram", window="sentence")
+    got = extract_terms(text, "", "unigram", window="sentence")
     assert "backed" in got
     assert "dissented" not in got
 
@@ -178,24 +169,23 @@ def test_sentence_window_subset_of_article_window(lexicon):
             " ".join(rng.choice(words) for _ in range(rng.randint(2, 6)))
             for _ in range(rng.randint(1, 4))
         )
-        text = "Mary Harney spoke. " + body
-        inst = make_instance(text, spans=[MentionSpan(0, 2, "full")])
+        text = make_text("Mary Harney spoke. " + body, spans=[(0, 2, "full")])
         for scheme, kwargs in [("unigram", {}), ("lexicon_category", {"lexicon": lexicon})]:
-            article = extract_terms(inst, scheme, window="article", **kwargs)
-            sentence = extract_terms(inst, scheme, window="sentence", **kwargs)
+            article = extract_terms(text, "", scheme, window="article", **kwargs)
+            sentence = extract_terms(text, "", scheme, window="sentence", **kwargs)
             assert all(sentence[t] <= article[t] for t in sentence)
 
 
 def test_extract_missing_resources_error():
-    inst = make_instance("text here")
+    text = make_text("text here")
     with pytest.raises(ConfigError):
-        extract_terms(inst, "adjective")
+        extract_terms(text, "", "adjective")
     with pytest.raises(ConfigError):
-        extract_terms(inst, "lexicon_category")
+        extract_terms(text, "", "lexicon_category")
     with pytest.raises(ConfigError):
-        extract_terms(inst, "unigram", window="paragraph")
+        extract_terms(text, "", "unigram", window="paragraph")
     with pytest.raises(ConfigError):
-        extract_terms(inst, "bigram")
+        extract_terms(text, "", "bigram")
 
 
 # --- build_space ---

@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newsbias import features, learn, pipeline
-from newsbias.corpus import LabeledInstance
 from newsbias.learn import (
     TreeNode,
     cross_validate,
@@ -36,7 +35,7 @@ from newsbias.errors import DataError
 from newsbias.preprocess import TokenStream, split_sentences
 from newsbias.rng import Rng
 
-from util import instances_of, make_dataset, make_vec, space_of
+from util import instances_of, make_dataset, make_vec, space_of, terms_of
 
 F, M = "female", "male"
 
@@ -326,32 +325,27 @@ WORDS = ["budget", "health", "school", "road", "tax", "farm", "NAMEFORM_FULL", "
 
 @st.composite
 def instance_lists(draw):
-    """Labeled instances over a few words, so that words repeat across rows;
-    every instance starts with "every", a term in every document of the
-    article window, which tf-idf drops."""
+    """A corpus pass of labeled instances over a few words, so that words repeat
+    across rows; every text starts with "every", a term in every document of
+    the article window, which tf-idf drops."""
     n = draw(st.integers(2, 12))
-    return [
-        LabeledInstance(
-            article_id=f"a{i}",
-            label=F if i == 0 else M if i == 1 else draw(st.sampled_from([F, M])),
-            politician_ids=("p",),
-            headline_mention=False,
-            stream=split_sentences(TokenStream.of(("every", *draw(st.lists(st.sampled_from(WORDS), max_size=10))))),
-        )
-        for i in range(n)
-    ]
+    return instances_of(
+        [split_sentences(TokenStream.of(("every", *draw(st.lists(st.sampled_from(WORDS), max_size=10)))))
+         for _ in range(n)],
+        [F if i == 0 else M if i == 1 else draw(st.sampled_from([F, M])) for i in range(n)],
+    )
 
 
 @SETTINGS
 @given(instance_lists(), st.sampled_from(features.REPRESENTATIONS), st.sampled_from(features.WINDOWS),
        st.integers(1, 3))
 def test_build_dataset_packs_what_vectorize_gives_row_by_row(instances, representation, window, min_df):
-    terms = [features.extract_terms(inst, "unigram", window=window) for inst in instances]
+    terms = terms_of(instances, "unigram", window=window)
     if max(Counter(t for row in terms for t in row).values(), default=0) < min_df:
         with pytest.raises(DataError, match="no features survive min_df"):
-            pipeline.build_dataset(instances_of(instances), scheme="unigram", window=window, min_df=min_df)
+            pipeline.build_dataset(instances, scheme="unigram", window=window, min_df=min_df)
         return
-    ds = pipeline.build_dataset(instances_of(instances), scheme="unigram", window=window,
+    ds = pipeline.build_dataset(instances, scheme="unigram", window=window,
                                 representation=representation, min_df=min_df)
     # terms under min_df fall outside the space, and rows of only such terms come out empty
     space = ds.space
@@ -362,7 +356,7 @@ def test_build_dataset_packs_what_vectorize_gives_row_by_row(instances, represen
     assert ds.csr.indices.tolist() == [i for v in want for i in v.ids]
     assert ds.csr.data.tolist() == [x for v in want for x in v.values]
     assert ds.rows.tolist() == list(range(len(instances)))
-    assert ds.labels == tuple(inst.label for inst in instances)
+    assert ds.labels == tuple((F, M)[y] for y in instances.y.tolist())
     # the per-row view holds the same vectors; boolean rows share the one 1.0
     assert ds.vectors == tuple(want)
     if representation == "boolean":
@@ -371,17 +365,15 @@ def test_build_dataset_packs_what_vectorize_gives_row_by_row(instances, represen
 
 @pytest.mark.parametrize("representation", features.REPRESENTATIONS)
 def test_build_dataset_makes_no_feature_vector(monkeypatch, representation):
-    instances = [
-        LabeledInstance(f"a{i}", (F, M)[i % 2], ("p",), False, TokenStream.of(words.split()))
-        for i, words in enumerate(["tax road tax", "farm road", "tax school", "farm farm road", "school"])
-    ]
+    texts = ["tax road tax", "farm road", "tax school", "farm farm road", "school"]
+    instances = instances_of([TokenStream.of(words.split()) for words in texts], [(F, M)[i % 2] for i in range(5)])
 
     def refuse(*args, **kwargs):
         raise AssertionError("a FeatureVector was made")
 
     monkeypatch.setattr(features, "vectorize", refuse)
     monkeypatch.setattr(features.FeatureVector, "__post_init__", refuse)
-    ds = pipeline.build_dataset(instances_of(instances), scheme="unigram", representation=representation, min_df=1)
+    ds = pipeline.build_dataset(instances, scheme="unigram", representation=representation, min_df=1)
     assert ds.space.entries == ("farm", "road", "school", "tax")
     assert ds.csr.indptr.tolist() == [0, 2, 4, 6, 8, 9]
     assert ds.csr.indices.tolist() == [1, 3, 0, 1, 2, 3, 0, 1, 2]

@@ -36,7 +36,7 @@ def test_build_instances_with_date_window(small_corpus):
     cut = datetime.date(2004, 1, 1)
     instances = pipeline.build_instances(articles, registry, date_to=cut)
     kept_ids = {a.id for a in pipeline.filter_by_date(articles, date_to=cut)}
-    assert {i.article_id for i in instances} <= kept_ids
+    assert {instances.article_ids[a] for a in instances.article.tolist()} <= kept_ids
 
 
 def test_build_dataset_shares_space_across_representations(small_corpus):
@@ -55,8 +55,8 @@ def test_build_dataset_shares_space_across_representations(small_corpus):
 def test_sentence_window_dataset_is_smaller(small_corpus):
     articles, registry = small_corpus
     instances = pipeline.build_instances(articles, registry)
-    article_terms = [features.extract_terms(inst, "unigram", window="article") for inst in instances]
-    sentence_terms = [features.extract_terms(inst, "unigram", window="sentence") for inst in instances]
+    article_terms = util.terms_of(instances, "unigram", window="article")
+    sentence_terms = util.terms_of(instances, "unigram", window="sentence")
     assert sum(sum(t.values()) for t in sentence_terms) < sum(
         sum(t.values()) for t in article_terms
     )
@@ -125,15 +125,17 @@ def test_instances_and_views_share_one_prepared_stream(small_corpus, stoplist, a
               in util.per_article(pipeline.build_doc_views(articles, registry, masked=True, **opts))}
     raw = pipeline.build_doc_views(articles, registry, masked=False, **opts)
     scans = corpus.scan_corpus(articles, registry)
-    assert {i.article_id for i in instances} == {s.article.id for s in scans
-                                                 if corpus.match_politicians(s.article, registry)}
-    for inst in instances:
-        text, mentions = masked[inst.article_id]
-        assert text == inst.stream
+    texts = instances.stream.texts()
+    featured = [instances.article_ids[a] for a in instances.article.tolist()]
+    assert set(featured) == {art.id for art, names in zip(scans.articles, util.matches(scans)) if names}
+    for a in instances.article.tolist():
+        text, mentions = masked[instances.article_ids[a]]
+        stream = texts[a]
+        assert text == stream
         # the sentence window reads exactly the sentences the pass marks as mentions
         spans = text.sentence_spans
-        surfaces = inst.stream.vocab.surfaces
-        assert [surfaces[i] for i in inst.stream.ids[features._window_mask(inst.stream, "sentence")]] == [
+        surfaces = stream.vocab.surfaces
+        assert [surfaces[i] for i in stream.ids[features._window_mask(stream, "sentence")]] == [
             tok for s in sorted(mentions) for tok in text.tokens[slice(*spans[s])]
         ]
     # a raw pass holds the scanned text, whatever the stoplist and stemming settings
@@ -188,12 +190,12 @@ def front_end_cases(draw):
 def test_batch_front_end_equals_the_token_by_token_reference(case):
     articles, registry, signals, stoplist, apply_stem = case
     refs = [util.ref_article(article, registry) for article in articles]
-    for scan, ref in zip(corpus.scan_corpus(articles, registry), refs, strict=True):
+    scans = corpus.scan_corpus(articles, registry)
+    for scan, names, ref in zip(scans, util.matches(scans), refs, strict=True):
         assert list(scan.stream.tokens) == ref["tokens"]
         assert list(scan.stream.sentence_spans) == ref["spans"]
         assert [(m.start, m.end, m.form) for m in scan.mention_spans] == ref["mentions"]
-        assert {m.politician_id: ([(s.start, s.end, s.form) for s in m.spans], m.headline_mention)
-                for m in corpus.match_politicians(scan.article, registry)} == ref["matches"]
+        assert names == ref["matches"]
 
     opts = {"signals": signals, "stoplist": stoplist, "apply_stem": apply_stem}
     raw = pipeline.build_instances(articles, registry, masked=False, **opts)
@@ -215,8 +217,10 @@ def test_batch_front_end_equals_the_token_by_token_reference(case):
         markers = [i for i, tok in enumerate(tokens) if tok in MARKER_SURFACES]
         assert masked_mentions == util.ref_sentences(spans, markers)
     by_id = {aid: text for aid, text, _, _ in util.per_article(masked)}
-    assert all(inst.stream == by_id[inst.article_id] for inst in instances)
-    assert {inst.article_id for inst in instances} == {a.id for a, ref in zip(articles, refs) if ref["matches"]}
+    texts = instances.stream.texts()
+    featured = [instances.article_ids[a] for a in instances.article.tolist()]
+    assert all(texts[a] == by_id[aid] for a, aid in zip(instances.article.tolist(), featured))
+    assert set(featured) == {a.id for a, ref in zip(articles, refs) if ref["matches"]}
     # an instance per article and gender it features: that gender's politicians, and whether one is in the headline
     want = {}
     for article, ref in zip(articles, refs):
@@ -224,7 +228,8 @@ def test_batch_front_end_equals_the_token_by_token_reference(case):
             ids = tuple(sorted(rid for rid in ref["matches"] if gender_of[rid] == gender))
             if ids:
                 want[article.id, gender] = (ids, any(ref["matches"][rid][1] for rid in ids))
-    got = [((inst.article_id, inst.label), (inst.politician_ids, inst.headline_mention)) for inst in instances]
+    got = [((aid, corpus.GENDERS[y]), (ids, headline)) for aid, y, ids, headline
+           in zip(featured, instances.y.tolist(), instances.politician_ids, instances.headline_mention.tolist())]
     assert (len(got), dict(got)) == (len(want), want)
 
 
@@ -265,7 +270,7 @@ def test_one_pass_dataset_equals_the_per_instance_reference(case, min_df):
     resources = {"lexicon": lexicon, "pos_lexicon": pos}
     for scheme in features.SCHEMES:
         for window in features.WINDOWS:
-            terms = [features.extract_terms(inst, scheme, window=window, **resources) for inst in instances]
+            terms = util.terms_of(instances, scheme, window=window, **resources)
             build = functools.partial(pipeline.build_dataset, instances, scheme=scheme, window=window,
                                       min_df=min_df, **resources)
             if len(instances) < 2:
@@ -287,7 +292,7 @@ def test_one_pass_dataset_equals_the_per_instance_reference(case, min_df):
                 assert ds.csr.indptr.tolist() == want.indptr.tolist()
                 assert ds.csr.indices.tolist() == want.indices.tolist()
                 assert ds.csr.data.tolist() == want.data.tolist()
-                assert ds.y.tolist() == [corpus.GENDERS.index(inst.label) for inst in instances]
+                assert ds.y.tolist() == instances.y.tolist()
 
 
 def test_pass_path_makes_no_per_mention_objects(small_corpus, monkeypatch):
@@ -304,7 +309,6 @@ def test_pass_path_makes_no_per_mention_objects(small_corpus, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("per-mention objects on the pass path")
 
-    monkeypatch.setattr(corpus, "PoliticianMatch", refuse)
     monkeypatch.setattr(corpus, "MentionSpan", refuse)
     assert build_all() == want
 
@@ -335,6 +339,4 @@ def test_datasets_make_no_per_instance_terms_texts_or_views(small_corpus, monkey
 
     monkeypatch.setattr(features, "extract_terms", refuse)
     monkeypatch.setattr(preprocess.TokenStream, "texts", refuse)
-    monkeypatch.setattr(preprocess.TokenStream, "text", refuse)
-    monkeypatch.setattr(corpus, "LabeledInstance", refuse)
     assert build_all() == want

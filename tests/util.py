@@ -102,21 +102,48 @@ def from_terms(terms, space: FeatureSpace, representation: str) -> CSR:
     return CSR(indptr, indices, data, representation)
 
 
-def instances_of(labeled) -> Instances:
-    """Labeled instances as one unstemmed corpus pass, each over an article of its
-    own: their streams laid end to end over one vocabulary, with their sentences,
-    of which those holding a marker mention a politician."""
+def instances_of(streams, labels) -> Instances:
+    """One unstemmed corpus pass of one instance per stream and label, each over
+    an article of its own (ids a0, a1, ..., no section, featuring politician "p",
+    not in a headline): the streams laid end to end over one vocabulary, with
+    their sentences, of which those holding a marker mention a politician."""
     vocab = Vocab()
-    texts = [np.fromiter(map(vocab.id, inst.stream.tokens), np.int32, len(inst.stream)) for inst in labeled]
+    texts = [np.fromiter(map(vocab.id, text.tokens), np.int32, len(text)) for text in streams]
     bounds = np.concatenate(([0], np.cumsum([len(text) for text in texts], dtype=np.int64)))
-    ends = [inst.stream.ends + start for inst, start in zip(labeled, bounds.tolist())]
+    ends = [text.ends + start for text, start in zip(streams, bounds.tolist())]
     stream = TokenStream(vocab, np.concatenate([np.zeros(0, np.int32), *texts]), bounds,
                          np.concatenate([np.zeros(0, np.int64), *ends]))
-    return Instances(tuple(inst.article_id for inst in labeled), tuple(inst.section for inst in labeled), stream,
-                     np.arange(len(labeled)), np.array([GENDERS.index(inst.label) for inst in labeled], np.int8),
-                     tuple(inst.politician_ids for inst in labeled),
-                     np.array([inst.headline_mention for inst in labeled], bool),
-                     sentences_holding(stream, np.flatnonzero(stream.ids < len(FORMS))), False)
+    return Instances(tuple(f"a{i}" for i in range(len(texts))), ("",) * len(texts), stream, np.arange(len(texts)),
+                     np.array([GENDERS.index(label) for label in labels], np.int8), (("p",),) * len(texts),
+                     np.zeros(len(texts), bool), sentences_holding(stream, np.flatnonzero(stream.ids < len(FORMS))),
+                     False)
+
+
+def terms_of(instances: Instances, scheme: str, **kwargs) -> list[Counter]:
+    """Each instance's terms as extract_terms counts them in its article's text and section."""
+    texts = instances.stream.texts()
+    return [features.extract_terms(texts[a], instances.sections[a], scheme, **kwargs)
+            for a in instances.article.tolist()]
+
+
+def mention_rows(spans) -> np.ndarray:
+    """(start, end, form) spans as the masker reads mentions: (start, end, index of the form in FORMS) int rows."""
+    return np.array([(start, end, FORMS.index(form)) for start, end, form in spans], np.int64).reshape(-1, 3)
+
+
+def matches(scan) -> list[dict]:
+    """A corpus scan's owner rows read back article by article: each politician id
+    the article names, in id order, with the (start, end, form) spans over the
+    article's text that name it and whether one of them lies in the headline."""
+    starts = scan.stream.bounds.tolist()
+    article = (np.searchsorted(scan.stream.bounds, scan.mentions[:, 0], side="right") - 1).tolist()
+    found = [{} for _ in scan.articles]
+    for m, p, form, headline in scan.owners.tolist():
+        a, (start, end) = article[m], scan.mentions[m, :2].tolist()
+        spans, named = found[a].get(scan.politicians[p], ([], False))
+        found[a][scan.politicians[p]] = (spans + [(start - starts[a], end - starts[a], FORMS[form])],
+                                         named or bool(headline))
+    return [dict(sorted(names.items())) for names in found]
 
 
 def write_articles(path, rows) -> None:
