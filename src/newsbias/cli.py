@@ -180,14 +180,18 @@ class _Run:
         self.outputs.append(name)
         return p
 
-    def write_json(self, name: str, payload) -> Path:
-        p = self.path(name)
-        p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        return p
+    def write_json(self, name: str, payload) -> None:
+        self.path(name).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+    def write_csv(self, name: str, header, rows) -> None:
+        with self.path(name).open("w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
 
     def write_manifest(self, searched: dict[str, str] | None = None) -> None:
         # the embedded config (sans output directory) makes the manifest
-        # sufficient to re-execute the run
+        # sufficient to re-execute the run; it lists the outputs before itself
         manifest = {
             "command": self.command,
             "config": {k: v for k, v in self.config.items() if k != "out"},
@@ -198,13 +202,7 @@ class _Run:
         }
         if searched:
             manifest["searched"] = searched
-        path = self.out_dir / "manifest.json"
-        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _open_csv(path: Path):
-    fh = path.open("w", encoding="utf-8", newline="")
-    return fh, csv.writer(fh, lineterminator="\n")
+        self.write_json("manifest.json", manifest)
 
 
 def _load_corpus(config: dict):
@@ -230,6 +228,11 @@ def _pipeline_options(config: dict) -> dict:
     }
 
 
+# the paths key of the resource each scheme reads, for the schemes that read one
+_SCHEME_RESOURCES = {features.ADJECTIVE: "pos_lexicon", features.VERB: "pos_lexicon",
+                     features.LEXICON_CATEGORY: "lexicons"}
+
+
 def _load_resources(config: dict, schemes: set[str]):
     """The configured lexicon and POS lexicon; with stemming on, those the
     schemes read are stemmed, as the tokens they look up are."""
@@ -248,9 +251,10 @@ def _load_resources(config: dict, schemes: set[str]):
     if config["paths"]["pos_lexicon"]:
         pos_lexicon = features.load_pos_lexicon(_require_path(config, "pos_lexicon"))
     if config["pipeline"]["stem"]:
-        if lexicon and features.LEXICON_CATEGORY in schemes:
+        read = {_SCHEME_RESOURCES.get(scheme) for scheme in schemes}
+        if lexicon and "lexicons" in read:
             lexicon = lexicon.stemmed()
-        if pos_lexicon and schemes & {features.ADJECTIVE, features.VERB}:
+        if pos_lexicon and "pos_lexicon" in read:
             pos_lexicon = pos_lexicon.stemmed()
     return lexicon, pos_lexicon
 
@@ -327,8 +331,7 @@ def cmd_label(config: dict) -> int:
 
 def _check_scheme(config: dict, scheme: str) -> None:
     """Reject a scheme whose resource the config does not name."""
-    path = {features.ADJECTIVE: "pos_lexicon", features.VERB: "pos_lexicon",
-            features.LEXICON_CATEGORY: "lexicons"}.get(scheme)
+    path = _SCHEME_RESOURCES.get(scheme)
     if path and not config["paths"][path]:
         raise ConfigError(f"scheme {scheme} needs paths.{path}")
 
@@ -348,6 +351,11 @@ def _sweep_combinations(config: dict) -> list[tuple[str, str, str, str]]:
             raise ConfigError(f"sweep combination {'/'.join(combination)} is named more than once")
         combinations.append(combination)
     return combinations
+
+
+# one row of the sweep summary, as CSV columns and as JSON keys
+_SWEEP_COLUMNS = ("descriptor", "scheme", "window", "representation", "classifier",
+                  "n_instances", "n_features", "majority_baseline", "mean_accuracy")
 
 
 def cmd_sweep(config: dict) -> int:
@@ -393,40 +401,16 @@ def cmd_sweep(config: dict) -> int:
             raise type(exc)(f"sweep combination {descriptor}: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"sweep combination {descriptor}: {exc}") from exc
-        rows.append(
-            {
-                "descriptor": descriptor,
-                "scheme": scheme,
-                "window": window,
-                "representation": representation,
-                "classifier": classifier,
-                "n_instances": len(dataset),
-                "n_features": len(dataset.space),
-                "majority_baseline": learn.majority_baseline(dataset),
-                "mean_accuracy": report.mean_accuracy,
-            }
-        )
+        rows.append(dict(zip(_SWEEP_COLUMNS, (
+            descriptor, scheme, window, representation, classifier, len(dataset), len(dataset.space),
+            learn.majority_baseline(dataset), report.mean_accuracy))))
         reports.append(report)
 
     rows.sort(key=lambda r: r["descriptor"])
     reports.sort(key=lambda r: r.descriptor)
-    fh, writer = _open_csv(run.path("sweep_summary.csv"))
-    with fh:
-        writer.writerow(
-            [
-                "descriptor", "scheme", "window", "representation", "classifier",
-                "n_instances", "n_features", "majority_baseline", "mean_accuracy",
-            ]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row["descriptor"], row["scheme"], row["window"],
-                    row["representation"], row["classifier"],
-                    row["n_instances"], row["n_features"],
-                    f"{row['majority_baseline']:.6f}", f"{row['mean_accuracy']:.6f}",
-                ]
-            )
+    # the CSV's accuracies are fixed to six places, the JSON's are exact
+    run.write_csv("sweep_summary.csv", _SWEEP_COLUMNS,
+                  ([f"{v:.6f}" if isinstance(v, float) else v for v in row.values()] for row in rows))
     run.write_json("sweep_summary.json", rows)
     for report in reports:
         slug = report.descriptor.replace("/", "_")
@@ -463,17 +447,15 @@ def cmd_rank(config: dict) -> int:
     payload = {
         "k": k,
         "descriptor": f"{fconf['scheme']}/{fconf['window']}/{fconf['representation']}/svm",
-        "female": [{"surface": s, "kind": kd, "weight": w} for s, kd, w in ranked.female],
-        "male": [{"surface": s, "kind": kd, "weight": w} for s, kd, w in ranked.male],
         "fit": {"iterations": model.iterations, "gap": model.gap},
     }
+    rows = []
+    for label in corpus.GENDERS:
+        entries = getattr(ranked, label)
+        payload[label] = [{"surface": s, "kind": kd, "weight": w} for s, kd, w in entries]
+        rows += ([label, pos, s, kd, f"{w:.9f}"] for pos, (s, kd, w) in enumerate(entries, start=1))
     run.write_json("ranked_features.json", payload)
-    fh, writer = _open_csv(run.path("ranked_features.csv"))
-    with fh:
-        writer.writerow(["class", "rank", "surface", "kind", "weight"])
-        for label, entries in (("female", ranked.female), ("male", ranked.male)):
-            for pos, (surface, kind, weight) in enumerate(entries, start=1):
-                writer.writerow([label, pos, surface, kind, f"{weight:.9f}"])
+    run.write_csv("ranked_features.csv", ["class", "rank", "surface", "kind", "weight"], rows)
     run.write_manifest()
     print(f"ranked {len(ranked.female)} female / {len(ranked.male)} male features")
     return 0
@@ -500,16 +482,9 @@ def cmd_kwic(config: dict, term: str, tag: str) -> int:
         group=config["interpret"].get("group"),
         require_cooccurrence=config["interpret"].get("cooccur", False),
     )
-    fh, writer = _open_csv(run.path("kwic.csv"))
-    with fh:
-        writer.writerow(["article_id", "position", "left", "keyword", "right", "tag"])
-        for line in lines:
-            writer.writerow(
-                [
-                    line.article_id, line.position,
-                    " ".join(line.left), line.keyword, " ".join(line.right), tag,
-                ]
-            )
+    run.write_csv("kwic.csv", ["article_id", "position", "left", "keyword", "right", "tag"],
+                  ([line.article_id, line.position, " ".join(line.left), line.keyword, " ".join(line.right), tag]
+                   for line in lines))
     run.write_manifest(_stemmed(config, [term]))
     print(f"{len(lines)} concordance lines for {term!r}")
     return 0
@@ -537,19 +512,15 @@ def cmd_stats(config: dict, terms: list[str], groups: list[str], portfolio: str 
     portfolios = sorted({term.portfolio for record in registry for term in record.terms})
     if portfolio is not None and portfolio not in portfolios:
         raise DataError(f"--portfolio {portfolio!r} is no portfolio of the registry's terms: {', '.join(portfolios)}")
-    stats = []
-    for term in terms:
-        for group in groups:
-            count = interpret.term_count(instances, term, group)
-            years = corpus.total_years(registry, group, window, portfolio)
-            if years <= 0:
-                raise DataError(f"group {group!r} has zero years in office in the window")
-            stats.append(interpret.RateStat(term=term, group=group, count=count, years=years))
-    fh, writer = _open_csv(run.path("stats.csv"))
-    with fh:
-        writer.writerow(["term", "group", "count", "years", "rate"])
-        for st in stats:
-            writer.writerow([st.term, st.group, st.count, f"{st.years:.6f}", f"{st.rate:.6f}"])
+    years = {group: corpus.total_years(registry, group, window, portfolio) for group in groups}
+    for group, total in years.items():
+        if total <= 0:
+            scope = "" if portfolio is None else f" in --portfolio {portfolio!r}"
+            raise DataError(f"group {group!r} has zero years in office{scope} in the window")
+    stats = [interpret.RateStat(term=term, group=group, count=interpret.term_count(instances, term, group),
+                                years=years[group]) for term in terms for group in groups]
+    run.write_csv("stats.csv", ["term", "group", "count", "years", "rate"],
+                  ([st.term, st.group, st.count, f"{st.years:.6f}", f"{st.rate:.6f}"] for st in stats))
     run.write_manifest(_stemmed(config, terms))
     for st in stats:
         print(f"{st.term}/{st.group}: {st.count} mentions over {st.years:.2f} years = {st.rate:.3f}/year")
@@ -590,20 +561,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    # a flag's dest is the config key it overrides or a parameter of the command run
+    def common(name: str, run, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override config seed")
         p.add_argument("--out", help="override output directory")
+        p.set_defaults(run=run)
         return p
 
-    common(sub.add_parser("ingest", help="load and summarize articles and registry"))
-    common(sub.add_parser("label", help="produce labeled instances"))
-    common(sub.add_parser("sweep", help="cross-validated accuracy over scheme/representation/classifier grid"))
+    common("ingest", cmd_ingest, "load and summarize articles and registry")
+    common("label", cmd_label, "produce labeled instances")
+    common("sweep", cmd_sweep, "cross-validated accuracy over scheme/representation/classifier grid")
 
-    rank = common(sub.add_parser("rank", help="rank discriminative features of the linear model"))
+    rank = common("rank", cmd_rank, "rank discriminative features of the linear model")
     rank.add_argument("--k", dest="interpret.k", type=int, help="features per class (default from config)")
 
-    kwic = common(sub.add_parser("kwic", help="keyword-in-context concordance"))
+    kwic = common("kwic", cmd_kwic, "keyword-in-context concordance")
     kwic.add_argument("term", type=_query, help="single-token query")
     kwic.add_argument("--window", dest="interpret.kwic_window", type=int, help="context tokens per side")
     kwic.add_argument("--group", dest="interpret.group", choices=list(corpus.GENDERS),
@@ -614,14 +588,16 @@ def build_parser() -> argparse.ArgumentParser:
                       help="query the masked stream instead of raw text")
     kwic.add_argument("--tag", default="", help="pass-through tag column for qualitative grouping")
 
-    stats = common(sub.add_parser("stats", help="mention counts and per-year rates"))
-    stats.add_argument("--term", type=_query, action="append", required=True, help="query term (repeatable)")
-    stats.add_argument("--groups", default="female,male", help="comma-separated groups")
+    stats = common("stats", cmd_stats, "mention counts and per-year rates")
+    stats.add_argument("--term", dest="terms", metavar="TERM", type=_query, action="append", required=True,
+                       help="query term (repeatable)")
+    stats.add_argument("--groups", type=lambda v: [g.strip() for g in v.split(",") if g.strip()],
+                       default="female,male", help="comma-separated groups")
     stats.add_argument("--portfolio", help="restrict years in office to one portfolio")
     stats.add_argument("--masked", dest="interpret.masked", action="store_true", default=None,
                        help="count over masked streams")
 
-    gen = common(sub.add_parser("gen-synth", help="generate a synthetic labeled corpus"))
+    gen = common("gen-synth", cmd_gen_synth, "generate a synthetic labeled corpus")
     gen.add_argument("--n", dest="synth.n", type=int, help="number of articles")
     gen.add_argument("--balance", dest="synth.balance", type=float, help="fraction of female-featuring articles")
     gen.add_argument("--planted", dest="synth.planted", action="append", help="TERM:P_FEMALE:P_MALE (repeatable)")
@@ -637,24 +613,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; usage problems are exit code 1 here
         return 0 if exc.code == 0 else 1
+    flags = vars(args)
+    run, path = flags.pop("run"), flags.pop("config")
+    del flags["command"]
+    # an absent flag is None, and leaves its config key as the file sets it
+    overrides = {key: value for key, value in flags.items() if key in SCHEMA and value is not None}
     try:
-        # each flag's dest is the config key it overrides; an absent flag is None
-        overrides = {key: value for key, value in vars(args).items() if key in SCHEMA and value is not None}
-        config = load_config(args.config, overrides)
-        if args.command == "ingest":
-            return cmd_ingest(config)
-        if args.command == "label":
-            return cmd_label(config)
-        if args.command == "sweep":
-            return cmd_sweep(config)
-        if args.command == "rank":
-            return cmd_rank(config)
-        if args.command == "kwic":
-            return cmd_kwic(config, args.term, args.tag)
-        if args.command == "stats":
-            groups = [g.strip() for g in args.groups.split(",") if g.strip()]
-            return cmd_stats(config, args.term, groups, args.portfolio)
-        return cmd_gen_synth(config)
+        return run(load_config(path, overrides), **{key: value for key, value in flags.items() if key not in SCHEMA})
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

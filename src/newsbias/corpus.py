@@ -107,10 +107,21 @@ def _parse_date(value, where: str) -> datetime.date:
         raise DataError(f"invalid date {value!r} {where}") from None
 
 
-def _reject_nulls(obj: dict, names: Sequence[str], where: str) -> None:
-    for name in names:
-        if obj.get(name, "") is None:
-            raise DataError(f"null field {name} {where}")
+def _field(obj: dict, name: str, where: str, default=""):
+    """obj[name], or default where it is left out; a null is a data error naming the field."""
+    value = obj.get(name, default)
+    if value is None:
+        raise DataError(f"null field {name} {where}")
+    return value
+
+
+def _text(obj: dict, name: str, where: str) -> str:
+    """A text field: a JSON string, or "" where it is left out. Any other type is
+    a data error naming the field, not text made of it."""
+    value = _field(obj, name, where)
+    if type(value) is not str:
+        raise DataError(f"field {name} must be a string, got {value!r} {where}")
+    return value
 
 
 def _article_from_record(obj: dict, record_no: int) -> Article:
@@ -118,14 +129,13 @@ def _article_from_record(obj: dict, record_no: int) -> Article:
     for name in ("id", "date", "body"):
         if name not in obj:
             raise DataError(f"missing field {name} {where}")
-    _reject_nulls(obj, ("id", "source", "date", "section", "headline", "body"), where)
     art = Article(
-        id=str(obj["id"]),
-        source=str(obj.get("source", "")),
-        date=_parse_date(obj["date"], where),
-        section=str(obj.get("section", "")),
-        headline=str(obj.get("headline", "")),
-        body=str(obj["body"]),
+        id=_text(obj, "id", where),
+        source=_text(obj, "source", where),
+        date=_parse_date(_field(obj, "date", where), where),
+        section=_text(obj, "section", where),
+        headline=_text(obj, "headline", where),
+        body=_text(obj, "body", where),
     )
     if not art.id:
         raise DataError(f"empty id {where}")
@@ -162,7 +172,7 @@ def save_articles(articles: Iterable[Article], path: str | Path) -> None:
     """Write JSON Lines that load_articles reads back identically."""
     with Path(path).open("w", encoding="utf-8") as fh:
         for art in articles:
-            fh.write(json.dumps({**asdict(art), "date": art.date.isoformat()}, ensure_ascii=False) + "\n")
+            fh.write(json.dumps(asdict(art), ensure_ascii=False, default=datetime.date.isoformat) + "\n")
 
 
 def load_registry(path: str | Path) -> list[PoliticianRecord]:
@@ -179,8 +189,7 @@ def load_registry(path: str | Path) -> list[PoliticianRecord]:
     for entry_no, entry in enumerate(doc["politicians"], start=1):
         if not isinstance(entry, dict):
             raise DataError(f"politician entry {entry_no} is not an object")
-        _reject_nulls(entry, ("id",), f"in politician entry {entry_no}")
-        rid = str(entry.get("id", ""))
+        rid = _text(entry, "id", f"in politician entry {entry_no}")
         where = f"for politician {rid!r}"
         if not rid:
             raise DataError("politician entry missing id")
@@ -190,24 +199,24 @@ def load_registry(path: str | Path) -> list[PoliticianRecord]:
         gender = entry.get("gender")
         if gender not in GENDERS:
             raise DataError(f"gender must be 'female' or 'male' {where}")
-        _reject_nulls(entry, ("given_name", "surname", "extra_variants", "terms"), where)
-        given = str(entry.get("given_name", ""))
-        surname = str(entry.get("surname", ""))
+        given = _text(entry, "given_name", where)
+        surname = _text(entry, "surname", where)
+        extras = _field(entry, "extra_variants", where, [])
+        raw_terms = _field(entry, "terms", where, [])
         if not given or not surname:
             raise DataError(f"given_name and surname required {where}")
-        extras = entry.get("extra_variants", [])
         if type(extras) is not list or not all(type(v) is str for v in extras):
             raise DataError(f"extra_variants must be a list of strings {where}")
         terms = []
-        for t in entry.get("terms", []):
+        for t in raw_terms:
             if not isinstance(t, dict):
                 raise DataError(f"term {t!r} is not an object {where}")
-            _reject_nulls(t, ("portfolio",), where)
+            portfolio = _text(t, "portfolio", where)
             start = _parse_date(t.get("start"), where)
             end = _parse_date(t.get("end"), where)
             if start >= end:
                 raise DataError(f"term start {start} not before end {end} {where}")
-            terms.append(OfficeTerm(str(t.get("portfolio", "")), start, end))
+            terms.append(OfficeTerm(portfolio, start, end))
         terms.sort(key=lambda t: (t.start, t.end))
         for prev, cur in zip(terms, terms[1:]):
             if cur.start < prev.end:
@@ -229,23 +238,10 @@ def load_registry(path: str | Path) -> list[PoliticianRecord]:
 
 
 def save_registry(records: Iterable[PoliticianRecord], path: str | Path) -> None:
-    doc = {
-        "politicians": [
-            {
-                "id": r.id,
-                "gender": r.gender,
-                "given_name": r.given_name,
-                "surname": r.surname,
-                "extra_variants": list(r.extra_variants),
-                "terms": [
-                    {"portfolio": t.portfolio, "start": t.start.isoformat(), "end": t.end.isoformat()}
-                    for t in r.terms
-                ],
-            }
-            for r in records
-        ]
-    }
-    Path(path).write_text(json.dumps(doc, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    """Write the registry document that load_registry reads back identically."""
+    doc = {"politicians": [asdict(r) for r in records]}
+    Path(path).write_text(json.dumps(doc, indent=2, ensure_ascii=False, default=datetime.date.isoformat) + "\n",
+                          encoding="utf-8")
 
 
 def name_variants(record: PoliticianRecord) -> list[tuple[tuple[str, ...], str]]:

@@ -484,6 +484,15 @@ def test_stats_portfolio_no_term_holds_names_the_flag(spouse_fixture, tmp_path, 
     assert not out.exists()
 
 
+def test_stats_portfolio_one_group_never_held_names_the_flag(spouse_fixture, tmp_path, capsys):
+    # health is a registry portfolio that only a female politician held; the message used to name neither
+    out = tmp_path / "o"
+    assert run("stats", "--config", str(spouse_fixture), "--out", str(out), "--term", "husband",
+               "--portfolio", "health") == 2
+    assert "group 'male' has zero years in office in --portfolio 'health' in the window" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("masked, stem, code", [(True, True, 1), (False, True, 0), (True, False, 0)],
                          ids=["masked-stemmed", "raw-stemmed", "masked-unstemmed"])
 def test_stats_queries_that_search_one_stem_are_named_twice(tmp_path, capsys, masked, stem, code):
@@ -857,6 +866,45 @@ def test_default_config_is_the_table_and_the_readme():
     for key in ("paths.articles", "paths.registry"):
         documented[key] = TABLE_DEFAULTS[key]
     assert documented == TABLE_DEFAULTS
+
+
+def _documented_outputs() -> dict[tuple[str, str], list[str]]:
+    """The README's output table: (command, file) -> the CSV columns or JSON keys it lists."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Output formats", 1)[1].split("\n## ", 1)[0]
+    rows = [[cell.strip().strip("`") for cell in line.strip().strip("|").split("|")]
+            for line in table.splitlines() if line.startswith("| ")]
+    return {(command, file): keys.split(",") for command, file, keys in rows[1:]}
+
+
+def _written_keys(path: Path) -> list[str]:
+    """A CSV's header; else the sorted keys of the JSON object, of every line of
+    a JSON Lines file or of every item of a JSON list."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".csv":
+        return next(csv.reader(text.splitlines()))
+    objects = [json.loads(line) for line in text.splitlines()] if path.suffix == ".jsonl" else json.loads(text)
+    return sorted(set().union(*(objects if isinstance(objects, list) else [objects])))
+
+
+def test_output_formats_are_the_readme_table(synth_corpus, tmp_path):
+    argv = {"ingest": [], "label": [], "sweep": [], "rank": [], "kwic": ["husband"], "stats": ["--term", "husband"]}
+    outs = {"gen-synth": tmp_path / "data"}  # the fixture's gen-synth run
+    for command, rest in argv.items():
+        outs[command] = tmp_path / command
+        assert run(command, *rest, "--config", str(synth_corpus), "--out", str(outs[command])) == 0
+    written: dict[tuple[str, str], list[str]] = {}
+    for command, out in outs.items():
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            name = path.relative_to(out).as_posix()
+            if name.startswith("reports/"):
+                name = "reports/<descriptor>.json"
+            key = ("every command", name) if name == "manifest.json" else (command, name)
+            keys = _written_keys(path)
+            if path.suffix != ".csv":  # the keys any of the reports or manifests holds
+                keys = sorted({*written.get(key, []), *keys})
+            written[key] = keys
+    assert written == _documented_outputs()
 
 
 # JSON values by type; a key's type accepts some of these and rejects the rest

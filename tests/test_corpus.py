@@ -60,14 +60,29 @@ def test_load_articles_missing_body_names_record(tmp_path):
         corpus.load_articles(path)
 
 
-@pytest.mark.parametrize("field", ["body", "headline", "section", "source", "id", "date"])
-def test_load_articles_null_field_names_field_and_record(field, tmp_path):
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        *(pytest.param(field, None, f"null field {field} at record 2", id=field)
+          for field in ["body", "headline", "section", "source", "id", "date"]),
+        # nor another JSON type as its text: the list body used to match the politician it names
+        pytest.param("body", ["Keane", "said"], "field body must be a string, got ['Keane', 'said'] at record 2",
+                     id="list-body"),
+        pytest.param("section", ["news"], "field section must be a string, got ['news'] at record 2",
+                     id="list-section"),
+        pytest.param("headline", {"text": "h"}, "field headline must be a string, got {'text': 'h'} at record 2",
+                     id="object-headline"),
+        pytest.param("source", True, "field source must be a string, got True at record 2", id="bool-source"),
+        pytest.param("id", 7, "field id must be a string, got 7 at record 2", id="number-id"),
+    ],
+)
+def test_load_articles_null_field_names_field_and_record(field, value, message, tmp_path):
     # a null must not be ingested as the text "None"
     path = tmp_path / "a.jsonl"
     row = article_row("a2", "x", headline="h")
-    row[field] = None
+    row[field] = value
     write_articles(path, [article_row("a1", "fine"), row])
-    with pytest.raises(DataError, match=f"null field {field} at record 2"):
+    with pytest.raises(DataError, match=re.escape(message)):
         corpus.load_articles(path)
 
 
@@ -191,9 +206,18 @@ def harney(**changes):
         ("Mary Harney", "politician entry 2 is not an object"),
         (harney(extra_variants="Bert"), "extra_variants must be a list of strings for politician 'p1'"),
         (harney(extra_variants=[5]), "extra_variants must be a list of strings for politician 'p1'"),
+        # a name or portfolio of another JSON type than a string is not turned into text
+        (harney(id=7), "field id must be a string, got 7 in politician entry 2"),
+        (harney(given_name=["Mary"]), "field given_name must be a string, got ['Mary'] for politician 'p1'"),
+        (harney(surname=5), "field surname must be a string, got 5 for politician 'p1'"),
+        (
+            harney(terms=[{"portfolio": 7, "start": "2000-01-01", "end": "2001-01-01"}]),
+            "field portfolio must be a string, got 7 for politician 'p1'",
+        ),
     ],
     ids=["null-given", "null-surname", "null-extras", "null-terms", "term-not-object",
-         "null-portfolio", "null-id", "entry-not-object", "string-extras", "non-string-extra"],
+         "null-portfolio", "null-id", "entry-not-object", "string-extras", "non-string-extra",
+         "number-id", "list-given", "number-surname", "number-portfolio"],
 )
 def test_registry_rejects_malformed_entry(tmp_path, entry, message):
     path = tmp_path / "r.json"

@@ -44,7 +44,7 @@ def test_benchmark_commands_load_through_the_config_table(workload, monkeypatch,
     paths = {"articles": "articles.jsonl", "registry": "registry.json", "stoplist": "stoplist.txt"}
     loaded = []
     for name in ("ingest", "label", "sweep", "rank", "kwic", "stats", "gen_synth"):
-        monkeypatch.setattr(cli, f"cmd_{name}", lambda config, *rest: loaded.append(config) or 0)
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda config, **flags: loaded.append(config) or 0)
     for cmd in workloads.WORKLOADS[workload].commands(paths, 7):
         config_path = tmp_path / f"{cmd.name}.json"
         config_path.write_text(json.dumps(cmd.config), encoding="utf-8")
