@@ -236,17 +236,11 @@ _SCHEME_RESOURCES = {features.ADJECTIVE: "pos_lexicon", features.VERB: "pos_lexi
 def _load_resources(config: dict, schemes: set[str]):
     """The configured lexicon and POS lexicon; with stemming on, those the
     schemes read are stemmed, as the tokens they look up are."""
-    lexicon = None
-    merged: dict[str, set[str]] = {}
-    for path in config["paths"]["lexicons"]:
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"lexicon file does not exist: {p}")
-        lex = features.load_lexicon(p)
-        for cat, words in lex.categories.items():
-            merged.setdefault(cat, set()).update(words)
-    if merged:
-        lexicon = features.LexiconSet({c: frozenset(w) for c, w in merged.items()})
+    paths = config["paths"]["lexicons"]
+    for path in map(Path, paths):
+        if not path.exists():
+            raise ConfigError(f"lexicon file does not exist: {path}")
+    lexicon = features.load_lexicon(*paths) if paths else None
     pos_lexicon = None
     if config["paths"]["pos_lexicon"]:
         pos_lexicon = features.load_pos_lexicon(_require_path(config, "pos_lexicon"))
@@ -296,7 +290,7 @@ def cmd_ingest(config: dict) -> int:
 
 def cmd_label(config: dict) -> int:
     run = _Run("label", config)
-    articles, _, _, instances = _prepare(config)
+    instances = _prepare(config)[-1]
     # every instance's text is its article's: count tokens and sentences per article
     stream = instances.stream
     n_tokens = np.diff(stream.bounds).tolist()
@@ -309,12 +303,14 @@ def cmd_label(config: dict) -> int:
                       "politician_ids": list(politician_ids), "headline_mention": headline_mention,
                       "n_tokens": n_tokens[a], "n_sentences": n_sentences[a]}
             fh.write(json.dumps(record, sort_keys=True) + "\n")
+    # the pass holds the articles in the date window, matched or not
+    n_articles = len(instances.article_ids)
     n_matched = len(set(instances.article.tolist()))
     n_male = int(instances.y.sum())
     summary = {
-        "n_articles": len(articles),
+        "n_articles": n_articles,
         "n_articles_matched": n_matched,
-        "n_articles_unmatched": len(articles) - n_matched,
+        "n_articles_unmatched": n_articles - n_matched,
         "n_articles_both_genders": len(instances) - n_matched,
         "n_instances": len(instances),
         "n_female_instances": len(instances) - n_male,

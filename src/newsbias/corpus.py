@@ -98,44 +98,40 @@ class Instances:
         return len(self.article)
 
 
-def _parse_date(value, where: str) -> datetime.date:
-    if not isinstance(value, str):
-        raise DataError(f"date must be an ISO string {where}")
-    try:
-        return datetime.date.fromisoformat(value)
-    except ValueError:
-        raise DataError(f"invalid date {value!r} {where}") from None
+_KINDS = {str: "a string", list: "a list", datetime.date: "an ISO date string"}
 
 
-def _field(obj: dict, name: str, where: str, default=""):
-    """obj[name], or default where it is left out; a null is a data error naming the field."""
-    value = obj.get(name, default)
+def _field(obj: dict, name: str, where: str, kind: type = str, required: bool = False):
+    """obj[name] as kind: a JSON string, a list, or an ISO date string read as
+    a date. A field left out is a data error where required and otherwise
+    empty ("" or []); a null, or a value of another JSON type, is a data error
+    naming the field, not text made of it."""
+    if name not in obj:
+        if required:
+            raise DataError(f"missing field {name} {where}")
+        return kind()
+    value = obj[name]
     if value is None:
         raise DataError(f"null field {name} {where}")
-    return value
-
-
-def _text(obj: dict, name: str, where: str) -> str:
-    """A text field: a JSON string, or "" where it is left out. Any other type is
-    a data error naming the field, not text made of it."""
-    value = _field(obj, name, where)
-    if type(value) is not str:
-        raise DataError(f"field {name} must be a string, got {value!r} {where}")
+    if kind is datetime.date and type(value) is str:
+        try:
+            return datetime.date.fromisoformat(value)
+        except ValueError:
+            raise DataError(f"invalid date {value!r} in field {name} {where}") from None
+    if type(value) is not kind:
+        raise DataError(f"field {name} must be {_KINDS[kind]}, got {value!r} {where}")
     return value
 
 
 def _article_from_record(obj: dict, record_no: int) -> Article:
     where = f"at record {record_no}"
-    for name in ("id", "date", "body"):
-        if name not in obj:
-            raise DataError(f"missing field {name} {where}")
     art = Article(
-        id=_text(obj, "id", where),
-        source=_text(obj, "source", where),
-        date=_parse_date(_field(obj, "date", where), where),
-        section=_text(obj, "section", where),
-        headline=_text(obj, "headline", where),
-        body=_text(obj, "body", where),
+        id=_field(obj, "id", where, required=True),
+        source=_field(obj, "source", where),
+        date=_field(obj, "date", where, datetime.date, required=True),
+        section=_field(obj, "section", where),
+        headline=_field(obj, "headline", where),
+        body=_field(obj, "body", where, required=True),
     )
     if not art.id:
         raise DataError(f"empty id {where}")
@@ -189,34 +185,33 @@ def load_registry(path: str | Path) -> list[PoliticianRecord]:
     for entry_no, entry in enumerate(doc["politicians"], start=1):
         if not isinstance(entry, dict):
             raise DataError(f"politician entry {entry_no} is not an object")
-        rid = _text(entry, "id", f"in politician entry {entry_no}")
+        rid = _field(entry, "id", f"in politician entry {entry_no}")
         where = f"for politician {rid!r}"
         if not rid:
             raise DataError("politician entry missing id")
         if rid in seen:
             raise DataError(f"duplicate politician id {rid!r}")
         seen.add(rid)
-        gender = entry.get("gender")
+        gender = _field(entry, "gender", where)
         if gender not in GENDERS:
             raise DataError(f"gender must be 'female' or 'male' {where}")
-        given = _text(entry, "given_name", where)
-        surname = _text(entry, "surname", where)
-        extras = _field(entry, "extra_variants", where, [])
-        raw_terms = _field(entry, "terms", where, [])
+        given = _field(entry, "given_name", where)
+        surname = _field(entry, "surname", where)
+        extras = _field(entry, "extra_variants", where, list)
+        raw_terms = _field(entry, "terms", where, list)
         if not given or not surname:
             raise DataError(f"given_name and surname required {where}")
-        if type(extras) is not list or not all(type(v) is str for v in extras):
+        if not all(type(v) is str for v in extras):
             raise DataError(f"extra_variants must be a list of strings {where}")
         terms = []
         for t in raw_terms:
             if not isinstance(t, dict):
                 raise DataError(f"term {t!r} is not an object {where}")
-            portfolio = _text(t, "portfolio", where)
-            start = _parse_date(t.get("start"), where)
-            end = _parse_date(t.get("end"), where)
-            if start >= end:
-                raise DataError(f"term start {start} not before end {end} {where}")
-            terms.append(OfficeTerm(portfolio, start, end))
+            term = OfficeTerm(_field(t, "portfolio", where), _field(t, "start", where, datetime.date, required=True),
+                              _field(t, "end", where, datetime.date, required=True))
+            if term.start >= term.end:
+                raise DataError(f"term start {term.start} not before end {term.end} {where}")
+            terms.append(term)
         terms.sort(key=lambda t: (t.start, t.end))
         for prev, cur in zip(terms, terms[1:]):
             if cur.start < prev.end:
@@ -391,12 +386,10 @@ def registry_window(registry: Sequence[PoliticianRecord]) -> tuple[datetime.date
 def total_years(
     registry: Sequence[PoliticianRecord],
     gender: str,
-    window: tuple[datetime.date, datetime.date] | None = None,
+    window: tuple[datetime.date, datetime.date],
     portfolio: str | None = None,
 ) -> float:
-    """Summed years in office for all registry politicians of one gender."""
-    if window is None:
-        window = registry_window(registry)
+    """Summed years in office in the window for all registry politicians of one gender."""
     return sum(
         years_in_office(r, window, portfolio) for r in registry if r.gender == gender
     )

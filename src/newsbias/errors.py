@@ -4,8 +4,9 @@ Kept deliberately small: loaders and validators raise DataError (bad
 input files, broken invariants in user data), configuration handling
 raises ConfigError, and InvariantError flags bugs in our own pipeline
 state. The CLI maps these onto distinct exit codes. Every input file is
-read through read_text or read_lines, so a file that cannot be read is a
-DataError (a ConfigError for the config file) like any other bad input.
+read through read_text, read_lines or read_entries, so a file that cannot
+be read is a DataError (a ConfigError for the config file) like any other
+bad input.
 """
 
 from pathlib import Path
@@ -52,3 +53,18 @@ def read_lines(path: str | Path, what: str, error: type[NewsbiasError] = DataErr
             yield from fh
     except (OSError, UnicodeDecodeError) as exc:
         raise _unreadable(path, what, error, exc) from None
+
+
+def read_entries(path: str | Path, what: str) -> Iterator[tuple[str, str]]:
+    """Each entry of a line-entry file (a word list or a lexicon) with where it
+    stands, as ("NAME:LINE", entry): the line with its '#' comment and trailing
+    whitespace cut, blank ones skipped. A file with no entry raises, naming it."""
+    path = Path(path)
+    empty = True
+    for line_no, line in enumerate(read_text(path, what).splitlines(), start=1):
+        entry = line.split("#", 1)[0].rstrip()
+        if entry.strip():
+            empty = False
+            yield f"{path.name}:{line_no}", entry
+    if empty:
+        raise DataError(f"{what} {path} holds no entry")

@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, read_text
+from .errors import ConfigError, DataError, read_entries
 from .preprocess import FORMS, MARKER, WORD, TokenStream, Vocab, sentences_holding, stem
 
 # feature kinds
@@ -123,52 +123,41 @@ class FeatureSpace:
         return len(self.entries)
 
 
-def load_lexicon(path: str | Path) -> LexiconSet:
-    """Parse `WORD<TAB>CAT1,CAT2,...` lines into category word sets; a file
-    with no entry raises."""
-    path = Path(path)
+def load_lexicon(*paths: str | Path) -> LexiconSet:
+    """Parse `WORD<TAB>CAT1,CAT2,...` lines into category word sets, merged
+    across the files; a file with no entry raises."""
     categories: dict[str, set[str]] = {}
-    for line_no, line in enumerate(read_text(path, "lexicon file").splitlines(), start=1):
-        entry = line.split("#", 1)[0].rstrip()
-        if not entry.strip():
-            continue
-        parts = entry.split("\t")
-        if len(parts) != 2:
-            raise DataError(f"{path.name}:{line_no}: expected WORD<TAB>CATEGORIES")
-        word = parts[0].strip().lower()
-        cats = [c.strip().upper() for c in parts[1].split(",")]
-        if not word or any(not c for c in cats) or not cats:
-            raise DataError(f"{path.name}:{line_no}: empty word or category")
-        for cat in cats:
-            categories.setdefault(cat, set()).add(word)
-    if not categories:
-        raise DataError(f"lexicon file {path} holds no entry")
+    for path in paths:
+        for where, entry in read_entries(path, "lexicon file"):
+            parts = entry.split("\t")
+            if len(parts) != 2:
+                raise DataError(f"{where}: expected WORD<TAB>CATEGORIES")
+            word = parts[0].strip().lower()
+            cats = [c.strip().upper() for c in parts[1].split(",")]
+            if not word or any(not c for c in cats) or not cats:
+                raise DataError(f"{where}: empty word or category")
+            for cat in cats:
+                categories.setdefault(cat, set()).add(word)
     return LexiconSet({c: frozenset(ws) for c, ws in categories.items()})
 
 
 def load_pos_lexicon(path: str | Path) -> PosLexicon:
     """Parse `word<TAB>PRIMARYTAG<TAB>alt1,alt2` lines (alt tags optional, only
     validated); a file with no entry raises."""
-    path = Path(path)
     primary: dict[str, str] = {}
-    for line_no, line in enumerate(read_text(path, "POS lexicon file").splitlines(), start=1):
-        entry = line.split("#", 1)[0].rstrip()
-        if not entry.strip():
-            continue
+    for where, entry in read_entries(path, "POS lexicon file"):
         parts = entry.split("\t")
         if len(parts) not in (2, 3):
-            raise DataError(f"{path.name}:{line_no}: expected word<TAB>TAG[<TAB>alts]")
+            raise DataError(f"{where}: expected word<TAB>TAG[<TAB>alts]")
         word = parts[0].strip().lower()
         tag = parts[1].strip().upper()
         alts = [t.strip().upper() for t in parts[2].split(",")] if len(parts) == 3 and parts[2].strip() else []
         for t in [tag, *alts]:
             if t not in POS_TAGS:
-                raise DataError(f"{path.name}:{line_no}: unknown tag {t!r}")
+                raise DataError(f"{where}: unknown tag {t!r}")
         if word in primary and primary[word] != tag:
-            raise DataError(f"{path.name}:{line_no}: conflicting primary tag for {word!r}")
+            raise DataError(f"{where}: conflicting primary tag for {word!r}")
         primary[word] = tag
-    if not primary:
-        raise DataError(f"POS lexicon file {path} holds no entry")
     return PosLexicon(primary=primary)
 
 

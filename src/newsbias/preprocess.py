@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import porter
-from .errors import DataError, InvariantError, read_text
+from .errors import DataError, InvariantError, read_entries
 
 # token kinds
 WORD = "word"
@@ -295,13 +295,14 @@ def stem(stream: TokenStream) -> TokenStream:
 
 def load_wordlist(path: str | Path) -> frozenset[str]:
     """One word per line, as the tokenizer reads it (lowercased); blank lines
-    and '#' comments ignored. An entry that is not exactly one word token
-    (two tokens, a number, punctuation) could never match, so it raises."""
+    and '#' comments ignored, and a file with no entry raises. An entry that
+    is not exactly one word token (two tokens, a number, punctuation) could
+    never match, so it raises."""
     words = set()
-    for line_no, line in enumerate(read_text(path, "word list").splitlines(), start=1):
-        entry = line.split("#", 1)[0].strip()
+    for where, entry in read_entries(path, "word list"):
+        entry = entry.strip()
         tokens = tokenize(entry).tokens
-        if entry and (len(tokens) != 1 or kind_of(tokens[0]) != WORD):
-            raise DataError(f"{Path(path).name}:{line_no}: word list entry {entry!r} is not one word")
+        if len(tokens) != 1 or kind_of(tokens[0]) != WORD:
+            raise DataError(f"{where}: word list entry {entry!r} is not one word")
         words.update(tokens)
     return frozenset(words)

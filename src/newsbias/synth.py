@@ -40,6 +40,7 @@ _CODAS = ["", "", "n", "r", "s", "l"]
 
 _WINDOW_START = datetime.date(1997, 6, 1)
 _WINDOW_END = datetime.date(2011, 6, 1)
+_VOCABULARY_SIZE = 400  # filler words
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,6 @@ def generate_corpus(
     planted: tuple[PlantedTerm, ...] = (),
     seed: int = 0,
     per_gender: int = 3,
-    vocabulary_size: int = 400,
 ) -> tuple[list[Article], list[PoliticianRecord]]:
     """A labeled corpus of n_articles, each featuring one politician.
 
@@ -150,7 +150,7 @@ def generate_corpus(
     reserved = {t.term for t in planted}
     for r in registry:
         reserved.update({r.given_name.lower(), r.surname.lower()})
-    vocab = _filler_vocabulary(rng, vocabulary_size, reserved)
+    vocab = _filler_vocabulary(rng, _VOCABULARY_SIZE, reserved)
 
     n_female = round(n_articles * balance)
     labels = [FEMALE] * n_female + [MALE] * (n_articles - n_female)

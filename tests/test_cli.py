@@ -138,6 +138,18 @@ def test_label_outputs(synth_corpus, tmp_path):
     assert summary["n_female_instances"] == 60
 
 
+def test_label_counts_the_articles_of_the_date_window(synth_corpus, tmp_path):
+    # every synthetic article names a politician, so none in the window is unmatched
+    config = {**json.loads(synth_corpus.read_text()), "pipeline": {"date_from": "2005-01-01"}}
+    windowed = tmp_path / "windowed.json"
+    windowed.write_text(json.dumps(config))
+    out = tmp_path / "label"
+    assert run("label", "--config", str(windowed), "--out", str(out)) == 0
+    summary = json.loads((out / "label_summary.json").read_text())
+    assert summary["n_articles_unmatched"] == 0
+    assert 0 < summary["n_articles"] == summary["n_articles_matched"] < 120
+
+
 def test_missing_articles_is_config_error(tmp_path):
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"paths": {"registry": "nowhere.json"}}))
@@ -405,6 +417,22 @@ def test_lexicon_file_with_no_entry_is_a_data_error(every_scheme_corpus, tmp_pat
     assert run(command, "--config", str(config_path), "--out", str(tmp_path / "o")) == 2
     assert f"{empty} holds no entry" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key", ["signals", "stoplist"])
+def test_word_list_with_no_entry_is_a_data_error(synth_corpus, tmp_path, capsys, key):
+    # an empty signals list used to switch pronoun masking off without a word
+    config = json.loads(synth_corpus.read_text())
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# words to come\n\n")
+    config["paths"][key] = str(empty)
+    config["pipeline"] = {"remove_stopwords": key == "stoplist"}
+    config_path = tmp_path / "probe.json"
+    config_path.write_text(json.dumps(config))
+    for argv in (["label"], ["kwic", "husband", "--masked"]):
+        assert run(*argv, "--config", str(config_path), "--out", str(tmp_path / "o")) == 2
+        assert f"word list {empty} holds no entry" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 # --- kwic ---

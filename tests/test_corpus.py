@@ -204,7 +204,7 @@ def harney(**changes):
         ),
         (harney(id=None), "null field id in politician entry 2"),
         ("Mary Harney", "politician entry 2 is not an object"),
-        (harney(extra_variants="Bert"), "extra_variants must be a list of strings for politician 'p1'"),
+        (harney(extra_variants="Bert"), "field extra_variants must be a list, got 'Bert' for politician 'p1'"),
         (harney(extra_variants=[5]), "extra_variants must be a list of strings for politician 'p1'"),
         # a name or portfolio of another JSON type than a string is not turned into text
         (harney(id=7), "field id must be a string, got 7 in politician entry 2"),
@@ -214,10 +214,20 @@ def harney(**changes):
             harney(terms=[{"portfolio": 7, "start": "2000-01-01", "end": "2001-01-01"}]),
             "field portfolio must be a string, got 7 for politician 'p1'",
         ),
+        # terms are a list of objects, each with an ISO start and end
+        (harney(terms=5), "field terms must be a list, got 5 for politician 'p1'"),
+        (harney(terms="ab"), "field terms must be a list, got 'ab' for politician 'p1'"),
+        (harney(terms=[{"portfolio": "health", "end": "2001-01-01"}]), "missing field start for politician 'p1'"),
+        (harney(terms=[{"portfolio": "health", "start": "2000-01-01"}]), "missing field end for politician 'p1'"),
+        (
+            harney(terms=[{"portfolio": "health", "start": "2000-01-01", "end": 2001}]),
+            "field end must be an ISO date string, got 2001 for politician 'p1'",
+        ),
     ],
     ids=["null-given", "null-surname", "null-extras", "null-terms", "term-not-object",
          "null-portfolio", "null-id", "entry-not-object", "string-extras", "non-string-extra",
-         "number-id", "list-given", "number-surname", "number-portfolio"],
+         "number-id", "list-given", "number-surname", "number-portfolio", "number-terms", "string-terms",
+         "term-without-start", "term-without-end", "number-end"],
 )
 def test_registry_rejects_malformed_entry(tmp_path, entry, message):
     path = tmp_path / "r.json"

@@ -125,3 +125,43 @@ def test_no_module_imports_a_name_it_never_reads():
     # __init__.py included: the package re-exports nothing, so each name is reached through its module
     found = {path.name: unread_imports(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+READS = {"splitlines", "read_text", "read_bytes"}
+
+
+def input_reads(source: str) -> list[str]:
+    """Calls that read or split a file's text outside errors.py's readers: a
+    .splitlines(), .read_text() or .read_bytes() method call, or an open() or
+    .open() whose mode is not a constant that writes."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if isinstance(func, ast.Attribute) and name in READS:
+            found.append(f"line {node.lineno}: .{name}()")
+        elif name == "open":
+            # the builtin takes the path first; Path.open takes the mode first
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[isinstance(func, ast.Name):][:1]
+            mode = modes[0].value if modes and isinstance(modes[0], ast.Constant) else "r"
+            if not set(str(mode)) & set("wax"):
+                found.append(f"line {node.lineno}: open({mode!r})")
+    return found
+
+
+def test_input_reads_are_found():
+    source = ("import json\nfrom pathlib import Path\n"
+              "Path('a').read_text()\n'x'.splitlines()\nopen('a')\nPath('b').open(encoding='utf-8')\n"
+              "open('c', 'w')\nPath('d').open('a')\nPath('e').open(mode='x')\nPath('f').open(mode)\n")
+    assert input_reads(source) == ["line 3: .read_text()", "line 4: .splitlines()", "line 5: open('r')",
+                                   "line 6: open('r')", "line 10: open('r')"]
+
+
+def test_only_errors_reads_input_files():
+    # every input file is read and split by errors.read_text, read_lines or
+    # read_entries, so a malformed or empty file meets the same checks everywhere
+    found = {path.name: input_reads(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "errors.py"}
+    assert {name: calls for name, calls in found.items() if calls} == {}

@@ -61,6 +61,19 @@ def test_shuffle_is_permutation():
     assert xs != list(range(40))
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 300])
+def test_shuffle_is_the_documented_fisher_yates_over_randbelow(n):
+    rng, twin = Rng(31), Rng(31)
+    xs, ys = list(range(n)), list(range(n))
+    rng.shuffle(xs)
+    for i in range(n - 1, 0, -1):
+        j = twin.randbelow(i + 1)
+        ys[i], ys[j] = ys[j], ys[i]
+    assert xs == ys
+    # the generators stand at the same state: their next draws agree
+    assert [rng.next_u64() for _ in range(4)] == [twin.next_u64() for _ in range(4)]
+
+
 def test_sample_indices_sorted_unique():
     rng = Rng(8)
     for _ in range(50):
