@@ -27,13 +27,7 @@ import numpy as np
 
 from . import preprocess
 from .errors import DataError, read_lines, read_text
-from .preprocess import (
-    FORM_FULL,
-    FORM_GIVEN,
-    FORM_SURNAME,
-    MentionSpan,
-    TokenStream,
-)
+from .preprocess import FORM_FULL, FORM_GIVEN, FORM_SURNAME, TokenStream
 
 FEMALE = "female"
 MALE = "male"
@@ -307,7 +301,8 @@ def _scan_mentions(registry: Sequence[PoliticianRecord], stream: TokenStream):
     return politicians, np.array(mentions, np.int64).reshape(-1, 4), np.array(owners, np.int64).reshape(-1, 3)
 
 
-# one article of a corpus scan: its unmasked stream and its resolved mention spans
+# one article of a corpus scan: its unmasked stream and its mentions as
+# (start, end, index of the form in preprocess.FORMS) rows over that stream
 ArticleScan = namedtuple("ArticleScan", "article stream mention_spans")
 
 
@@ -321,7 +316,7 @@ class CorpusScan:
     mention and then politician: politician indexes politicians (the
     registry's ids, sorted), form indexes preprocess.FORMS and in headline is
     1 where the mention lies in the article's headline. Iterating gives one
-    ArticleScan per article."""
+    ArticleScan per article, its mention rows counted from the article's start."""
 
     articles: tuple[Article, ...]
     stream: TokenStream
@@ -330,11 +325,10 @@ class CorpusScan:
     owners: np.ndarray
 
     def __iter__(self) -> Iterator[ArticleScan]:
-        bounds, mentions = self.stream.bounds.tolist(), self.mentions.tolist()
+        bounds = self.stream.bounds
         cuts = np.searchsorted(self.mentions[:, 0], bounds).tolist()
         for i, view in enumerate(self.stream.texts()):
-            yield ArticleScan(self.articles[i], view, tuple(
-                MentionSpan(s - bounds[i], e - bounds[i], preprocess.FORMS[f]) for s, e, f in mentions[cuts[i]:cuts[i + 1]]))
+            yield ArticleScan(self.articles[i], view, self.mentions[cuts[i]:cuts[i + 1]] - (bounds[i], bounds[i], 0))
 
 
 def scan_corpus(articles: Sequence[Article], registry: Sequence[PoliticianRecord]) -> CorpusScan:

@@ -58,10 +58,11 @@ def read_lines(path: str | Path, what: str, error: type[NewsbiasError] = DataErr
 def read_entries(path: str | Path, what: str) -> Iterator[tuple[str, str]]:
     """Each entry of a line-entry file (a word list or a lexicon) with where it
     stands, as ("NAME:LINE", entry): the line with its '#' comment and trailing
-    whitespace cut, blank ones skipped. A file with no entry raises, naming it."""
+    whitespace cut, blank ones skipped. A line ends at a line feed only, which
+    read_text makes of carriage returns. A file with no entry raises, naming it."""
     path = Path(path)
     empty = True
-    for line_no, line in enumerate(read_text(path, what).splitlines(), start=1):
+    for line_no, line in enumerate(read_text(path, what).split("\n"), start=1):
         entry = line.split("#", 1)[0].rstrip()
         if entry.strip():
             empty = False

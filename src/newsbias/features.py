@@ -15,9 +15,9 @@ pass's vocabulary say which token ids a scheme reads (word and marker
 kinds, marker ids, the POS lexicon, or one table per lexicon category,
 since a word may sit in several), one sentences_holding mask gives the
 sentence window, and one np.unique over (text, term) keys counts every
-text's terms. extract_terms and vectorize do the same for one text (a
-stream of one, with its article's section) and one row, the reference
-the pass and each row of a dataset equal.
+text's terms. extract_terms is count_terms over one text, as a Counter;
+vectorize writes one row, the reference each row of a dataset equals.
+tests/util.py keeps ref_terms, the token-by-token reference of the pass.
 """
 
 from __future__ import annotations
@@ -190,34 +190,11 @@ def extract_terms(
     pos_lexicon: PosLexicon | None = None,
     lexicon: LexiconSet | None = None,
 ) -> Counter[str]:
-    """Multiset of the surfaces of one text's features under a scheme: the
-    stream holds the one text, and section is its article's section.
-
-    With window="sentence" only tokens inside sentences that contain a
-    name marker are considered (the section scheme ignores the window:
-    it is a property of the article, not of any sentence).
-    """
-    _check(scheme, window, pos_lexicon, lexicon)
-    if scheme == SECTION:
-        section = section.strip()
-        return Counter({section: 1}) if section else Counter()
-
-    # each distinct token of the window once, with its count there, if it is of a kind the scheme reads
-    vocab = stream.vocab
-    wanted = {UNIGRAM: (WORD, MARKER), NAMEFORM: (MARKER,)}.get(scheme, (WORD,))
-    ids = stream.ids[_window_mask(stream, window)]
-    counts = Counter({vocab.surfaces[i]: n for i, n in Counter(ids.tolist()).items() if vocab.kinds[i] in wanted})
-    if scheme in (UNIGRAM, NAMEFORM):
-        return counts
-    if scheme in (ADJECTIVE, VERB):
-        wanted = "ADJ" if scheme == ADJECTIVE else "VERB"
-        return Counter({tok: n for tok, n in counts.items() if pos_lexicon.primary.get(tok) == wanted})
-    terms: Counter[str] = Counter()
-    for tok, n in counts.items():
-        for cat, words in lexicon.categories.items():
-            if tok in words:
-                terms[cat] += n
-    return terms
+    """Multiset of the surfaces of one text's features under a scheme: count_terms
+    over the stream as a pass of its one text, whose article's section is section."""
+    _, term, counts, surfaces = count_terms(stream, [section], np.ones(1, bool), scheme, window=window,
+                                            pos_lexicon=pos_lexicon, lexicon=lexicon)
+    return Counter(dict(zip(map(surfaces.__getitem__, term.tolist()), counts.tolist())))
 
 
 def _reads(vocab: Vocab, scheme: str, pos_lexicon: PosLexicon | None) -> np.ndarray:
@@ -244,9 +221,14 @@ def count_terms(
 
     Returns (text, term, count) entries, one per term present in a text,
     sorted by text and then term, and the terms' surfaces in surface
-    order: term t is surfaces[t]. Text i, read where read[i] is True,
-    counts what extract_terms counts in it as a stream of its own with
-    section sections[i]. The stream's sentences must cover it, as
+    order: term t is surfaces[t]. Only texts where read[i] is True count.
+    A text's terms are its word and marker tokens (unigram), its markers
+    (nameform), its words whose primary POS tag is ADJ or VERB (adjective,
+    verb), each lexicon category once per word token in it
+    (lexicon_category), or its stripped section sections[i] once unless
+    blank (section). With window="sentence" only tokens inside sentences
+    holding a name marker count; the section scheme ignores the window, a
+    section being the article's. The stream's sentences must cover it, as
     split_sentences leaves them.
     """
     _check(scheme, window, pos_lexicon, lexicon)

@@ -35,7 +35,6 @@ class RankedFeatures:
 
     female: tuple[tuple[str, str, float], ...]
     male: tuple[tuple[str, str, float], ...]
-    k: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,7 +88,7 @@ def rank_features(model: LinearModel, space: FeatureSpace, k: int) -> RankedFeat
             negatives.append((surface, kind, w))
     positives.sort(key=lambda e: (-e[2], e[0]))
     negatives.sort(key=lambda e: (e[2], e[0]))
-    return RankedFeatures(female=tuple(positives[:k]), male=tuple(negatives[:k]), k=k)
+    return RankedFeatures(female=tuple(positives[:k]), male=tuple(negatives[:k]))
 
 
 def normalize_query(term: str, stem: bool = False) -> str:

@@ -563,15 +563,6 @@ def _nb_joint(model: BayesModel, ids: np.ndarray, values: np.ndarray, lengths: n
     return base + np.column_stack([_row_sums(v, lengths) for v in per_entry])
 
 
-def nb_log_posterior(model: BayesModel, vector: FeatureVector) -> dict[str, float]:
-    """Normalized log P(class | vector) for both classes."""
-    ids, values = np.array(vector.ids, dtype=np.intp), np.array(vector.values)
-    joint = _nb_joint(model, ids, values, np.array([len(ids)]))[0]
-    m = float(joint.max())
-    norm = m + math.log(float(np.exp(joint - m).sum()))
-    return {g: float(joint[i] - norm) for i, g in enumerate(GENDERS)}
-
-
 def _entropy(counts_a: np.ndarray, counts_b: np.ndarray) -> np.ndarray:
     total = counts_a + counts_b
     out = np.zeros_like(total, dtype=float)

@@ -86,21 +86,6 @@ def kind_of(surface: str) -> str:
     return MARKER if surface in MARKER_SURFACES else _TOKEN_RE.match(surface).lastgroup
 
 
-@dataclass(frozen=True, slots=True)
-class MentionSpan:
-    """Token index span [start, end) covering one politician mention."""
-
-    start: int
-    end: int
-    form: str
-
-    def __post_init__(self):
-        if self.form not in MARKER_FOR_FORM:
-            raise InvariantError(f"unknown name form {self.form!r}")
-        if not 0 <= self.start < self.end:
-            raise InvariantError(f"bad mention span [{self.start}, {self.end})")
-
-
 class Vocab(dict):
     """One corpus pass's memo of the whitespace chunks it has tokenized: chunk ->
     its tokens' int32 ids, as bytes. index maps a surface to its id (a new one

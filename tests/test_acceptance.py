@@ -21,7 +21,6 @@ from newsbias import cli, corpus, features, interpret, learn, pipeline, preproce
 from newsbias.learn import (
     cross_validate,
     majority_baseline,
-    nb_log_posterior,
     predict,
     stratified_folds,
     svm_objective,
@@ -33,7 +32,7 @@ from newsbias.learn import (
 from newsbias.preprocess import DEFAULT_GENDERED_SIGNALS, MARKER, WORD, kind_of
 from newsbias.rng import Rng
 
-from util import make_dataset, make_vec, mention_rows
+from util import make_dataset, make_vec, mention_rows, nb_log_posterior
 
 F, M = "female", "male"
 ROOT = Path(__file__).resolve().parent.parent
@@ -311,8 +310,7 @@ def test_criterion_10_masking_completeness():
     marker_mismatch = 0
     not_idempotent = 0
     for scan in scans:
-        mentions = mention_rows((m.start, m.end, m.form) for m in scan.mention_spans)
-        masked = preprocess.mask_gender_signals(scan.stream, mentions)
+        masked = preprocess.mask_gender_signals(scan.stream, scan.mention_spans)
         leaked += sum(
             1 for t in masked.tokens if kind_of(t) == WORD and t in DEFAULT_GENDERED_SIGNALS
         )

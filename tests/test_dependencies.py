@@ -1,7 +1,8 @@
 """numpy is the only runtime dependency: the CLI's commands import nothing
 else outside the standard library, though other packages are installed.
 Within the package, the term extraction layer does not depend on the corpus
-layer, and no module imports a name it never reads."""
+layer, no module imports a name it never reads, and nothing is defined that
+only the tests read."""
 
 from __future__ import annotations
 
@@ -165,3 +166,47 @@ def test_only_errors_reads_input_files():
     found = {path.name: input_reads(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))
              if path.name != "errors.py"}
     assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def reads(tree: ast.AST) -> set[str]:
+    """The names a tree reads: as a name, as an attribute, or as a string that is one."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            names.add(node.value)
+    return names
+
+
+def unread_definitions(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """Top-level functions and classes of the modules (name -> source) that no
+    other top-level statement of them reads, nor any of the readers' sources."""
+    read_elsewhere = set().union(*map(reads, map(ast.parse, readers)))
+    defined, read_by = [], []
+    for name, source in modules.items():
+        for node in ast.parse(source).body:
+            read_by.append((node, reads(node)))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((name, node))
+    return [f"{name}: {node.name}" for name, node in defined
+            if node.name not in read_elsewhere and not any(node.name in names for other, names in read_by
+                                                           if other is not node)]
+
+
+def test_unread_definitions_are_found():
+    modules = {"a.py": "def f(): return g()\ndef g(): return f\ndef h(): return h()\nclass C: pass\n",
+               "b.py": "import a\ndef k(): pass\nx = a.C\n"}
+    assert unread_definitions(modules, ["w(a, 'k')"]) == ["a.py: h"]
+    assert unread_definitions(modules, []) == ["a.py: h", "b.py: k"]
+
+
+def test_src_defines_nothing_only_the_tests_read():
+    # a function or class counts as used when the package, a demo or the benchmark's
+    # child reads it; the child wraps functions by their names given as strings
+    modules = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    readers = [path.read_text(encoding="utf-8")
+               for path in [*sorted((ROOT / "demos").glob("*.py")), ROOT / "perfbench" / "child.py"]]
+    assert unread_definitions(modules, readers) == []

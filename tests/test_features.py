@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -18,7 +19,7 @@ from newsbias.features import (
     load_pos_lexicon,
     vectorize,
 )
-from newsbias.preprocess import mask_gender_signals, split_sentences, tokenize
+from newsbias.preprocess import load_wordlist, mask_gender_signals, split_sentences, tokenize
 
 from util import mention_rows, space_of
 
@@ -64,6 +65,19 @@ def test_load_lexicon_comments_ignored(tmp_path):
     path = tmp_path / "lex.tsv"
     path.write_text("# header\nchief\tPOWER\n\n")
     assert load_lexicon(path).categories == {"POWER": frozenset({"chief"})}
+
+
+@pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_line_entry_files_end_lines_at_line_feeds_only(tmp_path, separator):
+    # str.splitlines also breaks at these, which numbers every later entry a line too far
+    path = tmp_path / "lex.tsv"
+    path.write_text(f"chief\tPOWER  # a{separator}note\njail\tPOWER\nbad entry\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"lex\.tsv:3: expected WORD<TAB>CATEGORIES"):
+        load_lexicon(path)
+    words = tmp_path / "words.txt"
+    words.write_text(f"she{separator}he\nmr.\n", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"words.txt:1: word list entry {f'she{separator}he'!r} is not one")):
+        load_wordlist(words)
 
 
 def test_load_pos_lexicon(tmp_path):

@@ -20,7 +20,6 @@ from newsbias.learn import (
     _cutting_planes,
     cross_validate,
     majority_baseline,
-    nb_log_posterior,
     predict,
     stratified_folds,
     svm_objective,
@@ -31,7 +30,7 @@ from newsbias.learn import (
 )
 from newsbias.rng import Rng
 
-from util import make_dataset, make_vec, ref_cutting_planes
+from util import make_dataset, make_vec, nb_log_posterior, ref_cutting_planes
 
 F, M = "female", "male"
 

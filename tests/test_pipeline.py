@@ -194,7 +194,7 @@ def test_batch_front_end_equals_the_token_by_token_reference(case):
     for scan, names, ref in zip(scans, util.matches(scans), refs, strict=True):
         assert list(scan.stream.tokens) == ref["tokens"]
         assert list(scan.stream.sentence_spans) == ref["spans"]
-        assert [(m.start, m.end, m.form) for m in scan.mention_spans] == ref["mentions"]
+        assert [(s, e, preprocess.FORMS[f]) for s, e, f in scan.mention_spans.tolist()] == ref["mentions"]
         assert names == ref["matches"]
 
     opts = {"signals": signals, "stoplist": stoplist, "apply_stem": apply_stem}
@@ -233,7 +233,7 @@ def test_batch_front_end_equals_the_token_by_token_reference(case):
     assert (len(got), dict(got)) == (len(want), want)
 
 
-# --- the one-pass dataset, against extract_terms and the per-instance CSR ---
+# --- the one-pass dataset, against ref_terms and the per-instance CSR ---
 
 PASS_WORDS = ["Ann", "Lee", "Rose", "she", "the", "chief", "vote", "votes", "voting", "embrace", "embraced",
               "strong", "2010", ",", ".", ".", "!"]
@@ -296,7 +296,7 @@ def test_one_pass_dataset_equals_the_per_instance_reference(case, min_df):
 
 
 def test_pass_path_makes_no_per_mention_objects(small_corpus, monkeypatch):
-    # who an article features is read from the scan's owner rows: a return to per-mention objects fails here
+    # who an article features is read from the scan's owner rows: iterating the scan article by article fails here
     articles, registry = small_corpus
 
     def build_all():
@@ -307,9 +307,9 @@ def test_pass_path_makes_no_per_mention_objects(small_corpus, monkeypatch):
     assert all(c[4] and any(c[5]) and any(held) for c, _, held in want)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("per-mention objects on the pass path")
+        raise AssertionError("per-article scan on the pass path")
 
-    monkeypatch.setattr(corpus, "MentionSpan", refuse)
+    monkeypatch.setattr(corpus.CorpusScan, "__iter__", refuse)
     assert build_all() == want
 
 

@@ -13,8 +13,8 @@ import numpy as np
 from newsbias import features
 from newsbias.corpus import GENDERS, MALE, Instances
 from newsbias.features import FeatureSpace, FeatureVector
-from newsbias.learn import CSR, Dataset
-from newsbias.preprocess import FORMS, TokenStream, Vocab, sentences_holding
+from newsbias.learn import CSR, BayesModel, Dataset, _nb_joint
+from newsbias.preprocess import FORMS, MARKER, WORD, TokenStream, Vocab, kind_of, sentences_holding
 
 
 def make_space(n: int, kind: str = "unigram", n_docs: int = 10) -> FeatureSpace:
@@ -61,6 +61,15 @@ def make_dataset(rows, n_features: int, representation: str = "boolean") -> Data
         vectors.append(make_vec(pairs, representation))
         labels.append(label)
     return pack(vectors, labels, make_space(n_features))
+
+
+def nb_log_posterior(model: BayesModel, vector: FeatureVector) -> dict[str, float]:
+    """Normalized log P(class | vector) for both classes, from the joint probabilities predict reads."""
+    ids, values = np.array(vector.ids, dtype=np.intp), np.array(vector.values)
+    joint = _nb_joint(model, ids, values, np.array([len(ids)]))[0]
+    m = float(joint.max())
+    norm = m + math.log(float(np.exp(joint - m).sum()))
+    return {g: float(joint[i] - norm) for i, g in enumerate(GENDERS)}
 
 
 # --- datasets instance by instance: the reference the one-pass dataset equals ---
@@ -119,11 +128,30 @@ def instances_of(streams, labels) -> Instances:
                      False)
 
 
+def ref_terms(text: TokenStream, section: str, scheme: str, *, window: str = "article",
+              pos_lexicon=None, lexicon=None) -> Counter:
+    """One text's terms under a scheme, token by token: the multiset features.count_terms
+    counts for a text whose article's section is section."""
+    if scheme == features.SECTION:
+        section = section.strip()
+        return Counter({section: 1}) if section else Counter()
+    tokens = text.tokens
+    if window == "sentence" and text.sentence_spans:
+        tokens = [tok for s, e in text.sentence_spans if MARKER in map(kind_of, tokens[s:e]) for tok in tokens[s:e]]
+    wanted = {features.UNIGRAM: (WORD, MARKER), features.NAMEFORM: (MARKER,)}.get(scheme, (WORD,))
+    counts = Counter(tok for tok in tokens if kind_of(tok) in wanted)
+    if scheme in (features.UNIGRAM, features.NAMEFORM):
+        return counts
+    if scheme in (features.ADJECTIVE, features.VERB):
+        tag = "ADJ" if scheme == features.ADJECTIVE else "VERB"
+        return Counter({tok: n for tok, n in counts.items() if pos_lexicon.primary.get(tok) == tag})
+    return +Counter({category: sum(counts[tok] for tok in words) for category, words in lexicon.categories.items()})
+
+
 def terms_of(instances: Instances, scheme: str, **kwargs) -> list[Counter]:
-    """Each instance's terms as extract_terms counts them in its article's text and section."""
+    """Each instance's terms as ref_terms counts them in its article's text and section."""
     texts = instances.stream.texts()
-    return [features.extract_terms(texts[a], instances.sections[a], scheme, **kwargs)
-            for a in instances.article.tolist()]
+    return [ref_terms(texts[a], instances.sections[a], scheme, **kwargs) for a in instances.article.tolist()]
 
 
 def mention_rows(spans) -> np.ndarray:
