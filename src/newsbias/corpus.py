@@ -197,6 +197,10 @@ def load_registry(path: str | Path) -> list[PoliticianRecord]:
             raise DataError(f"given_name and surname required {where}")
         if not all(type(v) is str for v in extras):
             raise DataError(f"extra_variants must be a list of strings {where}")
+        # a name part with no word token would leave the matcher reading its other parts, or punctuation, as names
+        for name, value in (("given_name", given), ("surname", surname), *(("extra_variants", v) for v in extras)):
+            if not preprocess.has_word(value):
+                raise DataError(f"field {name} holds no word: {value!r} {where}")
         terms = []
         for t in raw_terms:
             if not isinstance(t, dict):
@@ -267,38 +271,63 @@ def _scan_mentions(registry: Sequence[PoliticianRecord], stream: TokenStream):
     preprocess.FORMS of the most specific form claiming the span, and one
     (mention row, politician, form) row per politician whose variant the span
     is, in politician order. Spans never overlap."""
-    vocab = stream.vocab
+    vocab, ids = stream.vocab, stream.ids
     politicians = tuple(sorted(r.id for r in registry))
     rank = {rid: p for p, rid in enumerate(politicians)}
     owners_of: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for record in registry:
         for tt, form in name_variants(record):
             owners_of.setdefault(tuple(map(vocab.id, tt)), []).append((rank[record.id], preprocess.FORMS.index(form)))
+    variants = list(owners_of)
+    owned = [sorted(owners) for owners in owners_of.values()]
+    owner_rows = np.array([row for owners in owned for row in owners], np.int64).reshape(-1, 2)
+    n_owners = np.array([len(owners) for owners in owned], np.int64)
     # preprocess.FORMS runs from the most specific naming down, and when one span
     # is claimed under several forms the most specific wins the marker
-    entries = {tt: (min(f for _, f in owners), sorted(owners)) for tt, owners in owners_of.items()}
-    longest = max(map(len, entries), default=0)
+    marker = np.array([min(f for _, f in owners) for owners in owned], np.int64)
+    lengths = np.array([len(tt) for tt in variants], np.int64)
+    longest = int(lengths.max(initial=0))
     # a mention can only start at a token that starts some variant
     first = np.zeros(len(vocab.surfaces), bool)
-    first[[tt[0] for tt in entries]] = True
-    starts = np.flatnonzero(first[stream.ids])
+    first[[tt[0] for tt in variants]] = True
+    starts = np.flatnonzero(first[ids])
     text = np.searchsorted(stream.bounds, starts, side="right")
-    caps = np.minimum(stream.bounds[text] - starts, longest)
-    grams = stream.ids[np.minimum(starts[:, None] + np.arange(longest), len(stream.ids) - 1)]
-    mentions: list[tuple[int, int, int, int]] = []
-    owners: list[tuple[int, int, int]] = []
-    end = 0
-    for t, i, cap, gram in zip((text - 1).tolist(), starts.tolist(), caps.tolist(), grams.tolist()):
-        if i < end:
-            continue
-        for length in range(cap, 0, -1):
-            entry = entries.get(tuple(gram[:length]))
-            if entry:
-                end = i + length
-                owners.extend((len(mentions), p, f) for p, f in entry[1])
-                mentions.append((t, i, end, entry[0]))
-                break
-    return politicians, np.array(mentions, np.int64).reshape(-1, 4), np.array(owners, np.int64).reshape(-1, 3)
+    room = stream.bounds[text] - starts
+    # the candidates' grams, then the variants, -1 past a variant's end; a gram
+    # past its text's end is never read, as room rules it out
+    n = len(starts)
+    padded = np.full((len(variants), longest), -1, np.int64)
+    padded[np.arange(longest) < lengths[:, None]] = [i for tt in variants for i in tt]
+    grams = np.concatenate((ids[np.minimum(starts[:, None] + np.arange(longest), len(ids) - 1)], padded))
+    # code k numbers the grams' (k + 1)-token prefixes, equal where the prefixes
+    # are: the token id, then (previous code, next token) numbered by np.unique,
+    # so it stays below max(ids, rows); each candidate's match is the longest
+    # variant whose code it shares and that fits before its text's end
+    match = np.full(n, -1)
+    for k in range(longest):
+        code = grams[:, 0] if k == 0 else np.unique(code * (len(vocab.surfaces) + 1) + grams[:, k] + 1,
+                                                    return_inverse=True)[1]
+        ending = np.flatnonzero(lengths == k + 1)
+        variant_of = np.full(max(len(vocab.surfaces), len(grams)), -1)
+        variant_of[code[n + ending]] = ending
+        hit = variant_of[code[:n]]
+        match = np.where((hit >= 0) & (room > k), hit, match)
+    # leftmost-longest keeps the first match, then after each one kept the first
+    # match starting at or past its end: the orbit of match 0 under that step,
+    # walked by pointer doubling (the path so far, then each of its steps 2^k on)
+    found = np.flatnonzero(match >= 0)
+    after = np.append(np.searchsorted(starts[found], starts[found] + lengths[match[found]]), len(found))
+    path = np.zeros(min(len(found), 1), np.int64)
+    while len(path) and path[-1] < len(found):
+        path, after = np.concatenate((path, after[path])), after[after]
+    kept = found[path[path < len(found)]]
+    variant = match[kept]
+    mentions = np.column_stack((text[kept] - 1, starts[kept], starts[kept] + lengths[variant], marker[variant]))
+    # each mention's variant's owner rows, gathered in order
+    count = n_owners[variant]
+    offset = np.cumsum(n_owners) - n_owners
+    rows = np.arange(count.sum()) + np.repeat(offset[variant] - (np.cumsum(count) - count), count)
+    return politicians, mentions, np.column_stack((np.repeat(np.arange(len(kept)), count), owner_rows[rows]))
 
 
 # one article of a corpus scan: its unmasked stream and its mentions as

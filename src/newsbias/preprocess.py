@@ -29,6 +29,8 @@ left in place: they are analysis targets, not leakage.
 from __future__ import annotations
 
 import re
+import struct
+from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -77,6 +79,10 @@ _TOKEN_RE = re.compile(
     r"|(?P<punct>\S)",
 )
 
+# one id, or two, as the native int32 bytes np.array(ids, np.int32).tobytes() gives
+_PACK_ID = struct.Struct("=i").pack
+_PACK_IDS = struct.Struct("=ii").pack
+
 _NO_POSITIONS = np.zeros(0, np.int64)
 _NO_MENTIONS = np.zeros((0, 3), np.int64)
 
@@ -86,11 +92,16 @@ def kind_of(surface: str) -> str:
     return MARKER if surface in MARKER_SURFACES else _TOKEN_RE.match(surface).lastgroup
 
 
+def has_word(text: str) -> bool:
+    """Whether the tokenizer reads a word token in text."""
+    return any(m.lastgroup == WORD for m in _TOKEN_RE.finditer(text))
+
+
 class Vocab(dict):
     """One corpus pass's memo of the whitespace chunks it has tokenized: chunk ->
     its tokens' int32 ids, as bytes. index maps a surface to its id (a new one
-    takes the next, and its kind from the pattern match that made it or else
-    from kind_of), and surfaces and kinds give each id's surface and kind."""
+    takes the next, and its kind from the tokenizer that made it or else from
+    kind_of), and surfaces and kinds give each id's surface and kind."""
 
     def __init__(self):
         super().__init__()
@@ -108,9 +119,19 @@ class Vocab(dict):
         return i
 
     def __missing__(self, chunk: str) -> bytes:
-        # the pattern's group names are the kinds: only words and numbers are lowercased
-        ids = self[chunk] = np.array([self.id(m.group() if m.lastgroup == PUNCT else m.group().lower(), m.lastgroup)
-                                      for m in _TOKEN_RE.finditer(chunk)], np.int32).tobytes()
+        # re's \w is str.isalnum() or "_", so a letter is a \w that is neither \d nor
+        # "_": [^\W\d_]+ matches a chunk of letters whole, one word, its lowercased
+        # self. Letters then one character that is not alphanumeric are that word,
+        # then that character as punctuation: no group reaches past the letters.
+        if chunk.isalpha():
+            ids = _PACK_ID(self.id(chunk.lower(), WORD))
+        elif chunk[:-1].isalpha() and not chunk[-1].isalnum():
+            ids = _PACK_IDS(self.id(chunk[:-1].lower(), WORD), self.id(chunk[-1], PUNCT))
+        else:
+            # the pattern's group names are the kinds: only words and numbers are lowercased
+            ids = array("i", [self.id(m.group() if m.lastgroup == PUNCT else m.group().lower(), m.lastgroup)
+                              for m in _TOKEN_RE.finditer(chunk)]).tobytes()
+        self[chunk] = ids
         return ids
 
     def flags(self, words: Iterable[str]) -> np.ndarray:

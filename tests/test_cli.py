@@ -12,7 +12,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from newsbias import cli, corpus, features, learn
+from newsbias.errors import DataError
+from newsbias.preprocess import WORD, kind_of
 
+import util
 from util import article_row, days_after, politician, write_articles, write_registry
 
 
@@ -721,6 +724,26 @@ def test_string_extra_variants_is_data_error(tmp_path):
     assert run("label", "--config", str(config), "--out", str(tmp_path / "o")) == 2
 
 
+@pytest.mark.parametrize("part, value, body", [
+    # read as names, a blank surname would leave "Mary" alone a full-name
+    # mention, and a "-" surname would label an article that names nobody
+    ("surname", " ", "Mary spoke."),
+    ("surname", "-", "Costs - and more costs - rose."),
+    ("given_name", "3", "Keane spoke in 3 places."),
+    ("extra_variants", [" "], "Mary Keane spoke."),
+])
+def test_registry_name_part_without_a_word_is_data_error(tmp_path, capsys, part, value, body):
+    articles = tmp_path / "a.jsonl"
+    write_articles(articles, [article_row("a1", body)])
+    registry = tmp_path / "r.json"
+    write_registry(registry, [{**politician("p1", "female", "Mary", "Keane"), part: value}])
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"paths": {"articles": str(articles), "registry": str(registry)}}))
+    assert run("label", "--config", str(config), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert f"field {part} holds no word" in err and "for politician 'p1'" in err and not (tmp_path / "o").exists()
+
+
 # --- the config table ---
 
 def test_rank_k_zero_is_config_error(synth_corpus, tmp_path):
@@ -1041,21 +1064,21 @@ def test_malformed_config_exits_one_before_any_work(tmp_path_factory, config):
         assert not (root / "out").exists()
 
 
-registries = st.lists(
-    st.builds(
-        lambda gender, names, extras, spans: (gender, names, extras, spans),
-        st.sampled_from(["female", "male"]),
-        st.tuples(st.text(min_size=1, max_size=6), st.text(min_size=1, max_size=6)),
-        st.lists(st.text(max_size=6), max_size=2),
-        st.lists(st.tuples(st.integers(0, 500), st.integers(1, 500)), max_size=3),
-    ),
-    max_size=4,
-)
+def registries(name, extra):
+    """Registries of up to four politicians: names drawn from name, extra variants from extra."""
+    return st.lists(
+        st.builds(
+            lambda gender, names, extras, spans: (gender, names, extras, spans),
+            st.sampled_from(["female", "male"]),
+            st.tuples(name, name),
+            st.lists(extra, max_size=2),
+            st.lists(st.tuples(st.integers(0, 500), st.integers(1, 500)), max_size=3),
+        ),
+        max_size=4,
+    )
 
 
-@settings(max_examples=100, deadline=None)
-@given(registries, st.text(max_size=6))
-def test_save_then_load_registry_is_the_identity(tmp_path_factory, drawn, portfolio):
+def saved_registry(tmp_path_factory, drawn, portfolio):
     records = []
     for i, (gender, (given_name, surname), extras, spans) in enumerate(drawn):
         day, terms = datetime.date(1990, 1, 1), []
@@ -1066,4 +1089,33 @@ def test_save_then_load_registry_is_the_identity(tmp_path_factory, drawn, portfo
         records.append(corpus.PoliticianRecord(f"p{i}", gender, given_name, surname, tuple(extras), tuple(terms)))
     path = tmp_path_factory.mktemp("registry") / "r.json"
     corpus.save_registry(records, path)
+    return records, path
+
+
+# a name that starts with a letter holds a word, whatever follows
+WORDY_NAMES = st.builds(str.__add__, st.characters(categories=["L"]), st.text(max_size=5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(registries(WORDY_NAMES, WORDY_NAMES), st.text(max_size=6))
+def test_save_then_load_registry_is_the_identity(tmp_path_factory, drawn, portfolio):
+    records, path = saved_registry(tmp_path_factory, drawn, portfolio)
     assert corpus.load_registry(path) == records
+
+
+@settings(max_examples=100, deadline=None)
+@given(registries(st.text(min_size=1, max_size=6), st.text(max_size=6)), st.text(max_size=6))
+def test_registry_name_part_without_a_word_is_refused(tmp_path_factory, drawn, portfolio):
+    # a name part in which the tokenizer reads no word is refused, the first one met naming its field
+    records, path = saved_registry(tmp_path_factory, drawn, portfolio)
+    wordless = [(field, value, r.id) for r in records
+                for field, value in (("given_name", r.given_name), ("surname", r.surname),
+                                     *(("extra_variants", v) for v in r.extra_variants))
+                if WORD not in map(kind_of, util.ref_tokens(value))]
+    if wordless:
+        field, value, rid = wordless[0]
+        with pytest.raises(DataError) as raised:
+            corpus.load_registry(path)
+        assert str(raised.value) == f"field {field} holds no word: {value!r} for politician {rid!r}"
+    else:
+        assert corpus.load_registry(path) == records

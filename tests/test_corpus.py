@@ -223,11 +223,20 @@ def harney(**changes):
             harney(terms=[{"portfolio": "health", "start": "2000-01-01", "end": 2001}]),
             "field end must be an ISO date string, got 2001 for politician 'p1'",
         ),
+        # a name part in which the tokenizer reads no word would leave "Mary"
+        # alone a full-name mention, or make every "-" a surname mention
+        (harney(surname=" "), "field surname holds no word: ' ' for politician 'p1'"),
+        (harney(surname="-"), "field surname holds no word: '-' for politician 'p1'"),
+        (harney(given_name="\t."), "field given_name holds no word: '\\t.' for politician 'p1'"),
+        (harney(given_name="3rd"), "field given_name holds no word: '3rd' for politician 'p1'"),
+        (harney(extra_variants=["Bert", " "]), "field extra_variants holds no word: ' ' for politician 'p1'"),
+        (harney(extra_variants=["- 2"]), "field extra_variants holds no word: '- 2' for politician 'p1'"),
     ],
     ids=["null-given", "null-surname", "null-extras", "null-terms", "term-not-object",
          "null-portfolio", "null-id", "entry-not-object", "string-extras", "non-string-extra",
          "number-id", "list-given", "number-surname", "number-portfolio", "number-terms", "string-terms",
-         "term-without-start", "term-without-end", "number-end"],
+         "term-without-start", "term-without-end", "number-end",
+         "blank-surname", "dash-surname", "punct-given", "number-given", "blank-extra", "punct-number-extra"],
 )
 def test_registry_rejects_malformed_entry(tmp_path, entry, message):
     path = tmp_path / "r.json"
@@ -528,8 +537,28 @@ def registries_and_surfaces(draw):
 @given(registries_and_surfaces())
 def test_gated_scan_equals_ungated_reference(case):
     registry, surfaces = case
-    stream = preprocess.tokenize(" ".join(surfaces))
-    politicians, mentions, owners = corpus._scan_mentions(registry, stream)
-    got = [(start, end, [(politicians[p], preprocess.FORMS[f]) for m, p, f in owners.tolist() if m == row])
-           for row, (_, start, end, _) in enumerate(mentions.tolist())]
+    assert scanned(registry, surfaces) == util.ref_scan(registry, surfaces)
+
+
+def scanned(registry, surfaces):
+    """The scan's mentions of one text as (start, end, owners), as util.ref_scan gives them."""
+    politicians, mentions, owners = corpus._scan_mentions(registry, preprocess.tokenize(" ".join(surfaces)))
+    owned = [[] for _ in mentions]
+    for m, p, f in owners.tolist():
+        owned[m].append((politicians[p], preprocess.FORMS[f]))
+    return [(start, end, owned[row]) for row, (_, start, end, _) in enumerate(mentions.tolist())]
+
+
+def test_scan_keeps_leftmost_longest_along_long_chains_of_overlapping_names():
+    # each position starts a two- or three-token name that overlaps the next
+    # one's, so which match is kept depends on every match kept before it
+    registry = [
+        corpus.PoliticianRecord(id="p0", gender="female", given_name="Ann", surname="Lee"),
+        corpus.PoliticianRecord(id="p1", gender="male", given_name="Lee", surname="Ann"),
+        corpus.PoliticianRecord(id="p2", gender="male", given_name="May", surname="Rose",
+                                extra_variants=("Lee Ann May", "Rose May")),
+    ]
+    surfaces = ["ann", "lee"] * 1500 + ["may"] + ["lee", "ann", "may"] * 700 + ["rose", "may"] * 300 + ["lee"]
+    got = scanned(registry, surfaces)
     assert got == util.ref_scan(registry, surfaces)
+    assert len(got) == 1500 + 1 + 700 + 300 + 1

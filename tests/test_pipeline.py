@@ -146,23 +146,26 @@ def test_instances_and_views_share_one_prepared_stream(small_corpus, stoplist, a
 
 NAMES = ["Ann", "Lee", "May", "Rose"]
 # names, an abbreviation before ".", runs of . ! ?, signals and stopwords,
-# words the stemmer changes, and chunks that hold several tokens
+# words the stemmer changes, chunks that hold several tokens, and words of
+# letters beyond ASCII (one whose lowercase is longer, a titlecase one)
 PIECES = NAMES + ["mr", "Mr", "dr", ".", ".", "!", "?", "?!", "...", ",", "said", "the", "she", "his",
-                  "husband", "ministers", "3.4bn", "Ann's", "co-chair"]
+                  "husband", "ministers", "3.4bn", "Ann's", "co-chair", "İlhan", "ǅuro", "Ōta"]
 SEPARATORS = [" ", " ", " ", "", "\n", "  "]
 
 
 @st.composite
 def texts(draw, max_size):
-    # often a name first and last, so that names meet at the headline's and the body's ends
-    names = st.lists(st.sampled_from(NAMES), max_size=1)
+    # often names first and last, so that names meet at the headline's and the
+    # body's ends, and runs of up to three names, as long as the longest variants
+    names = st.lists(st.sampled_from(NAMES), max_size=3)
     pieces = [*draw(names), *draw(st.lists(st.sampled_from(PIECES), max_size=max_size)), *draw(names)]
     return "".join(piece + draw(st.sampled_from(SEPARATORS)) for piece in pieces)
 
 
 @st.composite
 def front_end_cases(draw):
-    """A registry over a few shared names, articles whose headlines (often
+    """A registry over a few shared names, with extra variants of up to three
+    names that may nest inside one another, articles whose headlines (often
     empty) and bodies start and end anywhere, and masking settings whose
     word lists may hold a name token."""
     names = st.sampled_from(NAMES)
@@ -170,8 +173,8 @@ def front_end_cases(draw):
         corpus.PoliticianRecord(
             id=f"p{i}", gender=draw(st.sampled_from(corpus.GENDERS)),
             given_name=draw(names), surname=draw(names),
-            extra_variants=tuple(" ".join(draw(st.lists(names, min_size=1, max_size=2)))
-                                 for _ in range(draw(st.integers(0, 1)))),
+            extra_variants=tuple(" ".join(draw(st.lists(names, min_size=1, max_size=3)))
+                                 for _ in range(draw(st.integers(0, 2)))),
         )
         for i in range(draw(st.integers(1, 3)))
     ]

@@ -299,8 +299,10 @@ def test_stream_rejects_unknown_marker():
 # --- derived kinds, and tokens and stems over a vocabulary, against per-occurrence references ---
 
 # whitespace the tokenizer must split on like the regex does, letters whose
-# lowercase is longer or combining, non-ASCII digits, and the joiners
-SPECIAL_CHARS = list("aAbZé09.,!?'’-_ \t\n") + [" ", " ", "\x1c", "İ", "ß", "̇", "٣"]
+# lowercase is longer or combining, a titlecase letter and a letter of no
+# case, non-ASCII digits, a numeral that is a word character but no letter
+# (so it takes the pattern, not the letters-only path), and the joiners
+SPECIAL_CHARS = list("aAbZé09.,!?'’-_ \t\n") + [" ", " ", "\x1c", "İ", "ß", "̇", "٣", "ǅ", "ª", "Ⅻ"]
 TEXTS = st.text(st.one_of(st.sampled_from(SPECIAL_CHARS), st.characters()), max_size=40)
 WORDY_TEXTS = st.text(st.sampled_from(list("abcdeilmnorstuy   .,")), max_size=80)
 
@@ -343,6 +345,53 @@ def test_tokenize_shares_one_token_per_surface_and_kind():
     assert len(set(stream.ids.tolist())) == len(set(stream.tokens)) == 4
     assert [vocab.kinds[i] for i in stream.ids.tolist()] == [kind_of(t) for t in stream.tokens]
     assert stem(stream).ids[0] == stream.ids[0]  # "husband" is its own stem
+
+
+class CountingPattern:
+    """The tokenizer's pattern, counting the calls made on it."""
+
+    def __init__(self, pattern):
+        self.pattern, self.calls = pattern, 0
+
+    def __getattr__(self, name):
+        method = getattr(self.pattern, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+        return counted
+
+
+def test_letter_chunks_skip_the_pattern(monkeypatch):
+    # a chunk of letters, or of letters then one punctuation character, is
+    # tokenized without the pattern; every other chunk still goes through it
+    pattern = CountingPattern(preprocess._TOKEN_RE)
+    monkeypatch.setattr(preprocess, "_TOKEN_RE", pattern)
+    rng = random.Random(5)
+    letters = "abcdefghijklmnopqrstuvwxyzABZéÉßİǅªŌōлЖ"
+    words = sorted({"".join(rng.choice(letters) for _ in range(rng.randint(3, 9))) for _ in range(1200)})[:1000]
+    assert len(words) == 1000 and any(not w.isascii() for w in words) and all(w.isalpha() for w in words)
+    vocab = Vocab()
+    stream = tokenize(" ".join(words), vocab)
+    assert pattern.calls == 0
+    assert tokenize(["Lee.", "Ōta,", "ǅuro!", "Lee_", "Ann\u0307"], vocab).tokens == (
+        "lee", ".", "ōta", ",", "ǆuro", "!", "lee", "_", "ann", "\u0307")
+    assert pattern.calls == 0
+    for chunk, tokens in [("Ann's", ("ann's",)), ("Ⅻ", ("ⅻ",)), ("LeeⅫ", ("leeⅻ",)),
+                          ("Lee.!", ("lee", ".", "!")), ("Lee2", ("lee", "2")), ("3.4bn", ("3.4bn",)),
+                          ("co-chair", ("co-chair",))]:
+        calls = pattern.calls
+        assert tokenize(chunk, vocab).tokens == tokens
+        assert pattern.calls == calls + 1
+    monkeypatch.undo()
+    assert kinds(stream) == ref_tokenize(" ".join(words))
+    assert [vocab.kinds[i] for i in stream.ids.tolist()] == [WORD] * 1000
+
+
+def test_packed_ids_are_int32_bytes():
+    for i in (0, 1, 3, 255, 256, 65_537, 2**31 - 1):
+        assert preprocess._PACK_ID(i) == np.int32(i).tobytes()
+        assert preprocess._PACK_IDS(i, 7) == np.array([i, 7], np.int32).tobytes()
 
 
 def test_memos_stay_within_their_bound():
