@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
-import datetime
 import hashlib
 import itertools
 import json
@@ -59,8 +58,8 @@ SCHEMA = {
     "paths.pos_lexicon": (None, str | None, None),
     "pipeline.remove_stopwords": (False, bool, None),
     "pipeline.stem": (False, bool, None),
-    "pipeline.date_from": (None, str | None, datetime.date.fromisoformat),
-    "pipeline.date_to": (None, str | None, datetime.date.fromisoformat),
+    "pipeline.date_from": (None, str | None, corpus.read_date),
+    "pipeline.date_to": (None, str | None, corpus.read_date),
     "features.scheme": ("unigram", str, features.SCHEMES),
     "features.window": ("article", str, features.WINDOWS),
     "features.representation": ("boolean", str, features.REPRESENTATIONS),
@@ -136,12 +135,9 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
     for key, value in [*given.items(), *(overrides or {}).items()]:
         _set(config, key, value)
     start, end = (config["pipeline"][key] for key in ("date_from", "date_to"))
-    if start and end and datetime.date.fromisoformat(start) >= datetime.date.fromisoformat(end):
+    if start and end and corpus.read_date(start) >= corpus.read_date(end):
         raise ConfigError(f"pipeline.date_from {start} must precede pipeline.date_to {end}")
     return config
-
-
-DEFAULT_CONFIG = load_config(None)
 
 
 def config_hash(config: dict) -> str:
@@ -223,8 +219,8 @@ def _pipeline_options(config: dict) -> dict:
         "signals": signals,
         "stoplist": stoplist,
         "apply_stem": pconf["stem"],
-        "date_from": pconf["date_from"] and datetime.date.fromisoformat(pconf["date_from"]),
-        "date_to": pconf["date_to"] and datetime.date.fromisoformat(pconf["date_to"]),
+        "date_from": pconf["date_from"] and corpus.read_date(pconf["date_from"]),
+        "date_to": pconf["date_to"] and corpus.read_date(pconf["date_to"]),
     }
 
 

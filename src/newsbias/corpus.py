@@ -1,9 +1,8 @@
 """Article ingestion, politician registry, and name matching.
 
-Articles arrive as JSON Lines (one object per line with fields id,
-source, date, section, headline, body); the registry is a single JSON
-document listing politicians with their name parts, gender, and dated
-office terms. An article "features" a politician when any name variant
+Articles arrive as JSON Lines, and the registry of politicians with
+their dated office terms as one JSON document; RECORDS gives the fields
+of each record. An article "features" a politician when any name variant
 (full "Given Surname", surname only, given only, or a registered extra
 variant) occurs token-bounded and case-insensitively in the headline or
 body. scan_corpus tokenizes and matches a whole corpus in one pass and
@@ -18,8 +17,9 @@ from __future__ import annotations
 
 import datetime
 import json
+import re
 from collections import namedtuple
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -92,67 +92,101 @@ class Instances:
         return len(self.article)
 
 
-_KINDS = {str: "a string", list: "a list", datetime.date: "an ISO date string"}
+# Every field of an input record: (kind, rule). A kind is str (a JSON string),
+# datetime.date (a YYYY-MM-DD string), a record class (a JSON object read by its
+# own rows) or [kind] (a JSON list of that kind, read as a tuple). A rule is
+# "optional" (may be blank or left out), "required" (present and not blank),
+# "id" (required, and printable), "word" (holds a word as the tokenizer reads
+# it) or a tuple of the values the field takes; a list may be left out, and its
+# rule holds for each item. Keys no row names are ignored: scraped records carry more.
+RECORDS = {
+    Article: {"id": (str, "id"), "source": (str, "optional"), "date": (datetime.date, "required"),
+              "section": (str, "optional"), "headline": (str, "optional"), "body": (str, "required")},
+    OfficeTerm: {"portfolio": (str, "required"), "start": (datetime.date, "required"),
+                 "end": (datetime.date, "required")},
+    PoliticianRecord: {"id": (str, "id"), "gender": (str, GENDERS), "given_name": (str, "word"),
+                       "surname": (str, "word"), "extra_variants": ([str], "word"),
+                       "terms": ([OfficeTerm], "optional")},
+}
+# each rule a string may fail: its test, and what a string that fails it is
+_RULES = {"required": (str.strip, "is blank"), "word": (preprocess.has_word, "holds no word"),
+          "id": (lambda v: v.strip() and v.isprintable(), "is blank or not printable")}
+_MISSING = object()
+_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}").fullmatch
 
 
-def _field(obj: dict, name: str, where: str, kind: type = str, required: bool = False):
-    """obj[name] as kind: a JSON string, a list, or an ISO date string read as
-    a date. A field left out is a data error where required and otherwise
-    empty ("" or []); a null, or a value of another JSON type, is a data error
-    naming the field, not text made of it."""
-    if name not in obj:
-        if required:
-            raise DataError(f"missing field {name} {where}")
-        return kind()
-    value = obj[name]
-    if value is None:
-        raise DataError(f"null field {name} {where}")
-    if kind is datetime.date and type(value) is str:
-        try:
-            return datetime.date.fromisoformat(value)
-        except ValueError:
-            raise DataError(f"invalid date {value!r} in field {name} {where}") from None
-    if type(value) is not kind:
-        raise DataError(f"field {name} must be {_KINDS[kind]}, got {value!r} {where}")
-    return value
+def read_date(text: str) -> datetime.date | None:
+    """The date a YYYY-MM-DD string names; None for any other string, as from
+    Python 3.11 date.fromisoformat also reads "20050615" and "2005-W24-3"."""
+    try:
+        return datetime.date.fromisoformat(text) if _DATE(text) else None
+    except ValueError:  # a day the calendar lacks
+        return None
 
 
-def _article_from_record(obj: dict, record_no: int) -> Article:
-    where = f"at record {record_no}"
-    art = Article(
-        id=_field(obj, "id", where, required=True),
-        source=_field(obj, "source", where),
-        date=_field(obj, "date", where, datetime.date, required=True),
-        section=_field(obj, "section", where),
-        headline=_field(obj, "headline", where),
-        body=_field(obj, "body", where, required=True),
-    )
-    if not art.id:
-        raise DataError(f"empty id {where}")
-    if not art.body:
-        raise DataError(f"empty body {where}")
-    return art
+def _reader(name: str, kind, rule):
+    """The reader of one row of RECORDS: (the JSON value, or _MISSING where its
+    key is left out; where) -> the field's value. A value the row takes passes
+    one test; refuse reads a list or an optional string left out, and raises
+    the DataError naming the field for every other value."""
+    is_list = type(kind) is list
+    test, problem = ((rule.__contains__, "is not " + " or ".join(map(repr, rule))) if type(rule) is tuple
+                     else _RULES.get(rule, (None, "")))
+    expected = ("a list" if is_list else "an object" if kind in RECORDS
+                else "an ISO date string" if kind is datetime.date else "a string")
+
+    def refuse(value, where):
+        if value is _MISSING and (is_list or rule == "optional"):
+            return () if is_list else ""
+        if value is _MISSING or value is None:
+            raise DataError(f"{'null' if value is None else 'missing'} field {name} {where}")
+        if type(value) is str and kind in (str, datetime.date):
+            raise DataError(f"field {name} {problem}: {value!r} {where}" if kind is str
+                            else f"invalid date {value!r} in field {name} {where}")
+        raise DataError(f"field {name} must be {expected}, got {value!r} {where}")
+
+    if is_list:
+        read_item = _reader(name, kind[0], rule)
+        return lambda value, where: (tuple([read_item(item, where) for item in value]) if type(value) is list
+                                     else refuse(value, where))
+    if kind in RECORDS:
+        return lambda value, where: read_record(kind, value, where) if type(value) is dict else refuse(value, where)
+    if kind is datetime.date:
+        return lambda value, where: (type(value) is str and read_date(value)) or refuse(value, where)
+    return lambda value, where: value if type(value) is str and (test is None or test(value)) else refuse(value, where)
+
+
+# each record's readers in the order its class takes its fields
+_READERS = {cls: tuple((f.name, _reader(f.name, *RECORDS[cls][f.name])) for f in fields(cls)) for cls in RECORDS}
+
+
+def read_record(cls: type, obj: dict, where: str):
+    """A cls made of the JSON object obj by the rows of RECORDS; a field that
+    breaks its row is a DataError naming the field and ending with where."""
+    values = []
+    for name, read in _READERS[cls]:  # a loop: before Python 3.12 a comprehension is a call per record
+        values.append(read(obj.get(name, _MISSING), where))
+    return cls(*values)
 
 
 def load_articles(path: str | Path) -> list[Article]:
     """Load articles in input order, rejecting duplicates and bad records."""
     articles: list[Article] = []
     seen: set[str] = set()
-    record_no = 0
     # lines end at "\n" only: str.splitlines would also break at a U+2028 inside a JSON string
     for line_no, line in enumerate(read_lines(path, "article file"), start=1):
         if not line.strip():
             continue
-        record_no += 1
+        where = f"at line {line_no}"
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise DataError(f"malformed record at line {line_no}: {exc.msg}") from None
+            raise DataError(f"malformed record {where}: {exc.msg}") from None
         if not isinstance(obj, dict):
-            raise DataError(f"malformed record at line {line_no}: not an object")
-        art = _article_from_record(obj, record_no)
+            raise DataError(f"malformed record {where}: not an object")
+        art = read_record(Article, obj, where)
         if art.id in seen:
-            raise DataError(f"duplicate article id {art.id!r}")
+            raise DataError(f"duplicate article id {art.id!r} {where}")
         seen.add(art.id)
         articles.append(art)
     return articles
@@ -176,57 +210,25 @@ def load_registry(path: str | Path) -> list[PoliticianRecord]:
 
     records: list[PoliticianRecord] = []
     seen: set[str] = set()
+    read_id = dict(_READERS[PoliticianRecord])["id"]
     for entry_no, entry in enumerate(doc["politicians"], start=1):
         if not isinstance(entry, dict):
             raise DataError(f"politician entry {entry_no} is not an object")
-        rid = _field(entry, "id", f"in politician entry {entry_no}")
+        # errors name a politician by its id, once the id is read
+        rid = read_id(entry.get("id", _MISSING), f"in politician entry {entry_no}")
         where = f"for politician {rid!r}"
-        if not rid:
-            raise DataError("politician entry missing id")
-        if rid in seen:
-            raise DataError(f"duplicate politician id {rid!r}")
-        seen.add(rid)
-        gender = _field(entry, "gender", where)
-        if gender not in GENDERS:
-            raise DataError(f"gender must be 'female' or 'male' {where}")
-        given = _field(entry, "given_name", where)
-        surname = _field(entry, "surname", where)
-        extras = _field(entry, "extra_variants", where, list)
-        raw_terms = _field(entry, "terms", where, list)
-        if not given or not surname:
-            raise DataError(f"given_name and surname required {where}")
-        if not all(type(v) is str for v in extras):
-            raise DataError(f"extra_variants must be a list of strings {where}")
-        # a name part with no word token would leave the matcher reading its other parts, or punctuation, as names
-        for name, value in (("given_name", given), ("surname", surname), *(("extra_variants", v) for v in extras)):
-            if not preprocess.has_word(value):
-                raise DataError(f"field {name} holds no word: {value!r} {where}")
-        terms = []
-        for t in raw_terms:
-            if not isinstance(t, dict):
-                raise DataError(f"term {t!r} is not an object {where}")
-            term = OfficeTerm(_field(t, "portfolio", where), _field(t, "start", where, datetime.date, required=True),
-                              _field(t, "end", where, datetime.date, required=True))
+        record = read_record(PoliticianRecord, entry, where)
+        if record.id in seen:
+            raise DataError(f"duplicate politician id {record.id!r}")
+        seen.add(record.id)
+        for term in record.terms:
             if term.start >= term.end:
                 raise DataError(f"term start {term.start} not before end {term.end} {where}")
-            terms.append(term)
-        terms.sort(key=lambda t: (t.start, t.end))
+        terms = sorted(record.terms, key=lambda t: (t.start, t.end))
         for prev, cur in zip(terms, terms[1:]):
             if cur.start < prev.end:
-                raise DataError(
-                    f"overlapping terms {where}: "
-                    f"{prev.start}..{prev.end} and {cur.start}..{cur.end}"
-                )
-        records.append(
-            PoliticianRecord(
-                id=rid,
-                gender=gender,
-                given_name=given,
-                surname=surname,
-                extra_variants=tuple(extras),
-                terms=tuple(terms),
-            )
-        )
+                raise DataError(f"overlapping terms {where}: {prev.start}..{prev.end} and {cur.start}..{cur.end}")
+        records.append(replace(record, terms=tuple(terms)))
     return records
 
 

@@ -74,9 +74,9 @@ _SENTENCE_FINAL = frozenset({".", "!", "?"})
 # numbers: digit runs with dots between digits and trailing letters ("3.4bn");
 # words: unicode letters with internal apostrophes/hyphens kept
 _TOKEN_RE = re.compile(
-    r"(?P<number>\d+(?:\.\d+)*[^\W\d_]*)"
-    r"|(?P<word>[^\W\d_]+(?:['’\-][^\W\d_]+)*)"
-    r"|(?P<punct>\S)",
+    rf"(?P<{NUMBER}>\d+(?:\.\d+)*[^\W\d_]*)"
+    rf"|(?P<{WORD}>[^\W\d_]+(?:['’\-][^\W\d_]+)*)"
+    rf"|(?P<{PUNCT}>\S)",
 )
 
 # one id, or two, as the native int32 bytes np.array(ids, np.int32).tobytes() gives

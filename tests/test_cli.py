@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime
+import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -658,7 +661,7 @@ def test_flag_overrides_do_not_leak_into_later_runs(spouse_fixture, tmp_path):
     manifest = json.loads((second / "manifest.json").read_text())
     assert manifest["config"]["interpret"]["masked"] is False
     assert "group" not in manifest["config"]["interpret"]
-    assert "group" not in cli.DEFAULT_CONFIG["interpret"]
+    assert "group" not in cli.load_config(None)["interpret"]
 
 
 def test_version_flag():
@@ -908,7 +911,7 @@ TABLE_DEFAULTS = {key: default for key, (default, _, _) in cli.SCHEMA.items() if
 
 
 def test_default_config_is_the_table_and_the_readme():
-    assert _flatten(cli.DEFAULT_CONFIG) == TABLE_DEFAULTS
+    assert _flatten(cli.load_config(None)) == TABLE_DEFAULTS
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     block = readme.split("A full config with defaults:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
     documented = _flatten(json.loads(block))
@@ -1027,7 +1030,7 @@ def malformed(draw):
         return _nest({key: draw(JSON_VALUES[wrong])})
     if fault == "range":
         if key.startswith("pipeline.date_"):
-            bad = draw(st.sampled_from(["", "2004-13-01", "2004-02-30", "yesterday"]))
+            bad = draw(st.sampled_from(["", "2004-13-01", "2004-02-30", "yesterday", "20040101", "2004-W01-1"]))
         elif key == "synth.planted":
             bad = [draw(st.sampled_from(["x:1.5:0", "x:0.1", ":0.1:0.1", "x:a:b", "x:nan:0"]))]
         elif isinstance(allowed, tuple):
@@ -1094,17 +1097,19 @@ def saved_registry(tmp_path_factory, drawn, portfolio):
 
 # a name that starts with a letter holds a word, whatever follows
 WORDY_NAMES = st.builds(str.__add__, st.characters(categories=["L"]), st.text(max_size=5))
+# a portfolio that is not blank: a blank one is refused on load
+PORTFOLIOS = st.text(min_size=1, max_size=6).filter(lambda text: not text.isspace())
 
 
 @settings(max_examples=100, deadline=None)
-@given(registries(WORDY_NAMES, WORDY_NAMES), st.text(max_size=6))
+@given(registries(WORDY_NAMES, WORDY_NAMES), PORTFOLIOS)
 def test_save_then_load_registry_is_the_identity(tmp_path_factory, drawn, portfolio):
     records, path = saved_registry(tmp_path_factory, drawn, portfolio)
     assert corpus.load_registry(path) == records
 
 
 @settings(max_examples=100, deadline=None)
-@given(registries(st.text(min_size=1, max_size=6), st.text(max_size=6)), st.text(max_size=6))
+@given(registries(st.text(min_size=1, max_size=6), st.text(max_size=6)), PORTFOLIOS)
 def test_registry_name_part_without_a_word_is_refused(tmp_path_factory, drawn, portfolio):
     # a name part in which the tokenizer reads no word is refused, the first one met naming its field
     records, path = saved_registry(tmp_path_factory, drawn, portfolio)
@@ -1119,3 +1124,98 @@ def test_registry_name_part_without_a_word_is_refused(tmp_path_factory, drawn, p
         assert str(raised.value) == f"field {field} holds no word: {value!r} for politician {rid!r}"
     else:
         assert corpus.load_registry(path) == records
+
+
+# --- the input record table ---
+
+@pytest.mark.parametrize("target, value, code, named", [
+    # from Python 3.11 date.fromisoformat also reads these; a date is YYYY-MM-DD on every Python
+    ("article", "20050615", 2, "invalid date '20050615' in field date at line 1"),
+    ("article", "2005-W24-3", 2, "invalid date '2005-W24-3' in field date at line 1"),
+    ("term", "20100101", 2, "invalid date '20100101' in field end for politician 'p1'"),
+    ("config", "20050101", 1, "pipeline.date_from does not take the value '20050101'"),
+], ids=["article-basic", "article-week", "term-end-basic", "config-basic"])
+def test_dates_are_yyyy_mm_dd(tmp_path, capsys, target, value, code, named):
+    articles, registry = tmp_path / "a.jsonl", tmp_path / "r.json"
+    date, end = (value if target == "article" else "2005-06-15"), (value if target == "term" else "2010-01-01")
+    write_articles(articles, [article_row("a1", "Mary Keane spoke.", date=date)])
+    write_registry(registry, [politician("p1", "female", "Mary", "Keane", terms=[("health", "2000-01-01", end)])])
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"paths": {"articles": str(articles), "registry": str(registry)},
+                                  "pipeline": {"date_from": value if target == "config" else None}}))
+    assert run("label", "--config", str(config), "--out", str(tmp_path / "o")) == code
+    assert named in capsys.readouterr().err and not (tmp_path / "o").exists()
+
+
+LEFT_OUT = object()
+# a field's JSON value mutated to one of these, or its key left out
+MUTATIONS = [None, 7, True, ["Bert"], {"x": 1}, "", " ", "\x00", "-", "3", "20050615", "2005-02-30"]
+
+
+def refused_field(kind, rule, name, value):
+    """The field the table's row (kind, rule) refuses value for, named as
+    README "Input formats" states the rules; None where the row takes it."""
+    if value is LEFT_OUT:
+        return None if rule == "optional" or isinstance(kind, list) else name
+    if isinstance(kind, list):
+        return name if type(value) is not list else next(
+            filter(None, (refused_field(kind[0], rule, name, item) for item in value)), None)
+    if kind in corpus.RECORDS:
+        return name if type(value) is not dict else next(
+            filter(None, (refused_field(*row, field, value.get(field, LEFT_OUT))
+                          for field, row in corpus.RECORDS[kind].items())), None)
+    if type(value) is not str:
+        return name
+    if kind is datetime.date:
+        try:
+            return None if re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", value) and datetime.date(
+                *map(int, value.split("-"))) else name
+        except ValueError:
+            return name
+    ok = value in rule if isinstance(rule, tuple) else {
+        "optional": True,
+        "required": value.strip() != "",
+        "id": value.strip() != "" and value.isprintable(),
+        "word": WORD in map(kind_of, util.ref_tokens(value)),
+    }[rule]
+    return None if ok else name
+
+
+def mutated(record: dict, field: str, value) -> dict:
+    return {key: item for key, item in record.items() if key != field} | ({} if value is LEFT_OUT else {field: value})
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([(cls, field) for cls, rows in corpus.RECORDS.items() for field in rows]),
+       st.sampled_from([LEFT_OUT, *MUTATIONS]) | st.sampled_from(MUTATIONS).map(lambda value: [value]))
+def test_a_mutated_field_exits_two_naming_it_or_is_taken(tmp_path_factory, row, value):
+    # one field of the first article, politician or office term mutated; label
+    # and stats refuse it naming the field, or run as the table takes it
+    cls, field = row
+    articles = [article_row("a1", "Mary Keane spoke of her husband."), article_row("a2", "Brian Dunne spoke."),
+                article_row("a3", "Nora Brophy and her husband spoke."), article_row("a4", "Noel Nolan spoke.")]
+    registry = [politician("f1", "female", "Mary", "Keane", terms=[("health", "2000-01-01", "2010-01-01")]),
+                politician("m1", "male", "Brian", "Dunne", terms=[("finance", "2000-01-01", "2010-01-01")]),
+                politician("f2", "female", "Nora", "Brophy", terms=[("justice", "2000-01-01", "2010-01-01")]),
+                politician("m2", "male", "Noel", "Nolan", terms=[("transport", "2000-01-01", "2010-01-01")])]
+    if cls is corpus.Article:
+        articles[0] = mutated(articles[0], field, value)
+    elif cls is corpus.PoliticianRecord:
+        registry[0] = mutated(registry[0], field, value)
+    else:
+        registry[0]["terms"] = [mutated(registry[0]["terms"][0], field, value)]
+    root = tmp_path_factory.mktemp("mutated")
+    write_articles(root / "a.jsonl", articles)
+    write_registry(root / "r.json", registry)
+    (root / "c.json").write_text(json.dumps({"paths": {"articles": str(root / "a.jsonl"),
+                                                       "registry": str(root / "r.json")}}))
+    refused = refused_field(*corpus.RECORDS[cls][field], field, value)
+    for command in (["label"], ["stats", "--term", "husband"]):
+        out = root / command[0]
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = run(*command, "--config", str(root / "c.json"), "--out", str(out))
+        if refused:
+            assert code == 2 and f"field {refused} " in err.getvalue(), (code, err.getvalue())
+            assert not out.exists()
+        else:
+            assert code == 0, err.getvalue()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import datetime
 import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -56,24 +57,41 @@ def test_load_articles_missing_body_names_record(tmp_path):
     row = article_row("a2", "x")
     del row["body"]
     write_articles(path, [article_row("a1", "fine"), row])
-    with pytest.raises(DataError, match="missing field body at record 2"):
+    with pytest.raises(DataError, match="missing field body at line 2"):
+        corpus.load_articles(path)
+
+
+def test_load_articles_errors_name_the_line(tmp_path):
+    # a blank line is skipped but counted: the bad record is on line 3
+    path = tmp_path / "a.jsonl"
+    row = article_row("a2", "x")
+    del row["body"]
+    path.write_text("\n".join([json.dumps(article_row("a1", "fine")), "", json.dumps(row)]) + "\n")
+    with pytest.raises(DataError, match="missing field body at line 3"):
+        corpus.load_articles(path)
+    path.write_text("\n".join([json.dumps(article_row("a1", "x")), "  ", json.dumps(article_row("a1", "y"))]) + "\n")
+    with pytest.raises(DataError, match="duplicate article id 'a1' at line 3"):
         corpus.load_articles(path)
 
 
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        *(pytest.param(field, None, f"null field {field} at record 2", id=field)
+        *(pytest.param(field, None, f"null field {field} at line 2", id=field)
           for field in ["body", "headline", "section", "source", "id", "date"]),
         # nor another JSON type as its text: the list body used to match the politician it names
-        pytest.param("body", ["Keane", "said"], "field body must be a string, got ['Keane', 'said'] at record 2",
+        pytest.param("body", ["Keane", "said"], "field body must be a string, got ['Keane', 'said'] at line 2",
                      id="list-body"),
-        pytest.param("section", ["news"], "field section must be a string, got ['news'] at record 2",
+        pytest.param("section", ["news"], "field section must be a string, got ['news'] at line 2",
                      id="list-section"),
-        pytest.param("headline", {"text": "h"}, "field headline must be a string, got {'text': 'h'} at record 2",
+        pytest.param("headline", {"text": "h"}, "field headline must be a string, got {'text': 'h'} at line 2",
                      id="object-headline"),
-        pytest.param("source", True, "field source must be a string, got True at record 2", id="bool-source"),
-        pytest.param("id", 7, "field id must be a string, got 7 at record 2", id="number-id"),
+        pytest.param("source", True, "field source must be a string, got True at line 2", id="bool-source"),
+        pytest.param("id", 7, "field id must be a string, got 7 at line 2", id="number-id"),
+        # an id must be printable and, like a body, not blank
+        pytest.param("id", " ", "field id is blank or not printable: ' ' at line 2", id="blank-id"),
+        pytest.param("id", "\x00", "field id is blank or not printable: '\\x00' at line 2", id="nul-id"),
+        pytest.param("body", " ", "field body is blank: ' ' at line 2", id="blank-body"),
     ],
 )
 def test_load_articles_null_field_names_field_and_record(field, value, message, tmp_path):
@@ -175,7 +193,7 @@ def test_registry_duplicate_id(tmp_path):
 def test_registry_requires_names(tmp_path):
     path = tmp_path / "r.json"
     write_registry(path, [politician("p1", "female", "", "Harney")])
-    with pytest.raises(DataError, match="given_name and surname"):
+    with pytest.raises(DataError, match=re.escape("field given_name holds no word: '' for politician 'p1'")):
         corpus.load_registry(path)
 
 
@@ -197,7 +215,7 @@ def harney(**changes):
         (harney(surname=None), "null field surname for politician 'p1'"),
         (harney(extra_variants=None), "null field extra_variants for politician 'p1'"),
         (harney(terms=None), "null field terms for politician 'p1'"),
-        (harney(terms=["x"]), "term 'x' is not an object for politician 'p1'"),
+        (harney(terms=["x"]), "field terms must be an object, got 'x' for politician 'p1'"),
         (
             harney(terms=[{"portfolio": None, "start": "2000-01-01", "end": "2001-01-01"}]),
             "null field portfolio for politician 'p1'",
@@ -205,7 +223,7 @@ def harney(**changes):
         (harney(id=None), "null field id in politician entry 2"),
         ("Mary Harney", "politician entry 2 is not an object"),
         (harney(extra_variants="Bert"), "field extra_variants must be a list, got 'Bert' for politician 'p1'"),
-        (harney(extra_variants=[5]), "extra_variants must be a list of strings for politician 'p1'"),
+        (harney(extra_variants=[5]), "field extra_variants must be a string, got 5 for politician 'p1'"),
         # a name or portfolio of another JSON type than a string is not turned into text
         (harney(id=7), "field id must be a string, got 7 in politician entry 2"),
         (harney(given_name=["Mary"]), "field given_name must be a string, got ['Mary'] for politician 'p1'"),
@@ -231,18 +249,43 @@ def harney(**changes):
         (harney(given_name="3rd"), "field given_name holds no word: '3rd' for politician 'p1'"),
         (harney(extra_variants=["Bert", " "]), "field extra_variants holds no word: ' ' for politician 'p1'"),
         (harney(extra_variants=["- 2"]), "field extra_variants holds no word: '- 2' for politician 'p1'"),
+        # an id must be printable and not blank, and a portfolio not blank: stats --portfolio '' selected it
+        (harney(id=" "), "field id is blank or not printable: ' ' in politician entry 2"),
+        (harney(id="\x00"), "field id is blank or not printable: '\\x00' in politician entry 2"),
+        (harney(terms=[{"portfolio": "", "start": "2000-01-01", "end": "2001-01-01"}]),
+         "field portfolio is blank: '' for politician 'p1'"),
+        (harney(terms=[{"portfolio": " ", "start": "2000-01-01", "end": "2001-01-01"}]),
+         "field portfolio is blank: ' ' for politician 'p1'"),
+        (harney(terms=[{"start": "2000-01-01", "end": "2001-01-01"}]), "missing field portfolio for politician 'p1'"),
     ],
     ids=["null-given", "null-surname", "null-extras", "null-terms", "term-not-object",
          "null-portfolio", "null-id", "entry-not-object", "string-extras", "non-string-extra",
          "number-id", "list-given", "number-surname", "number-portfolio", "number-terms", "string-terms",
          "term-without-start", "term-without-end", "number-end",
-         "blank-surname", "dash-surname", "punct-given", "number-given", "blank-extra", "punct-number-extra"],
+         "blank-surname", "dash-surname", "punct-given", "number-given", "blank-extra", "punct-number-extra",
+         "blank-id", "nul-id", "empty-portfolio", "blank-portfolio", "term-without-portfolio"],
 )
 def test_registry_rejects_malformed_entry(tmp_path, entry, message):
     path = tmp_path / "r.json"
     write_registry(path, [politician("p0", "male", "Brian", "Cowen"), entry])
     with pytest.raises(DataError, match=re.escape(message)):
         corpus.load_registry(path)
+
+
+def test_input_formats_are_the_readme_table():
+    # README "Input formats" states every row of the record table: its record, field, JSON type and rule
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Input formats", 1)[1].split("\n## ", 1)[0]
+    rows = [[cell.strip().replace("`", "") for cell in line.strip().strip("|").split("|")]
+            for line in table.splitlines() if line.startswith("| ")]
+    records = {corpus.Article: "article", corpus.OfficeTerm: "term", corpus.PoliticianRecord: "politician"}
+    types = {str: "string", datetime.date: "YYYY-MM-DD string"}
+
+    def json_type(kind):
+        return f"list of {records.get(kind[0], 'string')}s" if isinstance(kind, list) else types[kind]
+
+    assert rows[1:] == [[records[cls], field, json_type(kind), " or ".join(rule) if isinstance(rule, tuple) else rule]
+                        for cls, fields in corpus.RECORDS.items() for field, (kind, rule) in fields.items()]
 
 
 # --- matching (corpus.scan_corpus's owner rows) ---

@@ -2,7 +2,7 @@
 else outside the standard library, though other packages are installed.
 Within the package, the term extraction layer does not depend on the corpus
 layer, no module imports a name it never reads, and nothing is defined that
-only the tests read."""
+only the tests read: no function, class or constant."""
 
 from __future__ import annotations
 
@@ -181,31 +181,40 @@ def reads(tree: ast.AST) -> set[str]:
     return names
 
 
+def defined_names(node: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a function's or class's, or those an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+    return [n.id for target in targets for n in ast.walk(target)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+
+
 def unread_definitions(modules: dict[str, str], readers: list[str]) -> list[str]:
-    """Top-level functions and classes of the modules (name -> source) that no
-    other top-level statement of them reads, nor any of the readers' sources."""
+    """Top-level functions, classes and assigned names of the modules (name ->
+    source) that no other top-level statement of them reads, nor any of the
+    readers' sources."""
     read_elsewhere = set().union(*map(reads, map(ast.parse, readers)))
     defined, read_by = [], []
     for name, source in modules.items():
         for node in ast.parse(source).body:
             read_by.append((node, reads(node)))
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((name, node))
-    return [f"{name}: {node.name}" for name, node in defined
-            if node.name not in read_elsewhere and not any(node.name in names for other, names in read_by
-                                                           if other is not node)]
+            defined += [(name, node, defined_name) for defined_name in defined_names(node)]
+    return [f"{name}: {defined_name}" for name, node, defined_name in defined
+            if defined_name not in read_elsewhere and not any(defined_name in names for other, names in read_by
+                                                              if other is not node)]
 
 
 def test_unread_definitions_are_found():
     modules = {"a.py": "def f(): return g()\ndef g(): return f\ndef h(): return h()\nclass C: pass\n",
-               "b.py": "import a\ndef k(): pass\nx = a.C\n"}
-    assert unread_definitions(modules, ["w(a, 'k')"]) == ["a.py: h"]
-    assert unread_definitions(modules, []) == ["a.py: h", "b.py: k"]
+               "b.py": "import a\ndef k(): pass\nx = a.C\nY: int = 1\nZ, W = 2, Y\nV = V + 1\na.T[x] = 3\n"}
+    assert unread_definitions(modules, ["w(a, 'k', x, Z)"]) == ["a.py: h", "b.py: W", "b.py: V"]
+    assert unread_definitions(modules, []) == ["a.py: h", "b.py: k", "b.py: Z", "b.py: W", "b.py: V"]
 
 
 def test_src_defines_nothing_only_the_tests_read():
-    # a function or class counts as used when the package, a demo or the benchmark's
-    # child reads it; the child wraps functions by their names given as strings
+    # a function, class or constant counts as used when the package, a demo or the
+    # benchmark's child reads it; the child wraps functions by their names given as strings
     modules = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     readers = [path.read_text(encoding="utf-8")
                for path in [*sorted((ROOT / "demos").glob("*.py")), ROOT / "perfbench" / "child.py"]]
