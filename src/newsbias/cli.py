@@ -147,14 +147,16 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _existing(key: str, value: str) -> Path:
+    if not (path := Path(value)).exists():
+        raise ConfigError(f"paths.{key} does not exist: {path}")
+    return path
+
+
 def _require_path(config: dict, key: str) -> Path:
-    value = config["paths"][key]
-    if not value:
+    if not config["paths"][key]:
         raise ConfigError(f"config paths.{key} is required for this command")
-    p = Path(value)
-    if not p.exists():
-        raise ConfigError(f"paths.{key} does not exist: {p}")
-    return p
+    return _existing(key, config["paths"][key])
 
 
 class _Run:
@@ -232,14 +234,10 @@ _SCHEME_RESOURCES = {features.ADJECTIVE: "pos_lexicon", features.VERB: "pos_lexi
 def _load_resources(config: dict, schemes: set[str]):
     """The configured lexicon and POS lexicon; with stemming on, those the
     schemes read are stemmed, as the tokens they look up are."""
-    paths = config["paths"]["lexicons"]
-    for path in map(Path, paths):
-        if not path.exists():
-            raise ConfigError(f"lexicon file does not exist: {path}")
+    paths = [_existing("lexicons", path) for path in config["paths"]["lexicons"]]
     lexicon = features.load_lexicon(*paths) if paths else None
-    pos_lexicon = None
-    if config["paths"]["pos_lexicon"]:
-        pos_lexicon = features.load_pos_lexicon(_require_path(config, "pos_lexicon"))
+    pos_lexicon = (features.load_pos_lexicon(_require_path(config, "pos_lexicon"))
+                   if config["paths"]["pos_lexicon"] else None)
     if config["pipeline"]["stem"]:
         read = {_SCHEME_RESOURCES.get(scheme) for scheme in schemes}
         if lexicon and "lexicons" in read:

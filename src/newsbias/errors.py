@@ -61,11 +61,11 @@ def read_entries(path: str | Path, what: str) -> Iterator[tuple[str, str]]:
     whitespace cut, blank ones skipped. A line ends at a line feed only, which
     read_text makes of carriage returns. A file with no entry raises, naming it."""
     path = Path(path)
-    empty = True
+    name, empty = path.name, True
     for line_no, line in enumerate(read_text(path, what).split("\n"), start=1):
         entry = line.split("#", 1)[0].rstrip()
-        if entry.strip():
+        if entry:  # stripped on the right, so it is blank only when empty
             empty = False
-            yield f"{path.name}:{line_no}", entry
+            yield f"{name}:{line_no}", entry
     if empty:
         raise DataError(f"{what} {path} holds no entry")

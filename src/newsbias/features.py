@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, read_entries
-from .preprocess import FORMS, MARKER, WORD, TokenStream, Vocab, sentences_holding, stem
+from .preprocess import FORMS, MARKER, WORD, TokenStream, Vocab, read_word, sentences_holding, stem
 
 # feature kinds
 UNIGRAM = "unigram"
@@ -124,40 +124,39 @@ class FeatureSpace:
 
 
 def load_lexicon(*paths: str | Path) -> LexiconSet:
-    """Parse `WORD<TAB>CAT1,CAT2,...` lines into category word sets, merged
-    across the files; a file with no entry raises."""
+    """Parse `WORD<TAB>CAT1,CAT2,...` lines, each WORD read by read_word, into
+    category word sets merged across the files; a file with no entry raises."""
     categories: dict[str, set[str]] = {}
     for path in paths:
         for where, entry in read_entries(path, "lexicon file"):
             parts = entry.split("\t")
             if len(parts) != 2:
                 raise DataError(f"{where}: expected WORD<TAB>CATEGORIES")
-            word = parts[0].strip().lower()
+            word = read_word(parts[0], where, "lexicon word")
             cats = [c.strip().upper() for c in parts[1].split(",")]
-            if not word or any(not c for c in cats) or not cats:
-                raise DataError(f"{where}: empty word or category")
+            if not all(cats):
+                raise DataError(f"{where}: empty category")
             for cat in cats:
                 categories.setdefault(cat, set()).add(word)
     return LexiconSet({c: frozenset(ws) for c, ws in categories.items()})
 
 
 def load_pos_lexicon(path: str | Path) -> PosLexicon:
-    """Parse `word<TAB>PRIMARYTAG<TAB>alt1,alt2` lines (alt tags optional, only
-    validated); a file with no entry raises."""
+    """Parse `word<TAB>PRIMARYTAG<TAB>alt1,alt2` lines, each word read by read_word
+    (alt tags optional, only validated); a file with no entry raises."""
     primary: dict[str, str] = {}
     for where, entry in read_entries(path, "POS lexicon file"):
         parts = entry.split("\t")
         if len(parts) not in (2, 3):
             raise DataError(f"{where}: expected word<TAB>TAG[<TAB>alts]")
-        word = parts[0].strip().lower()
+        word = read_word(parts[0], where, "POS lexicon word")
         tag = parts[1].strip().upper()
         alts = [t.strip().upper() for t in parts[2].split(",")] if len(parts) == 3 and parts[2].strip() else []
         for t in [tag, *alts]:
             if t not in POS_TAGS:
                 raise DataError(f"{where}: unknown tag {t!r}")
-        if word in primary and primary[word] != tag:
+        if primary.setdefault(word, tag) != tag:
             raise DataError(f"{where}: conflicting primary tag for {word!r}")
-        primary[word] = tag
     return PosLexicon(primary=primary)
 
 

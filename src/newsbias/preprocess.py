@@ -299,16 +299,19 @@ def stem(stream: TokenStream) -> TokenStream:
     return replace(stream, ids=table[stream.ids])
 
 
+def read_word(text: str, where: str, what: str) -> str:
+    """The word a word field of a line-entry file names, lowercased: its stripped text must be one
+    token of kind word, as no other could ever match one, else it raises naming where, what and it."""
+    text = text.strip()
+    # a run of letters is one word whole, as Vocab.__missing__ reads it; else one match must span the text
+    if not text.isalpha():
+        match = _TOKEN_RE.match(text)
+        if not match or match.lastgroup != WORD or match.end() != len(text):
+            raise DataError(f"{where}: {what} {text!r} is not one word")
+    return text.lower()
+
+
 def load_wordlist(path: str | Path) -> frozenset[str]:
-    """One word per line, as the tokenizer reads it (lowercased); blank lines
-    and '#' comments ignored, and a file with no entry raises. An entry that
-    is not exactly one word token (two tokens, a number, punctuation) could
-    never match, so it raises."""
-    words = set()
-    for where, entry in read_entries(path, "word list"):
-        entry = entry.strip()
-        tokens = tokenize(entry).tokens
-        if len(tokens) != 1 or kind_of(tokens[0]) != WORD:
-            raise DataError(f"{where}: word list entry {entry!r} is not one word")
-        words.update(tokens)
-    return frozenset(words)
+    """One word per line, read by read_word; blank lines and '#' comments
+    ignored, and a file with no entry raises."""
+    return frozenset(read_word(entry, where, "word list entry") for where, entry in read_entries(path, "word list"))

@@ -876,6 +876,25 @@ def test_word_list_entry_that_is_not_one_word_is_a_data_error(synth_corpus, tmp_
         assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("entry", ["mr.", "2010", "co chair", "NAMEFORM_FULL", "-", "abandon*", "prime minister",
+                                   "3rd", "e.g.", "strong.", ""])
+@pytest.mark.parametrize("key", ["lexicons", "pos_lexicon"])
+def test_lexicon_word_that_is_not_one_word_is_a_data_error(synth_corpus, tmp_path, capsys, key, entry):
+    # a lexicon word is matched whole against word tokens, so such an entry could never match one
+    field, what = {"lexicons": ("POWER", "lexicon word"), "pos_lexicon": ("ADJ", "POS lexicon word")}[key]
+    config = json.loads(synth_corpus.read_text())
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text(f"# a lexicon\nChief\t{field}\n\n{entry}\t{field}  # not one word\nvote\t{field}\n",
+                       encoding="utf-8")
+    config["paths"][key] = [str(lexicon)] if key == "lexicons" else str(lexicon)
+    config_path = tmp_path / "probe.json"
+    config_path.write_text(json.dumps(config))
+    # rank loads every configured lexicon, whatever its scheme reads
+    assert run("rank", "--config", str(config_path), "--out", str(tmp_path / "o")) == 2
+    assert f"lexicon.tsv:4: {what} {entry!r} is not one word" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("out", ["afile", "afile/sub"])
 def test_out_that_cannot_be_a_directory_is_a_config_error(synth_corpus, monkeypatch, tmp_path, capsys, out):
     from newsbias import corpus

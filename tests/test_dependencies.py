@@ -1,8 +1,9 @@
 """numpy is the only runtime dependency: the CLI's commands import nothing
 else outside the standard library, though other packages are installed.
 Within the package, the term extraction layer does not depend on the corpus
-layer, no module imports a name it never reads, and nothing is defined that
-only the tests read: no function, class or constant."""
+layer, no module imports a name it never reads, nothing is defined that
+only the tests read (no function, class or constant), and every word field of
+a line-entry file is read by one reader."""
 
 from __future__ import annotations
 
@@ -166,6 +167,37 @@ def test_only_errors_reads_input_files():
     found = {path.name: input_reads(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))
              if path.name != "errors.py"}
     assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def word_fields_read_alone(source: str) -> list[str]:
+    """Functions that read a line-entry file (they call read_entries) without
+    reading its words through read_word: they never call it, or they lowercase
+    a value themselves, as parts[0].strip().lower() once read a lexicon word."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef):
+            funcs = [call.func for call in ast.walk(node) if isinstance(call, ast.Call)]
+            names = {func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None) for func in funcs}
+            if "read_entries" in names and ("read_word" not in names or names & {"lower", "casefold"}):
+                found.append(f"line {node.lineno}: {node.name}")
+    return found
+
+
+def test_word_fields_read_alone_are_found():
+    source = ("def a(p):\n    return {e.strip().lower() for _, e in read_entries(p, 'w')}\n"
+              "def b(p):\n    return {read_word(e, w, 'x') for w, e in read_entries(p, 'w')}\n"
+              "def c(p):\n    return {read_word(e.lower(), w, 'x') for w, e in read_entries(p, 'w')}\n"
+              "def d(t):\n    return t.strip().lower()\n"
+              "def e(p):\n    return {tokenize(e).tokens[0] for _, e in read_entries(p, 'w')}\n")
+    assert word_fields_read_alone(source) == ["line 1: a", "line 5: c", "line 9: e"]
+
+
+def test_every_word_field_is_read_by_read_word():
+    # a stoplist, signal list, lexicon or POS lexicon word is one word token or
+    # the file is refused, by the one rule, whichever file it stands in
+    found = {path.name: word_fields_read_alone(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: functions for name, functions in found.items() if functions} == {}
 
 
 def reads(tree: ast.AST) -> set[str]:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newsbias import pipeline, porter, preprocess, synth
-from newsbias.errors import InvariantError
+from newsbias.errors import DataError, InvariantError
 from newsbias.preprocess import (
     DEFAULT_GENDERED_SIGNALS,
     FORMS,
@@ -31,7 +31,7 @@ from newsbias.preprocess import (
     tokenize,
 )
 
-from util import mention_rows
+from util import mention_rows, ref_word
 
 
 def surfaces(stream):
@@ -334,6 +334,25 @@ def test_kind_follows_from_the_surface(text):
         assert kind_of(surface) == kind
         if kind == WORD:
             assert kind_of(porter.stem(surface)) == WORD
+
+
+# whitespace, digits, the joiners, characters no word holds, letters that
+# take the pattern rather than the letters-only test, and the marker surfaces
+WORD_FIELDS = st.lists(st.one_of(st.sampled_from([*"aZé İß\u0307ǅªⅫ٣09'’-*._", "\t", "\u2003", "\x1c", "lee",
+                                                  *sorted(MARKER_SURFACES)]), st.characters()),
+                       max_size=6).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(WORD_FIELDS)
+def test_read_word_reads_what_tokenize_reads_as_one_word(text):
+    # read_word matches the pattern once; tokenize splits, matches and lowercases the whole text
+    word = ref_word(text)
+    if word is None:
+        with pytest.raises(DataError, match=r"^lex\.tsv:3: lexicon word .* is not one word$"):
+            preprocess.read_word(text, "lex.tsv:3", "lexicon word")
+    else:
+        assert preprocess.read_word(text, "lex.tsv:3", "lexicon word") == word
 
 
 def test_tokenize_shares_one_token_per_surface_and_kind():

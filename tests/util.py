@@ -14,7 +14,7 @@ from newsbias import features
 from newsbias.corpus import GENDERS, MALE, Instances
 from newsbias.features import FeatureSpace, FeatureVector
 from newsbias.learn import CSR, BayesModel, Dataset, _nb_joint
-from newsbias.preprocess import FORMS, MARKER, WORD, TokenStream, Vocab, kind_of, sentences_holding
+from newsbias.preprocess import FORMS, MARKER, WORD, TokenStream, Vocab, kind_of, sentences_holding, tokenize
 
 
 def make_space(n: int, kind: str = "unigram", n_docs: int = 10) -> FeatureSpace:
@@ -236,6 +236,12 @@ def ref_tokens(text: str) -> list[str]:
 
     return [m.group() if m.lastgroup == preprocess.PUNCT else m.group().lower()
             for m in preprocess._TOKEN_RE.finditer(text)]
+
+
+def ref_word(text: str) -> str | None:
+    """The word a word field names, read by a whole tokenize: its one token when that is a word, else None."""
+    stream = tokenize(text)
+    return stream.tokens[0] if len(stream) == 1 and stream.vocab.kinds[stream.ids[0]] == WORD else None
 
 
 def ref_split(tokens: list[str]) -> list[tuple[int, int]]:
