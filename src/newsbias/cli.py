@@ -462,7 +462,16 @@ def _stemmed(config: dict, terms: list[str]) -> dict[str, str]:
     return {term: form for term, form in forms.items() if form != interpret.normalize_query(term)}
 
 
+def _check_markers(config: dict, terms: list[str]) -> None:
+    """Refuse a marker query on the raw pass: a NAMEFORM_* token exists only once names are masked."""
+    markers = [term for term in terms if term in preprocess.MARKER_SURFACES]
+    if markers and not config["interpret"]["masked"]:
+        raise ConfigError(f"query {markers[0]!r} is a masking marker, found only in masked text: "
+                          "pass --masked (interpret.masked)")
+
+
 def cmd_kwic(config: dict, term: str, tag: str) -> int:
+    _check_markers(config, [term])
     run = _Run("kwic", config)
     instances = _prepare(config, query=True)[-1]
     lines = interpret.kwic(
@@ -489,6 +498,7 @@ def cmd_stats(config: dict, terms: list[str], groups: list[str], portfolio: str 
     if len({_searched(config, term) for term in terms}) < len(terms):
         stems = " (each searched as its stem)" if _stemmed(config, terms) else ""
         raise ConfigError(f"--term names a query twice{stems}: {','.join(terms)}")
+    _check_markers(config, terms)
     run = _Run("stats", config)
     registry, opts, instances = _prepare(config, query=True)[1:]
     # years in office cover the counted dates: an unset side takes the registry's bound

@@ -142,6 +142,7 @@ def kwic(
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
+    window = min(window, len(instances.stream.ids))  # a longer window reaches no further
     surface = normalize_query(term, instances.stemmed)
     hits, article = _hits(instances, surface, group, require_cooccurrence)
     # hits run in stream order, so a stable sort on the article id keeps each article's in position order

@@ -9,11 +9,11 @@ under-sampling of the training portion.
 
 Determinism: no learner draws random numbers; the randomized steps
 (fold shuffles and under-sampling) key off an explicit 64-bit seed via
-the generators in newsbias.rng. cross_validate derives its sub-seeds
-from the master seed with SplitMix64 in a fixed layout (fold shuffle
-first, then two per fold: the under-sampling seed and one no learner
-reads, kept so the under-sampling seeds stay where they have always
-been), so a report is byte-for-byte reproducible.
+the generators in newsbias.rng. cross_validate reads one SplitMix64
+stream over its seed in a fixed order: the fold plan's seed first, then
+two per fold, the under-sampling seed and one no learner reads, kept so
+the under-sampling seeds stay where they have always been. So a report
+is byte-for-byte reproducible.
 
 Ties (zero scores, equal posteriors, equal leaf counts) always resolve
 to "female", the lexicographically smaller label; features of equal gain
@@ -55,7 +55,7 @@ import numpy as np
 from .corpus import FEMALE, GENDERS, MALE
 from .errors import ConfigError, DataError
 from .features import REPRESENTATIONS, FeatureSpace, FeatureVector
-from .rng import Rng, derive_seeds
+from .rng import Rng, SplitMix64
 
 DEFAULT_SVM_LAMBDA = 1e-4
 DEFAULT_SVM_EPOCHS = 20
@@ -244,9 +244,9 @@ class CVReport:
 def undersample(dataset: Dataset, seed: int) -> Dataset:
     """Balance classes by uniform down-sampling of the majority class.
 
-    The minority class is kept whole; the surviving subset preserves
-    dataset order, so the result is a sub-multiset of the input and is
-    identical for identical seeds.
+    The minority class is kept whole, with as many majority rows as it has: the first
+    of the majority's positions after Rng(seed).shuffle. The subset preserves dataset
+    order, so it is a sub-multiset of the input, identical for identical seeds.
     """
     labels = dataset.y[dataset.rows]
     n_male = int(labels.sum())
@@ -256,30 +256,31 @@ def undersample(dataset: Dataset, seed: int) -> Dataset:
         return dataset
     minority = int(2 * n_male < len(labels))
     keep = labels == minority
-    majority_idx = np.flatnonzero(~keep)
-    keep[majority_idx[Rng(seed).sample_indices(len(majority_idx), int(keep.sum()))]] = True
+    majority_idx = np.flatnonzero(~keep).tolist()
+    Rng(seed).shuffle(majority_idx)
+    keep[majority_idx[:int(keep.sum())]] = True
     return dataset.subset(np.flatnonzero(keep))
 
 
-def stratified_folds(dataset: Dataset, k: int, seed: int) -> list[list[int]]:
-    """Partition indices into k folds with per-fold class counts within 1 of proportional.
+def fold_plan(dataset: Dataset, k: int, seed: int) -> np.ndarray:
+    """The fold, 0 to k - 1, of each row, with per-fold class counts within 1 of proportional.
 
-    Each class's indices are shuffled with the seeded generator (females
-    first, males second, one shared stream) and dealt round-robin.
+    k and the class sizes are checked before anything is drawn. Each class's rows are then
+    shuffled with one seeded generator (females first, males second) and dealt round-robin.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    rng = Rng(seed)
     labels = dataset.y[dataset.rows]
-    folds: list[list[int]] = [[] for _ in range(k)]
-    for code, label in enumerate(GENDERS):
-        idx = np.flatnonzero(labels == code).tolist()
+    classes = [np.flatnonzero(labels == code).tolist() for code in range(len(GENDERS))]
+    for label, idx in zip(GENDERS, classes):
         if len(idx) < k:
             raise DataError(f"class {label!r} has {len(idx)} members, fewer than k={k}")
+    rng = Rng(seed)
+    plan = np.empty(len(labels), dtype=np.intp)
+    for idx in classes:
         rng.shuffle(idx)
-        for pos, i in enumerate(idx):
-            folds[pos % k].append(i)
-    return [sorted(f) for f in folds]
+        plan[idx] = np.arange(len(idx)) % k
+    return plan
 
 
 def svm_objective(
@@ -861,18 +862,18 @@ def cross_validate(
 ) -> CVReport:
     """Stratified k-fold evaluation; test folds are never under-sampled."""
     params = params or {}
-    sub_seeds = derive_seeds(seed, 1 + 2 * k)
-    folds = stratified_folds(dataset, k, sub_seeds[0])
+    seeds = SplitMix64(seed)
+    plan = fold_plan(dataset, k, seeds.next_u64())
     labels = dataset.y[dataset.rows]
     cells = np.zeros(4, dtype=np.int64)  # (actual, predicted) counts, 0 female and 1 male
     per_fold: list[float] = []
     per_fold_fit: list[dict] = []
-    for fold_no, test_idx in enumerate(folds):
-        train = np.ones(len(dataset), dtype=bool)
-        train[test_idx] = False
-        train_ds = dataset.subset(np.flatnonzero(train))
+    for fold in range(k):
+        undersample_seed, _ = seeds.next_u64(), seeds.next_u64()
+        test_idx = np.flatnonzero(plan == fold)
+        train_ds = dataset.subset(np.flatnonzero(plan != fold))
         if undersample_train:
-            train_ds = undersample(train_ds, sub_seeds[1 + 2 * fold_no])
+            train_ds = undersample(train_ds, undersample_seed)
         model = _train_for(classifier, train_ds, params)
         if isinstance(model, LinearModel):
             per_fold_fit.append({"iterations": model.iterations, "gap": model.gap})

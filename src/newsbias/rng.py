@@ -27,7 +27,6 @@ Derived operations (all consuming one 64-bit draw per call):
     randbelow(n):  (n * next()) >> 64   (multiply-shift reduction)
     shuffle(xs):   Fisher-Yates from the top: for i = len-1 .. 1,
                    j = randbelow(i + 1), swap xs[i], xs[j]
-    sample_indices(n, k): shuffle [0..n), take the first k, sort them
 """
 
 from __future__ import annotations
@@ -87,19 +86,5 @@ class Rng:
             j = self.randbelow(i + 1)
             xs[i], xs[j] = xs[j], xs[i]
 
-    def sample_indices(self, n: int, k: int) -> list[int]:
-        """k distinct indices from range(n), uniform without replacement, ascending."""
-        if not 0 <= k <= n:
-            raise ValueError(f"cannot sample {k} from {n}")
-        pool = list(range(n))
-        self.shuffle(pool)
-        return sorted(pool[:k])
-
     def choice(self, xs: list):
         return xs[self.randbelow(len(xs))]
-
-
-def derive_seeds(seed: int, n: int) -> list[int]:
-    """First n SplitMix64 outputs for the seed; used to key sub-streams."""
-    sm = SplitMix64(seed)
-    return [sm.next_u64() for _ in range(n)]

@@ -20,9 +20,9 @@ import pytest
 from newsbias import cli, corpus, features, interpret, learn, pipeline, preprocess, synth
 from newsbias.learn import (
     cross_validate,
+    fold_plan,
     majority_baseline,
     predict,
-    stratified_folds,
     svm_objective,
     train_nb,
     train_svm,
@@ -32,7 +32,7 @@ from newsbias.learn import (
 from newsbias.preprocess import DEFAULT_GENDERED_SIGNALS, MARKER, WORD, kind_of
 from newsbias.rng import Rng
 
-from util import make_dataset, make_vec, mention_rows, nb_log_posterior
+from util import folds_of, make_dataset, make_vec, mention_rows, nb_log_posterior
 
 F, M = "female", "male"
 ROOT = Path(__file__).resolve().parent.parent
@@ -224,14 +224,14 @@ def test_criterion_05_null_signal_calibration():
 
 def test_criterion_06_stratification():
     balanced = make_dataset([([0], F)] * 50 + [([1], M)] * 50, n_features=2)
-    folds10 = stratified_folds(balanced, k=10, seed=3)
+    folds10 = folds_of(fold_plan(balanced, k=10, seed=3))
     exact = all(
         len(f) == 10
         and sum(1 for i in f if balanced.labels[i] == F) == 5
         for f in folds10
     )
     skewed = make_dataset([([0], F)] * 12 + [([1], M)] * 8, n_features=2)
-    folds4 = stratified_folds(skewed, k=4, seed=3)
+    folds4 = folds_of(fold_plan(skewed, k=4, seed=3))
     within_one = all(
         abs(sum(1 for i in f if skewed.labels[i] == F) - 12 * len(f) / 20) <= 1
         and abs(sum(1 for i in f if skewed.labels[i] == M) - 8 * len(f) / 20) <= 1

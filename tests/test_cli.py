@@ -470,6 +470,28 @@ def test_kwic_multi_token_term_is_usage_error(synth_corpus, tmp_path):
     ) == 1
 
 
+def test_kwic_window_past_int64_reads_the_whole_article(synth_corpus, tmp_path):
+    # a window longer than the stream is clamped to it, so no context bound leaves int64
+    written = {}
+    for window in (10**6, 2**62, 2**63 - 1, 10**20):
+        out = tmp_path / str(window)
+        assert run("kwic", "husband", "--window", str(window), "--config", str(synth_corpus), "--out", str(out)) == 0
+        written[window] = (out / "kwic.csv").read_bytes()
+    assert all(content == written[10**6] for content in written.values())
+    rows = read_csv_rows(tmp_path / str(10**6) / "kwic.csv")
+    assert rows and all(row["left"] or row["right"] for row in rows)
+
+
+@pytest.mark.parametrize("argv", [["kwic", "NAMEFORM_FULL"], ["stats", "--term", "husband", "--term", "NAMEFORM_GIVEN"]],
+                         ids=["kwic", "stats"])
+def test_marker_query_on_the_raw_pass_names_masked(synth_corpus, tmp_path, capsys, argv):
+    # a NAMEFORM_* token exists only once names are masked: on raw text it could only count 0
+    assert run(*argv, "--config", str(synth_corpus), "--out", str(tmp_path / "raw")) == 1
+    err = capsys.readouterr().err
+    assert f"query {argv[-1]!r} is a masking marker" in err and "--masked (interpret.masked)" in err
+    assert run(*argv, "--masked", "--config", str(synth_corpus), "--out", str(tmp_path / "masked")) == 0
+
+
 # --- stats ---
 
 def test_stats_spouse_rates(spouse_fixture, tmp_path):
@@ -817,8 +839,10 @@ def test_date_window_must_run_forwards(synth_corpus, monkeypatch, tmp_path, caps
     ["stats", "--term", "husband", "--groups", "female,male,female"],
     ["stats", "--term", "husband", "--term", "husband"],
     ["stats", "--term", "husband", "--term", "wife", "--term", "Husband"],
+    ["stats", "--term", "NAMEFORM_SURNAME"],
+    ["kwic", "NAMEFORM_FULL"],
 ], ids=["unknown-group", "no-group", "stats-phrase", "kwic-phrase", "repeated-group", "repeated-term",
-        "repeated-normalised-term"])
+        "repeated-normalised-term", "stats-raw-marker", "kwic-raw-marker"])
 def test_query_usage_checked_before_any_work(synth_corpus, monkeypatch, tmp_path, argv):
     from newsbias import pipeline
 
@@ -978,6 +1002,48 @@ def test_output_formats_are_the_readme_table(synth_corpus, tmp_path):
                 keys = sorted({*written.get(key, []), *keys})
             written[key] = keys
     assert written == _documented_outputs()
+
+
+# the command that reads each int key of the table; a new int key fails the tests
+# below until it is named here or in INT_KEYS_EXEMPT
+INT_KEY_COMMANDS = {
+    "features.min_df": ["sweep"],
+    "classifier.max_depth": ["sweep"],
+    "classifier.min_leaf": ["sweep"],
+    "evaluate.k": ["sweep"],
+    "interpret.k": ["rank"],
+    "interpret.kwic_window": ["kwic", "husband"],
+}
+INT_KEYS_EXEMPT = {
+    "synth.n": "a large value asks for that many articles: real work, not a bad value",
+    "classifier.epochs": "a large value asks for that many svm iterations: real work, not a bad value",
+    "seed": "its predicate bounds it below 2**64",
+    "synth.per_gender": "its predicate bounds it by synth.MAX_PER_GENDER",
+}
+INT_KEYS = [key for key, (_, kind, _) in cli.SCHEMA.items() if kind is int]
+
+
+def test_every_int_key_is_tested_or_exempt():
+    assert sorted(INT_KEY_COMMANDS.keys() | INT_KEYS_EXEMPT.keys()) == sorted(INT_KEYS)
+    assert not INT_KEY_COMMANDS.keys() & INT_KEYS_EXEMPT.keys()
+
+
+@pytest.fixture(scope="module")
+def tiny_corpus(tmp_path_factory):
+    data = tmp_path_factory.mktemp("tiny")
+    assert run("gen-synth", "--out", str(data), "--seed", "5", "--n", "40", "--planted", "husband:0.4:0.05") == 0
+    return {"paths": {"articles": str(data / "articles.jsonl"), "registry": str(data / "registry.json")},
+            "classifier": {"epochs": 3}, "evaluate": {"k": 2}, "sweep": {"classifiers": ["svm", "tree"]}}
+
+
+@pytest.mark.parametrize("value", [2**63 - 1, 2**64, 10**20])
+@pytest.mark.parametrize("key", [key for key in INT_KEYS if key not in INT_KEYS_EXEMPT])
+def test_int_key_at_an_extreme_value_exits_zero_one_or_two(tiny_corpus, tmp_path, capsys, key, value):
+    # up to and past int64: a bound the run cannot reach is taken, a value the data cannot meet is refused
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_nest({**_flatten(tiny_corpus), key: value})))
+    code = run(*INT_KEY_COMMANDS[key], "--config", str(path), "--out", str(tmp_path / "o"))
+    assert code in (0, 1, 2), capsys.readouterr().err
 
 
 # JSON values by type; a key's type accepts some of these and rejects the rest

@@ -2,8 +2,8 @@
 else outside the standard library, though other packages are installed.
 Within the package, the term extraction layer does not depend on the corpus
 layer, no module imports a name it never reads, nothing is defined that
-only the tests read (no function, class or constant), and every word field of
-a line-entry file is read by one reader."""
+only the tests read (no function, class, constant, method or property), and
+every word field of a line-entry file is read by one reader."""
 
 from __future__ import annotations
 
@@ -224,17 +224,23 @@ def defined_names(node: ast.stmt) -> list[str]:
 
 def unread_definitions(modules: dict[str, str], readers: list[str]) -> list[str]:
     """Top-level functions, classes and assigned names of the modules (name ->
-    source) that no other top-level statement of them reads, nor any of the
-    readers' sources."""
+    source), and the non-dunder methods and properties of their classes, that
+    nothing else of the modules reads, nor any of the readers' sources. A
+    top-level definition is read elsewhere when another top-level statement
+    reads it; a method, when another top-level statement or another member of
+    its class does."""
     read_elsewhere = set().union(*map(reads, map(ast.parse, readers)))
-    defined, read_by = [], []
+    units, defined = [], []  # (top-level statement, unit, names it reads); (module, own units, name)
     for name, source in modules.items():
         for node in ast.parse(source).body:
-            read_by.append((node, reads(node)))
-            defined += [(name, node, defined_name) for defined_name in defined_names(node)]
-    return [f"{name}: {defined_name}" for name, node, defined_name in defined
-            if defined_name not in read_elsewhere and not any(defined_name in names for other, names in read_by
-                                                              if other is not node)]
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            units += [(node, unit, reads(unit)) for unit in [node, *members]]
+            defined += [(name, {node, *members}, defined_name) for defined_name in defined_names(node)]
+            defined += [(name, {node, member}, member.name) for member in members
+                        if isinstance(member, ast.FunctionDef) and not member.name.startswith("__")]
+    return [f"{name}: {defined_name}" for name, own, defined_name in defined
+            if defined_name not in read_elsewhere and not any(defined_name in names for _, unit, names in units
+                                                              if unit not in own)]
 
 
 def test_unread_definitions_are_found():
@@ -244,8 +250,21 @@ def test_unread_definitions_are_found():
     assert unread_definitions(modules, []) == ["a.py: h", "b.py: k", "b.py: Z", "b.py: W", "b.py: V"]
 
 
+def test_unread_methods_are_found():
+    # a sibling's or another statement's read counts, the method's own does not, and
+    # neither does a member's read of its own class; dunders are left alone
+    source = ("class C:\n    def __init__(self): self.a()\n    def a(self): return self.a\n"
+              "    @property\n    def p(self): return 1\n    def q(self): return self.q()\n"
+              "    def r(self): pass\n    def s(self): pass\n"
+              "class E:\n    n = 0\n    def make(self): return E()\n"
+              "x = C().s\n")
+    assert unread_definitions({"c.py": source}, ["x.r, make"]) == ["c.py: p", "c.py: q", "c.py: E"]
+    assert unread_definitions({"c.py": source}, []) == ["c.py: p", "c.py: q", "c.py: r", "c.py: E",
+                                                        "c.py: make", "c.py: x"]
+
+
 def test_src_defines_nothing_only_the_tests_read():
-    # a function, class or constant counts as used when the package, a demo or the
+    # a function, class, constant, method or property counts as used when the package, a demo or the
     # benchmark's child reads it; the child wraps functions by their names given as strings
     modules = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     readers = [path.read_text(encoding="utf-8")

@@ -23,8 +23,8 @@ from newsbias import features, learn, pipeline
 from newsbias.learn import (
     TreeNode,
     cross_validate,
+    fold_plan,
     predict,
-    stratified_folds,
     svm_objective,
     train_nb,
     train_svm,
@@ -35,7 +35,7 @@ from newsbias.errors import DataError
 from newsbias.preprocess import TokenStream, split_sentences
 from newsbias.rng import Rng
 
-from util import instances_of, make_dataset, make_vec, space_of, terms_of
+from util import folds_of, instances_of, make_dataset, make_vec, ref_folds, space_of, terms_of
 
 F, M = "female", "male"
 
@@ -142,20 +142,10 @@ def ref_undersample(labels, seed):
     minority = F if n_female < n_male else M
     majority_idx = [i for i, lab in enumerate(labels) if lab != minority]
     keep = {i for i, lab in enumerate(labels) if lab == minority}
-    keep.update(majority_idx[p] for p in Rng(seed).sample_indices(len(majority_idx), labels.count(minority)))
+    positions = list(range(len(majority_idx)))
+    Rng(seed).shuffle(positions)
+    keep.update(majority_idx[p] for p in positions[:labels.count(minority)])
     return sorted(keep)
-
-
-def ref_folds(labels, k, seed):
-    """stratified_folds over string labels."""
-    rng = Rng(seed)
-    folds = [[] for _ in range(k)]
-    for label in (F, M):
-        idx = [i for i, lab in enumerate(labels) if lab == label]
-        rng.shuffle(idx)
-        for pos, i in enumerate(idx):
-            folds[pos % k].append(i)
-    return [sorted(f) for f in folds]
 
 
 # --- strategies ---
@@ -405,7 +395,7 @@ def test_int8_labels_pick_the_same_rows_as_string_labels(labels, seed, data):
             derived.append(kept)
         k = data.draw(st.integers(2, 5))
         if min(labs.count(F), labs.count(M)) >= k:
-            folds = stratified_folds(ds, k, seed)
+            folds = folds_of(fold_plan(ds, k, seed))
             assert folds == ref_folds(labs, k, seed)
             derived.extend(ds.subset(fold) for fold in folds if len(fold) >= 2)
         # every subset reads the root's one per-row view

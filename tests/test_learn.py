@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -19,18 +20,19 @@ from newsbias.learn import (
     SVM_GAP_TOLERANCE,
     _cutting_planes,
     cross_validate,
+    fold_plan,
     majority_baseline,
     predict,
-    stratified_folds,
     svm_objective,
     train_nb,
     train_svm,
     train_tree,
     undersample,
 )
-from newsbias.rng import Rng
+from newsbias import learn
+from newsbias.rng import Rng, SplitMix64
 
-from util import make_dataset, make_vec, nb_log_posterior, ref_cutting_planes
+from util import folds_of, make_dataset, make_vec, nb_log_posterior, ref_cutting_planes, ref_folds
 
 F, M = "female", "male"
 
@@ -71,11 +73,11 @@ def test_undersample_single_class_error():
         undersample(ds, seed=0)
 
 
-# --- stratified_folds ---
+# --- fold_plan ---
 
 def test_folds_100_balanced_k10():
     ds = make_dataset([([0], F)] * 50 + [([1], M)] * 50, n_features=2)
-    folds = stratified_folds(ds, k=10, seed=4)
+    folds = folds_of(fold_plan(ds, k=10, seed=4))
     assert len(folds) == 10
     for fold in folds:
         assert len(fold) == 10
@@ -85,7 +87,7 @@ def test_folds_100_balanced_k10():
 
 def test_folds_12_8_k4():
     ds = make_dataset([([0], F)] * 12 + [([1], M)] * 8, n_features=2)
-    folds = stratified_folds(ds, k=4, seed=1)
+    folds = folds_of(fold_plan(ds, k=4, seed=1))
     for fold in folds:
         labels = [ds.labels[i] for i in fold]
         assert len(fold) == 5
@@ -94,7 +96,7 @@ def test_folds_12_8_k4():
 
 def test_folds_partition_law():
     ds = make_dataset([([0], F)] * 13 + [([1], M)] * 9, n_features=2)
-    folds = stratified_folds(ds, k=3, seed=2)
+    folds = folds_of(fold_plan(ds, k=3, seed=2))
     flat = sorted(i for fold in folds for i in fold)
     assert flat == list(range(22))
 
@@ -102,7 +104,7 @@ def test_folds_partition_law():
 def test_folds_proportionality_within_one():
     ds = make_dataset([([0], F)] * 17 + [([1], M)] * 29, n_features=2)
     k = 5
-    folds = stratified_folds(ds, k=k, seed=8)
+    folds = folds_of(fold_plan(ds, k=k, seed=8))
     for fold in folds:
         labels = [ds.labels[i] for i in fold]
         for label, total in ((F, 17), (M, 29)):
@@ -113,12 +115,43 @@ def test_folds_proportionality_within_one():
 def test_folds_class_smaller_than_k():
     ds = make_dataset([([0], F)] * 3 + [([1], M)] * 20, n_features=2)
     with pytest.raises(DataError):
-        stratified_folds(ds, k=5, seed=0)
+        fold_plan(ds, k=5, seed=0)
 
 
 def test_folds_deterministic():
     ds = make_dataset([([0], F)] * 20 + [([1], M)] * 20, n_features=2)
-    assert stratified_folds(ds, 4, seed=11) == stratified_folds(ds, 4, seed=11)
+    assert folds_of(fold_plan(ds, 4, seed=11)) == folds_of(fold_plan(ds, 4, seed=11))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([F, M]), min_size=2, max_size=60), st.integers(0, 2**64 - 1), st.data())
+def test_fold_plan_deals_the_reference_folds(labels, seed, data):
+    # k runs past the smaller class, and often equals it, where every fold holds one of its rows
+    smaller = min(labels.count(F), labels.count(M))
+    k = data.draw(st.one_of(st.integers(0, 8), st.just(smaller)))
+    ds = make_dataset([([0], label) for label in labels], n_features=1)
+    try:
+        want = ref_folds(labels, k, seed)
+    except (ValueError, DataError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            fold_plan(ds, k, seed)
+        return
+    plan = fold_plan(ds, k, seed)
+    assert plan.dtype == np.intp and len(plan) == len(labels)
+    assert folds_of(plan) == want
+
+
+def test_fold_plan_checks_k_before_it_allocates():
+    # a k far past any class is refused before a fold or a seed is made for it
+    ds = make_dataset([([0], F)] * 5 + [([1], M)] * 5, n_features=2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="^class 'female' has 5 members, fewer than k=1000000$"):
+            cross_validate(ds, "svm", k=10**6, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # --- SVM ---
@@ -641,6 +674,35 @@ def test_cv_undersample_applies_to_training_only():
     assert tested == 48  # every instance tested exactly once despite undersampling
     actual_f = sum(report.confusion[F].values())
     assert actual_f == 36
+
+
+def test_cv_reads_one_splitmix_stream(monkeypatch):
+    # outputs 1, 2, 3, ... of SplitMix64(seed): the plan's seed, then per fold the
+    # under-sampling seed and one no learner reads
+    seen = {"plan": [], "undersample": []}
+    plan, undersample_ = learn.fold_plan, learn.undersample
+
+    def recorded_plan(dataset, k, seed):
+        seen["plan"].append(seed)
+        return plan(dataset, k, seed)
+
+    def recorded_undersample(dataset, seed):
+        seen["undersample"].append(seed)
+        return undersample_(dataset, seed)
+
+    monkeypatch.setattr(learn, "fold_plan", recorded_plan)
+    monkeypatch.setattr(learn, "undersample", recorded_undersample)
+    ds = make_dataset(
+        [([0, 2 + i % 3], F) for i in range(36)] + [([1, 2 + i % 3], M) for i in range(12)],
+        n_features=6,
+    )
+    for seed in (0, 2, 2**64 - 1):
+        for calls in seen.values():
+            calls.clear()
+        cross_validate(ds, "nb-bernoulli", k=4, seed=seed, undersample_train=True)
+        stream = SplitMix64(seed)
+        outputs = [stream.next_u64() for _ in range(1 + 2 * 4)]
+        assert seen == {"plan": outputs[:1], "undersample": outputs[1::2]}
 
 
 def test_cv_all_three_classifiers_learn_perfect_feature():

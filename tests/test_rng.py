@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from newsbias.rng import Rng, SplitMix64, derive_seeds
+from newsbias.rng import Rng, SplitMix64
 
 # first outputs of the reference SplitMix64 stream for seed 0
 SPLITMIX_SEED0 = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
@@ -74,22 +74,6 @@ def test_shuffle_is_the_documented_fisher_yates_over_randbelow(n):
     assert [rng.next_u64() for _ in range(4)] == [twin.next_u64() for _ in range(4)]
 
 
-def test_sample_indices_sorted_unique():
-    rng = Rng(8)
-    for _ in range(50):
-        got = rng.sample_indices(30, 10)
-        assert got == sorted(set(got))
-        assert len(got) == 10
-        assert all(0 <= i < 30 for i in got)
-
-
-def test_sample_indices_bounds():
-    assert Rng(0).sample_indices(5, 0) == []
-    assert Rng(0).sample_indices(5, 5) == [0, 1, 2, 3, 4]
-    with pytest.raises(ValueError):
-        Rng(0).sample_indices(3, 4)
-
-
 def test_seed_validation():
     with pytest.raises(ValueError):
         Rng(-1)
@@ -97,7 +81,3 @@ def test_seed_validation():
         Rng(2**64)
     Rng(2**64 - 1)  # max value accepted
 
-
-def test_derive_seeds_matches_splitmix():
-    sm = SplitMix64(77)
-    assert derive_seeds(77, 5) == [sm.next_u64() for _ in range(5)]

@@ -12,9 +12,11 @@ import numpy as np
 
 from newsbias import features
 from newsbias.corpus import GENDERS, MALE, Instances
+from newsbias.errors import DataError
 from newsbias.features import FeatureSpace, FeatureVector
 from newsbias.learn import CSR, BayesModel, Dataset, _nb_joint
 from newsbias.preprocess import FORMS, MARKER, WORD, TokenStream, Vocab, kind_of, sentences_holding, tokenize
+from newsbias.rng import Rng
 
 
 def make_space(n: int, kind: str = "unigram", n_docs: int = 10) -> FeatureSpace:
@@ -70,6 +72,31 @@ def nb_log_posterior(model: BayesModel, vector: FeatureVector) -> dict[str, floa
     m = float(joint.max())
     norm = m + math.log(float(np.exp(joint - m).sum()))
     return {g: float(joint[i] - norm) for i, g in enumerate(GENDERS)}
+
+
+# --- folds as lists: the reference the fold plan equals ---
+
+def ref_folds(labels, k: int, seed: int) -> list[list[int]]:
+    """k sorted lists of row positions over string labels, dealt list by list: each
+    class's positions are shuffled with the seeded generator (females first, males
+    second, one shared stream) and appended to the folds round-robin."""
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    rng = Rng(seed)
+    folds: list[list[int]] = [[] for _ in range(k)]
+    for label in GENDERS:
+        idx = [i for i, lab in enumerate(labels) if lab == label]
+        if len(idx) < k:
+            raise DataError(f"class {label!r} has {len(idx)} members, fewer than k={k}")
+        rng.shuffle(idx)
+        for pos, i in enumerate(idx):
+            folds[pos % k].append(i)
+    return [sorted(f) for f in folds]
+
+
+def folds_of(plan: np.ndarray) -> list[list[int]]:
+    """The rows of each fold of a fold plan, fold 0 up to its largest fold id."""
+    return [np.flatnonzero(plan == fold).tolist() for fold in range(int(plan.max()) + 1)]
 
 
 # --- datasets instance by instance: the reference the one-pass dataset equals ---
