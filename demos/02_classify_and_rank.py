@@ -39,6 +39,6 @@ for classifier, dataset in [
 print("\n=== discriminative features (linear weights) ===")
 model = train_svm(dataset_bool)
 ranked = rank_features(model, space, k=8)
-print("female-associated:", ", ".join(f"{s} ({w:+.2f})" for s, _, w in ranked.female))
-print("male-associated:  ", ", ".join(f"{s} ({w:+.2f})" for s, _, w in ranked.male))
+print("female-associated:", ", ".join(f"{s} ({w:+.2f})" for s, _, w in ranked["female"]))
+print("male-associated:  ", ", ".join(f"{s} ({w:+.2f})" for s, _, w in ranked["male"]))
 print("\nThe planted term should dominate the female list; everything else is noise.")

@@ -440,14 +440,13 @@ def cmd_rank(config: dict) -> int:
         "fit": {"iterations": model.iterations, "gap": model.gap},
     }
     rows = []
-    for label in corpus.GENDERS:
-        entries = getattr(ranked, label)
+    for label, entries in ranked.items():
         payload[label] = [{"surface": s, "kind": kd, "weight": w} for s, kd, w in entries]
         rows += ([label, pos, s, kd, f"{w:.9f}"] for pos, (s, kd, w) in enumerate(entries, start=1))
     run.write_json("ranked_features.json", payload)
     run.write_csv("ranked_features.csv", ["class", "rank", "surface", "kind", "weight"], rows)
     run.write_manifest()
-    print(f"ranked {len(ranked.female)} female / {len(ranked.male)} male features")
+    print(f"ranked {len(ranked['female'])} female / {len(ranked['male'])} male features")
     return 0
 
 
@@ -482,8 +481,8 @@ def cmd_kwic(config: dict, term: str, tag: str) -> int:
         require_cooccurrence=config["interpret"].get("cooccur", False),
     )
     run.write_csv("kwic.csv", ["article_id", "position", "left", "keyword", "right", "tag"],
-                  ([line.article_id, line.position, " ".join(line.left), line.keyword, " ".join(line.right), tag]
-                   for line in lines))
+                  ([article_id, position, " ".join(left), keyword, " ".join(right), tag]
+                   for article_id, position, left, keyword, right in lines))
     run.write_manifest(_stemmed(config, [term]))
     print(f"{len(lines)} concordance lines for {term!r}")
     return 0
@@ -517,13 +516,13 @@ def cmd_stats(config: dict, terms: list[str], groups: list[str], portfolio: str 
         if total <= 0:
             scope = "" if portfolio is None else f" in --portfolio {portfolio!r}"
             raise DataError(f"group {group!r} has zero years in office{scope} in the window")
-    stats = [interpret.RateStat(term=term, group=group, count=interpret.term_count(instances, term, group),
-                                years=years[group]) for term in terms for group in groups]
+    stats = [(term, group, interpret.term_count(instances, term, group, portfolio=portfolio, registry=registry),
+              years[group]) for term in terms for group in groups]
     run.write_csv("stats.csv", ["term", "group", "count", "years", "rate"],
-                  ([st.term, st.group, st.count, f"{st.years:.6f}", f"{st.rate:.6f}"] for st in stats))
+                  ([term, group, count, f"{span:.6f}", f"{count / span:.6f}"] for term, group, count, span in stats))
     run.write_manifest(_stemmed(config, terms))
-    for st in stats:
-        print(f"{st.term}/{st.group}: {st.count} mentions over {st.years:.2f} years = {st.rate:.3f}/year")
+    for term, group, count, span in stats:
+        print(f"{term}/{group}: {count} mentions over {span:.2f} years = {count / span:.3f}/year")
     return 0
 
 

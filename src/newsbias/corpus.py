@@ -67,10 +67,10 @@ class Instances:
     """One corpus pass: its stream and its labeled instances, as columns.
 
     stream holds one text per article of the pass, matched or not, masked
-    or raw, whose ids and sections are article_ids and sections, and
-    mention_sentences a bool per sentence of it: True where the sentence
-    holds a marker (masked) or a mention's start (raw), so it mentions a
-    politician. Instance i is article article[i] seen from gender
+    or raw, whose ids, sections and dates are article_ids, sections and
+    dates, and mention_sentences a bool per sentence of it: True where the
+    sentence holds a marker (masked) or a mention's start (raw), so it
+    mentions a politician. Instance i is article article[i] seen from gender
     GENDERS[y[i]] (y is 0 for female, 1 for male): politician_ids[i] are
     the politicians of that gender it features and headline_mention[i]
     says whether one is named in the headline. An article featuring both
@@ -80,6 +80,7 @@ class Instances:
 
     article_ids: tuple[str, ...]
     sections: tuple[str, ...]
+    dates: tuple[datetime.date, ...]
     stream: TokenStream
     article: np.ndarray
     y: np.ndarray

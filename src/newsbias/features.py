@@ -10,12 +10,13 @@ tf-idf is raw count times ln(n_docs / doc_freq) with no smoothing, which
 is well defined because every indexed feature occurs in at least one
 document.
 
-count_terms reads a whole corpus pass at once: per-id tables over the
-pass's vocabulary say which token ids a scheme reads (word and marker
-kinds, marker ids, the POS lexicon, or one table per lexicon category,
-since a word may sit in several), one sentences_holding mask gives the
-sentence window, and one np.unique over (text, term) keys counts every
-text's terms. extract_terms is count_terms over one text, as a Counter;
+count_terms reads a whole corpus pass a block of texts at a time:
+per-id tables over the pass's vocabulary give the term each token id
+counts as (word and marker kinds, marker ids or the POS lexicon, ranked
+in surface order, or one table per lexicon category, since a word may
+sit in several), the pass's mention-sentence mask gives the sentence
+window, and one np.unique over each block's (text, term) keys counts its
+texts' terms. extract_terms is count_terms over one text, as a Counter;
 vectorize writes one row, the reference each row of a dataset equals.
 tests/util.py keeps ref_terms, the token-by-token reference of the pass.
 """
@@ -25,6 +26,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -48,6 +50,9 @@ REPRESENTATIONS = ("boolean", "count", "tfidf")
 POS_TAGS = ("ADJ", "VERB", "NOUN", "OTHER")
 
 DEFAULT_MIN_DF = 3
+
+# count_terms reads a block of texts of about this many tokens at a time
+BLOCK_TOKENS = 1 << 20
 
 
 def _stems(words: Sequence[str]) -> dict[str, str]:
@@ -160,15 +165,6 @@ def load_pos_lexicon(path: str | Path) -> PosLexicon:
     return PosLexicon(primary=primary)
 
 
-def _window_mask(stream: TokenStream, window: str) -> np.ndarray:
-    """A bool per token of the stream: True where the window reads it, in every
-    sentence or only in those holding a marker (every token before splitting)."""
-    if window == "article" or not len(stream.ends):
-        return np.ones(len(stream.ids), bool)
-    held = sentences_holding(stream, np.flatnonzero(stream.ids < len(FORMS)))
-    return np.repeat(held, np.diff(stream.ends, prepend=0))
-
-
 def _check(scheme: str, window: str, pos_lexicon: PosLexicon | None, lexicon: LexiconSet | None) -> None:
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}")
@@ -190,8 +186,10 @@ def extract_terms(
     lexicon: LexiconSet | None = None,
 ) -> Counter[str]:
     """Multiset of the surfaces of one text's features under a scheme: count_terms
-    over the stream as a pass of its one text, whose article's section is section."""
-    _, term, counts, surfaces = count_terms(stream, [section], np.ones(1, bool), scheme, window=window,
+    over the stream as a pass of its one text, whose article's section is section
+    and whose sentences holding a marker mention a politician."""
+    held = sentences_holding(stream, np.flatnonzero(stream.ids < len(FORMS)))
+    _, term, counts, surfaces = count_terms(stream, [section], np.ones(1, bool), held, scheme, window=window,
                                             pos_lexicon=pos_lexicon, lexicon=lexicon)
     return Counter(dict(zip(map(surfaces.__getitem__, term.tolist()), counts.tolist())))
 
@@ -210,25 +208,29 @@ def count_terms(
     stream: TokenStream,
     sections: Sequence[str],
     read: np.ndarray,
+    mention_sentences: np.ndarray,
     scheme: str,
     *,
     window: str = "article",
     pos_lexicon: PosLexicon | None = None,
     lexicon: LexiconSet | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
-    """Each text's term counts under a scheme, read from a whole corpus pass at once.
+    """Each text's term counts under a scheme, read from a whole corpus pass.
 
-    Returns (text, term, count) entries, one per term present in a text,
-    sorted by text and then term, and the terms' surfaces in surface
+    Returns (text, term, count) int64 entries, one per term present in a
+    text, sorted by text and then term, and the terms' surfaces in surface
     order: term t is surfaces[t]. Only texts where read[i] is True count.
     A text's terms are its word and marker tokens (unigram), its markers
     (nameform), its words whose primary POS tag is ADJ or VERB (adjective,
     verb), each lexicon category once per word token in it
     (lexicon_category), or its stripped section sections[i] once unless
     blank (section). With window="sentence" only tokens inside sentences
-    holding a name marker count; the section scheme ignores the window, a
-    section being the article's. The stream's sentences must cover it, as
-    split_sentences leaves them.
+    that mention_sentences (a bool per sentence of the stream) marks count,
+    or every token of a stream before splitting; the section scheme
+    ignores the window, a section being the article's. The stream's
+    sentences must cover it once split, as split_sentences leaves them.
+    Texts are counted a block of about BLOCK_TOKENS tokens at a time, in
+    text order, so memory beyond the entries stays bounded.
     """
     _check(scheme, window, pos_lexicon, lexicon)
     if scheme == SECTION:
@@ -237,34 +239,65 @@ def count_terms(
         rank = {section: t for t, section in enumerate(surfaces)}
         text = np.array([i for i, _ in present], np.int64)
         term = np.array([rank[section] for _, section in present], np.int64)
+        n_terms = max(len(surfaces), 1)
+        keys, counts = np.unique(text * n_terms + term, return_counts=True)
+        return (*np.divmod(keys, n_terms), counts, surfaces)
+    vocab, bounds = stream.vocab, stream.bounds
+    if scheme == LEXICON_CATEGORY:
+        # one table per category: a word in several categories counts toward each
+        surfaces = sorted(lexicon.categories)
+        word = vocab.of_kind(WORD)
+        tables = [np.where(vocab.flags(lexicon.categories[c]) & word, t, -1).astype(np.int32)
+                  for t, c in enumerate(surfaces)]
+        counted = vocab.flags(set().union(*lexicon.categories.values())) & word
     else:
-        vocab, ids = stream.vocab, stream.ids
-        text = np.repeat(np.arange(len(stream.bounds) - 1), np.diff(stream.bounds))
-        window_mask = read[text] & _window_mask(stream, window)
-        if scheme == LEXICON_CATEGORY:
-            # one table per category: a word in several categories counts toward each
-            surfaces = sorted(lexicon.categories)
-            word = vocab.of_kind(WORD)
-            tables = [vocab.flags(lexicon.categories[category]) & word for category in surfaces]
-            in_any = vocab.flags(set().union(*lexicon.categories.values())) & word
-            positions = np.flatnonzero(window_mask & in_any[ids])
-            found = [positions[table[ids[positions]]] for table in tables]
-            term = np.repeat(np.arange(len(tables)), [len(f) for f in found])
-            text = text[np.concatenate([positions[:0], *found])]
-        else:
-            positions = np.flatnonzero(window_mask & _reads(vocab, scheme, pos_lexicon)[ids])
-            ids, text = ids[positions], text[positions]
-            # the ids present, ranked in surface order: a token's term is its id's rank
-            order = sorted(np.flatnonzero(np.bincount(ids, minlength=len(vocab.surfaces))).tolist(),
-                           key=vocab.surfaces.__getitem__)
-            rank = np.zeros(len(vocab.surfaces), np.int64)
-            rank[order] = np.arange(len(order))
-            surfaces = [vocab.surfaces[i] for i in order]
-            term = rank[ids]
+        # every id the scheme reads, ranked in surface order (the ids stand for their surfaces until
+        # the end, where the ranks present are renumbered)
+        surfaces = sorted(np.flatnonzero(_reads(vocab, scheme, pos_lexicon)).tolist(), key=vocab.surfaces.__getitem__)
+        tables = [np.full(len(vocab.surfaces), -1, np.int32)]
+        tables[0][surfaces] = np.arange(len(surfaces))
+        counted = tables[0] >= 0
     n_terms = max(len(surfaces), 1)
-    keys, counts = np.unique(text * n_terms + term, return_counts=True)
-    text, term = np.divmod(keys, n_terms)
-    return text, term, counts, surfaces
+    cuts = np.append(np.unique(np.searchsorted(bounds[:-1], np.arange(0, bounds[-1], BLOCK_TOKENS))), len(bounds) - 1)
+    texts, terms, counts = [], [], []
+    for first, last in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        start, end = bounds[first], bounds[last]
+        ids = stream.ids[start:end]
+        text = np.repeat(np.arange(last - first, dtype=np.int32), np.diff(bounds[first:last + 1]))
+        selected = read[first:last][text] & counted[ids]
+        if window == "sentence" and len(stream.ends):
+            # the block's sentences, which end inside it, as a bool per token
+            held = slice(*np.searchsorted(stream.ends, (start, end), side="right"))
+            selected &= np.repeat(mention_sentences[held], np.diff(stream.ends[held], prepend=start))
+        positions = np.flatnonzero(selected)
+        ids, text = ids[positions], text[positions]
+        if scheme == LEXICON_CATEGORY:
+            term = np.concatenate([ids[:0], *(table[ids] for table in tables)])
+            text = np.tile(text, len(tables))[term >= 0]
+            term = term[term >= 0]
+        else:
+            term = tables[0][ids]
+        # int32 keys where the block's texts times the terms fit
+        dtype = np.int32 if (last - first) * n_terms < 2 ** 31 else np.int64
+        keys, n = np.unique(text.astype(dtype, copy=False) * n_terms + term, return_counts=True)
+        text, term = np.divmod(keys, n_terms)
+        # each block's entries kept in int32 where the texts and counts fit, widened once all are counted
+        fit = np.int32 if max(len(bounds), end - start) < 2 ** 31 else np.int64
+        texts.append((text + first).astype(fit))
+        terms.append(term.astype(fit))
+        counts.append(n.astype(fit))
+    if scheme != LEXICON_CATEGORY:
+        # renumber the ranks present, which keeps their order
+        present = np.zeros(len(surfaces), bool)
+        for term in terms:
+            present[term] = True
+        renumbered = np.cumsum(present, dtype=np.int32) - 1
+        terms = [renumbered[term] for term in terms]
+        surfaces = list(map(vocab.surfaces.__getitem__, compress(surfaces, present.tolist())))
+    for pieces in (texts, terms, counts):
+        # one column at a time, so that each column's pieces are let go before the next is widened
+        pieces[:] = [np.concatenate([np.zeros(0, np.int64), *pieces], dtype=np.int64)]
+    return texts[0], terms[0], counts[0], surfaces
 
 
 def build_space(doc_freq: Mapping[str, int], n_docs: int, min_df: int = DEFAULT_MIN_DF, *,

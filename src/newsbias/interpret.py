@@ -1,4 +1,4 @@
-"""Model interpretation and corpus statistics.
+"""Model interpretation and corpus statistics, as plain data.
 
 Covers the read-only analyses that follow classification: ranking the
 features a linear model found most discriminative for each gender,
@@ -12,12 +12,12 @@ A query is stemmed when the pass it reads is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import preprocess
-from .corpus import GENDERS, Instances
+from .corpus import GENDERS, Instances, PoliticianRecord
 from .features import FeatureSpace
 from .learn import LinearModel
 from .preprocess import MARKER_SURFACES
@@ -25,70 +25,19 @@ from .preprocess import MARKER_SURFACES
 DEFAULT_KWIC_WINDOW = 8
 
 
-@dataclass(frozen=True)
-class RankedFeatures:
-    """Top discriminative features per class, strongest first.
-
-    Female-associated features have positive weights, male-associated
-    ones negative; zero-weight features never appear in either list.
-    """
-
-    female: tuple[tuple[str, str, float], ...]
-    male: tuple[tuple[str, str, float], ...]
-
-
-@dataclass(frozen=True, slots=True)
-class ConcordanceLine:
-    article_id: str
-    position: int
-    left: tuple[str, ...]
-    keyword: str
-    right: tuple[str, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class RateStat:
-    term: str
-    group: str
-    count: int
-    years: float
-
-    def __post_init__(self):
-        if self.years <= 0:
-            raise ValueError("years must be positive")
-        if self.count < 0:
-            raise ValueError("count must be non-negative")
-
-    @property
-    def rate(self) -> float:
-        return self.count / self.years
-
-
-@dataclass(frozen=True, slots=True)
-class RateRatio:
-    value: float
-    undefined: bool  # True when the denominator count is zero
-
-
-def rank_features(model: LinearModel, space: FeatureSpace, k: int) -> RankedFeatures:
-    """Top-k (surface, the space's kind, weight) per class by linear weight; ties break on the surface."""
+def rank_features(model: LinearModel, space: FeatureSpace, k: int) -> dict[str, tuple[tuple[str, str, float], ...]]:
+    """Top-k (surface, the space's kind, weight) per class by linear weight, keyed by GENDERS, strongest
+    first: female features weigh above zero, male ones below, and ties break on the surface."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if len(model.weights) != len(space):
         raise ValueError(
             f"model has {len(model.weights)} weights but space has {len(space)} features"
         )
-    kind = space.kind
-    positives = []
-    negatives = []
-    for surface, w in zip(space.entries, model.weights.tolist()):
-        if w > 0:
-            positives.append((surface, kind, w))
-        elif w < 0:
-            negatives.append((surface, kind, w))
-    positives.sort(key=lambda e: (-e[2], e[0]))
-    negatives.sort(key=lambda e: (e[2], e[0]))
-    return RankedFeatures(female=tuple(positives[:k]), male=tuple(negatives[:k]))
+    weights = list(zip(space.entries, model.weights.tolist()))
+    return {label: tuple(sorted(((surface, space.kind, w) for surface, w in weights if sign * w > 0),
+                                key=lambda e: (-sign * e[2], e[0]))[:k])
+            for label, sign in zip(GENDERS, (1.0, -1.0))}
 
 
 def normalize_query(term: str, stem: bool = False) -> str:
@@ -107,19 +56,22 @@ def normalize_query(term: str, stem: bool = False) -> str:
     return (preprocess.stem(stream) if stem else stream).tokens[0]
 
 
-def _hits(instances: Instances, surface: str, group: str | None,
-          cooccur: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _hits(instances: Instances, surface: str, group: str | None, cooccur: bool = False,
+          held: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Stream positions of the surface in articles of the group (None: all), in sentences
-    that mention a politician when cooccur, and the index of each one's article."""
+    that mention a politician when cooccur, and the index of each one's article. held, a
+    bool per instance, narrows the group to the articles of its held instances."""
     stream = instances.stream
     hits = np.flatnonzero(stream.ids == stream.vocab.index.get(surface, -1))
     article = np.searchsorted(stream.bounds, hits, side="right") - 1
-    if group is None:
+    if group is None and held is None:
         keep = np.ones(len(hits), bool)
     else:
         # an article is in the group when it has an instance of the group's gender
-        keep = np.bincount(instances.article[instances.y == GENDERS.index(group)],
-                           minlength=len(instances.article_ids))[article] > 0
+        chosen = np.ones(len(instances), bool) if group is None else instances.y == GENDERS.index(group)
+        if held is not None:
+            chosen &= held
+        keep = np.bincount(instances.article[chosen], minlength=len(instances.article_ids))[article] > 0
     if cooccur:
         keep &= instances.mention_sentences[preprocess.sentence_ids(stream, hits)]
     return hits[keep], article[keep]
@@ -132,8 +84,9 @@ def kwic(
     *,
     group: str | None = None,
     require_cooccurrence: bool = False,
-) -> list[ConcordanceLine]:
-    """Concordance lines for every occurrence of the term.
+) -> list[tuple[str, int, tuple[str, ...], str, tuple[str, ...]]]:
+    """Concordance lines for every occurrence of the term, each (article id, position,
+    left context, keyword, right context).
 
     Context never crosses article boundaries: it is truncated at the ends of
     the article's text, and positions count from its start. With require_cooccurrence,
@@ -150,28 +103,40 @@ def kwic(
     hits, article = hits[order], article[order]
     stream = instances.stream
     ids, surfaces, bounds = stream.ids, stream.vocab.surfaces.__getitem__, stream.bounds
-    return [ConcordanceLine(instances.article_ids[a], i - start, tuple(map(surfaces, ids[left:i].tolist())), surface,
-                            tuple(map(surfaces, ids[i + 1:right].tolist())))
+    return [(instances.article_ids[a], i - start, tuple(map(surfaces, ids[left:i].tolist())), surface,
+             tuple(map(surfaces, ids[i + 1:right].tolist())))
             for a, i, start, left, right in zip(article.tolist(), hits.tolist(), bounds[article].tolist(),
                                                 np.maximum(bounds[article], hits - window).tolist(),
                                                 np.minimum(bounds[article + 1], hits + 1 + window).tolist())]
 
 
-def term_count(instances: Instances, term: str, group: str | None = None) -> int:
+def term_count(instances: Instances, term: str, group: str | None = None, *, portfolio: str | None = None,
+               registry: Sequence[PoliticianRecord] = ()) -> int:
     """Occurrences of the term in articles belonging to the group.
 
     An article in both groups counts toward both; group None counts all
-    articles. The term is stemmed when the pass is.
+    articles. With a portfolio, an article counts toward a group only when
+    one of its politicians of that gender held the portfolio on its date:
+    the date lies in one of their registry terms in it, by the half-open
+    rule of corpus.years_in_office (start <= date < end). The term is
+    stemmed when the pass is.
     """
-    return len(_hits(instances, normalize_query(term, instances.stemmed), group)[0])
+    held = None
+    if portfolio is not None:
+        spans = {record.id: [(t.start, t.end) for t in record.terms if t.portfolio == portfolio]
+                 for record in registry}
+        dates = instances.dates
+        # one lookup per politician an instance features
+        held = np.array([any(start <= dates[a] < end for p in ids for start, end in spans[p])
+                         for a, ids in zip(instances.article.tolist(), instances.politician_ids)], bool)
+    return len(_hits(instances, normalize_query(term, instances.stemmed), group, held=held)[0])
 
 
-def rate_ratio(a: RateStat, b: RateStat) -> RateRatio:
-    """How many times higher a's mention rate is than b's.
-
-    A zero denominator count makes the ratio undefined; it is reported
-    as +inf with the undefined flag set.
-    """
-    if b.count == 0:
-        return RateRatio(math.inf, True)
-    return RateRatio(a.rate / b.rate, False)
+def rate_ratio(count_a: int, years_a: float, count_b: int, years_b: float) -> float:
+    """How many times higher a's mention rate (count per year in office) is than b's;
+    math.inf when count_b is 0, where the ratio is undefined."""
+    if years_a <= 0 or years_b <= 0:
+        raise ValueError("years must be positive")
+    if count_a < 0 or count_b < 0:
+        raise ValueError("count must be non-negative")
+    return math.inf if count_b == 0 else count_a / years_a / (count_b / years_b)

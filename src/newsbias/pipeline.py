@@ -98,8 +98,8 @@ def build_instances(
     first = np.flatnonzero(np.diff(article * 2 + gender, prepend=-1))
     ids = [scan.politicians[p] for p in politician.tolist()]
     cuts = [*first.tolist(), len(ids)]
-    return Instances(tuple(art.id for art in scan.articles), tuple(art.section for art in scan.articles), stream,
-                     article[first], gender[first].astype(np.int8),
+    return Instances(tuple(art.id for art in scan.articles), tuple(art.section for art in scan.articles),
+                     tuple(art.date for art in scan.articles), stream, article[first], gender[first].astype(np.int8),
                      tuple(tuple(ids[a:b]) for a, b in zip(cuts, cuts[1:])), np.logical_or.reduceat(headline, first),
                      preprocess.sentences_holding(stream, mentions), masked and apply_stem)
 
@@ -133,8 +133,8 @@ def build_dataset(
     # an article is as many documents as it has instances, and none is not read
     weight = np.bincount(instances.article, minlength=len(instances.article_ids))
     text, term, counts, surfaces = features.count_terms(
-        instances.stream, instances.sections, weight > 0, scheme, window=window, pos_lexicon=pos_lexicon,
-        lexicon=lexicon)
+        instances.stream, instances.sections, weight > 0, instances.mention_sentences, scheme, window=window,
+        pos_lexicon=pos_lexicon, lexicon=lexicon)
     doc_freq = np.bincount(term, weights=weight[text], minlength=len(surfaces)).astype(np.int64)
     space = features.build_space(dict(zip(surfaces, doc_freq.tolist())), n_docs, min_df, kind=scheme)
     # space entries are in surface order, as the terms are, so columns increase with terms

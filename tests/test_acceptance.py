@@ -150,7 +150,7 @@ def test_criterion_04_planted_bias_recovery(tmp_path):
     cv = cross_validate(dataset, "svm", k=10, seed=7, descriptor="unigram/article/boolean/svm")
     model = train_svm(dataset)
     ranked = interpret.rank_features(model, dataset.space, k=10)
-    female_surfaces = [s for s, _, _ in ranked.female]
+    female_surfaces = [s for s, _, _ in ranked[F]]
     ok = cv.mean_accuracy >= 0.65 and "husband" in female_surfaces
     report(4, "planted bias recovered", ok,
            f"cv mean {cv.mean_accuracy:.3f}, female top-10 {female_surfaces[:3]}...")
@@ -261,16 +261,14 @@ def test_criterion_07_undersampling():
 # 8. Published-count arithmetic fixtures
 
 def test_criterion_08_rate_and_baseline_arithmetic():
-    ratio = interpret.rate_ratio(
-        interpret.RateStat(term="husband", group=F, count=48, years=38.6),
-        interpret.RateStat(term="wife", group=M, count=27, years=84.1),
-    )
+    # "husband" in female coverage against "wife" in male coverage: (count, years) per group
+    ratio = interpret.rate_ratio(48, 38.6, 27, 84.1)
     baseline = majority_baseline(
         make_dataset([([0], F)] * 52 + [([1], M)] * 48, n_features=2)
     )
-    ok = abs(ratio.value - 3.87) <= 0.01 and round(ratio.value) == 4 and baseline == pytest.approx(0.52, abs=1e-12)
+    ok = abs(ratio - 3.87) <= 0.01 and round(ratio) == 4 and baseline == pytest.approx(0.52, abs=1e-12)
     report(8, "published-count arithmetic", ok,
-           f"spouse ratio {ratio.value:.4f}, baseline {baseline:.2f}")
+           f"spouse ratio {ratio:.4f}, baseline {baseline:.2f}")
 
 
 # ----------------------------------------------------------------------
@@ -294,8 +292,8 @@ def test_criterion_09_kwic_brute_force():
                     "budget",
                     tuple(surfaces[i + 1: i + 1 + window]),
                 ))
-    ours = [(l.article_id, l.position, l.left, l.keyword, l.right) for l in got]
-    truncated = any(len(l.left) < window or len(l.right) < window for l in got)
+    ours = got  # (article id, position, left, keyword, right) per line
+    truncated = any(len(left) < window or len(right) < window for _, _, left, _, right in got)
     report(9, "kwic equals brute-force scan", ours == expected and len(got) > 0,
            f"{len(got)} lines, boundary truncation exercised: {truncated}")
 

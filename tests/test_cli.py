@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from newsbias import cli, corpus, features, learn
+from newsbias import cli, corpus, features, learn, pipeline
 from newsbias.errors import DataError
 from newsbias.preprocess import WORD, kind_of
 
@@ -528,6 +528,28 @@ def test_stats_portfolio_filter_changes_years(spouse_fixture, tmp_path):
     years_all = float(read_csv_rows(out_all / "stats.csv")[0]["years"])
     years_health = float(read_csv_rows(out_health / "stats.csv")[0]["years"])
     assert years_health < years_all
+
+
+def test_stats_portfolio_counts_only_articles_dated_in_its_terms(tmp_path):
+    # the count used to stay over all the group's articles: 622 female "husband" mentions under every portfolio
+    data = tmp_path / "data"
+    assert run("gen-synth", "--out", str(data), "--n", "400", "--planted", "husband:0.05:0.005", "--seed", "3") == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"paths": {"articles": str(data / "articles.jsonl"),
+                                            "registry": str(data / "registry.json")}}))
+    articles, registry = corpus.load_articles(data / "articles.jsonl"), corpus.load_registry(data / "registry.json")
+    texts = pipeline.build_instances(articles, registry, masked=False).stream.texts()
+    assert run("stats", "--config", str(config), "--out", str(tmp_path / "all"), "--term", "husband") == 0
+    every = {r["group"]: int(r["count"]) for r in read_csv_rows(tmp_path / "all" / "stats.csv")}
+    assert every == {"female": 622, "male": 61}
+    assert run("stats", "--config", str(config), "--out", str(tmp_path / "arts"), "--term", "husband",
+               "--portfolio", "arts") == 0
+    rows = read_csv_rows(tmp_path / "arts" / "stats.csv")
+    assert {r["group"]: int(r["count"]) for r in rows} == {
+        group: util.ref_portfolio_count(articles, registry, texts, "husband", group, "arts")
+        for group in corpus.GENDERS}
+    assert all(0 < int(r["count"]) < every[r["group"]] for r in rows)
+    assert all(float(r["rate"]) == pytest.approx(int(r["count"]) / float(r["years"]), rel=1e-5) for r in rows)
 
 
 def test_stats_portfolio_no_term_holds_names_the_flag(spouse_fixture, tmp_path, capsys):

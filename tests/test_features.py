@@ -6,22 +6,29 @@ import math
 import random
 import re
 from collections import Counter
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newsbias import features
 from newsbias.errors import ConfigError, DataError
 from newsbias.features import (
     FeatureVector,
+    LexiconSet,
+    PosLexicon,
     build_space,
     extract_terms,
     load_lexicon,
     load_pos_lexicon,
     vectorize,
 )
-from newsbias.preprocess import load_wordlist, mask_gender_signals, split_sentences, tokenize
+from newsbias.preprocess import TokenStream, load_wordlist, mask_gender_signals, split_sentences, tokenize
 
-from util import mention_rows, space_of
+import util
+from util import instances_of, mention_rows, space_of
 
 
 def make_text(text, spans=()):
@@ -200,6 +207,52 @@ def test_extract_missing_resources_error():
         extract_terms(text, "", "unigram", window="paragraph")
     with pytest.raises(ConfigError):
         extract_terms(text, "", "bigram")
+
+
+# --- count_terms, a block of texts at a time ---
+
+# words of every scheme's kinds, a marker, and "." to end sentences
+BLOCK_WORDS = ["chief", "jail", "embrace", "formidable", "spoke", "plan", "NAMEFORM_FULL", "NAMEFORM_SURNAME", "."]
+BLOCK_POS = PosLexicon({"formidable": "ADJ", "embrace": "VERB", "spoke": "VERB", "chief": "NOUN"})
+BLOCK_LEXICON = LexiconSet({"POWER": frozenset({"chief", "jail"}), "ACTIVE": frozenset({"embrace", "jail"}),
+                            "NONE": frozenset({"absent"})})
+
+
+@st.composite
+def blocked_passes(draw):
+    """A corpus pass of texts over the words above (some empty, the first longer than
+    any block drawn), which texts are read, and a block size of 1 to 8 tokens."""
+    words = st.lists(st.sampled_from(BLOCK_WORDS), max_size=20)
+    texts = [draw(st.lists(st.sampled_from(BLOCK_WORDS), min_size=9, max_size=20)), *draw(st.lists(words, max_size=8))]
+    instances = instances_of([split_sentences(TokenStream.of(text)) for text in texts], ["female"] * len(texts))
+    return instances, np.array(draw(st.lists(st.booleans(), min_size=len(texts), max_size=len(texts)))), \
+        draw(st.integers(1, 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocked_passes(), st.sampled_from(features.SCHEMES), st.sampled_from(features.WINDOWS))
+def test_blocked_counting_equals_one_shot_counting(case, scheme, window):
+    instances, read, block = case
+    kwargs = {"window": window, "pos_lexicon": BLOCK_POS, "lexicon": BLOCK_LEXICON}
+
+    def counted(block_tokens):
+        with mock.patch.object(features, "BLOCK_TOKENS", block_tokens):
+            return features.count_terms(instances.stream, instances.sections, read, instances.mention_sentences,
+                                        scheme, **kwargs)
+
+    *one_shot, surfaces = counted(len(instances.stream.ids) + 1)
+    *blocked, blocked_surfaces = counted(block)
+    assert blocked_surfaces == surfaces
+    for got, want in zip(blocked, one_shot):
+        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+    # and the one-shot count is each read text's, token by token
+    text, term, counts = one_shot
+    want = [util.ref_terms(t, section, scheme, **kwargs) if r else Counter()
+            for t, section, r in zip(instances.stream.texts(), instances.sections, read.tolist())]
+    got = [Counter() for _ in want]
+    for i, t, n in zip(text.tolist(), term.tolist(), counts.tolist()):
+        got[i][surfaces[t]] = n
+    assert got == want
 
 
 # --- build_space ---

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 import math
 
@@ -14,14 +15,7 @@ import util
 from util import make_space
 from newsbias import corpus, pipeline, synth
 from newsbias.corpus import GENDERS, Instances
-from newsbias.interpret import (
-    RateRatio,
-    RateStat,
-    kwic,
-    rank_features,
-    rate_ratio,
-    term_count,
-)
+from newsbias.interpret import kwic, normalize_query, rank_features, rate_ratio, term_count
 from newsbias.learn import LinearModel
 from newsbias.preprocess import split_sentences, tokenize
 
@@ -36,18 +30,18 @@ def model_with(weights):
 def test_rank_simple_signs():
     space = make_space(3)
     ranked = rank_features(model_with([2.0, 1.0, -3.0]), space, k=2)
-    assert [s for s, _, _ in ranked.female] == ["f000", "f001"]
-    assert [s for s, _, _ in ranked.male] == ["f002"]
+    assert [s for s, _, _ in ranked["female"]] == ["f000", "f001"]
+    assert [s for s, _, _ in ranked["male"]] == ["f002"]
 
 
 def test_rank_zero_model_empty():
     ranked = rank_features(model_with([0.0, 0.0]), make_space(2), k=5)
-    assert ranked.female == () and ranked.male == ()
+    assert ranked == {"female": (), "male": ()}
 
 
 def test_rank_orders_male_by_magnitude():
     ranked = rank_features(model_with([-1.0, -5.0, -2.0]), make_space(3), k=3)
-    assert [s for s, _, _ in ranked.male] == ["f001", "f002", "f000"]
+    assert [s for s, _, _ in ranked["male"]] == ["f001", "f002", "f000"]
 
 
 def test_rank_invariant_under_positive_rescaling():
@@ -55,14 +49,14 @@ def test_rank_invariant_under_positive_rescaling():
     weights = [0.5, -1.5, 2.5, -0.25]
     a = rank_features(model_with(weights), space, k=4)
     b = rank_features(model_with([w * 10 for w in weights]), space, k=4)
-    assert [(s, k) for s, k, _ in a.female] == [(s, k) for s, k, _ in b.female]
-    assert [(s, k) for s, k, _ in a.male] == [(s, k) for s, k, _ in b.male]
+    assert [(s, k) for s, k, _ in a["female"]] == [(s, k) for s, k, _ in b["female"]]
+    assert [(s, k) for s, k, _ in a["male"]] == [(s, k) for s, k, _ in b["male"]]
 
 
 def test_rank_tie_breaks_on_kind_surface():
     space = make_space(3)
     ranked = rank_features(model_with([1.0, 1.0, 1.0]), space, k=3)
-    assert [s for s, _, _ in ranked.female] == ["f000", "f001", "f002"]
+    assert [s for s, _, _ in ranked["female"]] == ["f000", "f001", "f002"]
 
 
 def test_rank_k_validation():
@@ -81,15 +75,15 @@ def test_rank_planted_perfect_feature_is_first():
     ds = make_dataset(rows, n_features=5)
     model = train_svm(ds, lam=0.01, epochs=100)
     ranked = rank_features(model, ds.space, k=3)
-    assert ranked.female[0][0] == "f000"
-    assert ranked.male[0][0] == "f001"
+    assert ranked["female"][0][0] == "f000"
+    assert ranked["male"][0][0] == "f001"
 
 
 def test_rank_lists_disjoint():
     space = make_space(5)
     ranked = rank_features(model_with([1.0, -1.0, 0.0, 2.0, -0.5]), space, k=5)
-    female = {(s, k) for s, k, _ in ranked.female}
-    male = {(s, k) for s, k, _ in ranked.male}
+    female = {(s, k) for s, k, _ in ranked["female"]}
+    male = {(s, k) for s, k, _ in ranked["male"]}
     assert not female & male
     assert ("f002", "unigram") not in female | male
 
@@ -112,14 +106,13 @@ def pass_of(*docs):
     held[[f + s for f, sentences in zip(first.tolist(), mentions) for s in sentences]] = True
     rows = [(a, y) for a, gs in enumerate(groups) for y, g in enumerate(GENDERS) if g in gs]
     article, y = np.array(rows, np.int64).reshape(-1, 2).T
-    return Instances(ids, ("news",) * len(ids), stream, article, y.astype(np.int8), ((),) * len(rows),
-                     np.zeros(len(rows), bool), held, False)
+    return Instances(ids, ("news",) * len(ids), (datetime.date(2005, 1, 1),) * len(ids), stream, article,
+                     y.astype(np.int8), ((),) * len(rows), np.zeros(len(rows), bool), held, False)
 
 
 def test_kwic_term_at_start_empty_left():
     lines = kwic(pass_of(doc("a1", "budget cuts loom")), "budget", window=4)
-    assert len(lines) == 1
-    assert lines[0].left == () and lines[0].right == ("cuts", "loom")
+    assert lines == [("a1", 0, (), "budget", ("cuts", "loom"))]
 
 
 def test_kwic_absent_term():
@@ -129,9 +122,9 @@ def test_kwic_absent_term():
 def test_kwic_orders_by_article_then_position():
     docs = pass_of(doc("b", "budget twice budget"), doc("a", "one budget"))
     lines = kwic(docs, "budget", window=2)
-    assert [(l.article_id, l.position) for l in lines] == [("a", 1), ("b", 0), ("b", 2)]
     # context stops at the article's own bounds
-    assert [(l.left, l.right) for l in lines] == [(("one",), ()), ((), ("twice", "budget")), (("budget", "twice"), ())]
+    assert lines == [("a", 1, ("one",), "budget", ()), ("b", 0, (), "budget", ("twice", "budget")),
+                     ("b", 2, ("budget", "twice"), "budget", ())]
 
 
 def test_kwic_group_filter():
@@ -140,8 +133,8 @@ def test_kwic_group_filter():
         doc("a2", "a budget row", groups={"male"}),
         doc("a3", "budget again", groups={"female", "male"}),
     )
-    assert {l.article_id for l in kwic(docs, "budget", group="female")} == {"a1", "a3"}
-    assert {l.article_id for l in kwic(docs, "budget", group="male")} == {"a2", "a3"}
+    assert {line[0] for line in kwic(docs, "budget", group="female")} == {"a1", "a3"}
+    assert {line[0] for line in kwic(docs, "budget", group="male")} == {"a2", "a3"}
 
 
 def test_kwic_cooccurrence_restricts_to_mention_sentences():
@@ -150,7 +143,7 @@ def test_kwic_cooccurrence_restricts_to_mention_sentences():
         doc("a1", "the budget passed. Keane disputed the budget loudly.", mention_sentences={1}),
     )
     lines = kwic(docs, "budget", require_cooccurrence=True)
-    assert [(l.article_id, l.position) for l in lines] == [("a0", 0), ("a1", 7)]
+    assert [(article_id, position) for article_id, position, *_ in lines] == [("a0", 0), ("a1", 7)]
 
 
 def test_kwic_multi_token_query_rejected():
@@ -168,7 +161,7 @@ def test_kwic_marker_query_over_masked_views():
     instances = pipeline.build_instances(arts, reg, masked=True)
     lines = kwic(instances, "NAMEFORM_FULL", window=3)
     assert lines, "synthetic corpus should contain full-name mentions"
-    assert all(l.keyword == "NAMEFORM_FULL" for l in lines)
+    assert all(keyword == "NAMEFORM_FULL" for _, _, _, keyword, _ in lines)
 
 
 def test_kwic_matches_brute_force_scan():
@@ -189,10 +182,11 @@ def test_kwic_matches_brute_force_scan():
                         article_id,
                         i,
                         tuple(surfaces[max(0, i - window) : i]),
+                        "budget",
                         tuple(surfaces[i + 1 : i + 1 + window]),
                     )
                 )
-    assert [(l.article_id, l.position, l.left, l.right) for l in lines] == expected
+    assert lines == expected
     assert len(lines) == term_count(instances, "budget")
 
 
@@ -200,11 +194,11 @@ def test_kwic_line_reconstructs_contiguous_slice():
     arts, reg = synth.generate_corpus(10, seed=23)
     instances = pipeline.build_instances(arts, reg, masked=True)
     by_id = dict(zip(instances.article_ids, instances.stream.texts()))
-    for line in kwic(instances, "NAMEFORM_SURNAME", window=4):
-        surfaces = by_id[line.article_id].tokens
-        start = line.position - len(line.left)
-        end = line.position + 1 + len(line.right)
-        assert tuple(surfaces[start:end]) == line.left + (line.keyword,) + line.right
+    for article_id, position, left, keyword, right in kwic(instances, "NAMEFORM_SURNAME", window=4):
+        surfaces = by_id[article_id].tokens
+        start = position - len(left)
+        end = position + 1 + len(right)
+        assert tuple(surfaces[start:end]) == left + (keyword,) + right
 
 
 def test_kwic_additive_over_disjoint_doc_sets():
@@ -215,7 +209,7 @@ def test_kwic_additive_over_disjoint_doc_sets():
     # two disjoint article sets, interleaved, each its own corpus pass
     parts = [line for half in (arts[::2], arts[1::2])
              for line in kwic(pipeline.build_instances(half, reg, masked=False), "budget")]
-    assert whole and sorted(parts, key=lambda l: (l.article_id, l.position)) == whole
+    assert whole and sorted(parts, key=lambda line: line[:2]) == whole
 
 
 def test_queries_on_a_stemmed_pass_find_what_the_raw_pass_finds():
@@ -228,8 +222,8 @@ def test_queries_on_a_stemmed_pass_find_what_the_raw_pass_finds():
     for group in (None, *GENDERS):
         assert term_count(stemmed, "Bedite", group) == term_count(raw, "Bedite", group) > 0
     lines = kwic(stemmed, "bedite")
-    assert [l.article_id for l in lines] == [l.article_id for l in kwic(raw, "bedite")]
-    assert {l.keyword for l in lines} == {"bedit"}
+    assert [line[0] for line in lines] == [line[0] for line in kwic(raw, "bedite")]
+    assert {keyword for _, _, _, keyword, _ in lines} == {"bedit"}
 
 
 NAMES = ["Ann", "Lee", "May"]
@@ -260,9 +254,36 @@ def test_one_pass_kwic_and_term_count_equal_the_per_article_loop(case, masked, g
     articles, registry = case
     instances = pipeline.build_instances(articles, registry, masked=masked)
     lines = kwic(instances, term, window, group=group, require_cooccurrence=cooccur)
-    assert [(l.article_id, l.position, l.left, l.keyword, l.right) for l in lines] == util.ref_kwic(
-        instances, term, window, group, cooccur)
+    assert lines == util.ref_kwic(instances, term, window, group, cooccur)
     assert term_count(instances, term, group) == util.ref_term_count(instances, term, group)
+
+
+PORTFOLIOS = ["arts", "health"]
+DAYS = st.integers(0, 6).map(lambda d: datetime.date(2005, 1, 1) + datetime.timedelta(days=d))
+
+
+@st.composite
+def dated_corpora(draw):
+    """query_corpora's articles dated over a week, and each politician given up to
+    three terms of one to three days in two portfolios, which may overlap, and
+    often start or end on an article's date."""
+    articles, registry = draw(query_corpora())
+    articles = [dataclasses.replace(article, date=draw(DAYS)) for article in articles]
+    term = st.tuples(st.sampled_from(PORTFOLIOS), DAYS, st.integers(1, 3))
+    registry = [dataclasses.replace(record, terms=tuple(
+        corpus.OfficeTerm(portfolio, start, start + datetime.timedelta(days=days))
+        for portfolio, start, days in draw(st.lists(term, max_size=3)))) for record in registry]
+    return articles, registry
+
+
+@settings(max_examples=300, deadline=None)
+@given(dated_corpora(), st.booleans(), st.sampled_from(GENDERS), st.sampled_from(PORTFOLIOS), st.sampled_from(QUERIES))
+def test_portfolio_count_equals_a_scan_of_dated_terms(case, masked, group, portfolio, term):
+    articles, registry = case
+    instances = pipeline.build_instances(articles, registry, masked=masked)
+    expected = util.ref_portfolio_count(articles, registry, instances.stream.texts(), normalize_query(term), group,
+                                        portfolio)
+    assert term_count(instances, term, group, portfolio=portfolio, registry=registry) == expected
 
 
 # --- term_count ---
@@ -288,48 +309,41 @@ def test_term_count_equals_kwic_length():
 
 # --- rates ---
 
-def test_rate_basic():
-    assert RateStat(term="husband", group="female", count=48, years=38.6).rate == pytest.approx(48 / 38.6)
-    for years in (0.0, -1.0):
-        with pytest.raises(ValueError):
-            RateStat(term="husband", group="female", count=1, years=years)
-
-
-def test_rate_stat_consistency():
-    st = RateStat(term="husband", group="female", count=48, years=38.6)
-    assert st.rate * st.years == pytest.approx(st.count, abs=1e-9)
-
-
 def test_rate_ratio_spouse_fixture():
-    a = RateStat(term="husband", group="female", count=48, years=38.6)
-    b = RateStat(term="wife", group="male", count=27, years=84.1)
-    got = rate_ratio(a, b)
-    assert got.value == pytest.approx(3.87, abs=0.01)
-    assert not got.undefined
+    # "husband" 48 times over 38.6 female years in office, "wife" 27 times over 84.1 male years
+    got = rate_ratio(48, 38.6, 27, 84.1)
+    assert got == pytest.approx(3.87, abs=0.01)
     # consistent with the qualitative reading "about four times as often"
-    assert round(got.value) == 4
+    assert round(got) == 4
+
+
+def test_rate_basic():
+    # a rate is a count per year in office, and the ratio divides the two rates
+    assert rate_ratio(48, 38.6, 27, 84.1) == (48 / 38.6) / (27 / 84.1)
+    for years in (0.0, -1.0):
+        with pytest.raises(ValueError, match="years must be positive"):
+            rate_ratio(1, years, 1, 1.0)
+        with pytest.raises(ValueError, match="years must be positive"):
+            rate_ratio(1, 1.0, 1, years)
+    with pytest.raises(ValueError, match="count must be non-negative"):
+        rate_ratio(-1, 1.0, 1, 1.0)
+    with pytest.raises(ValueError, match="count must be non-negative"):
+        rate_ratio(1, 1.0, -1, 1.0)
 
 
 def test_rate_ratio_equal_rates():
-    a = RateStat(term="t", group="female", count=10, years=5.0)
-    b = RateStat(term="t", group="male", count=20, years=10.0)
-    assert rate_ratio(a, b).value == pytest.approx(1.0)
+    assert rate_ratio(10, 5.0, 20, 10.0) == pytest.approx(1.0)
 
 
 def test_rate_ratio_zero_numerator():
-    a = RateStat(term="t", group="female", count=0, years=10.0)
-    b = RateStat(term="t", group="male", count=5, years=10.0)
-    assert rate_ratio(a, b) == RateRatio(0.0, False)
+    assert rate_ratio(0, 10.0, 5, 10.0) == 0.0
 
 
 def test_rate_ratio_zero_denominator_flagged():
-    a = RateStat(term="t", group="female", count=5, years=10.0)
-    b = RateStat(term="t", group="male", count=0, years=10.0)
-    got = rate_ratio(a, b)
-    assert math.isinf(got.value) and got.undefined
+    # a zero denominator count leaves the ratio undefined, which reads as +inf
+    assert rate_ratio(5, 10.0, 0, 10.0) == math.inf
+    assert rate_ratio(0, 10.0, 0, 10.0) == math.inf
 
 
 def test_rate_ratio_reciprocal_law():
-    a = RateStat(term="t", group="female", count=7, years=3.5)
-    b = RateStat(term="t", group="male", count=11, years=9.25)
-    assert rate_ratio(a, b).value * rate_ratio(b, a).value == pytest.approx(1.0, abs=1e-9)
+    assert rate_ratio(7, 3.5, 11, 9.25) * rate_ratio(11, 9.25, 7, 3.5) == pytest.approx(1.0, abs=1e-9)

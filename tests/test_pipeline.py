@@ -132,10 +132,10 @@ def test_instances_and_views_share_one_prepared_stream(small_corpus, stoplist, a
         text, mentions = masked[instances.article_ids[a]]
         stream = texts[a]
         assert text == stream
-        # the sentence window reads exactly the sentences the pass marks as mentions
+        # the pass marks as mentions exactly the sentences that hold a marker, which the
+        # sentence window reads, and which extract_terms marks in a text of its own
         spans = text.sentence_spans
-        surfaces = stream.vocab.surfaces
-        assert [surfaces[i] for i in stream.ids[features._window_mask(stream, "sentence")]] == [
+        assert [tok for s, e in spans if MARKER in map(kind_of, text.tokens[s:e]) for tok in text.tokens[s:e]] == [
             tok for s in sorted(mentions) for tok in text.tokens[slice(*spans[s])]
         ]
     # a raw pass holds the scanned text, whatever the stoplist and stemming settings

@@ -149,7 +149,8 @@ def instances_of(streams, labels) -> Instances:
     ends = [text.ends + start for text, start in zip(streams, bounds.tolist())]
     stream = TokenStream(vocab, np.concatenate([np.zeros(0, np.int32), *texts]), bounds,
                          np.concatenate([np.zeros(0, np.int64), *ends]))
-    return Instances(tuple(f"a{i}" for i in range(len(texts))), ("",) * len(texts), stream, np.arange(len(texts)),
+    return Instances(tuple(f"a{i}" for i in range(len(texts))), ("",) * len(texts),
+                     (datetime.date(2005, 1, 1),) * len(texts), stream, np.arange(len(texts)),
                      np.array([GENDERS.index(label) for label in labels], np.int8), (("p",),) * len(texts),
                      np.zeros(len(texts), bool), sentences_holding(stream, np.flatnonzero(stream.ids < len(FORMS))),
                      False)
@@ -398,6 +399,19 @@ def ref_kwic(views, surface: str, window: int, group=None, cooccur: bool = False
 
 def ref_term_count(views, surface: str, group=None) -> int:
     return len(ref_kwic(views, surface, 1, group))
+
+
+def ref_portfolio_count(articles, registry, texts, surface: str, group: str, portfolio: str) -> int:
+    """Occurrences of the surface in each article's text (texts, in article order) that
+    names a politician of the group who, on the article's date, was in a term in the
+    portfolio: start <= date < end, checked article by article over the scan's matches."""
+    from newsbias.corpus import scan_corpus
+
+    records = {record.id: record for record in registry}
+    return sum(text.tokens.count(surface)
+               for article, text, names in zip(articles, texts, matches(scan_corpus(articles, registry)))
+               if any(records[p].gender == group and term.portfolio == portfolio
+                      and term.start <= article.date < term.end for p in names for term in records[p].terms))
 
 
 # --- the svm solver with one array per cut: the reference the one-array cut store equals ---
