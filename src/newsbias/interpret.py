@@ -34,10 +34,18 @@ def rank_features(model: LinearModel, space: FeatureSpace, k: int) -> dict[str, 
         raise ValueError(
             f"model has {len(model.weights)} weights but space has {len(space)} features"
         )
-    weights = list(zip(space.entries, model.weights.tolist()))
-    return {label: tuple(sorted(((surface, space.kind, w) for surface, w in weights if sign * w > 0),
-                                key=lambda e: (-sign * e[2], e[0]))[:k])
-            for label, sign in zip(GENDERS, (1.0, -1.0))}
+    ranked = {}
+    for label, sign in zip(GENDERS, (1.0, -1.0)):
+        strength = sign * model.weights
+        candidates = np.flatnonzero(strength > 0)
+        if len(candidates) > k:
+            # every weight as strong as the k-th strongest, so that ties still break on the surface
+            kth = np.partition(strength[candidates], len(candidates) - k)[len(candidates) - k]
+            candidates = candidates[strength[candidates] >= kth]
+        ranked[label] = tuple(sorted(((space.entries[i], space.kind, w) for i, w in
+                                      zip(candidates.tolist(), model.weights[candidates].tolist())),
+                                     key=lambda e: (-sign * e[2], e[0]))[:k])
+    return ranked
 
 
 def normalize_query(term: str, stem: bool = False) -> str:

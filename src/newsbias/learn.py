@@ -26,21 +26,38 @@ feature, every row of the level at once; prediction sends test rows down
 the same way. Per level, only the smaller child of each split is counted,
 in one bincount over (node, class, feature) cells; the larger child's
 counts are its parent's less the smaller's (histogram subtraction, as in
-LightGBM). Between levels a node keeps its counts sparse, one (pf, pm)
-pair of female and male rows per feature present in it, and a gain
-ratio, which depends only on the node's class counts and that pair, is
-computed once per distinct pair, found with a table rather than a sort
-(pairs too large for the table are computed one by one). A level so
-costs one pass over the entries of its smaller children, one over its
-nodes' present features and, to route, as many rounds over its rows as
-the longest row's length has bits, with a fixed number of numpy calls
-however many nodes it has. Memory: one bincount holds at most
-_COUNT_CELLS int64 counts (2 MiB), however wide the space: the smaller
-children of a wide level are counted in groups of nodes, and a node
-whose 2 * dim cells are more than that, _COUNT_CELLS // 2 features at a
-time; the table of pairs holds at most _COUNT_CELLS int32 entries.
-Everything else the grower holds grows with the training entries: the
-sparse counts are at most one int32 pair per entry.
+LightGBM). A gain ratio depends only on the node's class counts and the
+(pf, pm) pair of its female and male rows holding the feature, so a node
+scores each distinct pair once. Between levels a node keeps its counts in
+one of two forms. A wide node, one holding at least dim / _WIDE features
+and _WIDE^2 times a mean training row's, keeps a dense row of codes
+pf * w + pm, one per feature, and a sorted list of its distinct codes
+with how many features have each. Its larger child takes the row over,
+subtracts the smaller child's counts in place at the features that child
+holds, and updates the list from those features alone; the best feature
+is the first in one pass over the row with a top code. So a wide node
+costs a level what its smaller child holds plus its distinct pairs: on
+19,000 features, a node of 18,000 that loses 4 rows changes a few hundred.
+Every other node keeps sparse cells, one pair per feature present in it,
+its parent's less its sibling's counts, and finds its distinct pairs with
+a table rather than a sort (pairs too large for the table are computed
+one by one). The bar of _WIDE^2 mean rows keeps narrow spaces sparse:
+where a smaller child holds most of its sibling's features, as at 405
+features, the list's upkeep costs more than the cells. A level so costs
+one pass over the entries of its smaller children, one over the present
+features of its sparse nodes, one over the changed features and distinct
+pairs of its wide ones and, to route, as many rounds over its rows as the
+longest row's length has bits, with a fixed number of numpy calls however
+many nodes it has. Memory: one bincount holds at most _COUNT_CELLS int64
+counts (2 MiB), however wide the space: the smaller children of a level
+of many nodes are counted in groups of nodes, and a node whose 2 * dim cells are
+more than that, _COUNT_CELLS // 2 features at a time; the table of pairs
+holds at most _COUNT_CELLS int32 entries. Everything else the grower
+holds grows with the training entries: the sparse counts are at most one
+int32 pair per entry, and a wide node, which holds dim / _WIDE features
+and so at least as many entries, a row of 4 bytes per feature (8 where
+the root's (nf + 1) * (nm + 1) passes 2^31), at most 32 (64) bytes per
+entry, and as much again while a level copies the rows.
 """
 
 from __future__ import annotations
@@ -79,6 +96,9 @@ CLASSIFIERS = tuple(ACCEPTS)
 _GAIN_EPS = 1e-12
 # the most (node, class, feature) counts one bincount of the tree grower holds: 2 MiB
 _COUNT_CELLS = 1 << 18
+# a tree node holding at least 1 / _WIDE of the features, and _WIDE^2 times a mean
+# training row's, keeps dense counts between levels
+_WIDE = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -566,13 +586,12 @@ def _nb_joint(model: BayesModel, ids: np.ndarray, values: np.ndarray, lengths: n
 
 def _entropy(counts_a: np.ndarray, counts_b: np.ndarray) -> np.ndarray:
     total = counts_a + counts_b
-    out = np.zeros_like(total, dtype=float)
-    nz = total > 0
-    for part in (counts_a, counts_b):
-        p = np.zeros_like(out)
-        p[nz] = part[nz] / total[nz]
-        pos = p > 0
-        out[pos] -= p[pos] * np.log2(p[pos])
+    out = np.zeros(len(total))
+    # where a part is 0 or the total is, its term is not taken, and subtracting 0.0 changes no bit
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for part in (counts_a, counts_b):
+            p = part / total
+            out -= np.where(p > 0, p * np.log2(p), 0.0)
     return out
 
 
@@ -667,31 +686,34 @@ def _holds(csr: CSR, rows: np.ndarray, features: np.ndarray) -> np.ndarray:
     return holds
 
 
+def _cells(pieces: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """The pieces' (node, feature, pf, pm) cells, one after another."""
+    if len(pieces) == 1:
+        return pieces[0]
+    if not pieces:
+        return tuple(np.zeros(0, np.int32) for _ in range(4))
+    return tuple(np.concatenate(column) for column in zip(*pieces))
+
+
 def _level_cells(
-    csr: CSR, y: np.ndarray, rows: np.ndarray, node_of: np.ndarray, dim: int,
-    grows: np.ndarray, sizes: np.ndarray, parents: tuple[np.ndarray, ...] | None,
-) -> tuple[np.ndarray, ...]:
-    """The cells (node, feature, pf, pm) of the level's nodes that may grow.
+    csr: CSR, y: np.ndarray, rows: np.ndarray, node_of: np.ndarray, dim: int, wanted: np.ndarray,
+    direct: np.ndarray, larger: np.ndarray | None, parents: tuple[np.ndarray, ...] | None,
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """The cells (node, feature, pf, pm) of the level's nodes that wanted marks:
+    of the direct ones, counted, and of the larger children of the split nodes
+    whose cells are parents.
 
     rows are the training rows, node_of[row] the node of the level a row is
-    in (-1 once it has reached a leaf) and y[row] its label. Children
-    2i and 2i + 1 come from the i-th split node of the level above, whose
-    cells, keyed by i, are parents (None at the root). Only the smaller
-    child of each pair is counted; the larger one's cells are its parent's
-    less those counts. The counts are bincounts over (node, class, feature)
-    of at most _COUNT_CELLS cells each: the smaller children are counted in
-    groups of _COUNT_CELLS // (2 * dim) nodes, or, where one node's 2 * dim
+    in (-1 once it has reached a leaf) and y[row] its label. larger[i] is the
+    larger child of the i-th split node of the level above, whose cells, keyed
+    by i, are parents where that node is sparse (None at the root); the larger
+    child's cells are its parent's less its sibling's counts, so the sibling
+    must be direct. The counts are bincounts over (node, class,
+    feature) of at most _COUNT_CELLS cells each: the direct nodes are counted
+    in groups of _COUNT_CELLS // (2 * dim) nodes, or, where one node's 2 * dim
     cells are more than that, one node and _COUNT_CELLS // 2 features at a time.
     """
-    if parents is None:
-        direct = np.flatnonzero(grows)
-    else:
-        pairs = np.arange(0, len(grows), 2, dtype=np.int32)
-        smaller = pairs + (sizes[pairs] > sizes[pairs + 1])
-        larger = smaller ^ 1
-        direct = smaller[grows[pairs] | grows[pairs + 1]]
-        derive = grows[larger]
-    slot = np.full(len(grows) + 1, -1, dtype=np.int32)  # the last entry answers for node -1
+    slot = np.full(len(wanted) + 1, -1, dtype=np.int32)  # the last entry answers for node -1
     row_node = node_of[rows]
     counted_cells, derived_cells = [], []
     group = max(1, _COUNT_CELLS // (2 * dim))
@@ -713,32 +735,165 @@ def _level_cells(
                 cells = base
                 cells += ids
                 del base, ids
-            table = np.bincount(cells, minlength=len(counted) * 2 * width).reshape(len(counted), 2, width)
+            # a node's female count of a feature is at 2 * slot * width + feature - lo, its male one width on
+            table = np.bincount(cells, minlength=len(counted) * 2 * width)
             del cells
-            k, f = np.nonzero(np.logical_or(table[:, 0], table[:, 1]))
-            keep = grows[counted[k]]
-            k, f = k[keep], f[keep]
-            # int32 cells, each cast as it is made: a wide level's cells outweigh its table
+            pairs = table.reshape(len(counted), 2, width)
+            # one flat search of the (node, feature) cells: np.nonzero over two axes takes several times as long
+            held = np.flatnonzero(np.logical_or(pairs[:, 0], pairs[:, 1]))
+            held = held[wanted[counted[held // width]]]
+            k, f = np.divmod(held, width)
+            at = held + k * width
+            # int32 cells, each cast as it is made: a level's cells can outweigh its table
             counted_cells.append((counted[k].astype(np.int32), (f + lo).astype(np.int32),
-                                  table[k, 0, f].astype(np.int32), table[k, 1, f].astype(np.int32)))
+                                  table[at].astype(np.int32), table[at + width].astype(np.int32)))
             if parents is not None:
                 rank, pfeature, ppf, ppm = parents
-                by = slot[smaller]
-                take = (derive & (by >= 0))[rank]
+                by = slot[larger ^ 1]
+                take = (wanted[larger] & (by >= 0))[rank]
                 if width < dim:
                     take &= (pfeature >= lo) & (pfeature < lo + width)
-                rank, pfeature, by = rank[take], pfeature[take], by[rank[take]]
-                pf = (ppf[take] - table[by, 0, pfeature - lo]).astype(np.int32)
-                pm = (ppm[take] - table[by, 1, pfeature - lo]).astype(np.int32)
+                rank, pfeature = rank[take], pfeature[take]
+                at = by[rank] * (2 * width) + (pfeature - lo)
+                pf = (ppf[take] - table[at]).astype(np.int32)
+                pm = (ppm[take] - table[at + width]).astype(np.int32)
                 held = (pf + pm) > 0
                 derived_cells.append((larger[rank[held]], pfeature[held], pf[held], pm[held]))
-            del table  # before the next one is made
+            del table, pairs  # before the next one is made
         slot[counted] = -1
-    # a node is counted or derived, and its cells come out together, in feature order
-    pieces = counted_cells + derived_cells
-    if not pieces:
-        return tuple(np.zeros(0, np.int32) for _ in range(4))
-    return tuple(np.concatenate(column) for column in zip(*pieces))
+    # a node's cells come out together, in feature order
+    return _cells(counted_cells), _cells(derived_cells)
+
+
+class _WideNodes:
+    """The wide nodes of a level, those holding at least floor features, with dense counts.
+
+    floor is the larger of dim / _WIDE and _WIDE^2 times a mean training
+    row's features, so that a smaller child of _WIDE rows of mean length
+    holds at most 1 / _WIDE of a wide node's features. Row s of codes holds,
+    per feature, pf * w + pm: how many female and male rows of node node[s]
+    hold it, 0 where none does. The distinct nonzero codes of each row, with
+    how many features have each, are listed as keys s * span + code, sorted,
+    and counts, so a level scores a node's distinct pairs without reading
+    its row. Once a level has split, node[s] is the rank of the split, -1
+    where the node did not split. A split node's row passes to its larger
+    child, which takes its smaller sibling's counts off in place and relists
+    only the features the sibling holds.
+    """
+
+    def __init__(self, dim: int, nf: int, nm: int, row_length: float):
+        self.dim, self.w, self.span = dim, nm + 1, (nf + 1) * (nm + 1)
+        self.floor = max(dim / _WIDE, _WIDE * _WIDE * row_length)
+        self.codes = np.zeros((0, dim), np.int32 if self.span <= 2**31 else np.int64)
+        self.node = np.zeros(0, np.intp)
+        self.key = self.count = np.zeros(0, np.int64)
+
+    def _keep(self, keep: np.ndarray) -> None:
+        """Keep the rows keep marks, in their order."""
+        if keep.all():
+            return
+        slot, code = np.divmod(self.key, self.span)
+        listed = keep[slot]
+        self.key = (np.cumsum(keep) - 1)[slot[listed]] * self.span + code[listed]
+        self.count = self.count[listed]
+        self.codes, self.node = self.codes[keep], self.node[keep]
+
+    def _relist(self, slot: np.ndarray, old: np.ndarray, new: np.ndarray) -> None:
+        """Relist the rows once the features at the given rows changed code from old
+        to new (from 0, for a row that joins): each old key counts once less and each
+        new one once more; keys that no feature has, or of code 0, go."""
+        keys, counts = [self.key], [self.count]
+        for code, sign in ((new, 1), (old, -1)):
+            key, count = np.unique(slot * self.span + code, return_counts=True)
+            keys.append(key)
+            counts.append(sign * count)
+        # the listed keys and the distinct changed ones: short, however many features changed
+        key, at = np.unique(np.concatenate(keys), return_inverse=True)
+        count = np.bincount(at, np.concatenate(counts), len(key)).astype(np.int64)
+        keep = (count > 0) & (key % self.span > 0)
+        self.key, self.count = key[keep], count[keep]
+
+    def advance(self, grows: np.ndarray, larger: np.ndarray | None,
+                counted: tuple[np.ndarray, ...]) -> list[tuple[np.ndarray, ...]]:
+        """Move the rows down to the level's nodes, which grow where grows says.
+
+        larger[i] is the larger child of the i-th split node of the level
+        above (None at the root) and counted the cells of the level's
+        counted nodes, among them every smaller sibling of a row's larger
+        child. A counted node that grows and holds at least floor features
+        gets a row. Returns the cells of the counted nodes that grow without
+        one and of the rows' nodes that now hold fewer features.
+        """
+        node, feature, pf, pm = counted
+        n = len(self.node)
+        joins = grows & (np.bincount(node, minlength=len(grows)) >= self.floor)
+        sparse = grows[node] & ~joins[node]
+        pieces = [counted if sparse.all() else tuple(column[sparse] for column in counted)]
+        if not (n or joins.any()):
+            return pieces
+        keep = self.node >= 0
+        changed = []  # (row, code before, code after) per feature whose counts change
+        if n:
+            # a split node's row passes to its larger child, where that grows
+            keep[keep] = grows[larger[self.node[keep]]]
+            self.node = np.where(keep, larger[self.node], -1)
+            # and its smaller sibling's counts come off, at the features it holds
+            of = np.full(len(grows), -1)
+            of[self.node[keep] ^ 1] = np.flatnonzero(keep)
+            sub = np.flatnonzero(of[node] >= 0)
+            s, f = of[node[sub]], feature[sub]
+            old = self.codes[s, f]
+            new = old - (pf[sub].astype(old.dtype) * self.w + pm[sub])
+            self.codes[s, f] = new
+            changed.append((s, old, new))
+        if joins.any():
+            of = np.full(len(grows), -1)
+            of[joins] = np.arange(n, n + joins.sum())
+            sub = np.flatnonzero(of[node] >= 0)
+            s, new = of[node[sub]], pf[sub].astype(self.codes.dtype) * self.w + pm[sub]
+            rows = np.zeros((joins.sum(), self.dim), self.codes.dtype)
+            rows[s - n, feature[sub]] = new
+            self.codes = np.concatenate((self.codes, rows))
+            self.node = np.concatenate((self.node, np.flatnonzero(joins)))
+            keep = np.concatenate((keep, np.ones(len(rows), bool)))
+            changed.append((s, np.zeros_like(new), new))
+        self._relist(*map(np.concatenate, zip(*changed)))
+        narrow = keep & (np.bincount(self.key // self.span, self.count, len(self.node)) < self.floor)
+        if narrow.any():
+            rows = self.codes[narrow]
+            k, f = np.divmod(np.flatnonzero(rows), self.dim)
+            pf, pm = np.divmod(rows[k, f], self.w)
+            pieces.append(tuple(column.astype(np.int32) for column in (self.node[narrow][k], f, pf, pm)))
+        self._keep(keep & ~narrow)
+        return pieces
+
+    def best(self, nf: np.ndarray, nm: np.ndarray, feature: np.ndarray) -> None:
+        """Write into feature, at each row's node, the lowest id whose presence split has
+        the best gain ratio, where one gains; a ratio is computed once per listed code."""
+        if not len(self.node):
+            return
+        slot, code = np.divmod(self.key, self.span)
+        node = self.node[slot]
+        ratio = _gain_ratios(*np.divmod(code, self.w), nf[node], nm[node])
+        # every row lists a code: it holds at least one feature
+        top = np.maximum.reduceat(ratio, np.flatnonzero(np.diff(slot, prepend=-1)))[slot]
+        hits = np.flatnonzero((ratio == top) & (top > -np.inf))
+        if not len(hits):
+            return
+        slots, code = slot[hits], code[hits]
+        # a row's top codes, one a round (as a rule one, or two mirrored where nf == nm): per row,
+        # the lowest feature that has one
+        runs = np.flatnonzero(np.diff(slots, prepend=-1))
+        nth = np.arange(len(hits)) - np.repeat(runs, np.diff(np.append(runs, len(hits))))
+        first = np.full(len(self.node), self.dim)
+        for n in range(nth.max() + 1):
+            s = slots[nth == n]
+            first[s] = np.minimum(first[s], np.argmax(self.codes[s] == code[nth == n][:, None], axis=1))
+        feature[self.node[slots[runs]]] = first[slots[runs]]
+
+    def settle(self, split: np.ndarray, rank: np.ndarray) -> None:
+        """Key each row by the rank of its node's split, -1 where the node did not split."""
+        self.node = np.where(split[self.node], rank[self.node], -1)
 
 
 def train_tree(
@@ -768,13 +923,25 @@ def train_tree(
     live = np.flatnonzero(node_of == 0)
     nm = np.array([int(labels.sum())])
     nf = len(rows) - nm
-    levels, parents = [], None
+    wide = _WideNodes(dim, int(nf[0]), int(nm[0]), (csr.indptr[rows + 1] - csr.indptr[rows]).mean())
+    levels, parents, larger = [], None, None
     for depth in range(max_depth + 1):
         sizes = nf + nm
         grows = (nf > 0) & (nm > 0) & (sizes >= 2 * min_leaf) & (depth < max_depth)
-        cells = _level_cells(csr, y, rows, node_of, dim, grows, sizes, parents)
-        parents = None  # its counts live on in this level's cells
+        wanted = grows.copy()
+        if depth:
+            pairs = np.arange(0, len(grows), 2, dtype=np.int32)
+            larger = pairs + (sizes[pairs] <= sizes[pairs + 1])
+            direct = larger[grows[pairs] | grows[pairs + 1]] ^ 1
+            # a wide row's larger child takes its sibling's counts off, whether the sibling grows or not
+            wanted[larger[wide.node[wide.node >= 0]] ^ 1] = True
+        else:
+            direct = np.flatnonzero(grows)
+        counted, derived = _level_cells(csr, y, rows, node_of, dim, wanted, direct, larger, parents)
+        cells = _cells([*wide.advance(grows, larger, counted), derived])
+        parents = counted = derived = None  # their counts live on in this level's cells and rows
         feature = _best_features(cells, nf, nm)
+        wide.best(nf, nm, feature)
         levels.append((nf.tolist(), nm.tolist(), feature.tolist()))
         split = feature >= 0
         if not split.any():
@@ -783,6 +950,7 @@ def train_tree(
         kept = split[cells[0]]
         parents = (rank[cells[0][kept]], *(column[kept] for column in cells[1:]))
         del cells, kept  # before the next level's are made
+        wide.settle(split, rank)
         live = _descend(csr, node_of, live, feature)
         at = node_of[rows]
         inside = at >= 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import datetime
 import math
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -136,11 +137,13 @@ def build_dataset(
         instances.stream, instances.sections, weight > 0, instances.mention_sentences, scheme, window=window,
         pos_lexicon=pos_lexicon, lexicon=lexicon)
     doc_freq = np.bincount(term, weights=weight[text], minlength=len(surfaces)).astype(np.int64)
-    space = features.build_space(dict(zip(surfaces, doc_freq.tolist())), n_docs, min_df, kind=scheme)
-    # space entries are in surface order, as the terms are, so columns increase with terms
-    column = np.array([space.index.get(surface, -1) for surface in surfaces], np.int32)[term]
-    keep = column >= 0
-    text, column, data = text[keep], column[keep], counts[keep].astype(np.float64)
+    kept = doc_freq >= min_df
+    space = features.build_space(dict(zip(compress(surfaces, kept.tolist()), doc_freq[kept].tolist())), n_docs,
+                                 min_df, kind=scheme)
+    # space entries are in surface order, as the terms are: a kept term's column counts the kept terms before it
+    keep = kept[term]
+    column = (np.cumsum(kept, dtype=np.int32) - 1)[term[keep]]
+    text, data = text[keep], counts[keep].astype(np.float64)
     if representation == "tfidf":
         # one math.log per feature, as vectorize takes it, times the count;
         # a feature in every document weighs 0 and makes no entry

@@ -11,6 +11,7 @@ pick against string-label references.
 from __future__ import annotations
 
 import math
+import random
 import tracemalloc
 from collections import Counter
 
@@ -20,6 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newsbias import features, learn, pipeline
+from newsbias.corpus import GENDERS
+from newsbias.interpret import rank_features
 from newsbias.learn import (
     TreeNode,
     cross_validate,
@@ -35,7 +38,7 @@ from newsbias.errors import DataError
 from newsbias.preprocess import TokenStream, split_sentences
 from newsbias.rng import Rng
 
-from util import folds_of, instances_of, make_dataset, make_vec, ref_folds, space_of, terms_of
+from util import folds_of, instances_of, make_dataset, make_space, make_vec, ref_folds, space_of, terms_of
 
 F, M = "female", "male"
 
@@ -197,6 +200,37 @@ def tree_datasets(draw):
     return with_subsets(draw, rows, dim, "boolean")
 
 
+def lopsided_rows(seed, dim, n, n_common):
+    """n rows over dim features: the first n_common features, each in about 70% of
+    the female rows and 30% of the male ones, split the rows about evenly; one or
+    two rare features per row, most leaning to its label (even ids to female, odd to
+    male), split a few rows off at a time."""
+    rng = random.Random(seed)
+    rows = []
+    for i in range(n):
+        label = F if i == 0 else M if i == 1 else rng.choice([F, M])
+        ids = {j for j in range(n_common) if rng.random() < (0.7 if label == F else 0.3)}
+        for _ in range(rng.randint(1, 2)):
+            even = (rng.random() < 0.8) == (label == F)
+            ids.add(n_common + 2 * rng.randrange((dim - n_common) // 2) + (not even))
+        rows.append((sorted(ids), label))
+    return rows
+
+
+@st.composite
+def wide_tree_datasets(draw):
+    """A boolean dataset of hundreds of features and short rows, whose widest nodes
+    lose a few rows a level, a resample of its rows with repeats, and its rows
+    under-sampled: in a node of as many female as male rows, mirrored pairs of
+    counts tie."""
+    dim = draw(st.integers(100, 500))
+    n = draw(st.integers(40, 250))
+    rows = lopsided_rows(draw(st.integers(0, 2**32 - 1)), dim, n, draw(st.integers(0, 3)))
+    root = make_dataset(rows, n_features=dim)
+    seed = draw(st.integers(0, 2**32 - 1))
+    return root, root.subset(random.Random(seed).choices(range(n), k=n)), undersample(root, seed)
+
+
 def both_classes(ds):
     return set(ds.labels) == {F, M}
 
@@ -239,6 +273,49 @@ def test_tree_structure_matches_reference(sets, max_depth, min_leaf, count_cells
         for ds in sets:
             model = train_tree(ds, max_depth=max_depth, min_leaf=min_leaf)
             assert model.root == ref_tree(ds, max_depth, min_leaf)
+
+
+@SETTINGS
+@given(wide_tree_datasets(), st.integers(1, 10), st.integers(1, 3), st.sampled_from([8, 4, 2]),
+       st.sampled_from([learn._COUNT_CELLS, 300]))
+def test_wide_tree_structure_matches_reference(sets, max_depth, min_leaf, wide, count_cells):
+    # a smaller _WIDE lowers the bar to dense counts: nodes cross it both ways, and small tables count in ranges
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(learn, "_WIDE", wide)
+        patch.setattr(learn, "_COUNT_CELLS", count_cells)
+        for ds in sets:
+            model = train_tree(ds, max_depth=max_depth, min_leaf=min_leaf)
+            assert model.root == ref_tree(ds, max_depth, min_leaf)
+
+
+def test_wide_nodes_keep_dense_counts_until_they_narrow(monkeypatch):
+    ds = make_dataset(lopsided_rows(11, 298, 243, 1), n_features=298)
+    levels = []
+    advance = learn._WideNodes.advance
+
+    def spy(self, grows, larger, counted):
+        split = int((self.node >= 0).sum())
+        pieces = advance(self, grows, larger, counted)
+        levels.append((split, len(self.node), len(pieces) > 1))
+        return pieces
+
+    monkeypatch.setattr(learn._WideNodes, "advance", spy)
+    model = train_tree(ds, max_depth=10, min_leaf=1)
+    assert model.root == ref_tree(ds, 10, 1)
+    # (dense nodes that split above, dense nodes now, whether one fell back to cells):
+    # the root is dense, its smaller child joins it, and one of them later narrows
+    assert levels[:2] == [(0, 1, False), (1, 2, False)]
+    assert any(narrowed for _, _, narrowed in levels[2:])
+
+
+def test_mirrored_pairs_of_a_dense_node_split_on_the_lowest_id(monkeypatch):
+    # feature 0 is in two female rows, feature 1 in two male ones: in a node of as many of each the two
+    # splits score alike, and the lower pair code is feature 1's
+    monkeypatch.setattr(learn, "_WIDE", 1)  # every node holding every feature is dense
+    ds = make_dataset([([0], F), ([0], F), ([], F), ([], F), ([1], M), ([1], M), ([], M), ([], M)], n_features=2)
+    model = train_tree(ds, max_depth=1, min_leaf=1)
+    assert model.root == ref_tree(ds, 1, 1)
+    assert model.root.feature == 0
 
 
 @pytest.mark.parametrize("dim", [20_000, 200_000])
@@ -417,6 +494,23 @@ def test_shuffle_equals_randbelow_spec_and_leaves_same_state(seed, n):
     fast.shuffle(got)
     assert got == want
     assert [fast.next_u64() for _ in range(4)] == [spec.next_u64() for _ in range(4)]
+
+
+def ref_rank(weights, space, k):
+    """rank_features as a full sort of every weight, class by class."""
+    return {label: tuple(sorted(((surface, space.kind, w) for surface, w in zip(space.entries, weights)
+                                 if sign * w > 0), key=lambda e: (-sign * e[2], e[0]))[:k])
+            for label, sign in zip(GENDERS, (1.0, -1.0))}
+
+
+@SETTINGS
+@given(st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]), min_size=1, max_size=60),
+       st.integers(1, 12))
+def test_rank_features_equals_a_full_sort(weights, k):
+    # seven weights over up to 60 features: the k-th place is mostly a tie, broken on the surface
+    space = make_space(len(weights))
+    model = learn.LinearModel(weights=np.array(weights), bias=0.0)
+    assert rank_features(model, space, k) == ref_rank(weights, space, k)
 
 
 # --- what the layout must keep for callers that wrap the learners ---
